@@ -425,7 +425,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--grid", help="distance grid in m, comma separated")
         p.add_argument("--dt", type=float, help="drift interval in s")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (never affects results)")
+                       help="accepted for compatibility; runs are "
+                            "single-threaded and it changes nothing")
         p.add_argument("--set", action="append", default=[],
                        metavar="KEY=VALUE", dest="set_overrides",
                        help="override any config key")

@@ -158,7 +158,9 @@ def generate_field(config: CloudConfig,
             f"realized cloudlet count {n} exceeds the cap {cloudlet_cap}")
     xs = rng.uniform(0.0, config.width_w, n)
     ys = rng.uniform(0.0, config.thickness_d, n)
-    iwc = rng.uniform(0.0, config.max_iwc_c, n)
+    # C * u is bit for bit what rng.uniform(0, C, n) returns; drawing the
+    # unit variates explicitly lets a sweep over C rescale a single draw.
+    iwc = config.max_iwc_c * rng.random(n)
     positions = np.column_stack([xs, ys]) if n else np.empty((0, 2))
     return CloudField(config=config, positions=positions, iwc=iwc,
                       radius=cloudlet_radius(config))

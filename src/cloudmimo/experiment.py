@@ -3,9 +3,13 @@
 Every experiment draws a fresh static cloud field per trial (capacity and
 correlation studies are snapshot studies), traces the antenna-pair rays of
 the configured link through it, and feeds the accumulated cloud phases into
-the LoS MIMO channel.  Per-trial random streams derive deterministically
-from the master seed and the trial index, so results are reproducible and
-independent of worker parallelism.
+the LoS MIMO channel.  One trial kernel serves every mode: it draws each
+trial's field once per run, evaluates every sweep point whose field does not
+depend on the sweep value on that draw, and works on blocks of trials as
+arrays.  Per-trial random streams derive deterministically from the master
+seed and the trial index, so results are reproducible and independent of
+the block size.  Runs are single-threaded; the ``threads`` hint is accepted
+and changes nothing.
 
 Runs write two artifacts: ``results.csv`` with plot-ready columns and
 ``manifest.json`` with the full configuration, which can be fed back as a
@@ -14,9 +18,8 @@ config file to reproduce the run byte for byte.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 from scipy import stats as sstats
@@ -25,15 +28,23 @@ from .analyticmodel import (AnalyticParams, PhaseDistribution, laplace_pdf,
                             stationary_distribution)
 from .cloudfield import CloudConfig, cloudlet_radius, generate_field
 from .errors import ConfigurationError
-from .mimochannel import (ChannelMatrix, MimoScenario, capacity_bits,
-                          los_channel, subchannel_correlation)
-from .phasephysics import (SPEED_OF_LIGHT, PathPhase, PhysicsParams,
-                           mixture_coefficient, path_phase)
+from .mimochannel import (MimoScenario, capacity_bits, ensemble_mean,
+                          los_channel, subchannel_coherence)
+from .phasephysics import (REFERENCE_IWC, SPEED_OF_LIGHT, PhysicsParams,
+                           block_phases, mixture_coefficient)
 from .raygeometry import LinkGeometry, broadside_link, build_rays, \
     map_rays_to_field
 
-# Relative water content of 1 corresponds to this ice water content bound.
-MAX_WATER_CONTENT = 0.6   # [g/m^3]
+# Cloudlets the trial kernel traces at once.  A block holds as many trials
+# as fit this count on average, which bounds the kernel's working memory;
+# results never depend on it.
+BLOCK_CLOUDLETS = 8192
+
+# Floating-point evaluation order behind results.csv, recorded in the
+# manifest.  1: one field, one ray and one channel at a time.  2: per-ray
+# phases summed per trial by bincount and channels evaluated as stacks,
+# which moves phase-compare and correlation values by ~1e-14 relative.
+NUMERICS_VERSION = 2
 
 # Reference per-round complexity figures for the operation-count mode: the
 # cloudlet model at the 20 m x 1000 m configuration, and a grid-interpolation
@@ -66,7 +77,7 @@ class ExperimentSpec:
     distance_grid: tuple | None = None     # link distances [m]
     dt: float = 0.0                        # drift interval for reports [s]
     outage_probability: float = 0.5
-    threads: int = 1                       # execution hint, never affects results
+    threads: int = 1                       # accepted; runs are single-threaded
 
     def __post_init__(self) -> None:
         problems = []
@@ -116,10 +127,6 @@ def trial_seed(master_seed: int, trial: int) -> int:
     return int(words[0]) << 32 | int(words[1])
 
 
-def _apply_rwc(cloud: CloudConfig, rwc: float) -> CloudConfig:
-    return dataclasses.replace(cloud, max_iwc_c=rwc * MAX_WATER_CONTENT)
-
-
 def _link_for(spec: ExperimentSpec, distance: float,
               thickness: float) -> LinkGeometry:
     return broadside_link(
@@ -139,11 +146,56 @@ def _segments_for(spec: ExperimentSpec, cloud: CloudConfig,
     return segments, engaged
 
 
-def _run_trials(worker, trials: int, threads: int) -> list:
-    if threads <= 1:
-        return [worker(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(trials)))
+# ============================================================
+# Trial kernel
+# ============================================================
+
+def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, points,
+                 contents=None) -> list[np.ndarray]:
+    """Evaluate every sweep point on one field draw per trial.
+
+    Trial ``t`` draws its field from the stream ``trial_seed(master_seed,
+    t)`` at a unit content bound, so the field's ice water contents are the
+    uniform variates u.  Each bound C of ``contents`` (default: the cloud's
+    own) turns them into C * u, bit for bit the contents of a draw at bound
+    C.  Trials run in blocks of about ``BLOCK_CLOUDLETS`` cloudlets: the
+    block's fields are concatenated and traced against each point's rays at
+    once.
+
+    Parameters
+    ----------
+    points : sequence of (segments, metric)
+        The in-layer ray segments of a sweep point, and a metric mapping a
+        :class:`PathPhase` of (len(contents), b, rays) stacks for a block
+        of b trials to (len(contents), b, ...) values.
+
+    Returns
+    -------
+    list of ndarray
+        Per point, the metric values of all trials,
+        (len(contents), trials, ...).
+    """
+    if not points:
+        return []
+    if contents is None:
+        contents = (cloud.max_iwc_c,)
+    scale = np.asarray(contents, dtype=float)[:, None]
+    unit = dataclasses.replace(cloud, max_iwc_c=1.0)
+    radius = cloudlet_radius(cloud)
+    mean_count = cloud.density_lambda_s * cloud.width_w * cloud.thickness_d
+    per_block = max(1, int(BLOCK_CLOUDLETS // max(mean_count, 1.0)))
+    values: list[list] = [[] for _ in points]
+    for first in range(0, spec.trials, per_block):
+        fields = [generate_field(dataclasses.replace(
+            unit, rng_seed=trial_seed(spec.master_seed, t)))
+            for t in range(first, min(first + per_block, spec.trials))]
+        positions = np.concatenate([f.positions for f in fields])
+        iwc = scale * np.concatenate([f.iwc for f in fields])
+        owner = np.repeat(np.arange(len(fields)), [f.count for f in fields])
+        for (segments, metric), out in zip(points, values):
+            out.append(metric(block_phases(positions, iwc, owner, len(fields),
+                                           radius, segments, spec.physics)))
+    return [np.concatenate(v, axis=1) for v in values]
 
 
 # ============================================================
@@ -175,37 +227,40 @@ class SweepPoint:
     cdf: CapacityCdf
 
 
+def _capacity(scenario: MimoScenario, phases):
+    return capacity_bits(los_channel(scenario, phases), scenario.snr_db)
+
+
+def _capacities(spec: ExperimentSpec, cloud: CloudConfig,
+                contents) -> np.ndarray:
+    segments, _ = _segments_for(spec, cloud, spec.scenario.link_distance)
+    metric = functools.partial(_capacity, spec.scenario)
+    return trial_kernel(spec, cloud, [(segments, metric)], contents)[0]
+
+
 def run_capacity_cdf(spec: ExperimentSpec) -> list[SweepPoint]:
     """Per-trial capacities for each sweep point of the configured sweep.
 
-    A relative-water-content sweep rescales the ice water content bound; a
-    thickness sweep rebuilds the layer (and the in-layer geometry) per
-    value.  Without a sweep a single point at the configured cloud runs.
+    A relative-water-content sweep rescales the ice water content bound, so
+    all its points share each trial's field draw; a thickness sweep rebuilds
+    the layer (and the in-layer geometry) and draws per value.  Without a
+    sweep a single point at the configured cloud runs.
     """
-    if spec.sweep_rwc is not None:
-        points = [("rwc", v, _apply_rwc(spec.cloud, v)) for v in spec.sweep_rwc]
-    elif spec.sweep_thickness is not None:
-        points = [("thickness_m", v,
-                   dataclasses.replace(spec.cloud, thickness_d=v))
-                  for v in spec.sweep_thickness]
+    if spec.sweep_thickness is not None:
+        name, values = "thickness_m", spec.sweep_thickness
+        caps = [_capacities(spec, dataclasses.replace(
+            spec.cloud, thickness_d=v), None)[0] for v in values]
+    elif spec.sweep_rwc is not None:
+        name, values = "rwc", spec.sweep_rwc
+        caps = _capacities(spec, spec.cloud,
+                           [v * REFERENCE_IWC for v in values])
     else:
-        points = [("none", 0.0, spec.cloud)]
-    out = []
-    for name, value, cloud in points:
-        segments, _ = _segments_for(spec, cloud, spec.scenario.link_distance)
-
-        def one_trial(t: int, cloud=cloud, segments=segments) -> float:
-            field = generate_field(dataclasses.replace(
-                cloud, rng_seed=trial_seed(spec.master_seed, t)))
-            phases = path_phase(field, segments, spec.physics)
-            return capacity_bits(los_channel(spec.scenario, phases),
-                                 spec.scenario.snr_db)
-
-        caps = np.array(_run_trials(one_trial, spec.trials, spec.threads))
-        out.append(SweepPoint(parameter=name, value=value,
-                              cdf=CapacityCdf(samples=np.sort(caps),
-                                              trial_count=spec.trials)))
-    return out
+        name, values = "none", (0.0,)
+        caps = _capacities(spec, spec.cloud, None)
+    return [SweepPoint(parameter=name, value=value,
+                       cdf=CapacityCdf(samples=np.sort(c),
+                                       trial_count=spec.trials))
+            for value, c in zip(values, caps)]
 
 
 # ============================================================
@@ -231,42 +286,49 @@ def _distance_scenario(spec: ExperimentSpec, distance: float,
     return scen
 
 
-def run_correlation_sweep(spec: ExperimentSpec) -> DistanceSweepResult:
-    """Sub-channel correlation with and without cloud over a distance grid.
+def run_distance_sweep(spec: ExperimentSpec, metric, reducer,
+                       compensated: bool | None = None) -> DistanceSweepResult:
+    """Ensemble summary of a per-trial channel metric over the distance grid.
 
-    Distances where no ray reaches the layer reuse the no-cloud value
-    exactly; engaged distances average the per-trial coherence over the
-    ensemble of cloud realizations.
+    ``metric(scenario, phases)`` evaluates the channel of a scenario under
+    stacked cloud phases (a :class:`PathPhase`), or under clear sky for
+    None; ``reducer`` summarizes the trial values of one distance.
+    Distances where no ray reaches the layer reuse the clear-sky value
+    exactly; the engaged distances are all evaluated on the same field
+    draws.
     """
     distances = np.array(spec.distance_grid, dtype=float)
-    with_cloud = np.zeros_like(distances)
-    without = np.zeros_like(distances)
-    engaged = np.zeros(distances.shape, dtype=bool)
-    trial_values: list = []
-    for i, d in enumerate(distances):
-        scen = _distance_scenario(spec, float(d))
-        clear = subchannel_correlation([los_channel(scen)])
-        segments, hit = _segments_for(spec, spec.cloud, float(d))
-        without[i] = clear
-        engaged[i] = hit
-        if not hit:
-            with_cloud[i] = clear
-            trial_values.append(None)
-            continue
-
-        def one_trial(t: int, scen=scen, segments=segments) -> float:
-            field = generate_field(dataclasses.replace(
-                spec.cloud, rng_seed=trial_seed(spec.master_seed, t)))
-            phases = path_phase(field, segments, spec.physics)
-            return subchannel_correlation([los_channel(scen, phases)])
-
-        vals = np.array(_run_trials(one_trial, spec.trials, spec.threads))
-        with_cloud[i] = float(vals[0]) if np.all(vals == vals[0]) \
-            else float(vals.mean())
-        trial_values.append(vals)
+    scenarios = [_distance_scenario(spec, float(d), compensated)
+                 for d in distances]
+    without = np.array([metric(scen, None) for scen in scenarios],
+                       dtype=float)
+    mapped = [_segments_for(spec, spec.cloud, float(d)) for d in distances]
+    engaged = np.array([hit for _, hit in mapped], dtype=bool)
+    live = np.flatnonzero(engaged)
+    values = trial_kernel(spec, spec.cloud, [
+        (mapped[i][0], functools.partial(metric, scenarios[i]))
+        for i in live])
+    with_cloud = without.copy()
+    trial_values: list = [None] * len(distances)
+    for i, vals in zip(live, values):
+        trial_values[i] = vals[0]
+        with_cloud[i] = reducer(vals[0])
     return DistanceSweepResult(distances=distances, with_cloud=with_cloud,
                                without_cloud=without, engaged=engaged,
                                trial_values=trial_values)
+
+
+def _coherence(scenario: MimoScenario, phases):
+    return subchannel_coherence(los_channel(scenario, phases))
+
+
+def run_correlation_sweep(spec: ExperimentSpec) -> DistanceSweepResult:
+    """Sub-channel correlation with and without cloud over a distance grid.
+
+    Engaged distances average the per-trial coherence over the ensemble of
+    cloud realizations.
+    """
+    return run_distance_sweep(spec, _coherence, ensemble_mean)
 
 
 def run_compensated_sweep(spec: ExperimentSpec) -> DistanceSweepResult:
@@ -275,34 +337,7 @@ def run_compensated_sweep(spec: ExperimentSpec) -> DistanceSweepResult:
     Gains are forced to unity so only phase structure drives the capacity;
     the no-cloud capacity at each distance is deterministic.
     """
-    distances = np.array(spec.distance_grid, dtype=float)
-    with_cloud = np.zeros_like(distances)
-    without = np.zeros_like(distances)
-    engaged = np.zeros(distances.shape, dtype=bool)
-    trial_values: list = []
-    for i, d in enumerate(distances):
-        scen = _distance_scenario(spec, float(d), compensated=True)
-        clear = capacity_bits(los_channel(scen), scen.snr_db)
-        segments, hit = _segments_for(spec, spec.cloud, float(d))
-        without[i] = clear
-        engaged[i] = hit
-        if not hit:
-            with_cloud[i] = clear
-            trial_values.append(None)
-            continue
-
-        def one_trial(t: int, scen=scen, segments=segments) -> float:
-            field = generate_field(dataclasses.replace(
-                spec.cloud, rng_seed=trial_seed(spec.master_seed, t)))
-            phases = path_phase(field, segments, spec.physics)
-            return capacity_bits(los_channel(scen, phases), scen.snr_db)
-
-        vals = np.array(_run_trials(one_trial, spec.trials, spec.threads))
-        with_cloud[i] = float(np.median(vals))
-        trial_values.append(vals)
-    return DistanceSweepResult(distances=distances, with_cloud=with_cloud,
-                               without_cloud=without, engaged=engaged,
-                               trial_values=trial_values)
+    return run_distance_sweep(spec, _capacity, np.median, compensated=True)
 
 
 # ============================================================
@@ -340,16 +375,14 @@ def run_phase_compare(spec: ExperimentSpec) -> PhaseCompareResult:
         layer_thickness=spec.cloud.thickness_d)
     segments = map_rays_to_field(build_rays(link), link, spec.cloud)
 
-    def one_trial(t: int) -> tuple[float, int]:
-        field = generate_field(dataclasses.replace(
-            spec.cloud, rng_seed=trial_seed(spec.master_seed, t)))
-        result = path_phase(field, segments, spec.physics)
-        return float(result.per_ray_phase[0]), \
-            int(result.per_ray_cloudlet_count[0])
+    def phase_and_count(phases):
+        return np.stack([phases.per_ray_phase[..., 0],
+                         phases.per_ray_cloudlet_count[..., 0]], axis=-1)
 
-    pairs = _run_trials(one_trial, spec.trials, spec.threads)
-    samples = np.array([p for p, _ in pairs])
-    counts = np.array([k for _, k in pairs])
+    pairs = trial_kernel(spec, spec.cloud,
+                         [(segments, phase_and_count)])[0][0]
+    samples = np.ascontiguousarray(pairs[:, 0])
+    counts = pairs[:, 1].astype(int)
     analytic = stationary_distribution(AnalyticParams(spec.cloud, spec.physics))
 
     if analytic.sigma_c2 > 0.0:
@@ -430,12 +463,12 @@ def _instrumented_round(cloud: CloudConfig, segment, physics: PhysicsParams,
     mac += 1                                     # one draw
     xs = rng.uniform(0.0, cloud.width_w, n)
     ys = rng.uniform(0.0, cloud.thickness_d, n)
-    iwc = rng.uniform(0.0, cloud.max_iwc_c, n)
+    iwc = cloud.max_iwc_c * rng.random(n)
     mac += 6 * n                                 # three draws + three scalings
 
     eps = physics.ice_permittivity_real
     coef = (3.0 * physics.sphere_density_n * physics.sphere_volume_vice
-            * (1.0 / 0.6) * (eps - 1.0) / (eps + 1.0))
+            * (1.0 / REFERENCE_IWC) * (eps - 1.0) / (eps + 1.0))
     mac += 6
     lam0 = SPEED_OF_LIGHT / physics.carrier_frequency
     k0 = 2.0 * math.pi / lam0
@@ -685,6 +718,7 @@ def build_manifest(spec: ExperimentSpec, report: dict,
         "version": version,
         "mode": spec.mode,
         "config": flat,
+        "numerics": NUMERICS_VERSION,
         "quantile_convention": "nearest-rank lower",
         "geometry": ("ground array centre at altitude 0; airborne array "
                      "centre on the link ray at the configured distance and "

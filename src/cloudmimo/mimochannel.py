@@ -56,7 +56,7 @@ class MimoScenario:
 class ChannelMatrix:
     """Complex channel entries plus the antenna-pair distances behind them."""
 
-    entries: np.ndarray     # (Nr, Nt) complex gains
+    entries: np.ndarray     # (Nr, Nt) complex gains, or a stack (..., Nr, Nt)
     distances: np.ndarray   # (Nr, Nt) antenna-pair distances [m]
     compensated: bool = True   # True: unit gains, no capacity normalization
 
@@ -83,6 +83,7 @@ def los_channel(scenario: MimoScenario,
     Entry (i, j) couples transmit antenna j to receive antenna i and sees
     the total phase ``2 pi d_ij / lambda + phi_cloud(i, j)``; cloud phases
     are indexed row-major to match the ray ordering of the geometry module.
+    Stacked cloud phases (..., rays) give a stack of channels (..., Nr, Nt).
     In compensated mode all gains are unity, otherwise they fall off as the
     inverse distance.
     """
@@ -90,41 +91,51 @@ def los_channel(scenario: MimoScenario,
     phase = 2.0 * np.pi * d / scenario.wavelength
     if cloud_phases is not None:
         extra = np.asarray(cloud_phases.per_ray_phase, dtype=float)
-        if extra.size != d.size:
+        if extra.shape[-1:] != (d.size,):
             raise ConfigurationError(
-                f"cloud phases carry {extra.size} rays but the scenario has "
-                f"{d.size} antenna pairs")
-        phase = phase + extra.reshape(d.shape)
+                f"cloud phases carry {extra.shape[-1:]} rays but the "
+                f"scenario has {d.size} antenna pairs")
+        phase = phase + extra.reshape(extra.shape[:-1] + d.shape)
     gain = np.ones_like(d) if scenario.compensated else 1.0 / d
     return ChannelMatrix(entries=gain * np.exp(-1j * phase), distances=d,
                          compensated=scenario.compensated)
 
 
-def capacity_bits(channel, snr_db: float) -> float:
+def _single_or_stack(values: np.ndarray):
+    return float(values) if values.ndim == 0 else values
+
+
+def capacity_bits(channel, snr_db: float):
     """Equal-power capacity in bit/s/Hz.
 
-    Accepts a :class:`ChannelMatrix` or a bare complex matrix.  A channel
-    matrix from an uncompensated scenario is first normalized to unit mean
-    squared entry magnitude, so inverse-distance gains do not fold the
-    free-space path loss into the capacity and the SNR keeps its average
-    meaning at every distance.  Compensated channels and bare matrices are
-    used as-is.
+    Accepts a :class:`ChannelMatrix` or a bare complex matrix, of shape
+    (Nr, Nt) or a stack (..., Nr, Nt); returns a float for one matrix and
+    an array of the stack's shape otherwise.  A channel matrix from an
+    uncompensated scenario is first normalized to unit mean squared entry
+    magnitude, so inverse-distance gains do not fold the free-space path
+    loss into the capacity and the SNR keeps its average meaning at every
+    distance.  Compensated channels and bare matrices are used as-is.
     """
     normalize = isinstance(channel, ChannelMatrix) and not channel.compensated
     h = channel.entries if isinstance(channel, ChannelMatrix) else np.asarray(channel)
     h = np.atleast_2d(h).astype(complex)
-    num_rx, num_tx = h.shape
+    num_rx, num_tx = h.shape[-2:]
     if normalize:
-        power = float(np.sum(np.abs(h) ** 2))
-        if power > 0.0:
-            h = h * np.sqrt(num_rx * num_tx / power)
+        power = np.sum(np.abs(h) ** 2, axis=(-2, -1), keepdims=True)
+        # an all-zero matrix stays as it is
+        power = np.where(power > 0.0, power, num_rx * num_tx)
+        h = h * np.sqrt(num_rx * num_tx / power)
     rho = 10.0 ** (snr_db / 10.0)
-    gram = np.eye(num_rx) + (rho / num_tx) * (h @ h.conj().T)
+    gram = np.eye(num_rx) \
+        + (rho / num_tx) * (h @ np.conj(h).swapaxes(-1, -2))
     sign, logdet = np.linalg.slogdet(gram)
-    capacity = float(np.real(sign) * logdet / np.log(2.0))
-    if not np.isfinite(capacity):
-        raise NumericError(f"capacity is not finite (logdet={logdet})")
-    return capacity
+    capacity = np.real(sign) * logdet / np.log(2.0)
+    finite = np.isfinite(capacity)
+    if not np.all(finite):
+        bad = np.size(finite) - np.count_nonzero(finite)
+        raise NumericError(f"capacity is not finite for {bad} of "
+                           f"{np.size(finite)} channel(s)")
+    return _single_or_stack(capacity)
 
 
 def rayleigh_distance(scenario: MimoScenario) -> float:
@@ -134,31 +145,53 @@ def rayleigh_distance(scenario: MimoScenario) -> float:
     return 2.0 * aperture ** 2 / scenario.wavelength
 
 
-def subchannel_correlation(samples) -> float:
-    """Mean normalized coherence of the first two transmit columns.
+def subchannel_coherence(channel):
+    """Normalized coherence of the first two transmit columns.
 
-    For each channel matrix the coherence is ``|<c1, c2>| / (|c1| |c2|)``;
-    the ensemble mean is returned.  Matrices with a zero-norm column are
-    skipped with a warning.  An ensemble of identical matrices returns the
-    common value exactly.
+    ``|<c1, c2>| / (|c1| |c2|)`` of a :class:`ChannelMatrix` or a bare
+    matrix, of shape (Nr, Nt) or a stack (..., Nr, Nt); a float for one
+    matrix and an array of the stack's shape otherwise.  NaN where a column
+    has zero norm.
     """
-    values = []
-    for sample in samples:
-        h = sample.entries if isinstance(sample, ChannelMatrix) else np.asarray(sample)
-        if h.shape[1] < 2:
-            raise ConfigurationError(
-                "sub-channel correlation needs at least two transmit columns")
-        c1, c2 = h[:, 0], h[:, 1]
-        n1, n2 = np.linalg.norm(c1), np.linalg.norm(c2)
-        if n1 == 0.0 or n2 == 0.0:
-            warnings.warn("skipping channel sample with a zero-norm column",
-                          UserWarning)
-            continue
-        values.append(float(np.abs(np.vdot(c1, c2)) / (n1 * n2)))
-    if not values:
+    h = channel.entries if isinstance(channel, ChannelMatrix) else np.asarray(channel)
+    if h.shape[-1] < 2:
         raise ConfigurationError(
-            "no usable channel samples for sub-channel correlation")
-    arr = np.array(values)
+            "sub-channel correlation needs at least two transmit columns")
+    c1, c2 = h[..., :, 0], h[..., :, 1]
+    norms = np.linalg.norm(c1, axis=-1) * np.linalg.norm(c2, axis=-1)
+    inner = np.abs(np.sum(np.conj(c1) * c2, axis=-1))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        values = np.where(norms > 0.0, inner / norms, np.nan)
+    return _single_or_stack(values)
+
+
+def ensemble_mean(values) -> float:
+    """Mean of an ensemble; exactly the common value if all samples agree."""
+    arr = np.asarray(values, dtype=float)
     if np.all(arr == arr[0]):
         return float(arr[0])
     return float(arr.mean())
+
+
+def subchannel_correlation(samples) -> float:
+    """Mean normalized coherence of the first two transmit columns.
+
+    ``samples`` is a sequence of channel matrices or a stack
+    (k, Nr, Nt); the ensemble mean of :func:`subchannel_coherence` is
+    returned.  Matrices with a zero-norm column are skipped with a warning.
+    An ensemble of identical matrices returns the common value exactly.
+    """
+    stack = [s.entries if isinstance(s, ChannelMatrix) else np.asarray(s)
+             for s in samples]
+    if not stack:
+        raise ConfigurationError(
+            "no usable channel samples for sub-channel correlation")
+    values = subchannel_coherence(np.stack(stack))
+    usable = ~np.isnan(values)
+    if not np.all(usable):
+        warnings.warn(f"skipping {int(np.sum(~usable))} channel sample(s) "
+                      f"with a zero-norm column", UserWarning)
+    if not np.any(usable):
+        raise ConfigurationError(
+            "no usable channel samples for sub-channel correlation")
+    return ensemble_mean(values[usable])

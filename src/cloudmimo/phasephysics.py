@@ -25,8 +25,9 @@ SPEED_OF_LIGHT = 299_792_458.0   # [m/s]
 DEFAULT_ICE_SPHERE_VOLUME = 4.0 / 3.0 * np.pi * (1e-4) ** 3
 
 # Reference ice water content of a fully dense suspension [g/m^3]; the
-# mixing rule scales the sphere volume fraction by iwc relative to this.
-_REFERENCE_IWC = 0.6
+# mixing rule scales the sphere volume fraction by iwc relative to this, and
+# a relative water content of 1 means this ice water content bound.
+REFERENCE_IWC = 0.6
 
 
 # ============================================================
@@ -82,7 +83,7 @@ def mixture_coefficient(params: PhysicsParams) -> float:
     """
     eps = params.ice_permittivity_real
     return (3.0 * params.sphere_density_n * params.sphere_volume_vice
-            * (1.0 / _REFERENCE_IWC) * (eps - 1.0) / (eps + 1.0))
+            * (1.0 / REFERENCE_IWC) * (eps - 1.0) / (eps + 1.0))
 
 
 def mixture_permittivity(params: PhysicsParams, iwc) -> float | np.ndarray:
@@ -125,31 +126,64 @@ def phase_through_chord(lambda0: float, excess_permittivity: float,
 
 @dataclasses.dataclass(frozen=True)
 class PathPhase:
-    """Cloud-induced excess phase of every ray of a bundle."""
+    """Cloud-induced excess phase of every ray of a bundle.
 
-    per_ray_phase: np.ndarray           # (num_rays,) unwrapped phase [rad]
-    per_ray_cloudlet_count: np.ndarray  # (num_rays,) pierced cloudlets
+    Both arrays are (num_rays,) for one field, or stacks (..., num_rays).
+    """
+
+    per_ray_phase: np.ndarray           # unwrapped phase [rad]
+    per_ray_cloudlet_count: np.ndarray  # pierced cloudlets
+
+
+def block_phases(positions: np.ndarray, iwc: np.ndarray, owner: np.ndarray,
+                 fields: int, radius: float, segments: list[Segment2D],
+                 params: PhysicsParams) -> PathPhase:
+    """Accumulate cloud phases of a ray bundle through a block of fields.
+
+    ``positions`` (n, 2) holds the cloudlets of ``fields`` fields one after
+    another, ``owner`` (n,) the field each cloudlet belongs to.  ``iwc`` is
+    (n,), or (k, n) for k ice water content variants of the same cloudlets,
+    which share the chord tracing.  Each segment is traced through all
+    cloudlets at once; each chord contributes ``2 pi l / lambda0`` times the
+    cloudlet's excess permittivity, and a field's contributions add without
+    wrapping in cloudlet order, so its phases do not depend on the other
+    fields of the block.  Overlapping cloudlets contribute independently,
+    which matches the additive overlap rule of the field model.
+
+    Returns per-ray phases and pierced-cloudlet counts of shape
+    (fields, rays), or (k, fields, rays).
+    """
+    k0 = 2.0 * np.pi / params.wavelength_lambda0
+    eps = mixture_coefficient(params) * np.asarray(iwc, dtype=float)
+    variants = np.atleast_2d(eps)
+    k, rays = variants.shape[0], len(segments)
+    # variant j of field f accumulates in bin j * fields + f
+    offsets = (np.arange(k) * fields)[:, None]
+    phases = np.zeros((k, fields, rays))
+    counts = np.zeros((fields, rays), dtype=int)
+    for idx, seg in enumerate(segments):
+        chords = chord_lengths(seg, positions, radius)
+        hit = chords > 0.0
+        pierced = owner[hit]
+        counts[:, idx] = np.bincount(pierced, minlength=fields)
+        contributions = k0 * chords[hit] * variants[:, hit]
+        phases[:, :, idx] = np.bincount(
+            (offsets + pierced).ravel(), weights=contributions.ravel(),
+            minlength=k * fields).reshape(k, fields)
+    shape = eps.shape[:-1] + (fields, rays)
+    counts = np.broadcast_to(counts, shape).copy()
+    return PathPhase(per_ray_phase=phases.reshape(shape),
+                     per_ray_cloudlet_count=counts)
 
 
 def path_phase(field: CloudField, segments: list[Segment2D],
                params: PhysicsParams) -> PathPhase:
     """Accumulate cloud phases for a bundle of in-layer segments.
 
-    For each segment the chord through every cloudlet is computed exactly;
-    each chord contributes ``2 pi l / lambda0`` times the cloudlet's excess
-    permittivity.  Contributions add without wrapping, and overlapping
-    cloudlets contribute independently, which matches the additive overlap
-    rule of the field model.
+    A single field is a block of one (see :func:`block_phases`).
     """
-    k0 = 2.0 * np.pi / params.wavelength_lambda0
-    eps = mixture_coefficient(params) * field.iwc
-    phases = np.zeros(len(segments))
-    counts = np.zeros(len(segments), dtype=int)
-    for idx, seg in enumerate(segments):
-        if field.count == 0:
-            continue
-        chords = chord_lengths(seg, field.positions, field.radius)
-        hit = chords > 0.0
-        counts[idx] = int(np.count_nonzero(hit))
-        phases[idx] = float(np.sum(k0 * chords[hit] * eps[hit]))
-    return PathPhase(per_ray_phase=phases, per_ray_cloudlet_count=counts)
+    block = block_phases(field.positions, field.iwc,
+                         np.zeros(field.count, dtype=np.intp), 1,
+                         field.radius, segments, params)
+    return PathPhase(per_ray_phase=block.per_ray_phase[0],
+                     per_ray_cloudlet_count=block.per_ray_cloudlet_count[0])

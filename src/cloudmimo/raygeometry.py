@@ -303,10 +303,13 @@ def chord_lengths(segment: Segment2D, centres: np.ndarray,
     length = segment.length
     if length == 0.0 or centres.shape[0] == 0:
         return np.zeros(centres.shape[0])
-    u = (segment.end - segment.start) / length
-    w = centres - segment.start[None, :]
-    t = w @ u
-    perp2 = np.sum(w * w, axis=1) - t * t
+    ux, uy = (segment.end - segment.start) / length
+    wx = centres[:, 0] - segment.start[0]
+    wy = centres[:, 1] - segment.start[1]
+    # Written out per element (not ``w @ u``, whose BLAS kernel may fuse
+    # the multiply-add) so a disc's chord never depends on the other discs.
+    t = wx * ux + wy * uy
+    perp2 = wx * wx + wy * wy - t * t
     half2 = radius * radius - perp2
     hit = half2 > 0.0
     half = np.sqrt(np.where(hit, half2, 0.0))

@@ -7,15 +7,16 @@ import pytest
 from cloudmimo.analyticmodel import AnalyticParams, stationary_distribution
 from cloudmimo.cloudfield import CloudConfig, cloudlet_radius, generate_field
 from cloudmimo.errors import ConfigurationError
-from cloudmimo.experiment import (ASSUMED_PARAMETER_KEYS, CapacityCdf,
-                                  MacCountResult, SweepPoint,
+from cloudmimo import experiment
+from cloudmimo.experiment import (ASSUMED_PARAMETER_KEYS, NUMERICS_VERSION,
+                                  CapacityCdf, MacCountResult, SweepPoint,
                                   ExperimentSpec, _instrumented_round,
                                   build_manifest, format_csv, outage_capacity,
                                   run_capacity_cdf, run_compensated_sweep,
                                   run_correlation_sweep, run_mac_count,
                                   run_phase_compare, run_report,
                                   results_csv_text, spec_from_flat,
-                                  spec_to_flat, trial_seed)
+                                  spec_to_flat, trial_kernel, trial_seed)
 from cloudmimo.mimochannel import MimoScenario, capacity_bits, los_channel
 from cloudmimo.phasephysics import PhysicsParams, path_phase
 from cloudmimo.raygeometry import (broadside_link, build_rays,
@@ -128,6 +129,82 @@ def test_outage_capacity_rejects_empty_cdf():
     empty = CapacityCdf(samples=np.array([]), trial_count=0)
     with pytest.raises(ConfigurationError):
         outage_capacity(empty, 0.5)
+
+
+# ============================================================
+# Trial kernel
+# ============================================================
+
+def _per_trial_outputs(spec: ExperimentSpec) -> dict:
+    cdf = run_capacity_cdf(dataclasses.replace(spec, sweep_rwc=(0.4, 0.8)))
+    corr = run_correlation_sweep(dataclasses.replace(
+        spec, mode="correlation", distance_grid=(2000.0, 20000.0, 30000.0)))
+    phase = run_phase_compare(dataclasses.replace(
+        spec, mode="phase-compare",
+        scenario=make_scenario(link_distance=30000.0)))
+    return {"capacity": [p.cdf.samples for p in cdf],
+            "correlation": [corr.trial_values[1], corr.trial_values[2]],
+            "phase": [phase.samples, phase.cloudlet_counts]}
+
+
+def test_kernel_results_do_not_depend_on_block_size(monkeypatch):
+    # ~40 cloudlets per field: 3 puts one trial in each block, 100 two
+    # trials with a partial last block, the default all 25 in one block.
+    spec = make_spec(trials=25)
+    reference = _per_trial_outputs(spec)
+    for block in (3, 100):
+        monkeypatch.setattr(experiment, "BLOCK_CLOUDLETS", block)
+        outputs = _per_trial_outputs(spec)
+        for key, arrays in reference.items():
+            for want, got in zip(arrays, outputs[key]):
+                assert np.array_equal(want, got), (key, block)
+
+
+def test_rwc_sweep_shares_one_draw_bit_for_bit():
+    # One field draw serves every RWC point; each point must equal a
+    # separate run at the ice water content bound rwc * 0.6 g/m^3.
+    spec = make_spec(trials=12, sweep_rwc=(0.0, 0.4, 0.8))
+    for point in run_capacity_cdf(spec):
+        single = make_spec(trials=12, cloud=make_cloud(
+            max_iwc_c=point.value * 0.6))
+        alone = run_capacity_cdf(single)[0].cdf.samples
+        assert np.array_equal(point.cdf.samples, alone), point.value
+
+
+def test_kernel_rows_equal_single_field_path_phase():
+    spec = make_spec(trials=9, master_seed=4)
+    link = broadside_link(num_tx=2, num_rx=2, tx_spacing=1.0,
+                          rx_spacing=6.0827, link_distance=40000.0,
+                          elevation_deg=90.0, cloud_upper_altitude=8000.0,
+                          layer_thickness=1000.0)
+    segments = map_rays_to_field(build_rays(link), link, spec.cloud)
+
+    def both(phases):
+        return np.concatenate([phases.per_ray_phase,
+                               phases.per_ray_cloudlet_count], axis=-1)
+
+    rows = trial_kernel(spec, spec.cloud, [(segments, both)])[0][0]
+    rays = len(segments)
+    assert rows.shape == (9, 2 * rays)
+    assert np.any(rows[:, rays:] > 0)    # the rays do pierce cloudlets
+    for t in range(spec.trials):
+        field = generate_field(dataclasses.replace(
+            spec.cloud, rng_seed=trial_seed(spec.master_seed, t)))
+        single = path_phase(field, segments, spec.physics)
+        assert np.array_equal(rows[t, :rays], single.per_ray_phase)
+        assert np.array_equal(rows[t, rays:], single.per_ray_cloudlet_count)
+
+
+def test_kernel_without_points_draws_nothing(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a field was drawn")
+
+    monkeypatch.setattr(experiment, "generate_field", fail)
+    spec = make_spec(mode="correlation", trials=4, distance_grid=(2000.0,))
+    assert trial_kernel(spec, spec.cloud, []) == []
+    result = run_correlation_sweep(spec)
+    assert not result.engaged[0]
+    assert result.with_cloud[0] == result.without_cloud[0]
 
 
 # ============================================================
@@ -408,6 +485,12 @@ def test_build_manifest_contents():
     assert "cloud.alpha" not in manifest["assumed_defaults"]
     remaining = set(ASSUMED_PARAMETER_KEYS) - {"cloud.alpha"}
     assert set(manifest["assumed_defaults"]) == remaining
+
+
+def test_build_manifest_records_numerics_outside_config():
+    manifest = build_manifest(make_spec(), {})
+    assert manifest["numerics"] == NUMERICS_VERSION
+    assert not any("numerics" in key for key in manifest["config"])
 
 
 def test_build_manifest_lists_all_assumed_defaults_by_default():

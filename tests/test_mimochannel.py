@@ -8,6 +8,7 @@ from cloudmimo import (ChannelMatrix, ConfigurationError, MimoScenario,
                        NumericError, PathPhase, capacity_bits, los_channel,
                        pair_distances, rayleigh_distance,
                        subchannel_correlation)
+from cloudmimo.mimochannel import subchannel_coherence
 
 # Independently evaluated expectations (frozen).
 RAYLEIGH_TABLE3 = 18142.178131879488      # 2 (6.0827)^2 / lambda0 [m]
@@ -165,6 +166,36 @@ def test_capacity_monotone_in_snr():
     assert all(b > a for a, b in zip(caps, caps[1:]))
 
 
+def test_capacity_of_a_stack_equals_each_matrix_alone():
+    # A single matrix is a stack of one: the batched evaluation must give
+    # every matrix's own capacity bit for bit, normalized or not.
+    rng = np.random.default_rng(3)
+    phases = PathPhase(per_ray_phase=rng.normal(0.0, 1.0, (2, 5, 4)),
+                       per_ray_cloudlet_count=np.zeros((2, 5, 4), dtype=int))
+    for compensated in (True, False):
+        stack = los_channel(MimoScenario(compensated=compensated), phases)
+        caps = capacity_bits(stack, 20.0)
+        assert caps.shape == (2, 5)
+        for i in range(2):
+            for j in range(5):
+                alone = ChannelMatrix(entries=stack.entries[i, j],
+                                      distances=stack.distances,
+                                      compensated=compensated)
+                assert caps[i, j] == capacity_bits(alone, 20.0)
+
+
+def test_stacked_cloud_phases_give_stacked_channels():
+    scen = MimoScenario()
+    phases = np.array([[0.1, 0.2, 0.3, 0.4], [0.0, 0.0, 0.0, 0.0]])
+    stack = los_channel(scen, PathPhase(
+        per_ray_phase=phases, per_ray_cloudlet_count=np.zeros((2, 4), int)))
+    assert stack.entries.shape == (2, 2, 2)
+    one = los_channel(scen, PathPhase(per_ray_phase=phases[0],
+                                      per_ray_cloudlet_count=np.zeros(4)))
+    assert np.array_equal(stack.entries[0], one.entries)
+    assert np.array_equal(stack.entries[1], los_channel(scen).entries)
+
+
 # ============================================================
 # Rayleigh distance
 # ============================================================
@@ -230,3 +261,15 @@ def test_correlation_rejects_unusable_input():
     with pytest.warns(UserWarning):
         with pytest.raises(ConfigurationError):
             subchannel_correlation([bad])
+
+
+def test_coherence_of_a_stack_equals_each_matrix_alone():
+    rng = np.random.default_rng(5)
+    stack = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (6, 2, 2)))
+    stack[4, :, 0] = 0.0    # a zero-norm column reads NaN
+    values = subchannel_coherence(stack)
+    assert values.shape == (6,)
+    assert np.isnan(values[4])
+    for i in (0, 1, 2, 3, 5):
+        assert values[i] == subchannel_coherence(stack[i])
+        assert values[i] == subchannel_correlation([stack[i]])
