@@ -133,12 +133,14 @@ class CloudField:
 
 
 def generate_field(config: CloudConfig,
-                   cloudlet_cap: int = DEFAULT_CLOUDLET_CAP) -> CloudField:
+                   cloudlet_cap: int = DEFAULT_CLOUDLET_CAP,
+                   rng: np.random.Generator | None = None) -> CloudField:
     """Draw a fresh field realization for ``config``.
 
     The cloudlet count is Poisson with mean ``lambda_s * W * D``; centres are
     i.i.d. uniform on the rectangle and each ice water content is uniform on
-    [0, C].  The draw is fully determined by ``config.rng_seed``.
+    [0, C].  The draw is fully determined by ``config.rng_seed``, or comes
+    from ``rng`` when one is given.
 
     Raises
     ------
@@ -151,17 +153,19 @@ def generate_field(config: CloudConfig,
         raise ResourceLimitError(
             f"expected cloudlet count {mean_count:.3g} exceeds the cap "
             f"{cloudlet_cap}; reduce density_lambda_s or the layer size")
-    rng = np.random.default_rng(config.rng_seed)
+    if rng is None:
+        rng = np.random.default_rng(config.rng_seed)
     n = int(rng.poisson(mean_count))
     if n > cloudlet_cap:
         raise ResourceLimitError(
             f"realized cloudlet count {n} exceeds the cap {cloudlet_cap}")
-    xs = rng.uniform(0.0, config.width_w, n)
-    ys = rng.uniform(0.0, config.thickness_d, n)
-    # C * u is bit for bit what rng.uniform(0, C, n) returns; drawing the
-    # unit variates explicitly lets a sweep over C rescale a single draw.
-    iwc = config.max_iwc_c * rng.random(n)
-    positions = np.column_stack([xs, ys]) if n else np.empty((0, 2))
+    # x, y and ice water content each take n unit variates u in turn, and
+    # W * u is bit for bit what rng.uniform(0, W, n) returns.  One draw is
+    # cheaper than three, and the unit contents let a sweep over C rescale
+    # a single draw.
+    u = rng.random((3, n))
+    positions = u[:2].T * (config.width_w, config.thickness_d)
+    iwc = config.max_iwc_c * u[2]
     return CloudField(config=config, positions=positions, iwc=iwc,
                       radius=cloudlet_radius(config))
 

@@ -34,6 +34,7 @@ from .phasephysics import (REFERENCE_IWC, SPEED_OF_LIGHT, PhysicsParams,
                            block_phases, mixture_coefficient)
 from .raygeometry import LinkGeometry, broadside_link, build_rays, \
     map_rays_to_field
+from .streams import trial_seed, trial_streams
 
 # Cloudlets the trial kernel traces at once.  A block holds as many trials
 # as fit this count on average, which bounds the kernel's working memory;
@@ -121,12 +122,6 @@ class ExperimentSpec:
             raise ConfigurationError("; ".join(problems))
 
 
-def trial_seed(master_seed: int, trial: int) -> int:
-    """Deterministic per-trial seed derived from the master seed."""
-    words = np.random.SeedSequence([master_seed, trial]).generate_state(2)
-    return int(words[0]) << 32 | int(words[1])
-
-
 def _link_for(spec: ExperimentSpec, distance: float,
               thickness: float) -> LinkGeometry:
     return broadside_link(
@@ -154,13 +149,13 @@ def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, points,
                  contents=None) -> list[np.ndarray]:
     """Evaluate every sweep point on one field draw per trial.
 
-    Trial ``t`` draws its field from the stream ``trial_seed(master_seed,
-    t)`` at a unit content bound, so the field's ice water contents are the
-    uniform variates u.  Each bound C of ``contents`` (default: the cloud's
-    own) turns them into C * u, bit for bit the contents of a draw at bound
-    C.  Trials run in blocks of about ``BLOCK_CLOUDLETS`` cloudlets: the
-    block's fields are concatenated and traced against each point's rays at
-    once.
+    Trial ``t`` draws its field from the stream
+    ``default_rng(trial_seed(master_seed, t))`` at a unit content bound, so
+    the field's ice water contents are the uniform variates u.  Each bound C
+    of ``contents`` (default: the cloud's own) turns them into C * u, bit
+    for bit the contents of a draw at bound C.  Trials run in blocks of
+    about ``BLOCK_CLOUDLETS`` cloudlets: the block's fields are
+    concatenated and traced against each point's rays at once.
 
     Parameters
     ----------
@@ -185,10 +180,10 @@ def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, points,
     mean_count = cloud.density_lambda_s * cloud.width_w * cloud.thickness_d
     per_block = max(1, int(BLOCK_CLOUDLETS // max(mean_count, 1.0)))
     values: list[list] = [[] for _ in points]
+    streams = trial_streams(spec.master_seed, spec.trials)
     for first in range(0, spec.trials, per_block):
-        fields = [generate_field(dataclasses.replace(
-            unit, rng_seed=trial_seed(spec.master_seed, t)))
-            for t in range(first, min(first + per_block, spec.trials))]
+        block = range(first, min(first + per_block, spec.trials))
+        fields = [generate_field(unit, rng=next(streams)) for _ in block]
         positions = np.concatenate([f.positions for f in fields])
         iwc = scale * np.concatenate([f.iwc for f in fields])
         owner = np.repeat(np.arange(len(fields)), [f.count for f in fields])
@@ -619,12 +614,14 @@ def format_csv(header: str, rows) -> str:
 def results_csv_text(spec: ExperimentSpec, result) -> str:
     """Plot-ready CSV body for any experiment result."""
     if spec.mode == "capacity-cdf":
-        rows = []
+        # One row per trial: the point's two columns are formatted once,
+        # the samples with the shortest round-trip repr of format_csv.
+        lines = ["sweep,sweep_value,capacity_bps_hz\n"]
         for point in result:
-            for sample in point.cdf.samples:
-                rows.append((point.parameter, float(point.value),
-                             float(sample)))
-        return format_csv("sweep,sweep_value,capacity_bps_hz", rows)
+            prefix = f"{point.parameter},{float(point.value)!r},"
+            lines.extend(prefix + cell + "\n"
+                         for cell in map(repr, point.cdf.samples.tolist()))
+        return "".join(lines)
     if spec.mode == "correlation":
         rows = [(float(d), float(w), float(c)) for d, w, c in
                 zip(result.distances, result.with_cloud,

@@ -158,17 +158,17 @@ def block_phases(positions: np.ndarray, iwc: np.ndarray, owner: np.ndarray,
     variants = np.atleast_2d(eps)
     k, rays = variants.shape[0], len(segments)
     # variant j of field f accumulates in bin j * fields + f
-    offsets = (np.arange(k) * fields)[:, None]
+    bins = ((np.arange(k) * fields)[:, None] + owner).ravel()
     phases = np.zeros((k, fields, rays))
     counts = np.zeros((fields, rays), dtype=int)
     for idx, seg in enumerate(segments):
         chords = chord_lengths(seg, positions, radius)
-        hit = chords > 0.0
-        pierced = owner[hit]
-        counts[:, idx] = np.bincount(pierced, minlength=fields)
-        contributions = k0 * chords[hit] * variants[:, hit]
+        # A missed cloudlet adds an exact zero, so summing over every
+        # cloudlet gives each field the sum over its pierced ones.
+        counts[:, idx] = np.bincount(owner, weights=chords > 0.0,
+                                     minlength=fields)
         phases[:, :, idx] = np.bincount(
-            (offsets + pierced).ravel(), weights=contributions.ravel(),
+            bins, weights=(k0 * chords * variants).ravel(),
             minlength=k * fields).reshape(k, fields)
     shape = eps.shape[:-1] + (fields, rays)
     counts = np.broadcast_to(counts, shape).copy()

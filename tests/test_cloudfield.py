@@ -85,6 +85,30 @@ def test_generation_is_deterministic_in_seed():
     np.testing.assert_array_equal(a.iwc, b.iwc)
 
 
+def test_draw_is_poisson_count_then_three_uniform_draws():
+    # The field's stream layout: the count, then x, y and ice water content
+    # as three consecutive uniform draws of n values each.
+    cfg = CloudConfig(rng_seed=17, density_lambda_s=0.01)
+    field = generate_field(cfg)
+    rng = np.random.default_rng(cfg.rng_seed)
+    n = int(rng.poisson(cfg.density_lambda_s * cfg.width_w * cfg.thickness_d))
+    assert field.count == n > 0
+    assert np.array_equal(field.positions[:, 0],
+                          rng.uniform(0.0, cfg.width_w, n))
+    assert np.array_equal(field.positions[:, 1],
+                          rng.uniform(0.0, cfg.thickness_d, n))
+    assert np.array_equal(field.iwc, rng.uniform(0.0, cfg.max_iwc_c, n))
+
+
+def test_explicit_rng_replaces_the_config_stream():
+    cfg = CloudConfig(rng_seed=42)
+    own = generate_field(cfg)
+    given_rng = generate_field(dataclasses.replace(cfg, rng_seed=0),
+                               rng=np.random.default_rng(42))
+    np.testing.assert_array_equal(own.positions, given_rng.positions)
+    np.testing.assert_array_equal(own.iwc, given_rng.iwc)
+
+
 def test_different_seeds_differ():
     a = generate_field(CloudConfig(rng_seed=0))
     b = generate_field(CloudConfig(rng_seed=1))

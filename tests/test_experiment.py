@@ -7,7 +7,7 @@ import pytest
 from cloudmimo.analyticmodel import AnalyticParams, stationary_distribution
 from cloudmimo.cloudfield import CloudConfig, cloudlet_radius, generate_field
 from cloudmimo.errors import ConfigurationError
-from cloudmimo import experiment
+from cloudmimo import experiment, streams
 from cloudmimo.experiment import (ASSUMED_PARAMETER_KEYS, NUMERICS_VERSION,
                                   CapacityCdf, MacCountResult, SweepPoint,
                                   ExperimentSpec, _instrumented_round,
@@ -150,8 +150,10 @@ def _per_trial_outputs(spec: ExperimentSpec) -> dict:
 def test_kernel_results_do_not_depend_on_block_size(monkeypatch):
     # ~40 cloudlets per field: 3 puts one trial in each block, 100 two
     # trials with a partial last block, the default all 25 in one block.
+    # Streams derived 7 trials at a time cross the block boundaries.
     spec = make_spec(trials=25)
     reference = _per_trial_outputs(spec)
+    monkeypatch.setattr(streams, "_CHUNK_TRIALS", 7)
     for block in (3, 100):
         monkeypatch.setattr(experiment, "BLOCK_CLOUDLETS", block)
         outputs = _per_trial_outputs(spec)
@@ -399,6 +401,21 @@ def test_format_csv_uses_shortest_round_trip_floats():
     text = format_csv("a,b", [(0.1, 2), (1.0 / 3.0, "x")])
     assert text == "a,b\n0.1,2\n0.3333333333333333,x\n"
     assert format_csv("h", []) == "h\n"
+
+
+def test_capacity_csv_equals_format_csv_of_its_rows():
+    samples = np.array([0.1, 1.0 / 3.0, 2.0, 1e-17, 12345.678901234567])
+    points = [SweepPoint(parameter=name, value=value,
+                         cdf=CapacityCdf(samples=samples * (1.0 + value),
+                                         trial_count=5))
+              for name, value in (("rwc", 0.4), ("rwc", 1.0 / 7.0),
+                                  ("thickness_m", 500.0))]
+    rows = [(p.parameter, float(p.value), float(s))
+            for p in points for s in p.cdf.samples]
+    spec = make_spec(trials=5)
+    assert results_csv_text(spec, points) == format_csv(
+        "sweep,sweep_value,capacity_bps_hz", rows)
+    assert results_csv_text(spec, []) == "sweep,sweep_value,capacity_bps_hz\n"
 
 
 def test_results_csv_headers_per_mode():
