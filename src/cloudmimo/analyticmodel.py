@@ -22,7 +22,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.special import erfcx
 
 from .cloudfield import CloudConfig, cloudlet_radius
 from .errors import (ConfigurationError, DegenerateDistributionError,
@@ -377,6 +376,8 @@ def total_phase_pdf(phi, dist: PhaseDistribution) -> float | np.ndarray:
         return gaussian_pdf(np.asarray(phi, dtype=float) - dist.phi0, dist)
     if dist.delta_sigma_c2 <= 0.0:
         return laplace_pdf(phi, dist)
+    # Imported here: scipy takes longer to import than most runs take.
+    from scipy.special import erfcx
     b = math.sqrt(dist.sigma_c2 / 2.0)
     s = math.sqrt(dist.delta_sigma_c2)
     z = np.asarray(phi, dtype=float) - dist.phi0

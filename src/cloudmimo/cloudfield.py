@@ -71,6 +71,8 @@ class CloudConfig:
         if self.drift_speed_vb < 0.0:
             problems.append(
                 f"drift_speed_vb must be >= 0, got {self.drift_speed_vb}")
+        if self.rng_seed < 0:
+            problems.append(f"rng_seed must be >= 0, got {self.rng_seed}")
         if problems:
             raise ConfigurationError("; ".join(problems))
 

@@ -22,7 +22,6 @@ import functools
 import math
 
 import numpy as np
-from scipy import stats as sstats
 
 from .analyticmodel import (AnalyticParams, PhaseDistribution, laplace_pdf,
                             stationary_distribution)
@@ -86,6 +85,9 @@ class ExperimentSpec:
             problems.append(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.trials < 1:
             problems.append(f"trials must be >= 1, got {self.trials}")
+        if self.master_seed < 0:
+            problems.append(
+                f"master_seed must be >= 0, got {self.master_seed}")
         if not (0.0 < self.outage_probability <= 1.0):
             problems.append(
                 f"outage_probability must be in (0, 1], got "
@@ -181,15 +183,21 @@ def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, points,
     per_block = max(1, int(BLOCK_CLOUDLETS // max(mean_count, 1.0)))
     values: list[list] = [[] for _ in points]
     streams = trial_streams(spec.master_seed, spec.trials)
+    # One work space for all blocks, grown when a block outgrows it: fresh
+    # temporaries per block would have the allocator map new pages each time.
+    work = np.empty((5, 2 * BLOCK_CLOUDLETS))
     for first in range(0, spec.trials, per_block):
         block = range(first, min(first + per_block, spec.trials))
         fields = [generate_field(unit, rng=next(streams)) for _ in block]
         positions = np.concatenate([f.positions for f in fields])
         iwc = scale * np.concatenate([f.iwc for f in fields])
         owner = np.repeat(np.arange(len(fields)), [f.count for f in fields])
+        if owner.size > work.shape[1]:
+            work = np.empty((5, 2 * owner.size))
         for (segments, metric), out in zip(points, values):
             out.append(metric(block_phases(positions, iwc, owner, len(fields),
-                                           radius, segments, spec.physics)))
+                                           radius, segments, spec.physics,
+                                           work)))
     return [np.concatenate(v, axis=1) for v in values]
 
 
@@ -355,6 +363,37 @@ class PhaseCompareResult:
     analytic_density: np.ndarray
 
 
+def _laplace_ks_distance(samples: np.ndarray, loc: float,
+                         scale: float) -> float:
+    """Kolmogorov-Smirnov distance of samples from Laplace(loc, scale).
+
+    The two-sided statistic of ``scipy.stats.kstest`` with the same
+    arithmetic: the larger gap between the empirical CDF, just after and
+    just before each sorted sample, and the model CDF there.
+    """
+    x = np.sort(samples)
+    n = x.size
+    z = (x - loc) / scale
+    with np.errstate(over="ignore"):
+        cdf = np.where(z > 0, 1.0 - 0.5 * np.exp(-z), 0.5 * np.exp(z))
+    return float(max((np.arange(1.0, n + 1) / n - cdf).max(),
+                     (cdf - np.arange(0.0, n) / n).max()))
+
+
+def _excess_kurtosis(samples: np.ndarray) -> float:
+    """Biased excess kurtosis with the arithmetic of ``scipy.stats.kurtosis``.
+
+    NaN when the second moment vanishes against the mean's rounding, as
+    for identical samples.
+    """
+    mean = samples.mean()
+    dev2 = (samples - mean) ** 2
+    m2 = dev2.mean()
+    if m2 <= (np.finfo(float).eps * mean) ** 2:
+        return math.nan
+    return float((dev2 ** 2).mean() / m2 ** 2.0 - 3)
+
+
 def run_phase_compare(spec: ExperimentSpec) -> PhaseCompareResult:
     """Histogram the Monte Carlo single-ray phase against the Laplace model.
 
@@ -381,9 +420,8 @@ def run_phase_compare(spec: ExperimentSpec) -> PhaseCompareResult:
     analytic = stationary_distribution(AnalyticParams(spec.cloud, spec.physics))
 
     if analytic.sigma_c2 > 0.0:
-        scale = math.sqrt(analytic.sigma_c2 / 2.0)
-        ks = float(sstats.kstest(samples, sstats.laplace(
-            loc=analytic.phi0, scale=scale).cdf).statistic)
+        ks = _laplace_ks_distance(samples, analytic.phi0,
+                                  math.sqrt(analytic.sigma_c2 / 2.0))
     else:
         # Point-mass reference: the KS distance is the worst-case gap
         # between the empirical CDF and a unit step at phi0.
@@ -404,7 +442,7 @@ def run_phase_compare(spec: ExperimentSpec) -> PhaseCompareResult:
     return PhaseCompareResult(
         samples=samples, empirical_mean=float(samples.mean()),
         empirical_variance=float(samples.var()),
-        empirical_excess_kurtosis=float(sstats.kurtosis(samples)),
+        empirical_excess_kurtosis=_excess_kurtosis(samples),
         cloudlet_counts=counts, analytic=analytic, ks_distance=ks,
         bin_centres=centres, empirical_density=density,
         analytic_density=analytic_density)

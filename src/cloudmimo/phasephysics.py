@@ -137,7 +137,8 @@ class PathPhase:
 
 def block_phases(positions: np.ndarray, iwc: np.ndarray, owner: np.ndarray,
                  fields: int, radius: float, segments: list[Segment2D],
-                 params: PhysicsParams) -> PathPhase:
+                 params: PhysicsParams,
+                 work: np.ndarray | None = None) -> PathPhase:
     """Accumulate cloud phases of a ray bundle through a block of fields.
 
     ``positions`` (n, 2) holds the cloudlets of ``fields`` fields one after
@@ -150,27 +151,35 @@ def block_phases(positions: np.ndarray, iwc: np.ndarray, owner: np.ndarray,
     fields of the block.  Overlapping cloudlets contribute independently,
     which matches the additive overlap rule of the field model.
 
+    ``work`` is an optional (5, m) work space with m >= n, for a caller
+    that traces many blocks to reuse one allocation.
+
     Returns per-ray phases and pierced-cloudlet counts of shape
     (fields, rays), or (k, fields, rays).
     """
     k0 = 2.0 * np.pi / params.wavelength_lambda0
-    eps = mixture_coefficient(params) * np.asarray(iwc, dtype=float)
-    variants = np.atleast_2d(eps)
-    k, rays = variants.shape[0], len(segments)
-    # variant j of field f accumulates in bin j * fields + f
-    bins = ((np.arange(k) * fields)[:, None] + owner).ravel()
+    coefficient = mixture_coefficient(params)
+    iwc = np.asarray(iwc, dtype=float)
+    variants = np.atleast_2d(iwc)
+    (k, n), rays = variants.shape, len(segments)
+    if work is None:
+        work = np.empty((5, n))
+    weights = work[4, :n]
     phases = np.zeros((k, fields, rays))
     counts = np.zeros((fields, rays), dtype=int)
     for idx, seg in enumerate(segments):
-        chords = chord_lengths(seg, positions, radius)
-        # A missed cloudlet adds an exact zero, so summing over every
-        # cloudlet gives each field the sum over its pierced ones.
-        counts[:, idx] = np.bincount(owner, weights=chords > 0.0,
-                                     minlength=fields)
-        phases[:, :, idx] = np.bincount(
-            bins, weights=(k0 * chords * variants).ravel(),
-            minlength=k * fields).reshape(k, fields)
-    shape = eps.shape[:-1] + (fields, rays)
+        chords = chord_lengths(seg, positions, radius, work)
+        counts[:, idx] = np.bincount(owner[chords > 0.0], minlength=fields)
+        chords *= k0
+        # One row of weights per variant: (k0 l) times the excess
+        # permittivity.  A missed cloudlet adds an exact zero, so summing
+        # over every cloudlet gives each field the sum over its pierced ones.
+        for j, variant in enumerate(variants):
+            np.multiply(variant, coefficient, out=weights)
+            weights *= chords
+            phases[j, :, idx] = np.bincount(owner, weights=weights,
+                                            minlength=fields)
+    shape = iwc.shape[:-1] + (fields, rays)
     counts = np.broadcast_to(counts, shape).copy()
     return PathPhase(per_ray_phase=phases.reshape(shape),
                      per_ray_cloudlet_count=counts)

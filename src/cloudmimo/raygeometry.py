@@ -280,8 +280,8 @@ def map_rays_to_field(rays: list[Ray], link: LinkGeometry,
 # Chord lengths
 # ============================================================
 
-def chord_lengths(segment: Segment2D, centres: np.ndarray,
-                  radius: float) -> np.ndarray:
+def chord_lengths(segment: Segment2D, centres: np.ndarray, radius: float,
+                  work: np.ndarray | None = None) -> np.ndarray:
     """Chord length of a segment through each of a set of equal discs.
 
     Parameters
@@ -292,6 +292,10 @@ def chord_lengths(segment: Segment2D, centres: np.ndarray,
         Disc centres.
     radius : float
         Shared disc radius.
+    work : ndarray, shape (4, m) with m >= n, optional
+        Work space for the computation, so that repeated calls can reuse
+        one allocation.  The chords are then returned as a view into it,
+        valid until ``work`` is used again.
 
     Returns
     -------
@@ -300,22 +304,31 @@ def chord_lengths(segment: Segment2D, centres: np.ndarray,
         0 where they do not meet.
     """
     centres = np.atleast_2d(np.asarray(centres, dtype=float))
+    n = centres.shape[0]
     length = segment.length
-    if length == 0.0 or centres.shape[0] == 0:
-        return np.zeros(centres.shape[0])
+    if length == 0.0 or n == 0:
+        return np.zeros(n)
     ux, uy = (segment.end - segment.start) / length
-    wx = centres[:, 0] - segment.start[0]
-    wy = centres[:, 1] - segment.start[1]
+    wx, wy, t, tmp = np.empty((4, n)) if work is None else work[:4, :n]
     # Written out per element (not ``w @ u``, whose BLAS kernel may fuse
     # the multiply-add) so a disc's chord never depends on the other discs.
-    t = wx * ux + wy * uy
-    perp2 = wx * wx + wy * wy - t * t
-    half2 = radius * radius - perp2
-    hit = half2 > 0.0
-    half = np.sqrt(np.where(hit, half2, 0.0))
-    s_lo = np.maximum(t - half, 0.0)
-    s_hi = np.minimum(t + half, length)
-    return np.where(hit, np.maximum(s_hi - s_lo, 0.0), 0.0)
+    np.subtract(centres[:, 0], segment.start[0], out=wx)
+    np.subtract(centres[:, 1], segment.start[1], out=wy)
+    np.multiply(wx, ux, out=t)
+    t += np.multiply(wy, uy, out=tmp)    # t = w . u
+    wx *= wx
+    wy *= wy
+    wx += wy
+    wx -= np.multiply(t, t, out=tmp)     # squared distance from the line
+    half = np.subtract(radius * radius, wx, out=wx)
+    hit = half > 0.0
+    np.sqrt(np.maximum(half, 0.0, out=half), out=half)
+    s_lo = np.maximum(np.subtract(t, half, out=wy), 0.0, out=wy)
+    chords = np.minimum(np.add(t, half, out=t), length, out=t)
+    chords -= s_lo
+    np.maximum(chords, 0.0, out=chords)
+    np.copyto(chords, 0.0, where=~hit)
+    return chords
 
 
 def chord_length(segment: Segment2D, cloudlet) -> float:

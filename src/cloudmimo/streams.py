@@ -18,6 +18,9 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 import numpy as np
+# numpy loads its random module on first use; load it with this module, so
+# its import is counted in set-up rather than in the first run.
+import numpy.random  # noqa: F401
 
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4

@@ -1,9 +1,14 @@
 """Tests for config assembly, precedence, and the command line entry point."""
 import json
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import cloudmimo
 from cloudmimo.cli import (KEY_KINDS, PROFILES, REQUIRED_KEYS,
                            assemble_config, main, parse_distance)
 from cloudmimo.errors import ConfigurationError
@@ -226,6 +231,55 @@ def test_main_unknown_set_key_exits_one(tmp_path, capsys):
                     "--set", "bogus=1", "--out", str(tmp_path / "x")])
     assert code == 1
     assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["capacity-cdf", "field"])
+def test_main_negative_seed_is_configuration_error(tmp_path, capsys, mode):
+    code = run_cli([mode, "--profile", "table3", "--trials", "1",
+                    "--seed", "-1", "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+# Run in a fresh interpreter: importing scipy costs about a second, more than
+# these runs take, so the set-up and the benchmarked modes must not load it.
+_SCIPY_FREE_RUNS = textwrap.dedent("""
+    import json, sys, tempfile
+    from pathlib import Path
+    from cloudmimo import cli
+    from cloudmimo.experiment import spec_from_flat
+    flat, _ = cli.assemble_config("capacity-cdf", "table3", None, [], {})
+    spec_from_flat(flat)
+    sigma = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for profile in ("table1", "table3"):
+            for mode in ("capacity-cdf", "correlation", "compensated",
+                         "phase-compare"):
+                out = Path(tmp) / profile / mode
+                argv = [mode, "--profile", profile, "--trials", "20",
+                        "--out", str(out)]
+                if cli.main(argv) != 0:
+                    sys.exit(f"{mode} on {profile} failed")
+            report = json.loads((out / "manifest.json").read_text())["report"]
+            sigma[profile] = report["analytic"]["sigma_c2_rad2"]
+    print(json.dumps({"sigma": sigma, "scipy": sorted(
+        name for name in sys.modules if name.split(".")[0] == "scipy")}))
+""")
+
+
+def test_runs_do_not_import_scipy(tmp_path):
+    src = Path(cloudmimo.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_RUNS],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    # table1 compares against a point mass, table3 runs the KS distance
+    assert result["sigma"]["table1"] == 0.0
+    assert result["sigma"]["table3"] > 0.0
+    assert result["scipy"] == []
 
 
 def test_main_runtime_failure_exits_two(tmp_path, capsys):

@@ -42,6 +42,11 @@ def test_config_rejects_each_bad_field():
         CloudConfig(drift_speed_vb=-1.0)
 
 
+def test_config_rejects_negative_seed():
+    with pytest.raises(ConfigurationError, match="rng_seed"):
+        CloudConfig(rng_seed=-1)
+
+
 def test_config_error_collects_all_problems():
     with pytest.raises(ConfigurationError) as err:
         CloudConfig(width_w=-1.0, smoothness_alpha=2.0, max_iwc_c=-1.0)

@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo experiment runner and run artifacts."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -81,6 +82,12 @@ def test_spec_collects_all_problems():
     for fragment in ("unknown mode", "trials", "dt", "threads",
                      "outage_probability", "exclusive"):
         assert fragment in message
+
+
+def test_spec_rejects_negative_master_seed():
+    with pytest.raises(ConfigurationError, match="master_seed"):
+        make_spec(master_seed=-1)
+    make_spec(master_seed=0)  # no raise
 
 
 def test_spec_rejects_frequency_disagreement():
@@ -330,6 +337,50 @@ def test_phase_compare_moments_match_samples():
     result = run_phase_compare(spec)
     assert result.empirical_mean == pytest.approx(result.samples.mean())
     assert result.empirical_variance == pytest.approx(result.samples.var())
+
+
+@pytest.mark.parametrize("seed", [0, 7, 31])
+def test_phase_compare_statistics_equal_scipy(seed):
+    # The KS distance and the kurtosis follow scipy's arithmetic exactly;
+    # scipy serves only as the reference here.
+    stats = pytest.importorskip("scipy.stats")
+    result = run_phase_compare(make_spec(mode="phase-compare", trials=3000,
+                                         master_seed=seed))
+    samples, analytic = result.samples, result.analytic
+    assert analytic.sigma_c2 > 0.0
+    model = stats.laplace(loc=analytic.phi0,
+                          scale=math.sqrt(analytic.sigma_c2 / 2.0))
+    assert result.ks_distance == stats.kstest(samples, model.cdf).statistic
+    assert result.empirical_excess_kurtosis == stats.kurtosis(samples)
+    # The analytic model sits far from the samples (distance 1), so also
+    # compare against Laplace laws near them, shifted either way.
+    loc = float(np.median(samples))
+    scale = float(np.mean(np.abs(samples - loc)))
+    for shift in (-0.5, 0.0, 0.5):
+        near = stats.laplace(loc=loc + shift * scale, scale=scale)
+        ks = experiment._laplace_ks_distance(samples, loc + shift * scale,
+                                             scale)
+        assert 0.0 < ks < 1.0
+        assert ks == stats.kstest(samples, near.cdf).statistic
+    for values in (samples[:7], samples * 1e6 + 3.0,
+                   np.random.default_rng(seed).laplace(size=501)):
+        assert experiment._excess_kurtosis(values) == stats.kurtosis(values)
+
+
+@pytest.mark.filterwarnings("ignore:Precision loss:RuntimeWarning")
+def test_phase_compare_identical_samples_give_nan_kurtosis():
+    stats = pytest.importorskip("scipy.stats")
+    result = run_phase_compare(make_spec(
+        mode="phase-compare", trials=50,
+        cloud=make_cloud(density_lambda_s=0.0)))
+    assert np.all(result.samples == result.samples[0])
+    assert math.isnan(result.empirical_excess_kurtosis)
+    assert math.isnan(stats.kurtosis(result.samples))
+    # equal non-zero samples leave a rounding residue about their mean
+    equal = np.full(999, 0.3)
+    assert np.var(equal) > 0.0
+    assert math.isnan(experiment._excess_kurtosis(equal))
+    assert math.isnan(stats.kurtosis(equal))
 
 
 # ============================================================

@@ -280,6 +280,42 @@ def test_chord_vectorized_matches_scalar():
         assert chord_length(seg, lone) == pytest.approx(vec[idx], abs=1e-12)
 
 
+def test_chord_lengths_leave_centres_unmodified_and_zero_misses():
+    rng = np.random.default_rng(11)
+    start, end, radius = np.array([0.0, 0.0]), np.array([10.0, 20.0]), 2.0
+    seg = Segment2D(start=start, end=end)
+    # discs around the segment, beside it and beyond both of its ends
+    centres = rng.uniform(-10.0, 30.0, (400, 2))
+    before = centres.copy()
+    chords = chord_lengths(seg, centres, radius)
+    assert np.array_equal(centres, before)
+    # distance from each centre to the nearest point of the segment
+    u = (end - start) / seg.length
+    along = np.clip((centres - start) @ u, 0.0, seg.length)
+    gap = np.linalg.norm(centres - (start + along[:, None] * u), axis=1)
+    miss = gap > radius + 1e-9
+    assert miss.sum() > 100 and (gap < radius - 1e-9).sum() > 10
+    assert np.all(chords[miss] == 0.0)
+    assert not np.any(np.signbit(chords[miss]))
+    assert np.all(chords[gap < radius - 1e-9] > 0.0)
+    # a zero-length segment meets no disc, even one centred on it
+    point = Segment2D(start=np.array([5.0, 5.0]), end=np.array([5.0, 5.0]))
+    zeros = chord_lengths(point, np.vstack([centres, [[5.0, 5.0]]]), radius)
+    assert zeros.shape == (401,)
+    assert np.all(zeros == 0.0) and not np.any(np.signbit(zeros))
+    assert np.array_equal(centres, before)
+
+
+def test_chord_lengths_work_space_gives_the_same_bits():
+    rng = np.random.default_rng(5)
+    seg = Segment2D(start=np.array([1.0, -3.0]), end=np.array([4.0, 9.0]))
+    centres = rng.uniform(-5.0, 10.0, (64, 2))
+    work = np.full((4, 100), np.nan)
+    reused = chord_lengths(seg, centres, 1.5, work)
+    assert np.shares_memory(reused, work)
+    assert np.array_equal(reused, chord_lengths(seg, centres, 1.5))
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_chord_against_point_sampling(data):
