@@ -29,8 +29,8 @@ from .cloudfield import CloudConfig, cloudlet_radius, generate_field
 from .errors import ConfigurationError
 from .mimochannel import (MimoScenario, capacity_bits, ensemble_mean,
                           los_channel, subchannel_coherence)
-from .phasephysics import (REFERENCE_IWC, SPEED_OF_LIGHT, PhysicsParams,
-                           block_phases, mixture_coefficient)
+from .phasephysics import (REFERENCE_IWC, SPEED_OF_LIGHT, WORK_ROWS,
+                           PhysicsParams, block_phases, mixture_coefficient)
 from .raygeometry import LinkGeometry, broadside_link, build_rays, \
     map_rays_to_field
 from .streams import trial_seed, trial_streams
@@ -185,7 +185,7 @@ def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, points,
     streams = trial_streams(spec.master_seed, spec.trials)
     # One work space for all blocks, grown when a block outgrows it: fresh
     # temporaries per block would have the allocator map new pages each time.
-    work = np.empty((5, 2 * BLOCK_CLOUDLETS))
+    work = np.empty((WORK_ROWS, 2 * BLOCK_CLOUDLETS))
     for first in range(0, spec.trials, per_block):
         block = range(first, min(first + per_block, spec.trials))
         fields = [generate_field(unit, rng=next(streams)) for _ in block]
@@ -193,7 +193,7 @@ def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, points,
         iwc = scale * np.concatenate([f.iwc for f in fields])
         owner = np.repeat(np.arange(len(fields)), [f.count for f in fields])
         if owner.size > work.shape[1]:
-            work = np.empty((5, 2 * owner.size))
+            work = np.empty((WORK_ROWS, 2 * owner.size))
         for (segments, metric), out in zip(points, values):
             out.append(metric(block_phases(positions, iwc, owner, len(fields),
                                            radius, segments, spec.physics,

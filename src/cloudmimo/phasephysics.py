@@ -29,6 +29,10 @@ DEFAULT_ICE_SPHERE_VOLUME = 4.0 / 3.0 * np.pi * (1e-4) ** 3
 # a relative water content of 1 means this ice water content bound.
 REFERENCE_IWC = 0.6
 
+# Rows of the work space of block_phases: four for chord_lengths, one for
+# the phase weights.
+WORK_ROWS = 5
+
 
 # ============================================================
 # Physical parameters
@@ -151,8 +155,8 @@ def block_phases(positions: np.ndarray, iwc: np.ndarray, owner: np.ndarray,
     fields of the block.  Overlapping cloudlets contribute independently,
     which matches the additive overlap rule of the field model.
 
-    ``work`` is an optional (5, m) work space with m >= n, for a caller
-    that traces many blocks to reuse one allocation.
+    ``work`` is an optional (WORK_ROWS, m) work space with m >= n, for a
+    caller that traces many blocks to reuse one allocation.
 
     Returns per-ray phases and pierced-cloudlet counts of shape
     (fields, rays), or (k, fields, rays).
@@ -163,8 +167,8 @@ def block_phases(positions: np.ndarray, iwc: np.ndarray, owner: np.ndarray,
     variants = np.atleast_2d(iwc)
     (k, n), rays = variants.shape, len(segments)
     if work is None:
-        work = np.empty((5, n))
-    weights = work[4, :n]
+        work = np.empty((WORK_ROWS, n))
+    weights = work[WORK_ROWS - 1, :n]
     phases = np.zeros((k, fields, rays))
     counts = np.zeros((fields, rays), dtype=int)
     for idx, seg in enumerate(segments):
