@@ -6,6 +6,9 @@ phase, compares the Monte Carlo phase statistics against a closed-form
 Laplace/Gaussian model, and evaluates the impact on 2x2 LoS MIMO capacity
 and sub-channel correlation.
 """
+# Set before the submodules load: experiment records it in manifests.
+__version__ = "0.1.0"
+
 from .errors import (ConfigurationError, DegenerateDistributionError,
                      DomainError, GeometryError, ModelValidityError,
                      ModelValidityWarning, NumericError, ResourceLimitError)
@@ -39,8 +42,6 @@ from .experiment import (CapacityCdf, DistanceSweepResult, ExperimentSpec,
                          run_mac_count, run_phase_compare, run_report,
                          results_csv_text, spec_from_flat, spec_to_flat,
                          trial_seed)
-
-__version__ = "0.1.0"
 
 __all__ = [
     "ConfigurationError", "DegenerateDistributionError",

@@ -316,7 +316,7 @@ def _write_run(outdir: Path, spec: ExperimentSpec, csv_text: str | None,
     if csv_text is not None:
         (outdir / "results.csv").write_text(csv_text)
     manifest = build_manifest(spec, report, explicit_keys=explicit,
-                              wall_time_s=wall_time, version=__version__)
+                              wall_time_s=wall_time)
     (outdir / "manifest.json").write_text(
         json.dumps(manifest, indent=2) + "\n")
 

@@ -4,10 +4,13 @@ The cloud layer is modelled as a 2-D vertical cross-section of width W and
 thickness D.  Cloudlet centres follow a homogeneous Poisson point process on
 the rectangle [0, W] x [0, D]; every cloudlet shares one radius derived from
 the layer geometry, and carries an ice water content drawn uniformly on
-[0, C].  Where cloudlets overlap, their ice water contents add.  Drift is
-modelled by bounded random centre displacements with reflection at the
-rectangle boundary, so a field can be stepped forward in time without
-cloudlets escaping the layer.
+[0, C].  Where cloudlets overlap, their ice water contents add.
+``draw_unit_cloudlets`` draws a field's count and unit variates into rows
+the caller provides: ``generate_field`` gives it fresh rows and builds a
+``CloudField``, and the experiment's trial kernel gives it rows of a block
+buffer.  Drift is modelled by bounded random centre displacements with
+reflection at the rectangle boundary, so a field can be stepped forward in
+time without cloudlets escaping the layer.
 
 Units: metres for lengths, g/m^3 for ice water content, seconds for time.
 """
@@ -134,15 +137,22 @@ class CloudField:
         )
 
 
-def generate_field(config: CloudConfig,
-                   cloudlet_cap: int = DEFAULT_CLOUDLET_CAP,
-                   rng: np.random.Generator | None = None) -> CloudField:
-    """Draw a fresh field realization for ``config``.
+def draw_unit_cloudlets(config: CloudConfig, rng: np.random.Generator,
+                        rows, cloudlet_cap: int = DEFAULT_CLOUDLET_CAP
+                        ) -> np.ndarray:
+    """Draw one field's cloudlet count and unit variates from ``rng``.
 
-    The cloudlet count is Poisson with mean ``lambda_s * W * D``; centres are
-    i.i.d. uniform on the rectangle and each ice water content is uniform on
-    [0, C].  The draw is fully determined by ``config.rng_seed``, or comes
-    from ``rng`` when one is given.
+    The count n is Poisson with mean ``lambda_s * W * D``.  ``rows(n)``
+    supplies a writable (3, n) array with contiguous rows, which receives n
+    uniform variates on [0, 1) per row in turn: for x, y and ice water
+    content.  Scaling them by W, D and C gives the field's centres and
+    contents; W * u is bit for bit what ``rng.uniform(0, W, n)`` returns,
+    and unit contents let a sweep over C rescale a single draw.
+
+    Returns
+    -------
+    ndarray
+        The filled (3, n) array.
 
     Raises
     ------
@@ -155,17 +165,35 @@ def generate_field(config: CloudConfig,
         raise ResourceLimitError(
             f"expected cloudlet count {mean_count:.3g} exceeds the cap "
             f"{cloudlet_cap}; reduce density_lambda_s or the layer size")
-    if rng is None:
-        rng = np.random.default_rng(config.rng_seed)
     n = int(rng.poisson(mean_count))
     if n > cloudlet_cap:
         raise ResourceLimitError(
             f"realized cloudlet count {n} exceeds the cap {cloudlet_cap}")
-    # x, y and ice water content each take n unit variates u in turn, and
-    # W * u is bit for bit what rng.uniform(0, W, n) returns.  One draw is
-    # cheaper than three, and the unit contents let a sweep over C rescale
-    # a single draw.
-    u = rng.random((3, n))
+    unit = rows(n)
+    for row in unit:
+        rng.random(out=row)
+    return unit
+
+
+def generate_field(config: CloudConfig,
+                   cloudlet_cap: int = DEFAULT_CLOUDLET_CAP,
+                   rng: np.random.Generator | None = None) -> CloudField:
+    """Draw a fresh field realization for ``config``.
+
+    The cloudlet count is Poisson with mean ``lambda_s * W * D``; centres are
+    i.i.d. uniform on the rectangle and each ice water content is uniform on
+    [0, C] (see :func:`draw_unit_cloudlets`).  The draw is fully determined
+    by ``config.rng_seed``, or comes from ``rng`` when one is given.
+
+    Raises
+    ------
+    ResourceLimitError
+        If the expected or realized cloudlet count exceeds ``cloudlet_cap``.
+    """
+    if rng is None:
+        rng = np.random.default_rng(config.rng_seed)
+    u = draw_unit_cloudlets(config, rng, lambda n: np.empty((3, n)),
+                            cloudlet_cap)
     positions = u[:2].T * (config.width_w, config.thickness_d)
     iwc = config.max_iwc_c * u[2]
     return CloudField(config=config, positions=positions, iwc=iwc,

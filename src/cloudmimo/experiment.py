@@ -6,9 +6,12 @@ the configured link through it, and feeds the accumulated cloud phases into
 the LoS MIMO channel.  One trial kernel serves every mode: it draws each
 trial's field once per run, evaluates every sweep point whose field does not
 depend on the sweep value on that draw, and works on blocks of trials as
-arrays.  Per-trial random streams derive deterministically from the master
-seed and the trial index, so results are reproducible and independent of
-the block size.  Runs are single-threaded; the ``threads`` hint is accepted
+arrays.  A block's fields are drawn one after another straight into rows of
+one buffer that the kernel reuses for the whole run, with the same draw
+function as ``generate_field``; no per-trial ``CloudField`` is built.
+Per-trial random streams derive deterministically from the master seed and
+the trial index, so results are reproducible and independent of the block
+size.  Runs are single-threaded; the ``threads`` hint is accepted
 and changes nothing.
 
 Runs write two artifacts: ``results.csv`` with plot-ready columns and
@@ -23,9 +26,13 @@ import math
 
 import numpy as np
 
+from . import __version__
 from .analyticmodel import (AnalyticParams, PhaseDistribution, laplace_pdf,
                             stationary_distribution)
-from .cloudfield import CloudConfig, cloudlet_radius, generate_field
+# generate_field is not called here; bench/layertrace.py and bench/selftest.py
+# look it up under this module until the benchmark wraps draw_unit_cloudlets.
+from .cloudfield import (CloudConfig, cloudlet_radius, draw_unit_cloudlets,
+                         generate_field)  # noqa: F401
 from .errors import ConfigurationError
 from .mimochannel import (MimoScenario, capacity_bits, ensemble_mean,
                           los_channel, subchannel_coherence)
@@ -152,12 +159,13 @@ def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, points,
     """Evaluate every sweep point on one field draw per trial.
 
     Trial ``t`` draws its field from the stream
-    ``default_rng(trial_seed(master_seed, t))`` at a unit content bound, so
-    the field's ice water contents are the uniform variates u.  Each bound C
-    of ``contents`` (default: the cloud's own) turns them into C * u, bit
-    for bit the contents of a draw at bound C.  Trials run in blocks of
-    about ``BLOCK_CLOUDLETS`` cloudlets: the block's fields are
-    concatenated and traced against each point's rays at once.
+    ``default_rng(trial_seed(master_seed, t))`` with
+    :func:`draw_unit_cloudlets`, as :func:`generate_field` does, and keeps
+    the unit content variates u.  Each bound C of ``contents`` (default:
+    the cloud's own) turns them into C * u, bit for bit the contents of a
+    draw at bound C.  Trials run in blocks of about ``BLOCK_CLOUDLETS``
+    cloudlets: the block's fields are drawn one after another into one
+    buffer and traced against each point's rays at once.
 
     Parameters
     ----------
@@ -177,25 +185,42 @@ def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, points,
     if contents is None:
         contents = (cloud.max_iwc_c,)
     scale = np.asarray(contents, dtype=float)[:, None]
-    unit = dataclasses.replace(cloud, max_iwc_c=1.0)
     radius = cloudlet_radius(cloud)
     mean_count = cloud.density_lambda_s * cloud.width_w * cloud.thickness_d
     per_block = max(1, int(BLOCK_CLOUDLETS // max(mean_count, 1.0)))
     values: list[list] = [[] for _ in points]
     streams = trial_streams(spec.master_seed, spec.trials)
-    # One work space for all blocks, grown when a block outgrows it: fresh
-    # temporaries per block would have the allocator map new pages each time.
-    work = np.empty((WORK_ROWS, 2 * BLOCK_CLOUDLETS))
+    # One array for all blocks holds the work space of block_phases and,
+    # below it, rows for the block's x, y and content variates.  It grows
+    # when a block outgrows it: fresh arrays per block would have the
+    # allocator map new pages each time.
+    space = np.empty((WORK_ROWS + 3, 2 * BLOCK_CLOUDLETS))
+    size = 0
+
+    def rows(n: int) -> np.ndarray:
+        # The next n columns of the draw rows, after the fields drawn so far.
+        nonlocal space, size
+        if size + n > space.shape[1]:
+            grown = np.empty((WORK_ROWS + 3, 2 * (size + n)))
+            grown[WORK_ROWS:, :size] = space[WORK_ROWS:, :size]
+            space = grown
+        size += n
+        return space[WORK_ROWS:, size - n:size]
+
     for first in range(0, spec.trials, per_block):
-        block = range(first, min(first + per_block, spec.trials))
-        fields = [generate_field(unit, rng=next(streams)) for _ in block]
-        positions = np.concatenate([f.positions for f in fields])
-        iwc = scale * np.concatenate([f.iwc for f in fields])
-        owner = np.repeat(np.arange(len(fields)), [f.count for f in fields])
-        if owner.size > work.shape[1]:
-            work = np.empty((WORK_ROWS, 2 * owner.size))
+        fields = min(per_block, spec.trials - first)
+        size = 0
+        counts = [draw_unit_cloudlets(cloud, next(streams), rows).shape[1]
+                  for _ in range(fields)]
+        work, draws = space[:WORK_ROWS], space[WORK_ROWS:, :size]
+        x, y, u = draws
+        x *= cloud.width_w
+        y *= cloud.thickness_d
+        positions = draws[:2].T
+        iwc = scale * u
+        owner = np.repeat(np.arange(fields), counts)
         for (segments, metric), out in zip(points, values):
-            out.append(metric(block_phases(positions, iwc, owner, len(fields),
+            out.append(metric(block_phases(positions, iwc, owner, fields,
                                            radius, segments, spec.physics,
                                            work)))
     return [np.concatenate(v, axis=1) for v in values]
@@ -743,7 +768,7 @@ ASSUMED_PARAMETER_KEYS = (
 
 def build_manifest(spec: ExperimentSpec, report: dict,
                    explicit_keys=(), wall_time_s: float = 0.0,
-                   version: str = "0.1.0") -> dict:
+                   version: str = __version__) -> dict:
     """Manifest that reproduces the run when fed back as a config."""
     flat = spec_to_flat(spec)
     assumed = {key: flat[key] for key in ASSUMED_PARAMETER_KEYS

@@ -173,7 +173,9 @@ def block_phases(positions: np.ndarray, iwc: np.ndarray, owner: np.ndarray,
     counts = np.zeros((fields, rays), dtype=int)
     for idx, seg in enumerate(segments):
         chords = chord_lengths(seg, positions, radius, work)
-        counts[:, idx] = np.bincount(owner[chords > 0.0], minlength=fields)
+        # The hit mask as 0/1 weights: its per-field sums are exact counts.
+        np.greater(chords, 0.0, out=weights)
+        counts[:, idx] = np.bincount(owner, weights=weights, minlength=fields)
         chords *= k0
         # One row of weights per variant: (k0 l) times the excess
         # permittivity.  A missed cloudlet adds an exact zero, so summing

@@ -7,7 +7,8 @@ import pytest
 
 from cloudmimo.analyticmodel import AnalyticParams, stationary_distribution
 from cloudmimo.cloudfield import CloudConfig, cloudlet_radius, generate_field
-from cloudmimo.errors import ConfigurationError
+from cloudmimo.errors import ConfigurationError, ResourceLimitError
+import cloudmimo
 from cloudmimo import experiment, streams
 from cloudmimo.experiment import (ASSUMED_PARAMETER_KEYS, NUMERICS_VERSION,
                                   CapacityCdf, MacCountResult, SweepPoint,
@@ -180,40 +181,70 @@ def test_rwc_sweep_shares_one_draw_bit_for_bit():
         assert np.array_equal(point.cdf.samples, alone), point.value
 
 
-def test_kernel_rows_equal_single_field_path_phase():
-    spec = make_spec(trials=9, master_seed=4)
+def test_kernel_rows_equal_single_field_path_phase(monkeypatch):
     link = broadside_link(num_tx=2, num_rx=2, tx_spacing=1.0,
                           rx_spacing=6.0827, link_distance=40000.0,
                           elevation_deg=90.0, cloud_upper_altitude=8000.0,
                           layer_thickness=1000.0)
-    segments = map_rays_to_field(build_rays(link), link, spec.cloud)
 
     def both(phases):
         return np.concatenate([phases.per_ray_phase,
                                phases.per_ray_cloudlet_count], axis=-1)
 
-    rows = trial_kernel(spec, spec.cloud, [(segments, both)])[0][0]
-    rays = len(segments)
-    assert rows.shape == (9, 2 * rays)
-    assert np.any(rows[:, rays:] > 0)    # the rays do pierce cloudlets
-    for t in range(spec.trials):
-        field = generate_field(dataclasses.replace(
+    for lambda_s, block, chunk in (
+            # ~40 cloudlets per field, 2 trials per block, streams derived
+            # 3 trials at a time: block and chunk boundaries cross.
+            (0.002, 100, 3),
+            # ~1 cloudlet per field, 2 trials per block: the draw buffer
+            # starts at 2 * BLOCK_CLOUDLETS = 4 columns, so a block outgrows
+            # it after its first field, and some fields are empty.
+            (0.00005, 2, 1024),
+            # ~0.2 cloudlets per field, all trials in one block.
+            (0.00001, 8192, 1024)):
+        monkeypatch.setattr(experiment, "BLOCK_CLOUDLETS", block)
+        monkeypatch.setattr(streams, "_CHUNK_TRIALS", chunk)
+        spec = make_spec(trials=40, master_seed=4,
+                         cloud=make_cloud(density_lambda_s=lambda_s))
+        segments = map_rays_to_field(build_rays(link), link, spec.cloud)
+        rows = trial_kernel(spec, spec.cloud, [(segments, both)])[0][0]
+        rays = len(segments)
+        assert rows.shape == (40, 2 * rays)
+        assert np.any(rows[:, rays:] > 0)    # the rays do pierce cloudlets
+        fields = [generate_field(dataclasses.replace(
             spec.cloud, rng_seed=trial_seed(spec.master_seed, t)))
-        single = path_phase(field, segments, spec.physics)
-        assert np.array_equal(rows[t, :rays], single.per_ray_phase)
-        assert np.array_equal(rows[t, rays:], single.per_ray_cloudlet_count)
+            for t in range(spec.trials)]
+        for t, field in enumerate(fields):
+            single = path_phase(field, segments, spec.physics)
+            assert np.array_equal(rows[t, :rays], single.per_ray_phase)
+            assert np.array_equal(rows[t, rays:],
+                                  single.per_ray_cloudlet_count)
+        counts = np.array([field.count for field in fields])
+        if lambda_s < 0.002:
+            assert np.any(counts == 0), lambda_s
+        if block == 2:
+            # The first block that outgrows the buffer has a non-empty
+            # first field, so growing it must keep what was drawn.
+            pairs = counts.reshape(-1, 2)
+            first = np.flatnonzero(pairs.sum(axis=1) > 2 * block)[0]
+            assert pairs[first, 0] > 0
 
 
 def test_kernel_without_points_draws_nothing(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("a field was drawn")
 
-    monkeypatch.setattr(experiment, "generate_field", fail)
+    monkeypatch.setattr(experiment, "draw_unit_cloudlets", fail)
     spec = make_spec(mode="correlation", trials=4, distance_grid=(2000.0,))
     assert trial_kernel(spec, spec.cloud, []) == []
     result = run_correlation_sweep(spec)
     assert not result.engaged[0]
     assert result.with_cloud[0] == result.without_cloud[0]
+
+
+def test_kernel_enforces_the_expected_cloudlet_cap():
+    spec = make_spec(trials=2, cloud=make_cloud(density_lambda_s=1e6))
+    with pytest.raises(ResourceLimitError, match="expected cloudlet count"):
+        run_capacity_cdf(spec)
 
 
 # ============================================================
@@ -559,6 +590,11 @@ def test_build_manifest_records_numerics_outside_config():
     manifest = build_manifest(make_spec(), {})
     assert manifest["numerics"] == NUMERICS_VERSION
     assert not any("numerics" in key for key in manifest["config"])
+
+
+def test_build_manifest_records_the_package_version_by_default():
+    assert build_manifest(make_spec(), {})["version"] == cloudmimo.__version__
+    assert build_manifest(make_spec(), {}, version="9")["version"] == "9"
 
 
 def test_build_manifest_lists_all_assumed_defaults_by_default():
