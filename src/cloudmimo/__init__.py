@@ -16,8 +16,7 @@ from .cloudfield import (CloudConfig, CloudField, Cloudlet, cloudlet_radius,
                          generate_field, iwc_at, load_field, save_field,
                          step_field)
 from .raygeometry import (LinkGeometry, Ray, Segment2D, broadside_link,
-                          build_rays, chord_length, chord_lengths,
-                          map_rays_to_field, path_intersections,
+                          build_rays, chord_lengths, map_rays_to_field,
                           to_field_frame)
 from .phasephysics import (DEFAULT_ICE_SPHERE_VOLUME, PathPhase,
                            PhysicsParams, SPEED_OF_LIGHT,
@@ -50,8 +49,7 @@ __all__ = [
     "CloudConfig", "CloudField", "Cloudlet", "cloudlet_radius",
     "generate_field", "iwc_at", "load_field", "save_field", "step_field",
     "LinkGeometry", "Ray", "Segment2D", "broadside_link", "build_rays",
-    "chord_length", "chord_lengths", "map_rays_to_field",
-    "path_intersections", "to_field_frame",
+    "chord_lengths", "map_rays_to_field", "to_field_frame",
     "DEFAULT_ICE_SPHERE_VOLUME", "PathPhase", "PhysicsParams",
     "SPEED_OF_LIGHT", "mixture_coefficient", "mixture_permittivity",
     "path_phase", "phase_through_chord", "wavelength_in_medium",

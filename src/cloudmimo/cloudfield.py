@@ -5,12 +5,12 @@ thickness D.  Cloudlet centres follow a homogeneous Poisson point process on
 the rectangle [0, W] x [0, D]; every cloudlet shares one radius derived from
 the layer geometry, and carries an ice water content drawn uniformly on
 [0, C].  Where cloudlets overlap, their ice water contents add.
-``draw_unit_cloudlets`` draws a field's count and unit variates into rows
-the caller provides: ``generate_field`` gives it fresh rows and builds a
-``CloudField``, and the experiment's trial kernel gives it rows of a block
-buffer.  Drift is modelled by bounded random centre displacements with
-reflection at the rectangle boundary, so a field can be stepped forward in
-time without cloudlets escaping the layer.
+``draw_unit_cloudlets`` draws a field's count and unit variates into a
+(3, n) array the caller provides: ``generate_field`` gives it a fresh one
+and builds a ``CloudField``, and the experiment's trial kernel gives it a
+slot of a block buffer.  Drift is modelled by bounded random centre
+displacements with reflection at the rectangle boundary, so a field can be
+stepped forward in time without cloudlets escaping the layer.
 
 Units: metres for lengths, g/m^3 for ice water content, seconds for time.
 """
@@ -143,11 +143,12 @@ def draw_unit_cloudlets(config: CloudConfig, rng: np.random.Generator,
     """Draw one field's cloudlet count and unit variates from ``rng``.
 
     The count n is Poisson with mean ``lambda_s * W * D``.  ``rows(n)``
-    supplies a writable (3, n) array with contiguous rows, which receives n
-    uniform variates on [0, 1) per row in turn: for x, y and ice water
-    content.  Scaling them by W, D and C gives the field's centres and
-    contents; W * u is bit for bit what ``rng.uniform(0, W, n)`` returns,
-    and unit contents let a sweep over C rescale a single draw.
+    supplies a writable C-contiguous (3, n) array, which one call fills
+    with uniform variates on [0, 1) in row order: n each for x, y and ice
+    water content, the same bits as three draws of n.  Scaling them by W,
+    D and C gives the field's centres and contents; W * u is bit for bit
+    what ``rng.uniform(0, W, n)`` returns, and unit contents let a sweep
+    over C rescale a single draw.
 
     Returns
     -------
@@ -170,8 +171,7 @@ def draw_unit_cloudlets(config: CloudConfig, rng: np.random.Generator,
         raise ResourceLimitError(
             f"realized cloudlet count {n} exceeds the cap {cloudlet_cap}")
     unit = rows(n)
-    for row in unit:
-        rng.random(out=row)
+    rng.random(out=unit)
     return unit
 
 

@@ -6,13 +6,16 @@ the configured link through it, and feeds the accumulated cloud phases into
 the LoS MIMO channel.  One trial kernel serves every mode: it draws each
 trial's field once per run, evaluates every sweep point whose field does not
 depend on the sweep value on that draw, and works on blocks of trials as
-arrays.  A block's fields are drawn one after another straight into rows of
-one buffer that the kernel reuses for the whole run, with the same draw
-function as ``generate_field``; no per-trial ``CloudField`` is built.
-Per-trial random streams derive deterministically from the master seed and
-the trial index, so results are reproducible and independent of the block
-size.  Runs are single-threaded; the ``threads`` hint is accepted
-and changes nothing.
+arrays.  Per-trial random streams derive deterministically from the master
+seed and the trial index, so results are reproducible and independent of
+the block size: one generator is reset to each trial's stream by writing
+its state words in place (see :mod:`cloudmimo.streams`, which checks the
+generator's layout first).  A block's fields are drawn one after another
+with the same draw function as ``generate_field``, one ``random`` call per
+field into a (3, n) slot of one buffer that the kernel reuses for the whole
+run; the slots are then gathered into the block's x, y and content rows.
+No per-trial ``CloudField`` is built.  Runs are single-threaded; the
+``threads`` hint is accepted and changes nothing.
 
 Runs write two artifacts: ``results.csv`` with plot-ready columns and
 ``manifest.json`` with the full configuration, which can be fed back as a
@@ -165,7 +168,8 @@ def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, points,
     the cloud's own) turns them into C * u, bit for bit the contents of a
     draw at bound C.  Trials run in blocks of about ``BLOCK_CLOUDLETS``
     cloudlets: the block's fields are drawn one after another into one
-    buffer and traced against each point's rays at once.
+    buffer, gathered into rows and traced against each point's rays at
+    once.
 
     Parameters
     ----------
@@ -190,39 +194,53 @@ def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, points,
     per_block = max(1, int(BLOCK_CLOUDLETS // max(mean_count, 1.0)))
     values: list[list] = [[] for _ in points]
     streams = trial_streams(spec.master_seed, spec.trials)
-    # One array for all blocks holds the work space of block_phases and,
-    # below it, rows for the block's x, y and content variates.  It grows
-    # when a block outgrows it: fresh arrays per block would have the
-    # allocator map new pages each time.
+    # One array for all blocks: while a block is drawn, its top WORK_ROWS
+    # rows, read as one flat buffer, take each field's (3, n) draw in turn;
+    # the draws are then gathered into the bottom three rows as the
+    # block's x, y and content rows, and the top rows become the work space
+    # of block_phases.  It grows when a block outgrows it: fresh arrays per
+    # block would have the allocator map new pages each time.
     space = np.empty((WORK_ROWS + 3, 2 * BLOCK_CLOUDLETS))
+    slots = space[:WORK_ROWS].reshape(-1)
     size = 0
 
     def rows(n: int) -> np.ndarray:
-        # The next n columns of the draw rows, after the fields drawn so far.
-        nonlocal space, size
+        # A C-contiguous (3, n) slot after the fields drawn so far.
+        nonlocal space, slots, size
         if size + n > space.shape[1]:
-            grown = np.empty((WORK_ROWS + 3, 2 * (size + n)))
-            grown[WORK_ROWS:, :size] = space[WORK_ROWS:, :size]
-            space = grown
+            space = np.empty((WORK_ROWS + 3, 2 * (size + n)))
+            grown = space[:WORK_ROWS].reshape(-1)
+            grown[:3 * size] = slots[:3 * size]
+            slots = grown
         size += n
-        return space[WORK_ROWS:, size - n:size]
+        return slots[3 * (size - n):3 * size].reshape(3, n)
 
     for first in range(0, spec.trials, per_block):
         fields = min(per_block, spec.trials - first)
         size = 0
-        counts = [draw_unit_cloudlets(cloud, next(streams), rows).shape[1]
-                  for _ in range(fields)]
-        work, draws = space[:WORK_ROWS], space[WORK_ROWS:, :size]
+        counts = np.array([
+            draw_unit_cloudlets(cloud, next(streams), rows).shape[1]
+            for _ in range(fields)])
+        # Field f's slot starts at 3 * start_f in the flat draw buffer, so
+        # cloudlet j of the block (of field f) sits at j + 2 * start_f in
+        # its x row, and n_f and 2 n_f further on in its y and content rows.
+        spans = np.repeat(counts, counts)
+        index = np.arange(size) + np.repeat(2 * (np.cumsum(counts) - counts),
+                                            counts)
+        draws = space[WORK_ROWS:, :size]
+        for row in draws:
+            # The indices are in range; "clip" spares take buffering out.
+            np.take(slots, index, out=row, mode="clip")
+            index += spans
         x, y, u = draws
         x *= cloud.width_w
         y *= cloud.thickness_d
         positions = draws[:2].T
         iwc = scale * u
-        owner = np.repeat(np.arange(fields), counts)
+        work = space[:WORK_ROWS]
         for (segments, metric), out in zip(points, values):
-            out.append(metric(block_phases(positions, iwc, owner, fields,
-                                           radius, segments, spec.physics,
-                                           work)))
+            out.append(metric(block_phases(positions, iwc, counts, radius,
+                                           segments, spec.physics, work)))
     return [np.concatenate(v, axis=1) for v in values]
 
 

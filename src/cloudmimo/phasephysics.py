@@ -139,21 +139,22 @@ class PathPhase:
     per_ray_cloudlet_count: np.ndarray  # pierced cloudlets
 
 
-def block_phases(positions: np.ndarray, iwc: np.ndarray, owner: np.ndarray,
-                 fields: int, radius: float, segments: list[Segment2D],
+def block_phases(positions: np.ndarray, iwc: np.ndarray, counts,
+                 radius: float, segments: list[Segment2D],
                  params: PhysicsParams,
                  work: np.ndarray | None = None) -> PathPhase:
     """Accumulate cloud phases of a ray bundle through a block of fields.
 
-    ``positions`` (n, 2) holds the cloudlets of ``fields`` fields one after
-    another, ``owner`` (n,) the field each cloudlet belongs to.  ``iwc`` is
-    (n,), or (k, n) for k ice water content variants of the same cloudlets,
-    which share the chord tracing.  Each segment is traced through all
-    cloudlets at once; each chord contributes ``2 pi l / lambda0`` times the
-    cloudlet's excess permittivity, and a field's contributions add without
-    wrapping in cloudlet order, so its phases do not depend on the other
-    fields of the block.  Overlapping cloudlets contribute independently,
-    which matches the additive overlap rule of the field model.
+    ``positions`` (n, 2) holds the cloudlets of ``len(counts)`` fields one
+    after another, ``counts[f]`` of them for field f (which may be 0).
+    ``iwc`` is (n,), or (k, n) for k ice water content variants of the
+    same cloudlets, which share the chord tracing.  Each segment is traced
+    through all cloudlets at once; each chord contributes
+    ``2 pi l / lambda0`` times the cloudlet's excess permittivity, and a
+    field's contributions add without wrapping in cloudlet order, so its
+    phases do not depend on the other fields of the block.  Overlapping
+    cloudlets contribute independently, which matches the additive overlap
+    rule of the field model.
 
     ``work`` is an optional (WORK_ROWS, m) work space with m >= n, for a
     caller that traces many blocks to reuse one allocation.
@@ -166,29 +167,39 @@ def block_phases(positions: np.ndarray, iwc: np.ndarray, owner: np.ndarray,
     iwc = np.asarray(iwc, dtype=float)
     variants = np.atleast_2d(iwc)
     (k, n), rays = variants.shape, len(segments)
+    counts = np.asarray(counts, dtype=np.intp)
+    fields = counts.size
+    owner = np.repeat(np.arange(fields), counts)
+    # Where each non-empty field starts: reduceat sums the cloudlets from
+    # one start to the next, and rejects a start equal to n.
+    filled = np.flatnonzero(counts)
+    starts = (np.cumsum(counts) - counts)[filled]
     if work is None:
         work = np.empty((WORK_ROWS, n))
     weights = work[WORK_ROWS - 1, :n]
     phases = np.zeros((k, fields, rays))
-    counts = np.zeros((fields, rays), dtype=int)
+    pierced = np.zeros((fields, rays), dtype=int)
     for idx, seg in enumerate(segments):
         chords = chord_lengths(seg, positions, radius, work)
-        # The hit mask as 0/1 weights: its per-field sums are exact counts.
-        np.greater(chords, 0.0, out=weights)
-        counts[:, idx] = np.bincount(owner, weights=weights, minlength=fields)
+        if filled.size:
+            # The hit mask as 0/1 weights: its sums are exact counts in
+            # any order of addition.
+            np.greater(chords, 0.0, out=weights)
+            pierced[filled, idx] = np.add.reduceat(weights, starts)
         chords *= k0
         # One row of weights per variant: (k0 l) times the excess
         # permittivity.  A missed cloudlet adds an exact zero, so summing
-        # over every cloudlet gives each field the sum over its pierced ones.
+        # over every cloudlet gives each field the sum over its pierced
+        # ones.  bincount adds in cloudlet order, which fixes the bits.
         for j, variant in enumerate(variants):
             np.multiply(variant, coefficient, out=weights)
             weights *= chords
             phases[j, :, idx] = np.bincount(owner, weights=weights,
                                             minlength=fields)
     shape = iwc.shape[:-1] + (fields, rays)
-    counts = np.broadcast_to(counts, shape).copy()
+    pierced = np.broadcast_to(pierced, shape).copy()
     return PathPhase(per_ray_phase=phases.reshape(shape),
-                     per_ray_cloudlet_count=counts)
+                     per_ray_cloudlet_count=pierced)
 
 
 def path_phase(field: CloudField, segments: list[Segment2D],
@@ -197,8 +208,7 @@ def path_phase(field: CloudField, segments: list[Segment2D],
 
     A single field is a block of one (see :func:`block_phases`).
     """
-    block = block_phases(field.positions, field.iwc,
-                         np.zeros(field.count, dtype=np.intp), 1,
+    block = block_phases(field.positions, field.iwc, [field.count],
                          field.radius, segments, params)
     return PathPhase(per_ray_phase=block.per_ray_phase[0],
                      per_ray_cloudlet_count=block.per_ray_cloudlet_count[0])

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .cloudfield import CloudConfig, CloudField
+from .cloudfield import CloudConfig
 from .errors import ConfigurationError, GeometryError
 
 _DEGENERATE_LENGTH = 1e-9   # minimum antenna separation [m]
@@ -321,28 +321,11 @@ def chord_lengths(segment: Segment2D, centres: np.ndarray, radius: float,
     wx += wy
     wx -= np.multiply(t, t, out=tmp)     # squared distance from the line
     half = np.subtract(radius * radius, wx, out=wx)
-    hit = half > 0.0
+    # A disc the line misses or touches gets half = 0, so (for finite
+    # input) its chord is min(t, length) - max(t, 0) clamped at 0: an exact
+    # +0.0, with no mask.
     np.sqrt(np.maximum(half, 0.0, out=half), out=half)
     s_lo = np.maximum(np.subtract(t, half, out=wy), 0.0, out=wy)
     chords = np.minimum(np.add(t, half, out=t), length, out=t)
     chords -= s_lo
-    np.maximum(chords, 0.0, out=chords)
-    np.copyto(chords, 0.0, where=~hit)
-    return chords
-
-
-def chord_length(segment: Segment2D, cloudlet) -> float:
-    """Chord length of a segment through one cloudlet disc."""
-    centre = np.array([[cloudlet.x, cloudlet.y]])
-    return float(chord_lengths(segment, centre, cloudlet.radius)[0])
-
-
-def path_intersections(field: CloudField,
-                       segment: Segment2D) -> list[tuple[int, float]]:
-    """Indices and chord lengths of all cloudlets a segment pierces.
-
-    Results are ordered by cloudlet index; cloudlets merely touched at a
-    single point are omitted.
-    """
-    chords = chord_lengths(segment, field.positions, field.radius)
-    return [(int(i), float(chords[i])) for i in np.nonzero(chords > 0.0)[0]]
+    return np.maximum(chords, 0.0, out=chords)

@@ -4,9 +4,20 @@ Trial ``t`` of a run draws from ``numpy.random.default_rng(seed)``, where
 ``seed = trial_seed(master_seed, t)`` joins the first two 32-bit words of
 ``SeedSequence([master_seed, t])``.  Built one trial at a time, that costs
 two SeedSequence hashes and a fresh generator per trial, more than the
-trial's own draws.  Here the hash runs as uint32 array arithmetic over a
-chunk of trials, and a single PCG64 generator is reset to each trial's
-initial state in turn.
+trial's own draws.  Here the hash and PCG64's seeding step run as array
+arithmetic over a chunk of trials, which gives each trial's initial state
+and increment as four 64-bit words.  A single PCG64 generator is reset to
+each trial in turn by writing its four words straight into the generator's
+state struct, reached through the documented
+``bit_generator.ctypes.state_address``, and clearing the struct's cached
+32-bit half-word; going through the ``PCG64.state`` setter instead would
+cost several times a small trial's own draws.
+
+Only this module knows the struct's layout.  Before it first writes to a
+generator in a process, it reads a scratch generator's struct against the
+public ``state`` getter, then writes one known state into it and reads
+that back; if either differs (a numpy release changed the layout) it
+raises ``RuntimeError`` rather than produce other streams.
 
 The streams are numpy's, bit for bit: the hash is SeedSequence's (the
 ``seed_seq`` of O'Neill's PCG, as ``numpy.random.SeedSequence`` fixes it)
@@ -15,6 +26,8 @@ tests compare both with numpy.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 from collections.abc import Iterator
 
 import numpy as np
@@ -23,14 +36,20 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 _MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875     # pool hash
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED     # output hash
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
-# PCG64's 128-bit LCG multiplier.
-_PCG_MULT = (0x2360ED051FC65DA4 << 64) | 0x4385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+# PCG64's 128-bit LCG multiplier, high and low 64-bit words.
+_PCG_MULT_HI = np.uint64(0x2360ED051FC65DA4)
+_PCG_MULT_LO = np.uint64(0x4385DF649FCCF645)
+_LOW32 = np.uint64(_MASK32)
+_SHIFT32, _SHIFT63, _ONE = np.uint64(32), np.uint64(63), np.uint64(1)
+
+# A seed whose initial state the layout check writes and reads back.
+_CHECK_SEED = 0x9E3779B97F4A7C15
 
 # Trials whose streams are derived together: enough to amortize the array
 # arithmetic, few enough that the chunk's states take little memory.
@@ -128,23 +147,96 @@ def trial_streams(master_seed: int,
         yield from _seeded(seeds)
 
 
-def _seeded(seeds: np.ndarray) -> Iterator[np.random.Generator]:
-    """One generator, reset to the start of ``default_rng(seed)`` per seed."""
+def _mul_wide(a: np.ndarray, b: np.uint64) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products ``a * b``."""
+    a0, a1 = a & _LOW32, a >> _SHIFT32
+    b0, b1 = b & _LOW32, b >> _SHIFT32
+    low, cross, cross_b = a0 * b0, a0 * b1, a1 * b0
+    mid = (low >> _SHIFT32) + (cross & _LOW32) + (cross_b & _LOW32)
+    return (a1 * b1 + (cross >> _SHIFT32) + (cross_b >> _SHIFT32)
+            + (mid >> _SHIFT32)), (mid << _SHIFT32) | (low & _LOW32)
+
+
+def _add_wide(hi, lo, add_hi, add_lo) -> tuple[np.ndarray, np.ndarray]:
+    """128-bit sums of (hi, lo) word pairs, modulo 2**128."""
+    low = lo + add_lo
+    return hi + add_hi + (low < lo), low
+
+
+def _initial_states(seeds: np.ndarray) -> np.ndarray:
+    """PCG64 state and increment of ``default_rng(seed)`` for every seed.
+
+    Returns (seeds, 4) uint64 rows in the order of numpy's state struct
+    on a little-endian machine: state low and high word, increment low and
+    high word.
+    """
     entropy = np.stack([seeds & np.uint64(_MASK32),
                         seeds >> np.uint64(32)], axis=1)
     # PCG64(seed) takes four 64-bit words (initial state and increment,
     # high word first) from SeedSequence(seed).generate_state(8).
     words = _seed_sequence_state(entropy, 8).astype(np.uint64)
-    seed_words = (words[:, 0::2] | words[:, 1::2] << np.uint64(32)).tolist()
+    state_hi, state_lo, inc_hi, inc_lo = (
+        words[:, 0::2] | words[:, 1::2] << _SHIFT32).T
+    # pcg64_srandom_r: increment 2 * inc + 1; state 0, one LCG step, add
+    # the seed, one step: ((state + inc) * MULT + inc) mod 2**128.
+    inc_hi = inc_hi << _ONE | inc_lo >> _SHIFT63
+    inc_lo = inc_lo << _ONE | _ONE
+    hi, lo = _add_wide(state_hi, state_lo, inc_hi, inc_lo)
+    prod_hi, prod_lo = _mul_wide(lo, _PCG_MULT_LO)
+    prod_hi += lo * _PCG_MULT_HI + hi * _PCG_MULT_LO
+    hi, lo = _add_wide(prod_hi, prod_lo, inc_hi, inc_lo)
+    return np.stack([lo, hi, inc_lo, inc_hi], axis=1)
+
+
+def _state_struct(bit_generator: np.random.PCG64):
+    """ctypes views of a PCG64's state words and of its cached half-word.
+
+    numpy's ``pcg64_state`` holds a pointer to the 128-bit state and
+    increment, then ``has_uint32`` and ``uinteger`` in one 64-bit word.
+    """
+    address = bit_generator.ctypes.state_address
+    words = ctypes.c_void_p.from_address(address).value
+    return ((ctypes.c_uint64 * 4).from_address(words),
+            ctypes.c_uint64.from_address(address + 8))
+
+
+@functools.cache
+def _check_layout() -> None:
+    """Raise unless numpy's PCG64 state struct has the layout used here.
+
+    Reads a used generator's struct and compares it with the public
+    ``state``, then writes one known initial state into it and reads that
+    back.  The layout is numpy's, so one check serves the process.
+    """
+    bit_generator = np.random.PCG64(0)
+    used = bit_generator.state
+    used["has_uint32"], used["uinteger"] = 1, 0xDEADBEEF
+    bit_generator.state = used
+    state, inc = used["state"]["state"], used["state"]["inc"]
+    words, cached = _state_struct(bit_generator)
+    matches = (list(words) == [state & _MASK64, state >> 64,
+                               inc & _MASK64, inc >> 64]
+               and cached.value == 0xDEADBEEF << 32 | 1)
+    if matches:
+        words[:] = _initial_states(
+            np.array([_CHECK_SEED], dtype=np.uint64))[0].tolist()
+        cached.value = 0
+        matches = bit_generator.state == np.random.PCG64(_CHECK_SEED).state
+    if not matches:
+        raise RuntimeError(
+            f"numpy {np.__version__} lays out the PCG64 state struct "
+            f"differently from what cloudmimo.streams writes; its trial "
+            f"streams cannot be reset on this numpy")
+
+
+def _seeded(seeds: np.ndarray) -> Iterator[np.random.Generator]:
+    """One generator, reset to the start of ``default_rng(seed)`` per seed."""
+    _check_layout()
+    states = _initial_states(seeds).tolist()
     bit_generator = np.random.PCG64(0)
     generator = np.random.Generator(bit_generator)
-    for state_hi, state_lo, inc_hi, inc_lo in seed_words:
-        # pcg64_srandom_r: state 0, one LCG step, add the seed, one step
-        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-        state = (((state_hi << 64 | state_lo) + inc) * _PCG_MULT
-                 + inc) & _MASK128
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0}
+    words, cached = _state_struct(bit_generator)
+    for state in states:
+        words[:] = state
+        cached.value = 0
         yield generator

@@ -9,6 +9,7 @@ from cloudmimo import (CloudConfig, CloudField, ConfigurationError,
                        Segment2D, mixture_coefficient, mixture_permittivity,
                        path_phase, phase_through_chord, wavelength_in_medium)
 from cloudmimo.phasephysics import block_phases
+from cloudmimo.raygeometry import chord_lengths
 
 # Independently evaluated expectations (high-precision arithmetic, frozen).
 WAVELENGTH_73_5_GHZ = 0.0040788089523809524        # c / 73.5e9 [m]
@@ -205,29 +206,43 @@ def test_block_phases_leave_inputs_unmodified():
     rng = np.random.default_rng(3)
     positions = rng.random((300, 2)) * (20.0, 1000.0)
     iwc = rng.random((2, 300)) * 0.4
-    owner = np.repeat(np.arange(3), [100, 120, 80])
-    inputs = (positions, iwc, owner)
-    before = [a.copy() for a in inputs]
     segments = [Segment2D(start=np.array([x, 0.0]), end=np.array([x, 1000.0]))
                 for x in (9.5, 10.5)]
     params = PhysicsParams()
-    fresh = block_phases(positions, iwc, owner, 3, 2.5, segments, params)
-    work = np.full((5, 400), np.nan)
-    reused = block_phases(positions, iwc, owner, 3, 2.5, segments, params,
-                          work)
-    for array, copy in zip(inputs, before):
-        assert np.array_equal(array, copy)
-    assert fresh.per_ray_phase.shape == (2, 3, 2)
-    assert np.all(fresh.per_ray_phase > 0.0)
-    assert np.array_equal(fresh.per_ray_phase, reused.per_ray_phase)
-    assert np.array_equal(fresh.per_ray_cloudlet_count,
-                          reused.per_ray_cloudlet_count)
-    # each variant of each field equals a trace of that field alone
-    for f in range(3):
-        mine = owner == f
-        for j in range(2):
-            field = CloudField(config=CloudConfig(), positions=positions[mine],
-                               iwc=iwc[j, mine], radius=2.5)
-            alone = path_phase(field, segments, params)
-            assert np.array_equal(alone.per_ray_phase,
-                                  fresh.per_ray_phase[j, f])
+    # All but the first layout hold empty fields: first, in the middle,
+    # last and throughout.  reduceat would mis-sum them if they got a
+    # start, and rejects a start equal to n.
+    for counts in ([100, 120, 80], [0, 150, 0, 150, 0], [0, 0, 300],
+                   [300, 0, 0], [0, 0]):
+        n = sum(counts)
+        counts = np.array(counts)
+        inputs = (positions[:n], iwc[:, :n], counts)
+        before = [a.copy() for a in inputs]
+        fresh = block_phases(*inputs, 2.5, segments, params)
+        work = np.full((5, 400), np.nan)
+        reused = block_phases(*inputs, 2.5, segments, params, work)
+        for array, copy in zip(inputs, before):
+            assert np.array_equal(array, copy)
+        assert fresh.per_ray_phase.shape == (2, len(counts), 2)
+        assert np.array_equal(fresh.per_ray_phase, reused.per_ray_phase)
+        assert np.array_equal(fresh.per_ray_cloudlet_count,
+                              reused.per_ray_cloudlet_count)
+        # each variant of each field equals a trace of that field alone
+        starts = np.cumsum(counts) - counts
+        for f, (start, count) in enumerate(zip(starts, counts)):
+            mine = slice(start, start + count)
+            assert (np.all(fresh.per_ray_phase[:, f] > 0.0) if count
+                    else np.all(fresh.per_ray_phase[:, f] == 0.0))
+            for j in range(2):
+                field = CloudField(config=CloudConfig(),
+                                   positions=positions[mine],
+                                   iwc=iwc[j, mine], radius=2.5)
+                alone = path_phase(field, segments, params)
+                assert np.array_equal(alone.per_ray_phase,
+                                      fresh.per_ray_phase[j, f])
+                assert np.array_equal(alone.per_ray_cloudlet_count,
+                                      fresh.per_ray_cloudlet_count[j, f])
+            for r, seg in enumerate(segments):
+                chords = chord_lengths(seg, positions[mine], 2.5)
+                assert (fresh.per_ray_cloudlet_count[:, f, r]
+                        == np.count_nonzero(chords > 0.0)).all()

@@ -6,11 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudmimo import (CloudConfig, CloudField, ConfigurationError,
-                       GeometryError, LinkGeometry, Segment2D, broadside_link,
-                       build_rays, chord_length, chord_lengths,
-                       map_rays_to_field, path_intersections, to_field_frame)
-from cloudmimo.cloudfield import Cloudlet
+from cloudmimo import (CloudConfig, ConfigurationError, GeometryError,
+                       LinkGeometry, Segment2D, broadside_link, build_rays,
+                       chord_lengths, map_rays_to_field, to_field_frame)
 
 # Independently evaluated slant quantities for a 1000 m thick layer.
 SLANT_LENGTH_85_14 = 1003.60828728      # 1000 / sin(85.14 deg) [m]
@@ -273,11 +271,69 @@ def test_chord_vectorized_matches_scalar():
     seg = Segment2D(start=rng.uniform(-10, 10, 2), end=rng.uniform(-10, 10, 2))
     centres = rng.uniform(-10, 10, (50, 2))
     vec = chord_lengths(seg, centres, 3.0)
+    assert np.count_nonzero(vec) > 5
     for idx in range(50):
-        lone = Cloudlet(x=centres[idx, 0], y=centres[idx, 1],
-                        radius=3.0, iwc=0.0)
-        # BLAS may batch the row products differently, so allow rounding
-        assert chord_length(seg, lone) == pytest.approx(vec[idx], abs=1e-12)
+        # a disc's chord does not depend on the other discs of the call
+        lone = chord_lengths(seg, centres[idx:idx + 1], 3.0)
+        assert np.array_equal(lone, vec[idx:idx + 1])
+
+
+def masked_chord_lengths(segment, centres, radius):
+    """The chord formula with an explicit hit mask, kept as a reference."""
+    n = centres.shape[0]
+    length = segment.length
+    if length == 0.0 or n == 0:
+        return np.zeros(n)
+    ux, uy = (segment.end - segment.start) / length
+    wx = centres[:, 0] - segment.start[0]
+    wy = centres[:, 1] - segment.start[1]
+    t = wx * ux + wy * uy
+    half = radius * radius - (wx * wx + wy * wy - t * t)
+    hit = half > 0.0
+    half = np.sqrt(np.maximum(half, 0.0))
+    chords = np.minimum(t + half, length) - np.maximum(t - half, 0.0)
+    chords = np.maximum(chords, 0.0)
+    chords[~hit] = 0.0
+    return chords
+
+
+def test_chord_lengths_equal_the_masked_reference():
+    rng = np.random.default_rng(23)
+    radius = 2.0
+    cases = []
+    for _ in range(20):
+        seg = Segment2D(start=rng.uniform(-20.0, 20.0, 2),
+                        end=rng.uniform(-20.0, 20.0, 2))
+        cases.append((seg, rng.uniform(-30.0, 30.0, (300, 2))))
+    # Axis-aligned segment from (0, 0) to (10, 0): exact tangents above and
+    # below, discs behind the start and beyond the end (touching, missing
+    # and overlapping), centres on the segment.
+    axis = Segment2D(start=np.array([0.0, 0.0]), end=np.array([10.0, 0.0]))
+    edges = np.array([[5.0, 2.0], [5.0, -2.0], [0.0, 2.0], [10.0, -2.0],
+                      [-2.0, 0.0], [-3.0, 0.0], [-1.0, 0.0], [-2.5, 1.0],
+                      [12.0, 0.0], [13.0, 0.0], [11.0, 0.0], [12.5, -1.0],
+                      [0.0, 0.0], [5.0, 0.0], [10.0, 0.0], [7.3, 0.0],
+                      [-50.0, 0.0], [60.0, 1.0]])
+    cases.append((axis, edges))
+    # Segments whose line the discs touch, slanted and vertical.
+    slant = Segment2D(start=np.array([0.0, 0.0]), end=np.array([3.0, 4.0]))
+    cases.append((slant, np.array([[1.5 + 1.6, 2.0 - 1.2],
+                                   [1.5 - 1.6, 2.0 + 1.2], [-1.2, -1.6]])))
+    vertical = Segment2D(start=np.array([1.0, -5.0]),
+                         end=np.array([1.0, 5.0]))
+    cases.append((vertical, np.array([[3.0, 0.0], [-1.0, 0.0],
+                                      [1.0, 7.0], [1.0, -7.0]])))
+    # A zero-length segment, with a disc centred on it.
+    point = Segment2D(start=np.array([4.0, 4.0]), end=np.array([4.0, 4.0]))
+    cases.append((point, np.array([[4.0, 4.0], [4.5, 4.0], [40.0, 4.0]])))
+    for seg, centres in cases:
+        chords = chord_lengths(seg, centres, radius)
+        assert np.array_equal(chords, masked_chord_lengths(seg, centres,
+                                                            radius))
+        assert not np.any(np.signbit(chords))
+    # the first four touch the axis segment: d^2 = r^2 exactly
+    tangent = chord_lengths(axis, edges[:4], radius)
+    assert np.array_equal(tangent, np.zeros(4))
 
 
 def test_chord_lengths_leave_centres_unmodified_and_zero_misses():
@@ -337,14 +393,9 @@ def test_chord_against_point_sampling(data):
 
 
 def test_path_intersections_order_and_positivity():
-    cfg = CloudConfig()
-    field = CloudField(config=cfg,
-                       positions=np.array([[10.0, 900.0], [10.0, 100.0],
-                                           [500.0, 500.0]]),
-                       iwc=np.array([0.1, 0.2, 0.3]),
-                       radius=5.0)
+    centres = np.array([[10.0, 900.0], [10.0, 100.0], [500.0, 500.0]])
     seg = Segment2D(start=np.array([10.0, 0.0]), end=np.array([10.0, 1000.0]))
-    hits = path_intersections(field, seg)
-    assert [idx for idx, _ in hits] == [0, 1]
-    for _, chord in hits:
-        assert chord == pytest.approx(10.0, rel=1e-12)
+    chords = chord_lengths(seg, centres, 5.0)
+    assert np.flatnonzero(chords > 0.0).tolist() == [0, 1]
+    assert chords[:2] == pytest.approx([10.0, 10.0], rel=1e-12)
+    assert chords[2] == 0.0

@@ -70,3 +70,17 @@ def test_trial_streams_reset_a_used_generator():
     ref = np.random.default_rng(numpy_trial_seed(3, 1))
     assert np.array_equal(next(it).integers(0, 10, size=5, dtype=np.uint32),
                           ref.integers(0, 10, size=5, dtype=np.uint32))
+
+
+def test_state_struct_layout_mismatch_raises(monkeypatch):
+    # Words written where numpy reads others (here the state's two words
+    # swapped) must stop the streams rather than change them.
+    initial = streams._initial_states
+    monkeypatch.setattr(streams, "_initial_states",
+                        lambda seeds: initial(seeds)[:, [1, 0, 2, 3]])
+    streams._check_layout.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
+            next(trial_streams(0, 1))
+    finally:
+        streams._check_layout.cache_clear()
