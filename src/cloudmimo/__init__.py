@@ -12,17 +12,13 @@ __version__ = "0.1.0"
 from .errors import (ConfigurationError, DegenerateDistributionError,
                      DomainError, GeometryError, ModelValidityError,
                      ModelValidityWarning, NumericError, ResourceLimitError)
-from .cloudfield import (CloudConfig, CloudField, Cloudlet, cloudlet_radius,
-                         generate_field, iwc_at, load_field, save_field,
-                         step_field)
+from .cloudfield import (CloudConfig, CloudField, cloudlet_radius,
+                         generate_field, load_field, save_field, step_field)
 from .raygeometry import (LinkGeometry, Ray, Segment2D, broadside_link,
-                          build_rays, chord_lengths, map_rays_to_field,
-                          to_field_frame)
+                          build_rays, chord_lengths, map_rays_to_field)
 from .phasephysics import (DEFAULT_ICE_SPHERE_VOLUME, PathPhase,
                            PhysicsParams, SPEED_OF_LIGHT,
-                           mixture_coefficient, mixture_permittivity,
-                           path_phase, phase_through_chord,
-                           wavelength_in_medium)
+                           mixture_coefficient, path_phase)
 from .analyticmodel import (AnalyticParams, PhaseDistribution,
                             chord_moments, closed_form_stationary,
                             count_weight, drift_length_variance,
@@ -32,8 +28,7 @@ from .analyticmodel import (AnalyticParams, PhaseDistribution,
                             stationary_report, time_varying_distribution,
                             total_phase_pdf)
 from .mimochannel import (ChannelMatrix, MimoScenario, capacity_bits,
-                          los_channel, pair_distances, rayleigh_distance,
-                          subchannel_correlation)
+                          los_channel, pair_distances, rayleigh_distance)
 from .experiment import (CapacityCdf, DistanceSweepResult, ExperimentSpec,
                          MacCountResult, PhaseCompareResult, build_manifest,
                          outage_capacity, run_capacity_cdf,
@@ -46,13 +41,12 @@ __all__ = [
     "ConfigurationError", "DegenerateDistributionError",
     "DomainError", "GeometryError", "ModelValidityError",
     "ModelValidityWarning", "NumericError", "ResourceLimitError",
-    "CloudConfig", "CloudField", "Cloudlet", "cloudlet_radius",
-    "generate_field", "iwc_at", "load_field", "save_field", "step_field",
+    "CloudConfig", "CloudField", "cloudlet_radius",
+    "generate_field", "load_field", "save_field", "step_field",
     "LinkGeometry", "Ray", "Segment2D", "broadside_link", "build_rays",
-    "chord_lengths", "map_rays_to_field", "to_field_frame",
+    "chord_lengths", "map_rays_to_field",
     "DEFAULT_ICE_SPHERE_VOLUME", "PathPhase", "PhysicsParams",
-    "SPEED_OF_LIGHT", "mixture_coefficient", "mixture_permittivity",
-    "path_phase", "phase_through_chord", "wavelength_in_medium",
+    "SPEED_OF_LIGHT", "mixture_coefficient", "path_phase",
     "AnalyticParams", "PhaseDistribution", "chord_moments",
     "closed_form_stationary", "count_weight", "drift_length_variance",
     "drift_phase_variance", "gaussian_pdf", "laplace_pdf",
@@ -60,7 +54,7 @@ __all__ = [
     "stationary_distribution", "stationary_report",
     "time_varying_distribution", "total_phase_pdf",
     "ChannelMatrix", "MimoScenario", "capacity_bits", "los_channel",
-    "pair_distances", "rayleigh_distance", "subchannel_correlation",
+    "pair_distances", "rayleigh_distance",
     "CapacityCdf", "DistanceSweepResult", "ExperimentSpec", "MacCountResult",
     "PhaseCompareResult", "build_manifest", "outage_capacity",
     "run_capacity_cdf", "run_compensated_sweep", "run_correlation_sweep",

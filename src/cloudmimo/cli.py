@@ -1,6 +1,7 @@
 """Command line interface.
 
-Runs are configured by flat dotted keys (for example ``cloud.lambda_s``)
+Runs are configured by the flat dotted keys of
+:data:`cloudmimo.experiment.CONFIG_SCHEMA` (for example ``cloud.lambda_s``)
 coming from, in order of increasing precedence: a named profile, a config
 file, ``CLOUDMIMO_``-prefixed environment variables, repeated ``--set``
 overrides, and dedicated flags.  A run's ``manifest.json`` is itself a valid
@@ -25,115 +26,50 @@ from . import __version__
 from .analyticmodel import (AnalyticParams, stationary_report,
                             time_varying_distribution, total_phase_pdf,
                             laplace_pdf)
-from .cloudfield import generate_field, save_field
+from .cloudfield import CloudConfig, generate_field, save_field
 from .errors import (ConfigurationError, DomainError, GeometryError)
-from .experiment import (ExperimentSpec, build_manifest, results_csv_text,
+from .experiment import (CONFIG_SCHEMA, ExperimentSpec, build_manifest,
+                         format_csv, parse_config_value, results_csv_text,
                          run_capacity_cdf, run_compensated_sweep,
                          run_correlation_sweep, run_mac_count,
                          run_phase_compare, run_report, spec_from_flat,
-                         format_csv)
+                         spec_to_flat)
+from .mimochannel import MimoScenario
+from .phasephysics import PhysicsParams
 
 ENV_PREFIX = "CLOUDMIMO_"
 
-# value kinds for the flat config schema
-_FLOAT, _INT, _BOOL, _STR, _FLIST = "float", "int", "bool", "str", "float_list"
-
-KEY_KINDS = {
-    "cloud.width_w": _FLOAT,
-    "cloud.thickness_d": _FLOAT,
-    "cloud.max_thickness_dmax": _FLOAT,
-    "cloud.lambda_s": _FLOAT,
-    "cloud.alpha": _FLOAT,
-    "cloud.max_iwc_c": _FLOAT,
-    "cloud.drift_speed_vb": _FLOAT,
-    "physics.sphere_density_n": _FLOAT,
-    "physics.sphere_volume_vice": _FLOAT,
-    "physics.ice_permittivity_real": _FLOAT,
-    "physics.carrier_frequency_hz": _FLOAT,
-    "mimo.num_tx": _INT,
-    "mimo.num_rx": _INT,
-    "mimo.tx_spacing_m": _FLOAT,
-    "mimo.rx_spacing_m": _FLOAT,
-    "mimo.snr_db": _FLOAT,
-    "mimo.compensated": _BOOL,
-    "link.distance_m": _FLOAT,
-    "link.elevation_deg": _FLOAT,
-    "link.cloud_upper_altitude_m": _FLOAT,
-    "run.mode": _STR,
-    "run.trials": _INT,
-    "run.master_seed": _INT,
-    "run.sweep_rwc": _FLIST,
-    "run.sweep_thickness_m": _FLIST,
-    "run.distance_grid_m": _FLIST,
-    "run.dt_s": _FLOAT,
-    "run.outage_probability": _FLOAT,
-}
-
 # Keys that must be present after profile/config/override merging; the
 # optional sweeps and the mode (set by the subcommand) are excluded.
-REQUIRED_KEYS = tuple(key for key in KEY_KINDS
-                      if key not in ("run.mode", "run.sweep_rwc",
-                                     "run.sweep_thickness_m",
-                                     "run.distance_grid_m"))
+REQUIRED_KEYS = tuple(key for key, (kind, *_) in CONFIG_SCHEMA.items()
+                      if kind != "float_list" and key != "run.mode")
 
-_SHARED_DEFAULTS = {
-    "physics.sphere_density_n": 30000.0,
-    "physics.sphere_volume_vice": 4.0 / 3.0 * math.pi * (1e-4) ** 3,
-    "physics.ice_permittivity_real": 3.15,
-    "physics.carrier_frequency_hz": 73.5e9,
-    "mimo.num_tx": 2,
-    "mimo.num_rx": 2,
-    "mimo.tx_spacing_m": 1.0,
-    "mimo.rx_spacing_m": 6.0827,
-    "mimo.snr_db": 20.0,
-    "mimo.compensated": False,
-    "link.cloud_upper_altitude_m": 8000.0,
-    "run.trials": 10000,
-    "run.master_seed": 0,
-    "run.sweep_rwc": None,
-    "run.sweep_thickness_m": None,
-    "run.distance_grid_m": None,
-    "run.dt_s": 0.0,
-    "run.outage_probability": 0.5,
-}
+# Every profile extends the all-default spec's flat config.
+_PROFILE_BASE = spec_to_flat(ExperimentSpec(MimoScenario(), CloudConfig(),
+                                            PhysicsParams()))
 
-_TABLE1_CLOUD = {
-    "cloud.thickness_d": 1000.0,
-    "cloud.max_thickness_dmax": 1000.0,
-    "cloud.lambda_s": 0.002,
-    "cloud.alpha": 0.5,
-    "cloud.max_iwc_c": 0.4,
-    "cloud.drift_speed_vb": 1000.0,
-}
+_CORRELATION_GRID = tuple(float(d) for d in range(2000, 30001, 2000))
 
 PROFILES = {
     # Measured-link configuration: the shallow elevation needs a wider
     # cross-section for the slanted path to fit.
-    "table1": {**_SHARED_DEFAULTS, **_TABLE1_CLOUD,
-               "cloud.width_w": 100.0,
+    "table1": {"cloud.width_w": 100.0,
                "link.elevation_deg": 85.14,
                "link.distance_m": 20000.0},
-    # Capacity benchmark: 20 m cross-section with a vertical link so the
-    # in-layer path fits the rectangle.
-    "table3": {**_SHARED_DEFAULTS, **_TABLE1_CLOUD,
-               "cloud.width_w": 20.0,
-               "link.elevation_deg": 90.0,
-               "link.distance_m": 40000.0},
+    # Capacity benchmark, the defaults: 20 m cross-section with a vertical
+    # link so the in-layer path fits the rectangle.
+    "table3": {},
     # Correlation sweep: closer receive spacing, distance grid to 30 km.
-    "table4": {**_SHARED_DEFAULTS, **_TABLE1_CLOUD,
-               "cloud.width_w": 20.0,
-               "mimo.rx_spacing_m": 5.0,
-               "link.elevation_deg": 90.0,
+    "table4": {"mimo.rx_spacing_m": 5.0,
                "link.distance_m": 30000.0,
-               "run.distance_grid_m": [float(d) for d in
-                                       range(2000, 30001, 2000)]},
+               "run.distance_grid_m": _CORRELATION_GRID},
 }
 
 _MODE_TRIAL_DEFAULTS = {"phase-compare": 100000, "mac-count": 1000}
 
 _MODE_GRID_DEFAULTS = {
-    "correlation": [float(d) for d in range(2000, 30001, 2000)],
-    "compensated": [float(d) for d in range(20000, 40001, 2000)],
+    "correlation": _CORRELATION_GRID,
+    "compensated": tuple(float(d) for d in range(20000, 40001, 2000)),
 }
 
 
@@ -153,42 +89,11 @@ class _Parser(argparse.ArgumentParser):
 # ============================================================
 
 def _coerce(key: str, value, problems: list[str]):
-    kind = KEY_KINDS[key]
     try:
-        if value is None:
-            if kind == _FLIST:
-                return None
-            raise ValueError("missing value")
-        if kind == _FLOAT:
-            return float(value)
-        if kind == _INT:
-            if isinstance(value, str):
-                return int(value, 0)
-            if float(value) != int(value):
-                raise ValueError(f"{value} is not an integer")
-            return int(value)
-        if kind == _BOOL:
-            if isinstance(value, bool):
-                return value
-            text = str(value).strip().lower()
-            if text in ("true", "1", "yes", "on"):
-                return True
-            if text in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(f"{value!r} is not a boolean")
-        if kind == _STR:
-            return str(value)
-        if kind == _FLIST:
-            if isinstance(value, str):
-                text = value.strip()
-                if text.lower() in ("", "none"):
-                    return None
-                return [float(part) for part in text.split(",")]
-            return [float(v) for v in value]
+        return parse_config_value(key, value)
     except (TypeError, ValueError) as exc:
         problems.append(f"{key}: {exc}")
         return None
-    raise AssertionError(f"unhandled kind {kind}")
 
 
 def _parse_config_text(text: str, source: str, problems: list[str]) -> dict:
@@ -257,14 +162,14 @@ def assemble_config(mode: str, profile: str | None, config_path: str | None,
             raise ConfigurationError(
                 f"unknown profile {profile!r}; available: "
                 f"{', '.join(sorted(PROFILES))}")
-        merged.update(PROFILES[profile])
+        merged.update({**_PROFILE_BASE, **PROFILES[profile]})
     explicit: set = set()
 
     def apply(source: str, mapping: dict) -> None:
         for key, value in mapping.items():
             if key == "run.threads":
                 continue   # execution hint, never part of the run identity
-            if key not in KEY_KINDS:
+            if key not in CONFIG_SCHEMA:
                 problems.append(f"{source}: unknown key {key!r}")
                 continue
             merged[key] = value

@@ -101,21 +101,11 @@ def cloudlet_radius(config: CloudConfig) -> float:
 # ============================================================
 
 @dataclasses.dataclass(frozen=True)
-class Cloudlet:
-    """One spherical cloudlet in the layer cross-section."""
-
-    x: float       # centre horizontal coordinate [m]
-    y: float       # centre vertical coordinate above layer bottom [m]
-    radius: float  # cloudlet radius [m]
-    iwc: float     # ice water content [g/m^3]
-
-
-@dataclasses.dataclass(frozen=True)
 class CloudField:
     """Immutable snapshot of a cloud layer at one instant.
 
     Centre coordinates and ice water contents are stored as arrays in draw
-    order; ``cloudlets`` exposes the same data as ``Cloudlet`` records.
+    order, one row per cloudlet.
     """
 
     config: CloudConfig
@@ -128,13 +118,6 @@ class CloudField:
     @property
     def count(self) -> int:
         return int(self.positions.shape[0])
-
-    @property
-    def cloudlets(self) -> tuple[Cloudlet, ...]:
-        return tuple(
-            Cloudlet(float(x), float(y), self.radius, float(w))
-            for (x, y), w in zip(self.positions, self.iwc)
-        )
 
 
 def draw_unit_cloudlets(config: CloudConfig, rng: np.random.Generator,
@@ -251,22 +234,6 @@ def step_field(field: CloudField, dt: float,
                                positions=np.column_stack([new_x, new_y]),
                                elapsed_time=field.elapsed_time + dt,
                                step_index=field.step_index + 1)
-
-
-def iwc_at(field: CloudField, point) -> float:
-    """Total ice water content at a point of the cross-section.
-
-    Overlapping cloudlets contribute the sum of their individual contents;
-    outside every cloudlet the value is 0.
-    """
-    p = np.asarray(point, dtype=float)
-    if p.shape != (2,) or not np.all(np.isfinite(p)):
-        raise ConfigurationError(f"point must be a finite 2-D coordinate, got {point}")
-    if field.count == 0:
-        return 0.0
-    d2 = np.sum((field.positions - p) ** 2, axis=1)
-    inside = d2 <= field.radius ** 2
-    return float(np.sum(field.iwc[inside]))
 
 
 # ============================================================

@@ -23,9 +23,11 @@ config file to reproduce the run byte for byte.
 """
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -132,6 +134,137 @@ class ExperimentSpec:
                 "scenario and physics carrier frequencies disagree")
         if problems:
             raise ConfigurationError("; ".join(problems))
+
+
+# ============================================================
+# Flat config schema
+# ============================================================
+
+# Every flat config key, in manifest order: key -> (kind, field, ...).  A
+# field is "scenario.<name>", "cloud.<name>" or "physics.<name>" in that
+# part of the spec, or a bare name in ExperimentSpec itself.  A key fills
+# each of its fields, and a spec is flattened from the first one.
+CONFIG_SCHEMA = {
+    "cloud.width_w": ("float", "cloud.width_w"),
+    "cloud.thickness_d": ("float", "cloud.thickness_d"),
+    "cloud.max_thickness_dmax": ("float", "cloud.max_thickness_dmax"),
+    "cloud.lambda_s": ("float", "cloud.density_lambda_s"),
+    "cloud.alpha": ("float", "cloud.smoothness_alpha"),
+    "cloud.max_iwc_c": ("float", "cloud.max_iwc_c"),
+    "cloud.drift_speed_vb": ("float", "cloud.drift_speed_vb"),
+    "physics.sphere_density_n": ("float", "physics.sphere_density_n"),
+    "physics.sphere_volume_vice": ("float", "physics.sphere_volume_vice"),
+    "physics.ice_permittivity_real": ("float",
+                                      "physics.ice_permittivity_real"),
+    "physics.carrier_frequency_hz": ("float", "physics.carrier_frequency",
+                                     "scenario.carrier_frequency"),
+    "mimo.num_tx": ("int", "scenario.num_tx"),
+    "mimo.num_rx": ("int", "scenario.num_rx"),
+    "mimo.tx_spacing_m": ("float", "scenario.tx_spacing"),
+    "mimo.rx_spacing_m": ("float", "scenario.rx_spacing"),
+    "mimo.snr_db": ("float", "scenario.snr_db"),
+    "mimo.compensated": ("bool", "scenario.compensated"),
+    "link.distance_m": ("float", "scenario.link_distance"),
+    "link.elevation_deg": ("float", "elevation_deg"),
+    "link.cloud_upper_altitude_m": ("float", "cloud_upper_altitude"),
+    "run.mode": ("str", "mode"),
+    "run.trials": ("int", "trials"),
+    "run.master_seed": ("int", "master_seed", "cloud.rng_seed"),
+    "run.sweep_rwc": ("float_list", "sweep_rwc"),
+    "run.sweep_thickness_m": ("float_list", "sweep_thickness"),
+    "run.distance_grid_m": ("float_list", "distance_grid"),
+    "run.dt_s": ("float", "dt"),
+    "run.outage_probability": ("float", "outage_probability"),
+}
+
+_PARTS = {"scenario": MimoScenario, "cloud": CloudConfig,
+          "physics": PhysicsParams}
+
+
+def _finite(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{number} is not finite")
+    return number
+
+
+def _integer(value) -> int:
+    if isinstance(value, str):
+        return int(value, 0)
+    try:
+        whole = int(value)
+        if float(value) != whole:
+            raise ValueError(f"{value} is not an integer")
+    except OverflowError:   # an infinite float, or an int no float holds
+        raise ValueError(f"{value} is out of range") from None
+    return whole
+
+
+def _boolean(value) -> bool:
+    if isinstance(value, bool):
+        return value
+    text = str(value).strip().lower()
+    if text in ("true", "1", "yes", "on"):
+        return True
+    if text in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"{value!r} is not a boolean")
+
+
+def _finite_list(value) -> list | None:
+    if isinstance(value, str):
+        if value.strip().lower() in ("", "none"):
+            return None
+        value = value.split(",")
+    return [_finite(v) for v in value]
+
+
+_PARSERS = {"float": _finite, "int": _integer, "bool": _boolean,
+            "str": str, "float_list": _finite_list}
+
+
+def parse_config_value(key: str, value):
+    """A config value, from text, JSON or Python, as its key's kind.
+
+    Numbers must be finite.  Only a list kind may be None (or "none").
+
+    Raises
+    ------
+    ValueError, TypeError
+        For a value that is not of the key's kind.
+    """
+    kind = CONFIG_SCHEMA[key][0]
+    if value is None:
+        if kind == "float_list":
+            return None
+        raise ValueError("missing value")
+    return _PARSERS[kind](value)
+
+
+def spec_to_flat(spec: ExperimentSpec) -> dict:
+    """Flatten a spec to the dotted-key config mapping used everywhere."""
+    flat = {}
+    for key, (kind, field, *_) in CONFIG_SCHEMA.items():
+        value = operator.attrgetter(field)(spec)
+        if kind == "float_list" and value is not None:
+            value = list(value)
+        flat[key] = value
+    return flat
+
+
+def spec_from_flat(flat: dict, threads: int = 1) -> ExperimentSpec:
+    """Build a spec from the dotted-key mapping (inverse of spec_to_flat).
+
+    Every key is parsed as its kind; only the list keys may be absent.
+    """
+    values = collections.defaultdict(dict)   # part -> {name: value}
+    for key, (_, *fields) in CONFIG_SCHEMA.items():
+        value = parse_config_value(key, flat.get(key))
+        for field in fields:
+            part, _, name = field.rpartition(".")
+            values[part][name] = value
+    parts = {part: cls(**values[part]) for part, cls in _PARTS.items()}
+    return ExperimentSpec(**parts, **values[""], threads=threads)
 
 
 def _link_for(spec: ExperimentSpec, distance: float,
@@ -602,85 +735,6 @@ def run_mac_count(spec: ExperimentSpec) -> MacCountResult:
 # ============================================================
 # Run artifacts
 # ============================================================
-
-def spec_to_flat(spec: ExperimentSpec) -> dict:
-    """Flatten a spec to the dotted-key config mapping used everywhere."""
-    def fmt_list(values):
-        return None if values is None else list(values)
-
-    return {
-        "cloud.width_w": spec.cloud.width_w,
-        "cloud.thickness_d": spec.cloud.thickness_d,
-        "cloud.max_thickness_dmax": spec.cloud.max_thickness_dmax,
-        "cloud.lambda_s": spec.cloud.density_lambda_s,
-        "cloud.alpha": spec.cloud.smoothness_alpha,
-        "cloud.max_iwc_c": spec.cloud.max_iwc_c,
-        "cloud.drift_speed_vb": spec.cloud.drift_speed_vb,
-        "physics.sphere_density_n": spec.physics.sphere_density_n,
-        "physics.sphere_volume_vice": spec.physics.sphere_volume_vice,
-        "physics.ice_permittivity_real": spec.physics.ice_permittivity_real,
-        "physics.carrier_frequency_hz": spec.physics.carrier_frequency,
-        "mimo.num_tx": spec.scenario.num_tx,
-        "mimo.num_rx": spec.scenario.num_rx,
-        "mimo.tx_spacing_m": spec.scenario.tx_spacing,
-        "mimo.rx_spacing_m": spec.scenario.rx_spacing,
-        "mimo.snr_db": spec.scenario.snr_db,
-        "mimo.compensated": spec.scenario.compensated,
-        "link.distance_m": spec.scenario.link_distance,
-        "link.elevation_deg": spec.elevation_deg,
-        "link.cloud_upper_altitude_m": spec.cloud_upper_altitude,
-        "run.mode": spec.mode,
-        "run.trials": spec.trials,
-        "run.master_seed": spec.master_seed,
-        "run.sweep_rwc": fmt_list(spec.sweep_rwc),
-        "run.sweep_thickness_m": fmt_list(spec.sweep_thickness),
-        "run.distance_grid_m": fmt_list(spec.distance_grid),
-        "run.dt_s": spec.dt,
-        "run.outage_probability": spec.outage_probability,
-    }
-
-
-def spec_from_flat(flat: dict, threads: int = 1) -> ExperimentSpec:
-    """Build a spec from the dotted-key mapping (inverse of spec_to_flat)."""
-    def tup(key):
-        value = flat.get(key)
-        return None if value is None else tuple(float(v) for v in value)
-
-    cloud = CloudConfig(
-        width_w=float(flat["cloud.width_w"]),
-        thickness_d=float(flat["cloud.thickness_d"]),
-        max_thickness_dmax=float(flat["cloud.max_thickness_dmax"]),
-        density_lambda_s=float(flat["cloud.lambda_s"]),
-        smoothness_alpha=float(flat["cloud.alpha"]),
-        max_iwc_c=float(flat["cloud.max_iwc_c"]),
-        drift_speed_vb=float(flat["cloud.drift_speed_vb"]),
-        rng_seed=int(flat["run.master_seed"]))
-    physics = PhysicsParams(
-        sphere_density_n=float(flat["physics.sphere_density_n"]),
-        sphere_volume_vice=float(flat["physics.sphere_volume_vice"]),
-        ice_permittivity_real=float(flat["physics.ice_permittivity_real"]),
-        carrier_frequency=float(flat["physics.carrier_frequency_hz"]))
-    scenario = MimoScenario(
-        num_tx=int(flat["mimo.num_tx"]), num_rx=int(flat["mimo.num_rx"]),
-        tx_spacing=float(flat["mimo.tx_spacing_m"]),
-        rx_spacing=float(flat["mimo.rx_spacing_m"]),
-        carrier_frequency=float(flat["physics.carrier_frequency_hz"]),
-        snr_db=float(flat["mimo.snr_db"]),
-        link_distance=float(flat["link.distance_m"]),
-        compensated=bool(flat["mimo.compensated"]))
-    return ExperimentSpec(
-        scenario=scenario, cloud=cloud, physics=physics,
-        elevation_deg=float(flat["link.elevation_deg"]),
-        cloud_upper_altitude=float(flat["link.cloud_upper_altitude_m"]),
-        mode=str(flat["run.mode"]), trials=int(flat["run.trials"]),
-        master_seed=int(flat["run.master_seed"]),
-        sweep_rwc=tup("run.sweep_rwc"),
-        sweep_thickness=tup("run.sweep_thickness_m"),
-        distance_grid=tup("run.distance_grid_m"),
-        dt=float(flat["run.dt_s"]),
-        outage_probability=float(flat["run.outage_probability"]),
-        threads=threads)
-
 
 def format_csv(header: str, rows) -> str:
     """Render rows with shortest round-trip decimals for byte stability."""

@@ -10,12 +10,11 @@ expected to erode.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
-from .phasephysics import SPEED_OF_LIGHT, PathPhase
+from .phasephysics import DEFAULT_CARRIER_FREQUENCY, SPEED_OF_LIGHT, PathPhase
 
 
 @dataclasses.dataclass(frozen=True)
@@ -26,7 +25,7 @@ class MimoScenario:
     num_rx: int = 2
     tx_spacing: float = 1.0        # transmit element spacing [m]
     rx_spacing: float = 6.0827     # receive element spacing [m]
-    carrier_frequency: float = 73.5e9   # [Hz]
+    carrier_frequency: float = DEFAULT_CARRIER_FREQUENCY   # [Hz]
     snr_db: float = 20.0           # per-receive-antenna SNR [dB]
     link_distance: float = 40000.0  # distance between array centres [m]
     compensated: bool = False      # True: unit gains; False: 1/d gains
@@ -105,22 +104,19 @@ def _single_or_stack(values: np.ndarray):
     return float(values) if values.ndim == 0 else values
 
 
-def capacity_bits(channel, snr_db: float):
+def capacity_bits(channel: ChannelMatrix, snr_db: float):
     """Equal-power capacity in bit/s/Hz.
 
-    Accepts a :class:`ChannelMatrix` or a bare complex matrix, of shape
-    (Nr, Nt) or a stack (..., Nr, Nt); returns a float for one matrix and
-    an array of the stack's shape otherwise.  A channel matrix from an
-    uncompensated scenario is first normalized to unit mean squared entry
+    The channel's entries are (Nr, Nt) or a stack (..., Nr, Nt); returns a
+    float for one matrix and an array of the stack's shape otherwise.  An
+    uncompensated channel is first normalized to unit mean squared entry
     magnitude, so inverse-distance gains do not fold the free-space path
     loss into the capacity and the SNR keeps its average meaning at every
-    distance.  Compensated channels and bare matrices are used as-is.
+    distance.  A compensated channel is used as-is.
     """
-    normalize = isinstance(channel, ChannelMatrix) and not channel.compensated
-    h = channel.entries if isinstance(channel, ChannelMatrix) else np.asarray(channel)
-    h = np.atleast_2d(h).astype(complex)
+    h = np.atleast_2d(channel.entries).astype(complex)
     num_rx, num_tx = h.shape[-2:]
-    if normalize:
+    if not channel.compensated:
         power = np.sum(np.abs(h) ** 2, axis=(-2, -1), keepdims=True)
         # an all-zero matrix stays as it is
         power = np.where(power > 0.0, power, num_rx * num_tx)
@@ -145,15 +141,14 @@ def rayleigh_distance(scenario: MimoScenario) -> float:
     return 2.0 * aperture ** 2 / scenario.wavelength
 
 
-def subchannel_coherence(channel):
+def subchannel_coherence(channel: ChannelMatrix):
     """Normalized coherence of the first two transmit columns.
 
-    ``|<c1, c2>| / (|c1| |c2|)`` of a :class:`ChannelMatrix` or a bare
-    matrix, of shape (Nr, Nt) or a stack (..., Nr, Nt); a float for one
-    matrix and an array of the stack's shape otherwise.  NaN where a column
-    has zero norm.
+    ``|<c1, c2>| / (|c1| |c2|)`` of the channel's entries, of shape
+    (Nr, Nt) or a stack (..., Nr, Nt); a float for one matrix and an array
+    of the stack's shape otherwise.  NaN where a column has zero norm.
     """
-    h = channel.entries if isinstance(channel, ChannelMatrix) else np.asarray(channel)
+    h = channel.entries
     if h.shape[-1] < 2:
         raise ConfigurationError(
             "sub-channel correlation needs at least two transmit columns")
@@ -171,27 +166,3 @@ def ensemble_mean(values) -> float:
     if np.all(arr == arr[0]):
         return float(arr[0])
     return float(arr.mean())
-
-
-def subchannel_correlation(samples) -> float:
-    """Mean normalized coherence of the first two transmit columns.
-
-    ``samples`` is a sequence of channel matrices or a stack
-    (k, Nr, Nt); the ensemble mean of :func:`subchannel_coherence` is
-    returned.  Matrices with a zero-norm column are skipped with a warning.
-    An ensemble of identical matrices returns the common value exactly.
-    """
-    stack = [s.entries if isinstance(s, ChannelMatrix) else np.asarray(s)
-             for s in samples]
-    if not stack:
-        raise ConfigurationError(
-            "no usable channel samples for sub-channel correlation")
-    values = subchannel_coherence(np.stack(stack))
-    usable = ~np.isnan(values)
-    if not np.all(usable):
-        warnings.warn(f"skipping {int(np.sum(~usable))} channel sample(s) "
-                      f"with a zero-norm column", UserWarning)
-    if not np.any(usable):
-        raise ConfigurationError(
-            "no usable channel samples for sub-channel correlation")
-    return ensemble_mean(values[usable])

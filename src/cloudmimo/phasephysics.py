@@ -16,13 +16,16 @@ import dataclasses
 import numpy as np
 
 from .cloudfield import CloudField
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
 from .raygeometry import Segment2D, chord_lengths
 
 SPEED_OF_LIGHT = 299_792_458.0   # [m/s]
 
 # Volume of one ice sphere of 0.1 mm radius [m^3].
 DEFAULT_ICE_SPHERE_VOLUME = 4.0 / 3.0 * np.pi * (1e-4) ** 3
+
+# Carrier frequency of the measured link [Hz]; the channel's default too.
+DEFAULT_CARRIER_FREQUENCY = 73.5e9
 
 # Reference ice water content of a fully dense suspension [g/m^3]; the
 # mixing rule scales the sphere volume fraction by iwc relative to this, and
@@ -49,7 +52,7 @@ class PhysicsParams:
     sphere_density_n: float = 30000.0        # ice spheres per m^3
     sphere_volume_vice: float = DEFAULT_ICE_SPHERE_VOLUME   # [m^3]
     ice_permittivity_real: float = 3.15      # real part of ice permittivity
-    carrier_frequency: float = 73.5e9        # [Hz]
+    carrier_frequency: float = DEFAULT_CARRIER_FREQUENCY   # [Hz]
     wavelength_lambda0: float | None = None  # free-space wavelength [m]
 
     def __post_init__(self) -> None:
@@ -88,40 +91,6 @@ def mixture_coefficient(params: PhysicsParams) -> float:
     eps = params.ice_permittivity_real
     return (3.0 * params.sphere_density_n * params.sphere_volume_vice
             * (1.0 / REFERENCE_IWC) * (eps - 1.0) / (eps + 1.0))
-
-
-def mixture_permittivity(params: PhysicsParams, iwc) -> float | np.ndarray:
-    """Excess relative permittivity of a cloudlet with the given content.
-
-    Parameters
-    ----------
-    params : PhysicsParams
-    iwc : float or ndarray
-        Ice water content [g/m^3]; must be non-negative.
-    """
-    iwc = np.asarray(iwc, dtype=float)
-    if np.any(iwc < 0.0):
-        raise DomainError("ice water content must be non-negative")
-    out = mixture_coefficient(params) * iwc
-    return float(out) if out.ndim == 0 else out
-
-
-def wavelength_in_medium(lambda0: float, excess_permittivity: float) -> float:
-    """Wavelength inside a medium with the given excess permittivity."""
-    if excess_permittivity <= -1.0:
-        raise DomainError(
-            f"excess permittivity must exceed -1, got {excess_permittivity}")
-    return lambda0 / (1.0 + excess_permittivity)
-
-
-def phase_through_chord(lambda0: float, excess_permittivity: float,
-                        chord: float) -> float:
-    """Excess phase accumulated over one chord [rad].
-
-    The phase advance relative to free space over a chord of length ``l``
-    is ``2 pi l / lambda0`` times the excess permittivity.
-    """
-    return 2.0 * np.pi * chord / lambda0 * excess_permittivity
 
 
 # ============================================================

@@ -200,38 +200,6 @@ def _plane_coords(link: LinkGeometry, ray: Ray, axis_h: np.ndarray,
     return h, float(p[2]) - link.cloud_lower_altitude
 
 
-def to_field_frame(ray: Ray, link: LinkGeometry,
-                   config: CloudConfig) -> Segment2D:
-    """Map one ray's in-layer portion into the cross-section rectangle.
-
-    The vertical coordinate is altitude above the layer bottom; the
-    horizontal coordinate is displacement within the model plane with the
-    segment midpoint placed at W/2.
-
-    Raises
-    ------
-    GeometryError
-        If the ray never reaches the layer.
-    ConfigurationError
-        If the in-layer horizontal extent exceeds the layer width W.
-    """
-    if ray.in_layer_length <= 0.0:
-        raise GeometryError("ray does not cross the cloud layer")
-    axis_h = _horizontal_axis(link)
-    h0, y0 = _plane_coords(link, ray, axis_h, ray.layer_entry_s)
-    h1, y1 = _plane_coords(link, ray, axis_h, ray.layer_exit_s)
-    extent = abs(h1 - h0)
-    if extent > config.width_w * (1.0 + 1e-12):
-        raise ConfigurationError(
-            f"in-layer horizontal extent {extent:.4g} m exceeds the layer "
-            f"width {config.width_w:.4g} m; increase width_w to at least "
-            f"{extent:.4g} m or steepen the elevation")
-    mid = (h0 + h1) / 2.0
-    half_w = config.width_w / 2.0
-    return Segment2D(start=np.array([half_w + h0 - mid, y0]),
-                     end=np.array([half_w + h1 - mid, y1]))
-
-
 def map_rays_to_field(rays: list[Ray], link: LinkGeometry,
                       config: CloudConfig) -> list[Segment2D]:
     """Map a ray bundle into the cross-section with one shared anchor.

@@ -28,8 +28,8 @@ from cloudmimo.experiment import (ExperimentSpec, build_manifest,
                                   run_compensated_sweep,
                                   run_correlation_sweep, run_mac_count,
                                   run_report)
-from cloudmimo.mimochannel import (MimoScenario, capacity_bits,
-                                   rayleigh_distance)
+from cloudmimo.mimochannel import (ChannelMatrix, MimoScenario,
+                                   capacity_bits, rayleigh_distance)
 from cloudmimo.phasephysics import PhysicsParams, path_phase
 from cloudmimo.raygeometry import Segment2D, chord_lengths
 
@@ -208,7 +208,9 @@ def test_05_compensated_capacity_bounds_and_identity():
     upper = 2.0 * math.log2(101.0)
     in_bounds = bool(np.all((samples >= lower - 1e-9)
                             & (samples <= upper + 1e-9)))
-    identity = capacity_bits(np.eye(2, dtype=complex), 20.0)
+    identity = capacity_bits(ChannelMatrix(
+        entries=np.eye(2, dtype=complex), distances=np.ones((2, 2)),
+        compensated=True), 20.0)
     identity_ok = abs(identity - 11.3449) <= 1e-4
     passed = in_bounds and identity_ok
     announce(5, passed,

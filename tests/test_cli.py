@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import cloudmimo
-from cloudmimo.cli import (KEY_KINDS, PROFILES, REQUIRED_KEYS,
-                           assemble_config, main, parse_distance)
+from cloudmimo.cli import (PROFILES, REQUIRED_KEYS, assemble_config, main,
+                           parse_distance)
 from cloudmimo.errors import ConfigurationError
+from cloudmimo.experiment import CONFIG_SCHEMA
 
 
 @pytest.fixture(autouse=True)
@@ -35,11 +36,15 @@ def test_parse_distance_accepts_suffixes():
 
 
 def test_profiles_cover_every_required_key():
-    for name, profile in PROFILES.items():
-        missing = [key for key in REQUIRED_KEYS if key not in profile]
-        assert not missing, f"profile {name} lacks {missing}"
-        unknown = [key for key in profile if key not in KEY_KINDS]
+    for name in PROFILES:
+        flat, _ = assemble_config("capacity-cdf", name, None, [], {},
+                                  environ={})
+        assert list(flat) == list(CONFIG_SCHEMA), name
+        unknown = [key for key in PROFILES[name] if key not in CONFIG_SCHEMA]
         assert not unknown, f"profile {name} has unknown keys {unknown}"
+    assert set(REQUIRED_KEYS) == set(CONFIG_SCHEMA) - {
+        "run.mode", "run.sweep_rwc", "run.sweep_thickness_m",
+        "run.distance_grid_m"}
 
 
 # ============================================================
@@ -282,6 +287,26 @@ def test_runs_do_not_import_scipy(tmp_path):
     assert result["scipy"] == []
 
 
+@pytest.mark.parametrize("key, args, config", [
+    ("cloud.lambda_s", ["--trials", "10", "--set", "cloud.lambda_s=nan"],
+     None),
+    ("mimo.snr_db", ["--trials", "10", "--set", "mimo.snr_db=inf"], None),
+    ("run.trials", [], '{"run.trials": 1e400}'),
+    ("run.sweep_rwc", ["--trials", "10", "--rwc", "0,nan"], None),
+], ids=["nan-float", "inf-float", "overflowing-int", "nan-in-list"])
+def test_main_non_finite_value_is_configuration_error(tmp_path, capsys, key,
+                                                      args, config):
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(config)
+        args = [*args, "--config", str(path)]
+    code = run_cli(["capacity-cdf", "--profile", "table3", *args,
+                    "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert f"configuration error: {key}: " in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_main_runtime_failure_exits_two(tmp_path, capsys):
     # An absurd density blows the cloudlet cap mid-run, after the config
     # itself has validated.
@@ -297,6 +322,15 @@ def test_main_version(capsys):
         run_cli(["--version"])
     assert exit_info.value.code == 0
     assert "cloudmimo" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("ignore:Support for")
+def test_project_version_is_the_package_version():
+    # pyproject.toml reads its version from cloudmimo.__version__.
+    from setuptools.config.pyprojecttoml import read_configuration
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = read_configuration(pyproject)["project"]
+    assert project["version"] == cloudmimo.__version__
 
 
 def test_field_mode_writes_field_files(tmp_path):

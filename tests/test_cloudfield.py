@@ -1,15 +1,14 @@
 """Tests for the stochastic cloudlet field."""
 import dataclasses
-import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudmimo import (CloudConfig, CloudField, ConfigurationError,
-                       ResourceLimitError, cloudlet_radius, generate_field,
-                       iwc_at, load_field, save_field, step_field)
+from cloudmimo import (CloudConfig, ConfigurationError, ResourceLimitError,
+                       cloudlet_radius, generate_field, load_field,
+                       save_field, step_field)
 
 
 # ============================================================
@@ -135,7 +134,7 @@ def test_zero_density_gives_empty_field():
     field = generate_field(CloudConfig(density_lambda_s=0.0))
     assert field.count == 0
     assert field.positions.shape == (0, 2)
-    assert iwc_at(field, (10.0, 500.0)) == 0.0
+    assert field.iwc.shape == (0,)
 
 
 def test_expected_count_cap():
@@ -149,44 +148,13 @@ def test_realized_count_cap():
 
 
 def test_cloudlet_records_match_arrays():
-    field = generate_field(CloudConfig(rng_seed=5))
-    records = field.cloudlets
-    assert len(records) == field.count
-    assert records[0].x == field.positions[0, 0]
-    assert records[0].radius == field.radius
-
-
-# ============================================================
-# Overlap additivity
-# ============================================================
-
-def test_iwc_at_sums_overlapping_cloudlets():
-    cfg = CloudConfig()
-    field = CloudField(config=cfg,
-                       positions=np.array([[8.0, 500.0], [12.0, 500.0]]),
-                       iwc=np.array([0.1, 0.25]),
-                       radius=5.0)
-    # (10, 500) is within radius 5 of both centres
-    assert iwc_at(field, (10.0, 500.0)) == pytest.approx(0.35, abs=1e-15)
-    # (4, 500) only reaches the first cloudlet
-    assert iwc_at(field, (4.0, 500.0)) == pytest.approx(0.1, abs=1e-15)
-    # far away from both
-    assert iwc_at(field, (0.0, 0.0)) == 0.0
-
-
-def test_iwc_at_boundary_is_inclusive():
-    cfg = CloudConfig()
-    field = CloudField(config=cfg, positions=np.array([[10.0, 500.0]]),
-                       iwc=np.array([0.2]), radius=5.0)
-    assert iwc_at(field, (15.0, 500.0)) == pytest.approx(0.2, abs=1e-15)
-
-
-def test_iwc_at_rejects_bad_points():
-    field = generate_field(CloudConfig())
-    with pytest.raises(ConfigurationError):
-        iwc_at(field, (np.nan, 0.0))
-    with pytest.raises(ConfigurationError):
-        iwc_at(field, (1.0, 2.0, 3.0))
+    # One row of positions and one content per cloudlet, one shared radius.
+    cfg = CloudConfig(rng_seed=5)
+    field = generate_field(cfg)
+    assert field.count > 0
+    assert field.positions.shape == (field.count, 2)
+    assert field.iwc.shape == (field.count,)
+    assert field.radius == cloudlet_radius(cfg)
 
 
 # ============================================================

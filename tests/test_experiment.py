@@ -472,6 +472,18 @@ def test_spec_flat_round_trip():
     assert rebuilt == spec
 
 
+def test_flat_key_fills_every_field_it_names():
+    # One key sets both carrier frequencies, another the master seed and
+    # the cloud's own seed.
+    flat = spec_to_flat(make_spec())
+    flat.update({"physics.carrier_frequency_hz": 60e9, "run.master_seed": 5})
+    spec = spec_from_flat(flat)
+    assert spec.physics.carrier_frequency == 60e9
+    assert spec.scenario.carrier_frequency == 60e9
+    assert spec.master_seed == 5
+    assert spec.cloud.rng_seed == 5
+
+
 def test_spec_from_flat_accepts_thread_hint():
     flat = spec_to_flat(make_spec(cloud=make_cloud(rng_seed=7)))
     rebuilt = spec_from_flat(flat, threads=4)

@@ -6,9 +6,8 @@ import pytest
 
 from cloudmimo import (ChannelMatrix, ConfigurationError, MimoScenario,
                        NumericError, PathPhase, capacity_bits, los_channel,
-                       pair_distances, rayleigh_distance,
-                       subchannel_correlation)
-from cloudmimo.mimochannel import subchannel_coherence
+                       pair_distances, rayleigh_distance)
+from cloudmimo.mimochannel import ensemble_mean, subchannel_coherence
 
 # Independently evaluated expectations (frozen).
 RAYLEIGH_TABLE3 = 18142.178131879488      # 2 (6.0827)^2 / lambda0 [m]
@@ -16,6 +15,13 @@ CAPACITY_IDENTITY = 11.344850683942991    # 2 log2(51) at 20 dB
 CAPACITY_ORTHOGONAL = 13.316422965503589  # 2 log2(101) at 20 dB
 CAPACITY_RANK_ONE = 7.6510516911789286    # log2(201) at 20 dB
 ORTHOGONALITY_DISTANCE = 2982.58637314    # d_t d_r N / lambda0 [m]
+
+
+def compensated(h) -> ChannelMatrix:
+    """A bare matrix, or a stack, as a channel that is used as-is."""
+    h = np.asarray(h)
+    return ChannelMatrix(entries=h, distances=np.ones(h.shape[-2:]),
+                         compensated=True)
 
 
 # ============================================================
@@ -110,26 +116,28 @@ def test_cloud_phase_ray_count_mismatch():
 # ============================================================
 
 def test_capacity_identity_channel():
-    assert capacity_bits(np.eye(2), 20.0) == pytest.approx(
+    assert capacity_bits(compensated(np.eye(2)), 20.0) == pytest.approx(
         CAPACITY_IDENTITY, rel=1e-12)
 
 
 def test_capacity_orthogonal_unit_modulus():
-    h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
+    h = compensated([[1.0, 1.0], [1.0, -1.0]])
     assert capacity_bits(h, 20.0) == pytest.approx(CAPACITY_ORTHOGONAL,
                                                    rel=1e-12)
 
 
 def test_capacity_rank_one_bound():
-    h = np.ones((2, 2), dtype=complex)
+    h = compensated(np.ones((2, 2), dtype=complex))
     assert capacity_bits(h, 20.0) == pytest.approx(CAPACITY_RANK_ONE,
                                                    rel=1e-12)
 
 
 def test_capacity_bare_matrix_used_as_is():
-    # a bare matrix is not normalized, so scaling changes the capacity
-    assert capacity_bits(2.0 * np.eye(2), 20.0) == pytest.approx(
-        2.0 * math.log2(201.0), rel=1e-12)
+    # a compensated channel is not normalized, so scaling changes the
+    # capacity
+    h = compensated(2.0 * np.eye(2))
+    assert capacity_bits(h, 20.0) == pytest.approx(2.0 * math.log2(201.0),
+                                                   rel=1e-12)
 
 
 def test_capacity_uncompensated_normalization_removes_path_loss():
@@ -150,18 +158,19 @@ def test_capacity_at_orthogonality_distance():
 
 
 def test_capacity_zero_channel():
-    assert capacity_bits(np.zeros((2, 2), dtype=complex), 20.0) == 0.0
+    assert capacity_bits(compensated(np.zeros((2, 2), dtype=complex)),
+                         20.0) == 0.0
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_capacity_rejects_non_finite():
-    h = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
+    h = compensated(np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex))
     with pytest.raises(NumericError):
         capacity_bits(h, 20.0)
 
 
 def test_capacity_monotone_in_snr():
-    h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
+    h = compensated([[1.0, 1.0], [1.0, -1.0]])
     caps = [capacity_bits(h, snr) for snr in (0.0, 10.0, 20.0, 30.0)]
     assert all(b > a for a, b in zip(caps, caps[1:]))
 
@@ -222,54 +231,46 @@ def test_rayleigh_distance_classification():
 # ============================================================
 
 def test_correlation_identical_columns_is_one():
-    h = np.array([[1.0, 1.0], [1.0j, 1.0j]])
-    assert subchannel_correlation([h]) == pytest.approx(1.0, rel=1e-14)
+    h = compensated([[1.0, 1.0], [1.0j, 1.0j]])
+    assert subchannel_coherence(h) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_correlation_orthogonal_columns_is_zero():
-    h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
-    assert subchannel_correlation([h]) == pytest.approx(0.0, abs=1e-14)
+    h = compensated([[1.0, 1.0], [1.0, -1.0]])
+    assert subchannel_coherence(h) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_correlation_all_equal_ensemble_is_exact():
+    # The correlation sweep's reduction: the ensemble mean of identical
+    # coherences is the common value, bit for bit.
     scen = MimoScenario(link_distance=12345.0, compensated=True)
-    single = subchannel_correlation([los_channel(scen)])
-    many = subchannel_correlation([los_channel(scen) for _ in range(7)])
-    assert many == single   # bitwise, no averaging drift
+    single = subchannel_coherence(los_channel(scen))
+    phases = PathPhase(per_ray_phase=np.zeros((7, 4)),
+                       per_ray_cloudlet_count=np.zeros((7, 4), dtype=int))
+    many = subchannel_coherence(los_channel(scen, phases))
+    assert many.shape == (7,)
+    assert ensemble_mean(many) == single   # bitwise, no averaging drift
 
 
 def test_correlation_bounded_for_unit_phase_ensembles():
     rng = np.random.default_rng(17)
-    samples = [np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (2, 2)))
-               for _ in range(200)]
-    value = subchannel_correlation(samples)
+    stack = compensated(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi,
+                                                (200, 2, 2))))
+    value = ensemble_mean(subchannel_coherence(stack))
     assert 0.0 <= value <= 1.0
-
-
-def test_correlation_skips_zero_norm_columns():
-    good = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
-    bad = np.array([[0.0, 1.0], [0.0, 1.0]], dtype=complex)
-    with pytest.warns(UserWarning):
-        value = subchannel_correlation([bad, good])
-    assert value == pytest.approx(0.0, abs=1e-14)
 
 
 def test_correlation_rejects_unusable_input():
     with pytest.raises(ConfigurationError):
-        subchannel_correlation([np.ones((2, 1), dtype=complex)])
-    bad = np.zeros((2, 2), dtype=complex)
-    with pytest.warns(UserWarning):
-        with pytest.raises(ConfigurationError):
-            subchannel_correlation([bad])
+        subchannel_coherence(compensated(np.ones((2, 1), dtype=complex)))
 
 
 def test_coherence_of_a_stack_equals_each_matrix_alone():
     rng = np.random.default_rng(5)
     stack = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (6, 2, 2)))
     stack[4, :, 0] = 0.0    # a zero-norm column reads NaN
-    values = subchannel_coherence(stack)
+    values = subchannel_coherence(compensated(stack))
     assert values.shape == (6,)
     assert np.isnan(values[4])
     for i in (0, 1, 2, 3, 5):
-        assert values[i] == subchannel_coherence(stack[i])
-        assert values[i] == subchannel_correlation([stack[i]])
+        assert values[i] == subchannel_coherence(compensated(stack[i]))

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from cloudmimo import (CloudConfig, CloudField, ConfigurationError,
-                       DEFAULT_ICE_SPHERE_VOLUME, DomainError, PhysicsParams,
-                       Segment2D, mixture_coefficient, mixture_permittivity,
-                       path_phase, phase_through_chord, wavelength_in_medium)
+                       DEFAULT_ICE_SPHERE_VOLUME, PhysicsParams, Segment2D,
+                       mixture_coefficient, path_phase)
 from cloudmimo.phasephysics import block_phases
 from cloudmimo.raygeometry import chord_lengths
 
@@ -17,6 +16,19 @@ ICE_SPHERE_VOLUME = 4.188790204786391e-12          # (4/3) pi (1e-4)^3 [m^3]
 MIXTURE_COEF_DEFAULT = 3.2551441952858099e-07      # [m^3/g] at defaults
 EXCESS_EPS_AT_04 = 1.3020576781143239e-07          # coef * 0.4
 PHASE_100M_1E6 = 0.15404460911344861               # 2 pi 100 / lambda0 * 1e-6
+
+
+def synthetic_field(positions, iwc, radius=5.0):
+    return CloudField(config=CloudConfig(), positions=np.asarray(positions,
+                                                                 dtype=float),
+                      iwc=np.asarray(iwc, dtype=float), radius=radius)
+
+
+def one_cloudlet_phase(chord, iwc):
+    """Phase of a ray through the centre of one cloudlet of diameter chord."""
+    field = synthetic_field([[10.0, 500.0]], [iwc], radius=chord / 2.0)
+    seg = Segment2D(start=np.array([10.0, 0.0]), end=np.array([10.0, 1000.0]))
+    return path_phase(field, [seg], PhysicsParams()).per_ray_phase[0]
 
 
 # ============================================================
@@ -65,39 +77,19 @@ def test_mixture_coefficient_value():
 
 
 def test_mixture_permittivity_scalar_and_array():
-    params = PhysicsParams()
-    scalar = mixture_permittivity(params, 0.4)
-    assert scalar == pytest.approx(EXCESS_EPS_AT_04, rel=1e-14)
-    arr = mixture_permittivity(params, np.array([0.0, 0.2, 0.4]))
+    # A cloudlet's excess permittivity is the coefficient times its content.
+    coefficient = mixture_coefficient(PhysicsParams())
+    assert coefficient * 0.4 == pytest.approx(EXCESS_EPS_AT_04, rel=1e-14)
+    arr = coefficient * np.array([0.0, 0.2, 0.4])
     assert arr[0] == 0.0
     assert arr[2] == pytest.approx(EXCESS_EPS_AT_04, rel=1e-14)
     assert arr[1] == pytest.approx(EXCESS_EPS_AT_04 / 2.0, rel=1e-14)
 
 
 def test_mixture_permittivity_linear_in_iwc():
-    params = PhysicsParams()
-    a = mixture_permittivity(params, 0.123)
-    b = mixture_permittivity(params, 0.246)
+    a = one_cloudlet_phase(100.0, 0.123)
+    b = one_cloudlet_phase(100.0, 0.246)
     assert b == pytest.approx(2.0 * a, rel=1e-14)
-
-
-def test_mixture_permittivity_rejects_negative_iwc():
-    with pytest.raises(DomainError):
-        mixture_permittivity(PhysicsParams(), -0.1)
-    with pytest.raises(DomainError):
-        mixture_permittivity(PhysicsParams(), np.array([0.1, -0.1]))
-
-
-def test_wavelength_shortens_in_medium():
-    lam = wavelength_in_medium(WAVELENGTH_73_5_GHZ, 1e-6)
-    assert lam == pytest.approx(WAVELENGTH_73_5_GHZ / (1.0 + 1e-6),
-                                rel=1e-15)
-    assert lam < WAVELENGTH_73_5_GHZ
-
-
-def test_wavelength_rejects_nonphysical_permittivity():
-    with pytest.raises(DomainError):
-        wavelength_in_medium(WAVELENGTH_73_5_GHZ, -1.0)
 
 
 # ============================================================
@@ -105,27 +97,26 @@ def test_wavelength_rejects_nonphysical_permittivity():
 # ============================================================
 
 def test_phase_through_chord_value():
-    phase = phase_through_chord(WAVELENGTH_73_5_GHZ, 1e-6, 100.0)
+    # excess permittivity 1e-6 over a 100 m chord
+    iwc = 1e-6 / mixture_coefficient(PhysicsParams())
+    phase = one_cloudlet_phase(100.0, iwc)
     assert phase == pytest.approx(PHASE_100M_1E6, rel=1e-14)
 
 
 def test_phase_linear_in_chord_and_permittivity():
-    base = phase_through_chord(WAVELENGTH_73_5_GHZ, 1e-6, 100.0)
-    assert phase_through_chord(WAVELENGTH_73_5_GHZ, 1e-6, 200.0) \
+    iwc = 1e-6 / mixture_coefficient(PhysicsParams())
+    base = one_cloudlet_phase(100.0, iwc)
+    assert one_cloudlet_phase(200.0, iwc) \
         == pytest.approx(2.0 * base, rel=1e-12)
-    assert phase_through_chord(WAVELENGTH_73_5_GHZ, 3e-6, 100.0) \
+    assert one_cloudlet_phase(100.0, 3.0 * iwc) \
         == pytest.approx(3.0 * base, rel=1e-12)
-    assert phase_through_chord(WAVELENGTH_73_5_GHZ, 0.0, 100.0) == 0.0
+    assert one_cloudlet_phase(100.0, 0.0) == 0.0
 
 
 # ============================================================
 # Per-ray accumulation
 # ============================================================
 
-def synthetic_field(positions, iwc, radius=5.0):
-    return CloudField(config=CloudConfig(), positions=np.asarray(positions,
-                                                                 dtype=float),
-                      iwc=np.asarray(iwc, dtype=float), radius=radius)
 
 
 def test_path_phase_single_cloudlet_manual():

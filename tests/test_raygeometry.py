@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cloudmimo import (CloudConfig, ConfigurationError, GeometryError,
                        LinkGeometry, Segment2D, broadside_link, build_rays,
-                       chord_lengths, map_rays_to_field, to_field_frame)
+                       chord_lengths, map_rays_to_field)
 
 # Independently evaluated slant quantities for a 1000 m thick layer.
 SLANT_LENGTH_85_14 = 1003.60828728      # 1000 / sin(85.14 deg) [m]
@@ -150,7 +150,7 @@ def test_coincident_antennas_raise():
 def test_single_vertical_ray_maps_to_centre():
     link = vertical_link(num_tx=1, num_rx=1, tx_spacing=0.0, rx_spacing=0.0)
     config = CloudConfig()
-    segment = to_field_frame(build_rays(link)[0], link, config)
+    [segment] = map_rays_to_field(build_rays(link), link, config)
     assert segment.start[0] == pytest.approx(10.0, abs=1e-9)
     assert segment.end[0] == pytest.approx(10.0, abs=1e-9)
     assert segment.start[1] == pytest.approx(0.0, abs=1e-9)
@@ -162,7 +162,7 @@ def test_slant_segment_length_and_extent():
                           link_distance=20000.0, elevation_deg=85.14,
                           cloud_upper_altitude=8000.0, layer_thickness=1000.0)
     config = CloudConfig(width_w=100.0)
-    segment = to_field_frame(build_rays(link)[0], link, config)
+    [segment] = map_rays_to_field(build_rays(link), link, config)
     assert segment.length == pytest.approx(SLANT_LENGTH_85_14, rel=1e-9)
     extent = abs(segment.end[0] - segment.start[0])
     assert extent == pytest.approx(HORIZONTAL_EXTENT_85_14, rel=1e-9)
@@ -176,15 +176,8 @@ def test_narrow_layer_rejects_wide_slant():
                           link_distance=20000.0, elevation_deg=85.14,
                           cloud_upper_altitude=8000.0, layer_thickness=1000.0)
     with pytest.raises(ConfigurationError) as err:
-        to_field_frame(build_rays(link)[0], link, CloudConfig(width_w=20.0))
+        map_rays_to_field(build_rays(link), link, CloudConfig(width_w=20.0))
     assert "width_w" in str(err.value)
-
-
-def test_to_field_frame_rejects_non_crossing_ray():
-    link = vertical_link(distance=2000.0, num_tx=1, num_rx=1,
-                         tx_spacing=0.0, rx_spacing=0.0)
-    with pytest.raises(GeometryError):
-        to_field_frame(build_rays(link)[0], link, CloudConfig())
 
 
 def test_bundle_anchor_centres_mean_midpoint():

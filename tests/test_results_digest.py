@@ -1,12 +1,18 @@
-"""Byte-identity gate: results.csv digests of every CLI mode.
+"""Byte-identity gate: results.csv and manifest digests of every CLI mode.
 
-The digests were recorded from the code before the trial kernel's stream
-reset, one-call field draw and chord/count passes were rewritten, at the
-numerics version and numpy version named below.  A change that keeps the
+The results digests were recorded from the code before the trial kernel's
+stream reset, one-call field draw and chord/count passes were rewritten, at
+the numerics version and numpy version named below.  A change that keeps the
 numerics must reproduce every one of them byte for byte; a change that
 means to alter them bumps ``NUMERICS_VERSION`` and re-records the table.
+
+The manifest digests were recorded before the config keys moved into one
+schema table.  Each hashes ``manifest.json`` without its ``wall_time_s``,
+re-serialized with ``json.dumps(..., indent=2)`` in file order, so a change
+in the config keys' order, value types or defaults fails here.
 """
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -78,6 +84,52 @@ DIGESTS = {
         "f9b21eff083c274f8035522d531f11dfa1efd236b14adc50474fde0e79ede66f",
 }
 
+MANIFEST_DIGESTS = {
+    ("capacity", 0):
+        "5f24ad04de1bc63528d50b07b0adfd29d30c433c79376345c23e8008756fe5ab",
+    ("capacity", 31):
+        "c8da86c1ae2c520652eef98e05e3af0d010e5a980b891e22358908a989d68f58",
+    ("capacity-rwc", 0):
+        "ff0a4d2c73bdb5d3834bb9f75525bf6ceef96a27ba08c323d9e53a029ce3cc0c",
+    ("capacity-rwc", 31):
+        "aba60bcb7a5805ddb70c289858f9ef11dbc05d062cdb2e3cfcdd21541c05eff7",
+    ("capacity-thickness", 0):
+        "37f9c0cde24107de9bd4b103b3b025cd8063c9ada3d594e8d4619e249bf2e2cb",
+    ("capacity-thickness", 31):
+        "b1122e8aacd61d67af6ab936c054226fc10d9fdd0e2a9e7fdc313a2b5e76fb22",
+    ("compensated", 0):
+        "4b2c4a72bb8cf37eb75afe08ed5113652fed41938d60369b418dfef8afbf1963",
+    ("compensated", 31):
+        "4657f8d830246774450845da5258ce7411edb2278f8e0f1be5be3ba1bd3a367d",
+    ("correlation", 0):
+        "cb6fa18bca38938f3bd522e6df0b58986b2eecfc082a2f9352c265c32e3d2155",
+    ("correlation", 31):
+        "158ffb79ea6006331b259beaf13eae95bcd93b646002ab3a57348c2d7d4aff6d",
+    ("field", 0):
+        "357c1f930b93b4535365397af736b516e46a886e3a20b8a75303cbe50437ece1",
+    ("field", 31):
+        "5d55a9b16284c43ab4f0724fe8707e6e45ac9d725b8d6aeb663fb6cce19c8225",
+    ("mac-count", 0):
+        "0ae854985071bdd9f3adf5804dd8cd08203c8a0c5c7a007da6bb58cf8c9188ba",
+    ("mac-count", 31):
+        "8876a23c5eca64a54d19df116801d51d426b7d1e4a0ac411e34a70cba522c5c5",
+    ("phase-compare-table1", 0):
+        "bfb673daa4c34069db564ce1476adf8ac0c40ecdc52d28404940d43c3670d816",
+    ("phase-compare-table1", 31):
+        "0ed844005c484cabc555c4b780e5da9ee6f6e08341f015fbc47a11300f8af033",
+    ("phase-compare-table3", 0):
+        "ad39576a5e6344b3e4e7bf804fd0c6afc72e01df5bfb4e0205587b0068b48d02",
+    ("phase-compare-table3", 31):
+        "69e5f31205596d83e3b0400a19aa2df181fd870e68b81d757f17dedcb49c4980",
+}
+
+
+def manifest_digest(path) -> str:
+    manifest = json.loads(path.read_text())
+    del manifest["wall_time_s"]
+    text = json.dumps(manifest, indent=2)
+    return hashlib.sha256(text.encode()).hexdigest()
+
 
 # phase-compare on table3 warns that the analytic model is out of range;
 # only the bytes are checked here.
@@ -93,3 +145,7 @@ def test_results_bytes_match_recorded_digest(case, seed, tmp_path, capsys):
         f"recorded under numerics {RECORDED_NUMERICS} with numpy "
         f"{RECORDED_NUMPY} (now numerics {NUMERICS_VERSION}, numpy "
         f"{np.__version__})")
+    assert manifest_digest(tmp_path / "manifest.json") \
+        == MANIFEST_DIGESTS[case, seed], (
+            f"manifest.json of {case} at master seed {seed} differs from "
+            f"the recorded digest (wall time aside)")
