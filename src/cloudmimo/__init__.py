@@ -34,8 +34,7 @@ from .experiment import (CapacityCdf, DistanceSweepResult, ExperimentSpec,
                          outage_capacity, run_capacity_cdf,
                          run_compensated_sweep, run_correlation_sweep,
                          run_mac_count, run_phase_compare, run_report,
-                         results_csv_text, spec_from_flat, spec_to_flat,
-                         trial_seed)
+                         results_csv_text, spec_from_flat, spec_to_flat)
 
 __all__ = [
     "ConfigurationError", "DegenerateDistributionError",
@@ -59,6 +58,6 @@ __all__ = [
     "PhaseCompareResult", "build_manifest", "outage_capacity",
     "run_capacity_cdf", "run_compensated_sweep", "run_correlation_sweep",
     "run_mac_count", "run_phase_compare", "run_report", "results_csv_text",
-    "spec_from_flat", "spec_to_flat", "trial_seed",
+    "spec_from_flat", "spec_to_flat",
     "__version__",
 ]

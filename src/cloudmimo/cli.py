@@ -28,12 +28,12 @@ from .analyticmodel import (AnalyticParams, stationary_report,
                             laplace_pdf)
 from .cloudfield import CloudConfig, generate_field, save_field
 from .errors import (ConfigurationError, DomainError, GeometryError)
-from .experiment import (CONFIG_SCHEMA, ExperimentSpec, build_manifest,
-                         format_csv, parse_config_value, results_csv_text,
-                         run_capacity_cdf, run_compensated_sweep,
-                         run_correlation_sweep, run_mac_count,
-                         run_phase_compare, run_report, spec_from_flat,
-                         spec_to_flat)
+from .experiment import (CONFIG_SCHEMA, NUMERICS_VERSION, ExperimentSpec,
+                         build_manifest, format_csv, parse_config_value,
+                         results_csv_text, run_capacity_cdf,
+                         run_compensated_sweep, run_correlation_sweep,
+                         run_mac_count, run_phase_compare, run_report,
+                         spec_from_flat, spec_to_flat)
 from .mimochannel import MimoScenario
 from .phasephysics import PhysicsParams
 
@@ -106,6 +106,13 @@ def _parse_config_text(text: str, source: str, problems: list[str]) -> dict:
             problems.append(f"{source}: invalid JSON ({exc})")
             return {}
         if "config" in data and isinstance(data["config"], dict):
+            # Manifests from before numerics was recorded are version 1.
+            numerics = data.get("numerics", 1)
+            if numerics != NUMERICS_VERSION:
+                print(f"note: {source} was recorded under numerics "
+                      f"{numerics}; cloudmimo {__version__} runs numerics "
+                      f"{NUMERICS_VERSION}, so its results may differ in the "
+                      f"last digits", file=sys.stderr)
             data = data["config"]
         return dict(data)
     out = {}

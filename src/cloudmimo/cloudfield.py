@@ -5,18 +5,20 @@ thickness D.  Cloudlet centres follow a homogeneous Poisson point process on
 the rectangle [0, W] x [0, D]; every cloudlet shares one radius derived from
 the layer geometry, and carries an ice water content drawn uniformly on
 [0, C].  Where cloudlets overlap, their ice water contents add.
-``draw_unit_cloudlets`` draws a field's count and unit variates into a
-(3, n) array the caller provides: ``generate_field`` gives it a fresh one
-and builds a ``CloudField``, and the experiment's trial kernel gives it a
-slot of a block buffer.  Drift is modelled by bounded random centre
-displacements with reflection at the rectangle boundary, so a field can be
-stepped forward in time without cloudlets escaping the layer.
+``draw_fields`` draws a block of fields, one generator each, and returns
+their counts and unit x, y and content rows; ``generate_field`` is its
+one-field case and builds a ``CloudField``, and the experiment's trial
+kernel scales each block's rows in place.  Drift is modelled by bounded
+random centre displacements with reflection at the rectangle boundary, so
+a field can be stepped forward in time without cloudlets escaping the
+layer.
 
 Units: metres for lengths, g/m^3 for ice water content, seconds for time.
 """
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 from pathlib import Path
@@ -120,28 +122,30 @@ class CloudField:
         return int(self.positions.shape[0])
 
 
-def draw_unit_cloudlets(config: CloudConfig, rng: np.random.Generator,
-                        rows, cloudlet_cap: int = DEFAULT_CLOUDLET_CAP
-                        ) -> np.ndarray:
-    """Draw one field's cloudlet count and unit variates from ``rng``.
+def draw_fields(config: CloudConfig, streams, fields: int,
+                cloudlet_cap: int = DEFAULT_CLOUDLET_CAP
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the next ``fields`` fields for ``config``, one per generator.
 
-    The count n is Poisson with mean ``lambda_s * W * D``.  ``rows(n)``
-    supplies a writable C-contiguous (3, n) array, which one call fills
-    with uniform variates on [0, 1) in row order: n each for x, y and ice
-    water content, the same bits as three draws of n.  Scaling them by W,
-    D and C gives the field's centres and contents; W * u is bit for bit
-    what ``rng.uniform(0, W, n)`` returns, and unit contents let a sweep
-    over C rescale a single draw.
+    Each field takes the next generator of ``streams``.  Its count n is
+    Poisson with mean ``lambda_s * W * D``; one ``random`` call then gives
+    its 3n uniform variates on [0, 1), n each for x, y and ice water
+    content, the same bits as three draws of n.  Scaling them by W, D and C
+    gives the field's centres and contents; W * u is bit for bit what
+    ``rng.uniform(0, W, n)`` returns, and unit contents let a sweep over C
+    rescale a single draw.
 
     Returns
     -------
-    ndarray
-        The filled (3, n) array.
+    counts : ndarray
+        (fields,) cloudlet count of each field.
+    unit : ndarray
+        (3, counts.sum()) unit x, y and content rows, field after field.
 
     Raises
     ------
     ResourceLimitError
-        If the expected or realized cloudlet count exceeds ``cloudlet_cap``.
+        If the expected or a realized cloudlet count exceeds ``cloudlet_cap``.
     """
     mean_count = (config.density_lambda_s
                   * config.width_w * config.thickness_d)
@@ -149,13 +153,37 @@ def draw_unit_cloudlets(config: CloudConfig, rng: np.random.Generator,
         raise ResourceLimitError(
             f"expected cloudlet count {mean_count:.3g} exceeds the cap "
             f"{cloudlet_cap}; reduce density_lambda_s or the layer size")
-    n = int(rng.poisson(mean_count))
-    if n > cloudlet_cap:
-        raise ResourceLimitError(
-            f"realized cloudlet count {n} exceeds the cap {cloudlet_cap}")
-    unit = rows(n)
-    rng.random(out=unit)
-    return unit
+    # Each field fills a (3, n) slot of one flat buffer, after the fields
+    # before it.  The buffer starts at twice the expected total and grows
+    # past what a field needs when it outgrows it.
+    slots = np.empty(3 * math.ceil(2.0 * fields * mean_count))
+    counts = []
+    size = 0
+    for rng in itertools.islice(streams, fields):
+        n = int(rng.poisson(mean_count))
+        if n > cloudlet_cap:
+            raise ResourceLimitError(
+                f"realized cloudlet count {n} exceeds the cap {cloudlet_cap}")
+        if 3 * (size + n) > slots.size:
+            grown = np.empty(6 * (size + n))
+            grown[:3 * size] = slots[:3 * size]
+            slots = grown
+        rng.random(out=slots[3 * size:3 * (size + n)])
+        counts.append(n)
+        size += n
+    counts = np.array(counts, dtype=np.intp)
+    # Field f's slot starts at 3 * start_f, so cloudlet j of the block (of
+    # field f) sits at j + 2 * start_f in its x row, and n_f and 2 n_f
+    # further on in its y and content rows.
+    spans = np.repeat(counts, counts)
+    index = np.arange(size) + np.repeat(2 * (np.cumsum(counts) - counts),
+                                        counts)
+    unit = np.empty((3, size))
+    for row in unit:
+        # The indices are in range; "clip" spares take buffering out.
+        np.take(slots, index, out=row, mode="clip")
+        index += spans
+    return counts, unit
 
 
 def generate_field(config: CloudConfig,
@@ -165,8 +193,9 @@ def generate_field(config: CloudConfig,
 
     The cloudlet count is Poisson with mean ``lambda_s * W * D``; centres are
     i.i.d. uniform on the rectangle and each ice water content is uniform on
-    [0, C] (see :func:`draw_unit_cloudlets`).  The draw is fully determined
-    by ``config.rng_seed``, or comes from ``rng`` when one is given.
+    [0, C] (see :func:`draw_fields`, of which this is the one-field case).
+    The draw is fully determined by ``config.rng_seed``, or comes from
+    ``rng`` when one is given.
 
     Raises
     ------
@@ -175,10 +204,9 @@ def generate_field(config: CloudConfig,
     """
     if rng is None:
         rng = np.random.default_rng(config.rng_seed)
-    u = draw_unit_cloudlets(config, rng, lambda n: np.empty((3, n)),
-                            cloudlet_cap)
-    positions = u[:2].T * (config.width_w, config.thickness_d)
-    iwc = config.max_iwc_c * u[2]
+    _, unit = draw_fields(config, [rng], 1, cloudlet_cap)
+    positions = unit[:2].T * (config.width_w, config.thickness_d)
+    iwc = config.max_iwc_c * unit[2]
     return CloudField(config=config, positions=positions, iwc=iwc,
                       radius=cloudlet_radius(config))
 

@@ -10,12 +10,11 @@ arrays.  Per-trial random streams derive deterministically from the master
 seed and the trial index, so results are reproducible and independent of
 the block size: one generator is reset to each trial's stream by writing
 its state words in place (see :mod:`cloudmimo.streams`, which checks the
-generator's layout first).  A block's fields are drawn one after another
-with the same draw function as ``generate_field``, one ``random`` call per
-field into a (3, n) slot of one buffer that the kernel reuses for the whole
-run; the slots are then gathered into the block's x, y and content rows.
-No per-trial ``CloudField`` is built.  Runs are single-threaded; the
-``threads`` hint is accepted and changes nothing.
+generator's layout first).  Each block's fields come from one call of
+``draw_fields``, whose one-field case is ``generate_field``, as unit x, y
+and content rows that the kernel scales in place.  No per-trial
+``CloudField`` is built.  Runs are single-threaded; the ``threads`` hint
+is accepted and changes nothing.
 
 Runs write two artifacts: ``results.csv`` with plot-ready columns and
 ``manifest.json`` with the full configuration, which can be fed back as a
@@ -35,8 +34,8 @@ from . import __version__
 from .analyticmodel import (AnalyticParams, PhaseDistribution, laplace_pdf,
                             stationary_distribution)
 # generate_field is not called here; bench/layertrace.py and bench/selftest.py
-# look it up under this module until the benchmark wraps draw_unit_cloudlets.
-from .cloudfield import (CloudConfig, cloudlet_radius, draw_unit_cloudlets,
+# look it up under this module until the benchmark wraps draw_fields.
+from .cloudfield import (CloudConfig, cloudlet_radius, draw_fields,
                          generate_field)  # noqa: F401
 from .errors import ConfigurationError
 from .mimochannel import (MimoScenario, capacity_bits, ensemble_mean,
@@ -45,7 +44,7 @@ from .phasephysics import (REFERENCE_IWC, SPEED_OF_LIGHT, WORK_ROWS,
                            PhysicsParams, block_phases, mixture_coefficient)
 from .raygeometry import LinkGeometry, broadside_link, build_rays, \
     map_rays_to_field
-from .streams import trial_seed, trial_streams
+from .streams import trial_streams
 
 # Cloudlets the trial kernel traces at once.  A block holds as many trials
 # as fit this count on average, which bounds the kernel's working memory;
@@ -295,14 +294,12 @@ def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, points,
     """Evaluate every sweep point on one field draw per trial.
 
     Trial ``t`` draws its field from the stream
-    ``default_rng(trial_seed(master_seed, t))`` with
-    :func:`draw_unit_cloudlets`, as :func:`generate_field` does, and keeps
-    the unit content variates u.  Each bound C of ``contents`` (default:
-    the cloud's own) turns them into C * u, bit for bit the contents of a
-    draw at bound C.  Trials run in blocks of about ``BLOCK_CLOUDLETS``
-    cloudlets: the block's fields are drawn one after another into one
-    buffer, gathered into rows and traced against each point's rays at
-    once.
+    ``default_rng(trial_seed(master_seed, t))``, as :func:`generate_field`
+    does, and keeps the unit content variates u.  Each bound C of
+    ``contents`` (default: the cloud's own) turns them into C * u, bit for
+    bit the contents of a draw at bound C.  Trials run in blocks of about
+    ``BLOCK_CLOUDLETS`` cloudlets: one :func:`draw_fields` call gives the
+    block's rows, which are traced against each point's rays at once.
 
     Parameters
     ----------
@@ -327,50 +324,19 @@ def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, points,
     per_block = max(1, int(BLOCK_CLOUDLETS // max(mean_count, 1.0)))
     values: list[list] = [[] for _ in points]
     streams = trial_streams(spec.master_seed, spec.trials)
-    # One array for all blocks: while a block is drawn, its top WORK_ROWS
-    # rows, read as one flat buffer, take each field's (3, n) draw in turn;
-    # the draws are then gathered into the bottom three rows as the
-    # block's x, y and content rows, and the top rows become the work space
-    # of block_phases.  It grows when a block outgrows it: fresh arrays per
-    # block would have the allocator map new pages each time.
-    space = np.empty((WORK_ROWS + 3, 2 * BLOCK_CLOUDLETS))
-    slots = space[:WORK_ROWS].reshape(-1)
-    size = 0
-
-    def rows(n: int) -> np.ndarray:
-        # A C-contiguous (3, n) slot after the fields drawn so far.
-        nonlocal space, slots, size
-        if size + n > space.shape[1]:
-            space = np.empty((WORK_ROWS + 3, 2 * (size + n)))
-            grown = space[:WORK_ROWS].reshape(-1)
-            grown[:3 * size] = slots[:3 * size]
-            slots = grown
-        size += n
-        return slots[3 * (size - n):3 * size].reshape(3, n)
-
+    # One work space for all blocks, grown when a block outgrows it: fresh
+    # arrays per block would have the allocator map new pages each time.
+    work = np.empty((WORK_ROWS, 2 * BLOCK_CLOUDLETS))
     for first in range(0, spec.trials, per_block):
-        fields = min(per_block, spec.trials - first)
-        size = 0
-        counts = np.array([
-            draw_unit_cloudlets(cloud, next(streams), rows).shape[1]
-            for _ in range(fields)])
-        # Field f's slot starts at 3 * start_f in the flat draw buffer, so
-        # cloudlet j of the block (of field f) sits at j + 2 * start_f in
-        # its x row, and n_f and 2 n_f further on in its y and content rows.
-        spans = np.repeat(counts, counts)
-        index = np.arange(size) + np.repeat(2 * (np.cumsum(counts) - counts),
-                                            counts)
-        draws = space[WORK_ROWS:, :size]
-        for row in draws:
-            # The indices are in range; "clip" spares take buffering out.
-            np.take(slots, index, out=row, mode="clip")
-            index += spans
+        counts, draws = draw_fields(cloud, streams,
+                                    min(per_block, spec.trials - first))
+        if draws.shape[1] > work.shape[1]:
+            work = np.empty((WORK_ROWS, 2 * draws.shape[1]))
         x, y, u = draws
         x *= cloud.width_w
         y *= cloud.thickness_d
         positions = draws[:2].T
         iwc = scale * u
-        work = space[:WORK_ROWS]
         for (segments, metric), out in zip(points, values):
             out.append(metric(block_phases(positions, iwc, counts, radius,
                                            segments, spec.physics, work)))
@@ -653,7 +619,7 @@ class MacCountResult:
 
 
 def _instrumented_round(cloud: CloudConfig, segment, physics: PhysicsParams,
-                        seed: int) -> tuple[int, float]:
+                        rng: np.random.Generator) -> tuple[int, float]:
     """Scalar mirror of one generation + single-ray phase round.
 
     Re-implements the production arithmetic operation by operation with an
@@ -661,7 +627,6 @@ def _instrumented_round(cloud: CloudConfig, segment, physics: PhysicsParams,
     returned phase must (and does, see tests) match the vectorized path.
     """
     mac = 0
-    rng = np.random.default_rng(seed)
     ratio = cloud.thickness_d / cloud.max_thickness_dmax
     mac += 1                                     # thickness ratio division
     radius = cloud.smoothness_alpha * cloud.width_w * math.sqrt(ratio) / 2.0
@@ -724,10 +689,9 @@ def run_mac_count(spec: ExperimentSpec) -> MacCountResult:
         layer_thickness=spec.cloud.thickness_d)
     segment = map_rays_to_field(build_rays(link), link, spec.cloud)[0]
     counts = np.zeros(spec.trials, dtype=np.int64)
-    for t in range(spec.trials):
-        counts[t], _ = _instrumented_round(
-            spec.cloud, segment, spec.physics,
-            trial_seed(spec.master_seed, t))
+    for t, rng in enumerate(trial_streams(spec.master_seed, spec.trials)):
+        counts[t], _ = _instrumented_round(spec.cloud, segment, spec.physics,
+                                           rng)
     return MacCountResult(per_round=counts, average=float(counts.mean()),
                           rounds=spec.trials)
 

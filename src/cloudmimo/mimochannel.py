@@ -43,6 +43,11 @@ class MimoScenario:
         if self.link_distance <= 0.0:
             problems.append(
                 f"link_distance must be > 0, got {self.link_distance}")
+        with np.errstate(over="ignore"):
+            linear_snr = np.power(10.0, self.snr_db / 10.0)
+        if not np.isfinite(linear_snr):
+            problems.append(f"snr_db must give a finite linear SNR "
+                            f"10 ** (snr_db / 10), got {self.snr_db}")
         if problems:
             raise ConfigurationError("; ".join(problems))
 

@@ -141,10 +141,17 @@ def trial_streams(master_seed: int,
     at a time.  One generator is reset for each trial in turn, so a yielded
     generator is only valid until the next one is taken.
     """
+    _check_layout()
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    words, cached = _state_struct(bit_generator)
     for first in range(0, trials, _CHUNK_TRIALS):
         seeds = trial_seed(master_seed, np.arange(
             first, min(first + _CHUNK_TRIALS, trials)))
-        yield from _seeded(seeds)
+        for state in _initial_states(seeds).tolist():
+            words[:] = state
+            cached.value = 0
+            yield generator
 
 
 def _mul_wide(a: np.ndarray, b: np.uint64) -> tuple[np.ndarray, np.ndarray]:
@@ -227,16 +234,3 @@ def _check_layout() -> None:
             f"numpy {np.__version__} lays out the PCG64 state struct "
             f"differently from what cloudmimo.streams writes; its trial "
             f"streams cannot be reset on this numpy")
-
-
-def _seeded(seeds: np.ndarray) -> Iterator[np.random.Generator]:
-    """One generator, reset to the start of ``default_rng(seed)`` per seed."""
-    _check_layout()
-    states = _initial_states(seeds).tolist()
-    bit_generator = np.random.PCG64(0)
-    generator = np.random.Generator(bit_generator)
-    words, cached = _state_struct(bit_generator)
-    for state in states:
-        words[:] = state
-        cached.value = 0
-        yield generator

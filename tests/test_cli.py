@@ -12,7 +12,7 @@ import cloudmimo
 from cloudmimo.cli import (PROFILES, REQUIRED_KEYS, assemble_config, main,
                            parse_distance)
 from cloudmimo.errors import ConfigurationError
-from cloudmimo.experiment import CONFIG_SCHEMA
+from cloudmimo.experiment import CONFIG_SCHEMA, NUMERICS_VERSION
 
 
 @pytest.fixture(autouse=True)
@@ -287,14 +287,18 @@ def test_runs_do_not_import_scipy(tmp_path):
     assert result["scipy"] == []
 
 
-@pytest.mark.parametrize("key, args, config", [
-    ("cloud.lambda_s", ["--trials", "10", "--set", "cloud.lambda_s=nan"],
+@pytest.mark.parametrize("error, args, config", [
+    ("cloud.lambda_s: ", ["--trials", "10", "--set", "cloud.lambda_s=nan"],
      None),
-    ("mimo.snr_db", ["--trials", "10", "--set", "mimo.snr_db=inf"], None),
-    ("run.trials", [], '{"run.trials": 1e400}'),
-    ("run.sweep_rwc", ["--trials", "10", "--rwc", "0,nan"], None),
-], ids=["nan-float", "inf-float", "overflowing-int", "nan-in-list"])
-def test_main_non_finite_value_is_configuration_error(tmp_path, capsys, key,
+    ("mimo.snr_db: ", ["--trials", "10", "--set", "mimo.snr_db=inf"], None),
+    ("run.trials: ", [], '{"run.trials": 1e400}'),
+    ("run.sweep_rwc: ", ["--trials", "10", "--rwc", "0,nan"], None),
+    # Finite, but its linear SNR overflows.
+    ("snr_db must give a finite linear SNR",
+     ["--trials", "3", "--set", "mimo.snr_db=1e308"], None),
+], ids=["nan-float", "inf-float", "overflowing-int", "nan-in-list",
+        "overflowing-snr"])
+def test_main_non_finite_value_is_configuration_error(tmp_path, capsys, error,
                                                       args, config):
     if config is not None:
         path = tmp_path / "run.json"
@@ -303,7 +307,7 @@ def test_main_non_finite_value_is_configuration_error(tmp_path, capsys, key,
     code = run_cli(["capacity-cdf", "--profile", "table3", *args,
                     "--out", str(tmp_path / "x")])
     assert code == 1
-    assert f"configuration error: {key}: " in capsys.readouterr().err
+    assert f"configuration error: {error}" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 
@@ -378,6 +382,28 @@ def test_manifest_reproduces_run_bytes(tmp_path):
                     "--out", str(second), "--threads", "2"]) == 0
     assert (first / "results.csv").read_bytes() == \
         (second / "results.csv").read_bytes()
+
+
+def test_replay_notes_a_different_numerics_version(tmp_path, capsys):
+    first = tmp_path / "first"
+    assert run_cli(["capacity-cdf", "--profile", "table3", "--trials", "5",
+                    "--seed", "9", "--out", str(first)]) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    capsys.readouterr()
+    assert run_cli(["capacity-cdf", "--config", str(first / "manifest.json"),
+                    "--out", str(tmp_path / "same")]) == 0
+    assert capsys.readouterr().err == ""
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(dict(manifest, numerics=1)))
+    assert run_cli(["capacity-cdf", "--config", str(old),
+                    "--out", str(tmp_path / "second")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "numerics 1" in err[0]
+    assert f"numerics {NUMERICS_VERSION}" in err[0]
+    assert f"cloudmimo {cloudmimo.__version__}" in err[0]
+    assert (first / "results.csv").read_bytes() == \
+        (tmp_path / "second" / "results.csv").read_bytes()
 
 
 def test_assumed_defaults_track_explicit_overrides(tmp_path):

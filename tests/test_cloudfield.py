@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cloudmimo import (CloudConfig, ConfigurationError, ResourceLimitError,
                        cloudlet_radius, generate_field, load_field,
                        save_field, step_field)
+from cloudmimo.cloudfield import draw_fields
 
 
 # ============================================================
@@ -137,14 +138,60 @@ def test_zero_density_gives_empty_field():
     assert field.iwc.shape == (0,)
 
 
+# One cloudlet per field on average.
+SPARSE = CloudConfig(density_lambda_s=0.00005)
+
+
+def assert_block_matches_fields(config, seeds):
+    # Field f of one draw_fields call over the seeds' streams is bit for
+    # bit generate_field of seed f.  Returns the block's counts.
+    counts, unit = draw_fields(
+        config, (np.random.default_rng(s) for s in seeds), len(seeds))
+    assert counts.shape == (len(seeds),)
+    assert unit.shape == (3, counts.sum())
+    starts = np.cumsum(counts) - counts
+    for seed, start, n in zip(seeds, starts, counts):
+        field = generate_field(dataclasses.replace(config, rng_seed=seed))
+        assert field.count == n
+        rows = unit[:, start:start + n]
+        assert np.array_equal(rows[:2].T * (config.width_w,
+                                            config.thickness_d),
+                              field.positions)
+        assert np.array_equal(config.max_iwc_c * rows[2], field.iwc)
+    return counts
+
+
+def test_draw_fields_matches_generate_field_around_empty_fields():
+    counts = assert_block_matches_fields(SPARSE, [2, 4, 3, 1, 8])
+    # Empty first, in the middle and last.
+    assert counts.tolist() == [0, 3, 0, 2, 0]
+
+
+def test_draw_fields_keeps_earlier_fields_when_the_buffer_grows():
+    counts = assert_block_matches_fields(SPARSE, [4, 7])
+    # The slot buffer starts at twice the expected total, 4 cloudlets: the
+    # second field outgrows it after the first has filled 3 of them.
+    assert counts.tolist() == [3, 3]
+
+
+def test_draw_fields_takes_only_its_fields_from_the_streams():
+    streams = iter([np.random.default_rng(s) for s in (4, 7, 13)])
+    counts, _ = draw_fields(SPARSE, streams, 2)
+    assert counts.tolist() == [3, 3]
+    assert len(list(streams)) == 1
+
+
 def test_expected_count_cap():
-    with pytest.raises(ResourceLimitError):
-        generate_field(CloudConfig(density_lambda_s=1e6))
+    # Checked once per call, before any field is drawn.
+    with pytest.raises(ResourceLimitError, match="expected cloudlet count"):
+        draw_fields(CloudConfig(density_lambda_s=1e6), [], 3)
 
 
 def test_realized_count_cap():
-    with pytest.raises(ResourceLimitError):
-        generate_field(CloudConfig(density_lambda_s=0.002), cloudlet_cap=1)
+    # Seed 0 draws 1 cloudlet, within the cap; seed 4 draws 3.
+    streams = [np.random.default_rng(s) for s in (0, 4)]
+    with pytest.raises(ResourceLimitError, match="realized cloudlet count 3"):
+        draw_fields(SPARSE, streams, 2, cloudlet_cap=1)
 
 
 def test_cloudlet_records_match_arrays():

@@ -18,11 +18,12 @@ from cloudmimo.experiment import (ASSUMED_PARAMETER_KEYS, NUMERICS_VERSION,
                                   run_correlation_sweep, run_mac_count,
                                   run_phase_compare, run_report,
                                   results_csv_text, spec_from_flat,
-                                  spec_to_flat, trial_kernel, trial_seed)
+                                  spec_to_flat, trial_kernel)
 from cloudmimo.mimochannel import MimoScenario, capacity_bits, los_channel
 from cloudmimo.phasephysics import PhysicsParams, path_phase
 from cloudmimo.raygeometry import (broadside_link, build_rays,
                                    map_rays_to_field)
+from cloudmimo.streams import trial_seed
 
 
 def make_cloud(**overrides) -> CloudConfig:
@@ -233,7 +234,7 @@ def test_kernel_without_points_draws_nothing(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("a field was drawn")
 
-    monkeypatch.setattr(experiment, "draw_unit_cloudlets", fail)
+    monkeypatch.setattr(experiment, "draw_fields", fail)
     spec = make_spec(mode="correlation", trials=4, distance_grid=(2000.0,))
     assert trial_kernel(spec, spec.cloud, []) == []
     result = run_correlation_sweep(spec)
@@ -430,7 +431,8 @@ def test_instrumented_round_phase_matches_production():
                           layer_thickness=cloud.thickness_d)
     segment = map_rays_to_field(build_rays(link), link, cloud)[0]
     for seed in (11, 222, 3333):
-        mac, phi = _instrumented_round(cloud, segment, physics, seed)
+        mac, phi = _instrumented_round(cloud, segment, physics,
+                                       np.random.default_rng(seed))
         field = generate_field(dataclasses.replace(cloud, rng_seed=seed))
         produced = path_phase(field, [segment], physics).per_ray_phase[0]
         assert mac > 0

@@ -40,12 +40,16 @@ def test_trial_seed_rejects_negative_master_and_bad_trials():
 
 
 def test_seeded_generator_starts_where_pcg64_of_the_seed_starts():
-    # Seeds of one and two 32-bit words and the 64-bit extremes.
+    # Seeds of one and two 32-bit words and the 64-bit extremes: a stream
+    # is reset to the state and increment of PCG64(seed), as the struct's
+    # low and high words.
     seeds = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1,
              numpy_trial_seed(7, 11)]
-    for seed, rng in zip(seeds, streams._seeded(
-            np.array(seeds, dtype=np.uint64))):
-        assert rng.bit_generator.state == np.random.PCG64(seed).state, seed
+    rows = streams._initial_states(np.array(seeds, dtype=np.uint64))
+    for seed, row in zip(seeds, rows.tolist()):
+        state = np.random.PCG64(seed).state["state"]
+        assert row == [state["state"] % 2 ** 64, state["state"] >> 64,
+                       state["inc"] % 2 ** 64, state["inc"] >> 64], seed
 
 
 @pytest.mark.parametrize("master", [0, 7, 2 ** 40 + 1])

@@ -11,12 +11,12 @@ split into:
 
 - ``stream_reset``: taking each trial's generator from ``trial_streams``,
   the per-chunk seed arithmetic included;
-- ``field_draw``: ``draw_unit_cloudlets``;
+- ``field_draw``: the rest of ``draw_fields``, which draws each block's
+  fields and gathers them into rows;
 - ``chord_lengths``: ``phasephysics.chord_lengths``;
 - ``phase_count_sums``: the rest of ``block_phases``;
 - ``metric``: the sweep points' metrics (channel, capacity, coherence);
-- ``gather``: the rest of ``trial_kernel``, mainly gathering the block's
-  draws into rows and scaling them.
+- ``scale``: the rest of ``trial_kernel``, mainly scaling the block's rows.
 
 Prints one JSON line per workload with the median over the timed calls of
 each stage, in ms per call, and of ``kernel``, the traced
@@ -44,7 +44,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 from workloads import WORKLOADS, master_seed  # noqa: E402
 
 SEED = 31
-STAGES = ("stream_reset", "field_draw", "gather", "chord_lengths",
+STAGES = ("stream_reset", "field_draw", "scale", "chord_lengths",
           "phase_count_sums", "metric")
 
 
@@ -89,8 +89,8 @@ def _install(clock: _Clock) -> None:
     experiment.trial_kernel = clock.timed("kernel", trial_kernel)
     experiment.trial_streams = lambda *args: clock.timed_iter(
         "stream_reset", streams(*args))
-    experiment.draw_unit_cloudlets = clock.timed(
-        "field_draw", experiment.draw_unit_cloudlets)
+    experiment.draw_fields = clock.timed("draw_fields",
+                                         experiment.draw_fields)
     experiment.block_phases = clock.timed(
         "block_phases", experiment.block_phases)
     phasephysics.chord_lengths = clock.timed(
@@ -100,10 +100,12 @@ def _install(clock: _Clock) -> None:
 def _split(spent: dict) -> dict:
     ms = {stage: ns / 1e6 for stage, ns in spent.items()}
     out = {stage: ms.get(stage, 0.0) for stage in STAGES}
+    # draw_fields takes the generators, so it contains the stream resets.
+    out["field_draw"] = ms.get("draw_fields", 0.0) - out["stream_reset"]
     out["phase_count_sums"] = (ms.get("block_phases", 0.0)
                                - out["chord_lengths"])
-    out["gather"] = ms.get("kernel", 0.0) - sum(
-        out[stage] for stage in STAGES if stage != "gather")
+    out["scale"] = ms.get("kernel", 0.0) - sum(
+        out[stage] for stage in STAGES if stage != "scale")
     out["kernel"] = ms.get("kernel", 0.0)
     return out
 
