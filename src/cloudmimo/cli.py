@@ -224,13 +224,15 @@ def assemble_config(mode: str, profile: str | None, config_path: str | None,
 
 def _write_run(outdir: Path, spec: ExperimentSpec, csv_text: str | None,
                report: dict, explicit: set, wall_time: float) -> None:
+    manifest = build_manifest(spec, report, explicit_keys=explicit,
+                              wall_time_s=wall_time)
+    # Strict JSON: a NaN or infinity raises, before anything is written,
+    # instead of writing a literal that RFC 8259 parsers reject.
+    text = json.dumps(manifest, indent=2, allow_nan=False) + "\n"
     outdir.mkdir(parents=True, exist_ok=True)
     if csv_text is not None:
         (outdir / "results.csv").write_text(csv_text)
-    manifest = build_manifest(spec, report, explicit_keys=explicit,
-                              wall_time_s=wall_time)
-    (outdir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2) + "\n")
+    (outdir / "manifest.json").write_text(text)
 
 
 def _run_field(spec: ExperimentSpec, outdir: Path, explicit: set) -> None:

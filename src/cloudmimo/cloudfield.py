@@ -6,9 +6,10 @@ the rectangle [0, W] x [0, D]; every cloudlet shares one radius derived from
 the layer geometry, and carries an ice water content drawn uniformly on
 [0, C].  Where cloudlets overlap, their ice water contents add.
 ``draw_fields`` draws a block of fields, one generator each, and returns
-their counts and unit x, y and content rows; ``generate_field`` is its
-one-field case and builds a ``CloudField``, and the experiment's trial
-kernel scales each block's rows in place.  Drift is modelled by bounded
+their counts and unit x, y and content rows, the fields' (3, n) draws
+concatenated; ``generate_field`` is its one-field case and builds a
+``CloudField`` from the draw itself, and the experiment's trial kernel
+scales each block's rows in place.  Drift is modelled by bounded
 random centre displacements with reflection at the rectangle boundary, so
 a field can be stepped forward in time without cloudlets escaping the
 layer.
@@ -128,19 +129,20 @@ def draw_fields(config: CloudConfig, streams, fields: int,
     """Draw the next ``fields`` fields for ``config``, one per generator.
 
     Each field takes the next generator of ``streams``.  Its count n is
-    Poisson with mean ``lambda_s * W * D``; one ``random`` call then gives
-    its 3n uniform variates on [0, 1), n each for x, y and ice water
-    content, the same bits as three draws of n.  Scaling them by W, D and C
-    gives the field's centres and contents; W * u is bit for bit what
-    ``rng.uniform(0, W, n)`` returns, and unit contents let a sweep over C
-    rescale a single draw.
+    Poisson with mean ``lambda_s * W * D``; one ``random((3, n))`` call
+    then gives its uniform variates on [0, 1), one row each for x, y and
+    ice water content, the same bits as three draws of n.  Scaling them by
+    W, D and C gives the field's centres and contents; W * u is bit for bit
+    what ``rng.uniform(0, W, n)`` returns, and unit contents let a sweep
+    over C rescale a single draw.
 
     Returns
     -------
     counts : ndarray
         (fields,) cloudlet count of each field.
     unit : ndarray
-        (3, counts.sum()) unit x, y and content rows, field after field.
+        (3, counts.sum()) unit x, y and content rows, field after field:
+        the fields' draws concatenated, or a single field's draw itself.
 
     Raises
     ------
@@ -153,37 +155,18 @@ def draw_fields(config: CloudConfig, streams, fields: int,
         raise ResourceLimitError(
             f"expected cloudlet count {mean_count:.3g} exceeds the cap "
             f"{cloudlet_cap}; reduce density_lambda_s or the layer size")
-    # Each field fills a (3, n) slot of one flat buffer, after the fields
-    # before it.  The buffer starts at twice the expected total and grows
-    # past what a field needs when it outgrows it.
-    slots = np.empty(3 * math.ceil(2.0 * fields * mean_count))
-    counts = []
-    size = 0
+    counts, parts = [], []
     for rng in itertools.islice(streams, fields):
         n = int(rng.poisson(mean_count))
         if n > cloudlet_cap:
             raise ResourceLimitError(
                 f"realized cloudlet count {n} exceeds the cap {cloudlet_cap}")
-        if 3 * (size + n) > slots.size:
-            grown = np.empty(6 * (size + n))
-            grown[:3 * size] = slots[:3 * size]
-            slots = grown
-        rng.random(out=slots[3 * size:3 * (size + n)])
         counts.append(n)
-        size += n
+        parts.append(rng.random((3, n)))
     counts = np.array(counts, dtype=np.intp)
-    # Field f's slot starts at 3 * start_f, so cloudlet j of the block (of
-    # field f) sits at j + 2 * start_f in its x row, and n_f and 2 n_f
-    # further on in its y and content rows.
-    spans = np.repeat(counts, counts)
-    index = np.arange(size) + np.repeat(2 * (np.cumsum(counts) - counts),
-                                        counts)
-    unit = np.empty((3, size))
-    for row in unit:
-        # The indices are in range; "clip" spares take buffering out.
-        np.take(slots, index, out=row, mode="clip")
-        index += spans
-    return counts, unit
+    if len(parts) == 1:     # one field's draw is its rows; no copy
+        return counts, parts[0]
+    return counts, np.concatenate([np.empty((3, 0)), *parts], axis=1)
 
 
 def generate_field(config: CloudConfig,

@@ -13,7 +13,8 @@ its state words in place (see :mod:`cloudmimo.streams`, which checks the
 generator's layout first).  Each block's fields come from one call of
 ``draw_fields``, whose one-field case is ``generate_field``, as unit x, y
 and content rows that the kernel scales in place.  No per-trial
-``CloudField`` is built.  Runs are single-threaded; the ``threads`` hint
+``CloudField`` is built, and no array outlives its block: each stage
+allocates what it uses.  Runs are single-threaded; the ``threads`` hint
 is accepted and changes nothing.
 
 Runs write two artifacts: ``results.csv`` with plot-ready columns and
@@ -27,6 +28,7 @@ import dataclasses
 import functools
 import math
 import operator
+import warnings
 
 import numpy as np
 
@@ -37,11 +39,11 @@ from .analyticmodel import (AnalyticParams, PhaseDistribution, laplace_pdf,
 # look it up under this module until the benchmark wraps draw_fields.
 from .cloudfield import (CloudConfig, cloudlet_radius, draw_fields,
                          generate_field)  # noqa: F401
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ModelValidityWarning
 from .mimochannel import (MimoScenario, capacity_bits, ensemble_mean,
                           los_channel, subchannel_coherence)
-from .phasephysics import (REFERENCE_IWC, SPEED_OF_LIGHT, WORK_ROWS,
-                           PhysicsParams, block_phases, mixture_coefficient)
+from .phasephysics import (REFERENCE_IWC, SPEED_OF_LIGHT, PhysicsParams,
+                           block_phases, mixture_coefficient)
 from .raygeometry import LinkGeometry, broadside_link, build_rays, \
     map_rays_to_field
 from .streams import trial_streams
@@ -285,6 +287,29 @@ def _segments_for(spec: ExperimentSpec, cloud: CloudConfig,
     return segments, engaged
 
 
+def _centre_segment(spec: ExperimentSpec):
+    """The in-layer segment of the ray phase-compare and mac-count trace."""
+    link = broadside_link(
+        num_tx=1, num_rx=1, tx_spacing=0.0, rx_spacing=0.0,
+        link_distance=spec.scenario.link_distance,
+        elevation_deg=spec.elevation_deg,
+        cloud_upper_altitude=spec.cloud_upper_altitude,
+        layer_thickness=spec.cloud.thickness_d)
+    segment = map_rays_to_field(build_rays(link), link, spec.cloud)[0]
+    if segment.length == 0.0:
+        _warn_clear_sky(spec, spec.mode)
+    return segment
+
+
+def _warn_clear_sky(spec: ExperimentSpec, point: str) -> None:
+    """Say that no ray of a point reaches the layer, so it sees clear sky."""
+    warnings.warn(
+        f"{point}: no ray reaches the cloud layer at link distance "
+        f"{spec.scenario.link_distance:g} m and elevation "
+        f"{spec.elevation_deg:g} deg, so every trial is clear sky",
+        ModelValidityWarning, stacklevel=3)
+
+
 # ============================================================
 # Trial kernel
 # ============================================================
@@ -324,14 +349,9 @@ def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, points,
     per_block = max(1, int(BLOCK_CLOUDLETS // max(mean_count, 1.0)))
     values: list[list] = [[] for _ in points]
     streams = trial_streams(spec.master_seed, spec.trials)
-    # One work space for all blocks, grown when a block outgrows it: fresh
-    # arrays per block would have the allocator map new pages each time.
-    work = np.empty((WORK_ROWS, 2 * BLOCK_CLOUDLETS))
     for first in range(0, spec.trials, per_block):
         counts, draws = draw_fields(cloud, streams,
                                     min(per_block, spec.trials - first))
-        if draws.shape[1] > work.shape[1]:
-            work = np.empty((WORK_ROWS, 2 * draws.shape[1]))
         x, y, u = draws
         x *= cloud.width_w
         y *= cloud.thickness_d
@@ -339,7 +359,7 @@ def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, points,
         iwc = scale * u
         for (segments, metric), out in zip(points, values):
             out.append(metric(block_phases(positions, iwc, counts, radius,
-                                           segments, spec.physics, work)))
+                                           segments, spec.physics)))
     return [np.concatenate(v, axis=1) for v in values]
 
 
@@ -376,9 +396,13 @@ def _capacity(scenario: MimoScenario, phases):
     return capacity_bits(los_channel(scenario, phases), scenario.snr_db)
 
 
-def _capacities(spec: ExperimentSpec, cloud: CloudConfig,
-                contents) -> np.ndarray:
-    segments, _ = _segments_for(spec, cloud, spec.scenario.link_distance)
+def _capacities(spec: ExperimentSpec, cloud: CloudConfig, contents,
+                point_names) -> np.ndarray:
+    segments, engaged = _segments_for(spec, cloud,
+                                      spec.scenario.link_distance)
+    if not engaged:
+        for point in point_names:
+            _warn_clear_sky(spec, f"capacity-cdf point {point}")
     metric = functools.partial(_capacity, spec.scenario)
     return trial_kernel(spec, cloud, [(segments, metric)], contents)[0]
 
@@ -389,19 +413,22 @@ def run_capacity_cdf(spec: ExperimentSpec) -> list[SweepPoint]:
     A relative-water-content sweep rescales the ice water content bound, so
     all its points share each trial's field draw; a thickness sweep rebuilds
     the layer (and the in-layer geometry) and draws per value.  Without a
-    sweep a single point at the configured cloud runs.
+    sweep a single point at the configured cloud runs.  A point whose rays
+    all miss the layer warns with a :class:`ModelValidityWarning`.
     """
     if spec.sweep_thickness is not None:
         name, values = "thickness_m", spec.sweep_thickness
         caps = [_capacities(spec, dataclasses.replace(
-            spec.cloud, thickness_d=v), None)[0] for v in values]
+            spec.cloud, thickness_d=v), None, [f"{name}={v:g}"])[0]
+            for v in values]
     elif spec.sweep_rwc is not None:
         name, values = "rwc", spec.sweep_rwc
         caps = _capacities(spec, spec.cloud,
-                           [v * REFERENCE_IWC for v in values])
+                           [v * REFERENCE_IWC for v in values],
+                           [f"{name}={v:g}" for v in values])
     else:
         name, values = "none", (0.0,)
-        caps = _capacities(spec, spec.cloud, None)
+        caps = _capacities(spec, spec.cloud, None, ["(no sweep)"])
     return [SweepPoint(parameter=name, value=value,
                        cdf=CapacityCdf(samples=np.sort(c),
                                        trial_count=spec.trials))
@@ -539,17 +566,12 @@ def _excess_kurtosis(samples: np.ndarray) -> float:
 def run_phase_compare(spec: ExperimentSpec) -> PhaseCompareResult:
     """Histogram the Monte Carlo single-ray phase against the Laplace model.
 
-    One centre ray is traced per trial through a fresh field.  This is a
+    One centre ray is traced per trial through a fresh field; a ray that
+    misses the layer warns with a :class:`ModelValidityWarning`.  This is a
     pure comparison: the analytic constants were fitted elsewhere, so no
     agreement is enforced, only measured.
     """
-    link = broadside_link(
-        num_tx=1, num_rx=1, tx_spacing=0.0, rx_spacing=0.0,
-        link_distance=spec.scenario.link_distance,
-        elevation_deg=spec.elevation_deg,
-        cloud_upper_altitude=spec.cloud_upper_altitude,
-        layer_thickness=spec.cloud.thickness_d)
-    segments = map_rays_to_field(build_rays(link), link, spec.cloud)
+    segments = [_centre_segment(spec)]
 
     def phase_and_count(phases):
         return np.stack([phases.per_ray_phase[..., 0],
@@ -680,14 +702,11 @@ def _instrumented_round(cloud: CloudConfig, segment, physics: PhysicsParams,
 
 
 def run_mac_count(spec: ExperimentSpec) -> MacCountResult:
-    """Average the instrumented per-round operation count over many rounds."""
-    link = broadside_link(
-        num_tx=1, num_rx=1, tx_spacing=0.0, rx_spacing=0.0,
-        link_distance=spec.scenario.link_distance,
-        elevation_deg=spec.elevation_deg,
-        cloud_upper_altitude=spec.cloud_upper_altitude,
-        layer_thickness=spec.cloud.thickness_d)
-    segment = map_rays_to_field(build_rays(link), link, spec.cloud)[0]
+    """Average the instrumented per-round operation count over many rounds.
+
+    Warns with a :class:`ModelValidityWarning` if the ray misses the layer.
+    """
+    segment = _centre_segment(spec)
     counts = np.zeros(spec.trials, dtype=np.int64)
     for t, rng in enumerate(trial_streams(spec.master_seed, spec.trials)):
         counts[t], _ = _instrumented_round(spec.cloud, segment, spec.physics,
@@ -764,11 +783,13 @@ def run_report(spec: ExperimentSpec, result) -> dict:
             "engaged": [bool(v) for v in result.engaged],
         }
     if spec.mode == "phase-compare":
+        kurtosis = result.empirical_excess_kurtosis
         return {
             "empirical": {
                 "mean_rad": result.empirical_mean,
                 "variance_rad2": result.empirical_variance,
-                "excess_kurtosis": result.empirical_excess_kurtosis,
+                # null where it is undefined (NaN): strict JSON has no NaN
+                "excess_kurtosis": None if math.isnan(kurtosis) else kurtosis,
                 "mean_cloudlet_count": float(result.cloudlet_counts.mean()),
             },
             "analytic": {

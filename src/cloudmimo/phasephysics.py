@@ -32,10 +32,6 @@ DEFAULT_CARRIER_FREQUENCY = 73.5e9
 # a relative water content of 1 means this ice water content bound.
 REFERENCE_IWC = 0.6
 
-# Rows of the work space of block_phases: four for chord_lengths, one for
-# the phase weights.
-WORK_ROWS = 5
-
 
 # ============================================================
 # Physical parameters
@@ -110,8 +106,7 @@ class PathPhase:
 
 def block_phases(positions: np.ndarray, iwc: np.ndarray, counts,
                  radius: float, segments: list[Segment2D],
-                 params: PhysicsParams,
-                 work: np.ndarray | None = None) -> PathPhase:
+                 params: PhysicsParams) -> PathPhase:
     """Accumulate cloud phases of a ray bundle through a block of fields.
 
     ``positions`` (n, 2) holds the cloudlets of ``len(counts)`` fields one
@@ -123,10 +118,7 @@ def block_phases(positions: np.ndarray, iwc: np.ndarray, counts,
     field's contributions add without wrapping in cloudlet order, so its
     phases do not depend on the other fields of the block.  Overlapping
     cloudlets contribute independently, which matches the additive overlap
-    rule of the field model.
-
-    ``work`` is an optional (WORK_ROWS, m) work space with m >= n, for a
-    caller that traces many blocks to reuse one allocation.
+    rule of the field model.  Each call allocates its own weights row.
 
     Returns per-ray phases and pierced-cloudlet counts of shape
     (fields, rays), or (k, fields, rays).
@@ -143,13 +135,11 @@ def block_phases(positions: np.ndarray, iwc: np.ndarray, counts,
     # one start to the next, and rejects a start equal to n.
     filled = np.flatnonzero(counts)
     starts = (np.cumsum(counts) - counts)[filled]
-    if work is None:
-        work = np.empty((WORK_ROWS, n))
-    weights = work[WORK_ROWS - 1, :n]
+    weights = np.empty(n)
     phases = np.zeros((k, fields, rays))
     pierced = np.zeros((fields, rays), dtype=int)
     for idx, seg in enumerate(segments):
-        chords = chord_lengths(seg, positions, radius, work)
+        chords = chord_lengths(seg, positions, radius)
         if filled.size:
             # The hit mask as 0/1 weights: its sums are exact counts in
             # any order of addition.

@@ -9,10 +9,11 @@ from pathlib import Path
 import pytest
 
 import cloudmimo
-from cloudmimo.cli import (PROFILES, REQUIRED_KEYS, assemble_config, main,
-                           parse_distance)
+from cloudmimo.cli import (PROFILES, REQUIRED_KEYS, _write_run,
+                           assemble_config, main, parse_distance)
 from cloudmimo.errors import ConfigurationError
-from cloudmimo.experiment import CONFIG_SCHEMA, NUMERICS_VERSION
+from cloudmimo.experiment import (CONFIG_SCHEMA, NUMERICS_VERSION,
+                                  spec_from_flat)
 
 
 @pytest.fixture(autouse=True)
@@ -404,6 +405,27 @@ def test_replay_notes_a_different_numerics_version(tmp_path, capsys):
     assert f"cloudmimo {cloudmimo.__version__}" in err[0]
     assert (first / "results.csv").read_bytes() == \
         (tmp_path / "second" / "results.csv").read_bytes()
+
+
+def test_manifest_is_strict_json(tmp_path):
+    # Without cloudlets every phase is 0 and the kurtosis is undefined.
+    out = tmp_path / "run"
+    assert run_cli(["phase-compare", "--profile", "table3", "--trials", "50",
+                    "--set", "cloud.lambda_s=0", "--out", str(out)]) == 0
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    manifest = json.loads((out / "manifest.json").read_text(),
+                          parse_constant=reject)
+    assert manifest["report"]["empirical"]["excess_kurtosis"] is None
+    # Any other non-finite number fails the write, before any file is
+    # written.
+    spec = spec_from_flat(manifest["config"])
+    with pytest.raises(ValueError):
+        _write_run(tmp_path / "nan", spec, "x\n", {"x": float("nan")},
+                   set(), 0.0)
+    assert not (tmp_path / "nan").exists()
 
 
 def test_assumed_defaults_track_explicit_overrides(tmp_path):

@@ -1,5 +1,6 @@
 """Tests for the stochastic cloudlet field."""
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,13 +166,23 @@ def test_draw_fields_matches_generate_field_around_empty_fields():
     counts = assert_block_matches_fields(SPARSE, [2, 4, 3, 1, 8])
     # Empty first, in the middle and last.
     assert counts.tolist() == [0, 3, 0, 2, 0]
+    # No fields at all: empty counts and (3, 0) rows.
+    assert assert_block_matches_fields(SPARSE, []).size == 0
 
 
-def test_draw_fields_keeps_earlier_fields_when_the_buffer_grows():
-    counts = assert_block_matches_fields(SPARSE, [4, 7])
-    # The slot buffer starts at twice the expected total, 4 cloudlets: the
-    # second field outgrows it after the first has filled 3 of them.
-    assert counts.tolist() == [3, 3]
+def test_generate_field_keeps_no_copy_of_its_draw():
+    # At its peak a call holds the (3, n) draw, the (n, 2) centres and the
+    # (n,) contents: 48 B a cloudlet.  A slot buffer gathered into rows
+    # (88 B) or any second array of the draw alive beside them breaks 64 B.
+    config = CloudConfig(density_lambda_s=5.0, rng_seed=1)
+    tracemalloc.start()
+    try:
+        field = generate_field(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert field.count == 100010
+    assert peak / field.count < 64
 
 
 def test_draw_fields_takes_only_its_fields_from_the_streams():

@@ -1,13 +1,15 @@
 """Tests for the Monte Carlo experiment runner and run artifacts."""
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from cloudmimo.analyticmodel import AnalyticParams, stationary_distribution
 from cloudmimo.cloudfield import CloudConfig, cloudlet_radius, generate_field
-from cloudmimo.errors import ConfigurationError, ResourceLimitError
+from cloudmimo.errors import (ConfigurationError, ModelValidityWarning,
+                              ResourceLimitError)
 import cloudmimo
 from cloudmimo import experiment, streams
 from cloudmimo.experiment import (ASSUMED_PARAMETER_KEYS, NUMERICS_VERSION,
@@ -196,9 +198,7 @@ def test_kernel_rows_equal_single_field_path_phase(monkeypatch):
             # ~40 cloudlets per field, 2 trials per block, streams derived
             # 3 trials at a time: block and chunk boundaries cross.
             (0.002, 100, 3),
-            # ~1 cloudlet per field, 2 trials per block: the draw buffer
-            # starts at 2 * BLOCK_CLOUDLETS = 4 columns, so a block outgrows
-            # it after its first field, and some fields are empty.
+            # ~1 cloudlet per field, 2 trials per block, some fields empty.
             (0.00005, 2, 1024),
             # ~0.2 cloudlets per field, all trials in one block.
             (0.00001, 8192, 1024)):
@@ -222,12 +222,31 @@ def test_kernel_rows_equal_single_field_path_phase(monkeypatch):
         counts = np.array([field.count for field in fields])
         if lambda_s < 0.002:
             assert np.any(counts == 0), lambda_s
-        if block == 2:
-            # The first block that outgrows the buffer has a non-empty
-            # first field, so growing it must keep what was drawn.
-            pairs = counts.reshape(-1, 2)
-            first = np.flatnonzero(pairs.sum(axis=1) > 2 * block)[0]
-            assert pairs[first, 0] > 0
+
+
+def test_a_point_whose_rays_miss_the_layer_warns():
+    # A vertical link that ends at 5 km (7.5 km) stays below a layer from
+    # 7 km (7.5 km) to 8 km: clear sky in every trial.
+    near = make_scenario(link_distance=5000.0)
+    with pytest.warns(ModelValidityWarning) as caught:
+        run_capacity_cdf(make_spec(scenario=near, trials=3,
+                                   sweep_rwc=(0.0, 0.4)))
+        run_capacity_cdf(make_spec(
+            scenario=make_scenario(link_distance=7500.0), trials=3,
+            sweep_thickness=(500.0, 1000.0)))
+        run_phase_compare(make_spec(mode="phase-compare", scenario=near,
+                                    trials=3))
+        run_mac_count(make_spec(mode="mac-count", scenario=near, trials=3))
+    assert [str(w.message).split(":")[0] for w in caught] == [
+        "capacity-cdf point rwc=0", "capacity-cdf point rwc=0.4",
+        "capacity-cdf point thickness_m=500", "phase-compare", "mac-count"]
+    # A run that reaches the layer is silent, and so are the distance
+    # sweeps, which report each distance's engagement themselves.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ModelValidityWarning)
+        run_capacity_cdf(make_spec(trials=3))
+        run_correlation_sweep(make_spec(mode="correlation", trials=3,
+                                        distance_grid=(5000.0, 40000.0)))
 
 
 def test_kernel_without_points_draws_nothing(monkeypatch):

@@ -355,16 +355,6 @@ def test_chord_lengths_leave_centres_unmodified_and_zero_misses():
     assert np.array_equal(centres, before)
 
 
-def test_chord_lengths_work_space_gives_the_same_bits():
-    rng = np.random.default_rng(5)
-    seg = Segment2D(start=np.array([1.0, -3.0]), end=np.array([4.0, 9.0]))
-    centres = rng.uniform(-5.0, 10.0, (64, 2))
-    work = np.full((4, 100), np.nan)
-    reused = chord_lengths(seg, centres, 1.5, work)
-    assert np.shares_memory(reused, work)
-    assert np.array_equal(reused, chord_lengths(seg, centres, 1.5))
-
-
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_chord_against_point_sampling(data):

@@ -12,7 +12,7 @@ split into:
 - ``stream_reset``: taking each trial's generator from ``trial_streams``,
   the per-chunk seed arithmetic included;
 - ``field_draw``: the rest of ``draw_fields``, which draws each block's
-  fields and gathers them into rows;
+  fields and concatenates them into rows;
 - ``chord_lengths``: ``phasephysics.chord_lengths``;
 - ``phase_count_sums``: the rest of ``block_phases``;
 - ``metric``: the sweep points' metrics (channel, capacity, coherence);
