@@ -163,27 +163,38 @@ def permittivity_moments(params: AnalyticParams) -> tuple[float, float]:
     return coef * c / 2.0, coef ** 2 * c ** 2 / 3.0
 
 
-def phase_moments_for_count(k: int,
-                            params: AnalyticParams) -> tuple[float, float]:
-    """Mean and variance of the phase conditioned on k pierced cloudlets.
+def _phase_slopes(params: AnalyticParams) -> tuple[float, float]:
+    """Per-cloudlet slopes of the conditional phase mean and variance.
 
-    The mean is k single-chord phase means; the variance combines the
-    second moments as ``k^2 (E(eps^2) E(l^2) - E(eps)^2 E(l)^2)``.  A
-    negative variance (possible because the fitted chord moments are not a
-    true moment pair everywhere) is clamped to zero with a warning.
+    With k pierced cloudlets the phase has mean k times the first slope,
+    ``k0 E(l) E(eps)``, and variance k^2 times the second,
+    ``k0^2 (E(eps^2) E(l^2) - E(eps)^2 E(l)^2)``.  A negative variance
+    slope (possible because the fitted chord moments are not a true moment
+    pair everywhere) is clamped to zero with a warning.
     """
     k0 = 2.0 * np.pi / params.physics.wavelength_lambda0
     e_l, e_l2 = chord_moments(params)
     e_eps, e_eps2 = permittivity_moments(params)
-    mean = k0 * k * e_l * e_eps
-    var = k0 ** 2 * k ** 2 * (e_eps2 * e_l2 - e_eps ** 2 * e_l ** 2)
-    if var < 0.0:
+    mean_slope = k0 * e_l * e_eps
+    var_slope = k0 ** 2 * (e_eps2 * e_l2 - e_eps ** 2 * e_l ** 2)
+    if var_slope < 0.0:
         warnings.warn(
-            f"conditional phase variance is negative ({var:.4g}) at k={k}; "
-            f"clamped to 0 -- the fitted chord moments are outside their "
+            f"conditional phase variance slope is negative ({var_slope:.4g});"
+            f" clamped to 0 -- the fitted chord moments are outside their "
             f"validity region", ModelValidityWarning)
-        var = 0.0
-    return mean, var
+        var_slope = 0.0
+    return mean_slope, var_slope
+
+
+def phase_moments_for_count(k: int,
+                            params: AnalyticParams) -> tuple[float, float]:
+    """Mean and variance of the phase conditioned on k pierced cloudlets.
+
+    k and k^2 times the slopes of :func:`_phase_slopes`; a negative
+    variance is clamped to zero with a warning.
+    """
+    mean_slope, var_slope = _phase_slopes(params)
+    return k * mean_slope, k ** 2 * var_slope
 
 
 # ============================================================
@@ -214,17 +225,7 @@ def stationary_distribution(params: AnalyticParams) -> PhaseDistribution:
     """
     ks = np.arange(params.count_weight_kmax + 1, dtype=float)
     weights = count_weight(ks, params)
-    k0 = 2.0 * np.pi / params.physics.wavelength_lambda0
-    e_l, e_l2 = chord_moments(params)
-    e_eps, e_eps2 = permittivity_moments(params)
-    mean_slope = k0 * e_l * e_eps
-    var_slope = k0 ** 2 * (e_eps2 * e_l2 - e_eps ** 2 * e_l ** 2)
-    if var_slope < 0.0:
-        warnings.warn(
-            f"conditional phase variance slope is negative ({var_slope:.4g});"
-            f" clamped to 0 -- the fitted chord moments are outside their "
-            f"validity region", ModelValidityWarning)
-        var_slope = 0.0
+    mean_slope, var_slope = _phase_slopes(params)
     phi0 = float(np.sum(weights * ks) * mean_slope)
     sigma_c2 = float(np.sum(weights ** 2 * ks ** 2) * var_slope)
     if not (math.isfinite(phi0) and math.isfinite(sigma_c2)):

@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -366,7 +367,25 @@ def _flag_overrides(args) -> dict:
     return out
 
 
+def _one_line(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
+    """Run one command line; warnings are shown as ``warning: <message>``.
+
+    Only the display changes: a caller that records warnings, as
+    ``warnings.catch_warnings(record=True)`` does, still receives them.
+    """
+    shown = warnings.formatwarning
+    warnings.formatwarning = _one_line
+    try:
+        return _main(argv)
+    finally:
+        warnings.formatwarning = shown
+
+
+def _main(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -381,7 +400,7 @@ def main(argv=None) -> int:
         flat, explicit = assemble_config(
             args.mode, args.profile, args.config, args.set_overrides,
             _flag_overrides(args))
-        spec = spec_from_flat(flat, threads=max(args.threads, 1))
+        spec = spec_from_flat(flat)
     except (ConfigurationError, DomainError, GeometryError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

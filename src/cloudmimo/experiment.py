@@ -3,19 +3,20 @@
 Every experiment draws a fresh static cloud field per trial (capacity and
 correlation studies are snapshot studies), traces the antenna-pair rays of
 the configured link through it, and feeds the accumulated cloud phases into
-the LoS MIMO channel.  One trial kernel serves every mode: it draws each
-trial's field once per run, evaluates every sweep point whose field does not
-depend on the sweep value on that draw, and works on blocks of trials as
-arrays.  Per-trial random streams derive deterministically from the master
-seed and the trial index, so results are reproducible and independent of
-the block size: one generator is reset to each trial's stream by writing
-its state words in place (see :mod:`cloudmimo.streams`, which checks the
+the LoS MIMO channel.  One trial kernel serves every Monte Carlo mode
+(``field`` and ``phase-dist`` draw no trials): it draws each trial's field
+once per run, evaluates every sweep point whose field does not depend on
+the sweep value on that draw, and works on blocks of trials as arrays.
+Per-trial random streams derive deterministically from the master seed
+and the trial index, so results are reproducible and independent of the
+block size: one generator is reset to each trial's stream by writing its
+state words in place (see :mod:`cloudmimo.streams`, which checks the
 generator's layout first).  Each block's fields come from one call of
 ``draw_fields``, whose one-field case is ``generate_field``, as unit x, y
 and content rows that the kernel scales in place.  No per-trial
 ``CloudField`` is built, and no array outlives its block: each stage
-allocates what it uses.  Runs are single-threaded; the ``threads`` hint
-is accepted and changes nothing.
+allocates what it uses.  mac-count counts operations from the kernel's own
+per-trial cloudlet and pierced counts.
 
 Runs write two artifacts: ``results.csv`` with plot-ready columns and
 ``manifest.json`` with the full configuration, which can be fed back as a
@@ -42,8 +43,8 @@ from .cloudfield import (CloudConfig, cloudlet_radius, draw_fields,
 from .errors import ConfigurationError, ModelValidityWarning
 from .mimochannel import (MimoScenario, capacity_bits, ensemble_mean,
                           los_channel, subchannel_coherence)
-from .phasephysics import (REFERENCE_IWC, SPEED_OF_LIGHT, PhysicsParams,
-                           block_phases, mixture_coefficient)
+from .phasephysics import (REFERENCE_IWC, PhysicsParams, block_phases,
+                           mixture_coefficient)
 from .raygeometry import LinkGeometry, broadside_link, build_rays, \
     map_rays_to_field
 from .streams import trial_streams
@@ -90,7 +91,6 @@ class ExperimentSpec:
     distance_grid: tuple | None = None     # link distances [m]
     dt: float = 0.0                        # drift interval for reports [s]
     outage_probability: float = 0.5
-    threads: int = 1                       # accepted; runs are single-threaded
 
     def __post_init__(self) -> None:
         problems = []
@@ -107,8 +107,6 @@ class ExperimentSpec:
                 f"{self.outage_probability}")
         if self.dt < 0.0:
             problems.append(f"dt must be >= 0, got {self.dt}")
-        if self.threads < 1:
-            problems.append(f"threads must be >= 1, got {self.threads}")
         if self.sweep_rwc is not None and self.sweep_thickness is not None:
             problems.append("sweep_rwc and sweep_thickness are exclusive")
         if self.sweep_rwc is not None:
@@ -257,6 +255,7 @@ def spec_from_flat(flat: dict, threads: int = 1) -> ExperimentSpec:
     """Build a spec from the dotted-key mapping (inverse of spec_to_flat).
 
     Every key is parsed as its kind; only the list keys may be absent.
+    ``threads`` is accepted and ignored: runs are single-threaded.
     """
     values = collections.defaultdict(dict)   # part -> {name: value}
     for key, (_, *fields) in CONFIG_SCHEMA.items():
@@ -265,7 +264,7 @@ def spec_from_flat(flat: dict, threads: int = 1) -> ExperimentSpec:
             part, _, name = field.rpartition(".")
             values[part][name] = value
     parts = {part: cls(**values[part]) for part, cls in _PARTS.items()}
-    return ExperimentSpec(**parts, **values[""], threads=threads)
+    return ExperimentSpec(**parts, **values[""])
 
 
 def _link_for(spec: ExperimentSpec, distance: float,
@@ -315,7 +314,7 @@ def _warn_clear_sky(spec: ExperimentSpec, point: str) -> None:
 # ============================================================
 
 def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, points,
-                 contents=None) -> list[np.ndarray]:
+                 contents=None) -> tuple[np.ndarray, list[np.ndarray]]:
     """Evaluate every sweep point on one field draw per trial.
 
     Trial ``t`` draws its field from the stream
@@ -335,12 +334,15 @@ def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, points,
 
     Returns
     -------
-    list of ndarray
+    counts : ndarray
+        (trials,) cloudlet count of each trial's field; empty, with no
+        field drawn, when there are no points.
+    values : list of ndarray
         Per point, the metric values of all trials,
         (len(contents), trials, ...).
     """
     if not points:
-        return []
+        return np.zeros(0, dtype=np.intp), []
     if contents is None:
         contents = (cloud.max_iwc_c,)
     scale = np.asarray(contents, dtype=float)[:, None]
@@ -348,10 +350,12 @@ def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, points,
     mean_count = cloud.density_lambda_s * cloud.width_w * cloud.thickness_d
     per_block = max(1, int(BLOCK_CLOUDLETS // max(mean_count, 1.0)))
     values: list[list] = [[] for _ in points]
+    trial_counts = np.empty(spec.trials, dtype=np.intp)
     streams = trial_streams(spec.master_seed, spec.trials)
     for first in range(0, spec.trials, per_block):
         counts, draws = draw_fields(cloud, streams,
                                     min(per_block, spec.trials - first))
+        trial_counts[first:first + counts.size] = counts
         x, y, u = draws
         x *= cloud.width_w
         y *= cloud.thickness_d
@@ -360,7 +364,7 @@ def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, points,
         for (segments, metric), out in zip(points, values):
             out.append(metric(block_phases(positions, iwc, counts, radius,
                                            segments, spec.physics)))
-    return [np.concatenate(v, axis=1) for v in values]
+    return trial_counts, [np.concatenate(v, axis=1) for v in values]
 
 
 # ============================================================
@@ -404,7 +408,8 @@ def _capacities(spec: ExperimentSpec, cloud: CloudConfig, contents,
         for point in point_names:
             _warn_clear_sky(spec, f"capacity-cdf point {point}")
     metric = functools.partial(_capacity, spec.scenario)
-    return trial_kernel(spec, cloud, [(segments, metric)], contents)[0]
+    _, (caps,) = trial_kernel(spec, cloud, [(segments, metric)], contents)
+    return caps
 
 
 def run_capacity_cdf(spec: ExperimentSpec) -> list[SweepPoint]:
@@ -477,7 +482,7 @@ def run_distance_sweep(spec: ExperimentSpec, metric, reducer,
     mapped = [_segments_for(spec, spec.cloud, float(d)) for d in distances]
     engaged = np.array([hit for _, hit in mapped], dtype=bool)
     live = np.flatnonzero(engaged)
-    values = trial_kernel(spec, spec.cloud, [
+    _, values = trial_kernel(spec, spec.cloud, [
         (mapped[i][0], functools.partial(metric, scenarios[i]))
         for i in live])
     with_cloud = without.copy()
@@ -577,10 +582,9 @@ def run_phase_compare(spec: ExperimentSpec) -> PhaseCompareResult:
         return np.stack([phases.per_ray_phase[..., 0],
                          phases.per_ray_cloudlet_count[..., 0]], axis=-1)
 
-    pairs = trial_kernel(spec, spec.cloud,
-                         [(segments, phase_and_count)])[0][0]
-    samples = np.ascontiguousarray(pairs[:, 0])
-    counts = pairs[:, 1].astype(int)
+    _, (pairs,) = trial_kernel(spec, spec.cloud, [(segments, phase_and_count)])
+    samples = np.ascontiguousarray(pairs[0, :, 0])
+    counts = pairs[0, :, 1].astype(int)
     analytic = stationary_distribution(AnalyticParams(spec.cloud, spec.physics))
 
     if analytic.sigma_c2 > 0.0:
@@ -620,10 +624,10 @@ def run_phase_compare(spec: ExperimentSpec) -> PhaseCompareResult:
 class MacCountResult:
     """Average multiply-accumulate count per simulation round.
 
-    One round is one field generation plus one ray's phase accrual.  The
-    counting convention: every scalar multiply, multiply-add, division and
-    random draw counts one; additions, comparisons and square roots are
-    free.
+    One round is one trial of the trial kernel with one ray: its field
+    draw plus the ray's phase accrual.  The counting convention: every
+    scalar multiply, multiply-add, division and random draw counts one;
+    additions, comparisons and square roots are free.
     """
 
     per_round: np.ndarray
@@ -640,78 +644,34 @@ class MacCountResult:
         return 0.1 <= ratio <= 10.0
 
 
-def _instrumented_round(cloud: CloudConfig, segment, physics: PhysicsParams,
-                        rng: np.random.Generator) -> tuple[int, float]:
-    """Scalar mirror of one generation + single-ray phase round.
-
-    Re-implements the production arithmetic operation by operation with an
-    explicit counter so the count reflects work actually performed; the
-    returned phase must (and does, see tests) match the vectorized path.
-    """
-    mac = 0
-    ratio = cloud.thickness_d / cloud.max_thickness_dmax
-    mac += 1                                     # thickness ratio division
-    radius = cloud.smoothness_alpha * cloud.width_w * math.sqrt(ratio) / 2.0
-    mac += 3                                     # two multiplies, one division
-    mean = cloud.density_lambda_s * cloud.width_w * cloud.thickness_d
-    mac += 2
-    n = int(rng.poisson(mean))
-    mac += 1                                     # one draw
-    xs = rng.uniform(0.0, cloud.width_w, n)
-    ys = rng.uniform(0.0, cloud.thickness_d, n)
-    iwc = cloud.max_iwc_c * rng.random(n)
-    mac += 6 * n                                 # three draws + three scalings
-
-    eps = physics.ice_permittivity_real
-    coef = (3.0 * physics.sphere_density_n * physics.sphere_volume_vice
-            * (1.0 / REFERENCE_IWC) * (eps - 1.0) / (eps + 1.0))
-    mac += 6
-    lam0 = SPEED_OF_LIGHT / physics.carrier_frequency
-    k0 = 2.0 * math.pi / lam0
-    mac += 3
-    r2 = radius * radius
-    mac += 1
-
-    ax, ay = float(segment.start[0]), float(segment.start[1])
-    length = segment.length
-    phi = 0.0
-    if length > 0.0:
-        ux = (float(segment.end[0]) - ax) / length
-        uy = (float(segment.end[1]) - ay) / length
-        mac += 2
-        for j in range(n):
-            wx = xs[j] - ax
-            wy = ys[j] - ay
-            t = wx * ux + wy * uy
-            mac += 2
-            perp2 = wx * wx + wy * wy - t * t
-            mac += 3
-            half2 = r2 - perp2
-            if half2 <= 0.0:
-                continue
-            half = math.sqrt(half2)
-            s_lo = max(t - half, 0.0)
-            s_hi = min(t + half, length)
-            chord = s_hi - s_lo
-            if chord <= 0.0:
-                continue
-            eps_c = coef * iwc[j]
-            phi += k0 * chord * eps_c
-            mac += 3
-    return mac, phi
-
-
 def run_mac_count(spec: ExperimentSpec) -> MacCountResult:
-    """Average the instrumented per-round operation count over many rounds.
+    """Average the per-round operation count over the kernel's rounds.
+
+    The trial kernel traces the centre ray through each trial's field and
+    gives the field's cloudlet count n and the ray's pierced count h.  A
+    round then costs ``17 + 6 n + [L > 0] (2 + 5 n + 3 h)`` operations,
+    where L is the ray's in-layer length:
+
+    - 17 set the round up: the thickness ratio (1), the radius (3), the
+      mean count (2), the Poisson draw (1), the mixture coefficient (6),
+      the wavenumber (3) and the squared radius (1);
+    - 6 per cloudlet draw and scale its x, y and content;
+    - 2 give the ray's direction, 5 per cloudlet its projection on the ray
+      and squared distance from the line, and 3 per pierced cloudlet its
+      chord's phase; a ray that misses the layer does none of these.
 
     Warns with a :class:`ModelValidityWarning` if the ray misses the layer.
     """
     segment = _centre_segment(spec)
-    counts = np.zeros(spec.trials, dtype=np.int64)
-    for t, rng in enumerate(trial_streams(spec.master_seed, spec.trials)):
-        counts[t], _ = _instrumented_round(spec.cloud, segment, spec.physics,
-                                           rng)
-    return MacCountResult(per_round=counts, average=float(counts.mean()),
+
+    def pierced(phases):
+        return phases.per_ray_cloudlet_count[..., 0]
+
+    n, (h,) = trial_kernel(spec, spec.cloud, [([segment], pierced)])
+    traced = segment.length > 0.0
+    per_round = 17 + 6 * n + traced * (2 + 5 * n + 3 * h[0])
+    return MacCountResult(per_round=per_round,
+                          average=float(per_round.mean()),
                           rounds=spec.trials)
 
 
@@ -824,15 +784,14 @@ ASSUMED_PARAMETER_KEYS = (
 
 
 def build_manifest(spec: ExperimentSpec, report: dict,
-                   explicit_keys=(), wall_time_s: float = 0.0,
-                   version: str = __version__) -> dict:
+                   explicit_keys=(), wall_time_s: float = 0.0) -> dict:
     """Manifest that reproduces the run when fed back as a config."""
     flat = spec_to_flat(spec)
     assumed = {key: flat[key] for key in ASSUMED_PARAMETER_KEYS
                if key not in set(explicit_keys)}
     return {
         "tool": "cloudmimo",
-        "version": version,
+        "version": __version__,
         "mode": spec.mode,
         "config": flat,
         "numerics": NUMERICS_VERSION,

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 import cloudmimo
 from cloudmimo.cli import (PROFILES, REQUIRED_KEYS, _write_run,
                            assemble_config, main, parse_distance)
-from cloudmimo.errors import ConfigurationError
+from cloudmimo.errors import ConfigurationError, ModelValidityWarning
 from cloudmimo.experiment import (CONFIG_SCHEMA, NUMERICS_VERSION,
                                   spec_from_flat)
 
@@ -320,6 +321,33 @@ def test_main_runtime_failure_exits_two(tmp_path, capsys):
                     "--out", str(tmp_path / "x")])
     assert code == 2
     assert "runtime error" in capsys.readouterr().err
+
+
+def _display(message, category, filename, lineno, file=None, line=None):
+    # Python's own display of a warning that nothing records.
+    sys.stderr.write(warnings.formatwarning(message, category, filename,
+                                            lineno, line))
+
+
+def test_main_shows_warnings_as_one_line(tmp_path, capsys):
+    argv = ["capacity-cdf", "--profile", "table3", "--trials", "2",
+            "--set", "link.distance_m=5000"]
+    shown = warnings.formatwarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = _display     # restored on exit
+        assert run_cli([*argv, "--out", str(tmp_path / "shown")]) == 0
+    assert capsys.readouterr().err == (
+        "warning: capacity-cdf point (no sweep): no ray reaches the cloud "
+        "layer at link distance 5000 m and elevation 90 deg, so every "
+        "trial is clear sky\n")
+    assert warnings.formatwarning is shown
+    # A caller that records warnings still receives each one.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli([*argv, "--out", str(tmp_path / "recorded")]) == 0
+    assert [w.category for w in caught] == [ModelValidityWarning]
+    assert capsys.readouterr().err == ""
 
 
 def test_main_version(capsys):

@@ -14,9 +14,9 @@ import cloudmimo
 from cloudmimo import experiment, streams
 from cloudmimo.experiment import (ASSUMED_PARAMETER_KEYS, NUMERICS_VERSION,
                                   CapacityCdf, MacCountResult, SweepPoint,
-                                  ExperimentSpec, _instrumented_round,
-                                  build_manifest, format_csv, outage_capacity,
-                                  run_capacity_cdf, run_compensated_sweep,
+                                  ExperimentSpec, build_manifest, format_csv,
+                                  outage_capacity, run_capacity_cdf,
+                                  run_compensated_sweep,
                                   run_correlation_sweep, run_mac_count,
                                   run_phase_compare, run_report,
                                   results_csv_text, spec_from_flat,
@@ -79,12 +79,11 @@ def test_trial_seed_fits_in_64_bits():
 
 def test_spec_collects_all_problems():
     with pytest.raises(ConfigurationError) as err:
-        make_spec(mode="bogus", trials=0, dt=-1.0, threads=0,
-                  outage_probability=0.0,
+        make_spec(mode="bogus", trials=0, dt=-1.0, outage_probability=0.0,
                   sweep_rwc=(0.5,), sweep_thickness=(100.0,))
     message = str(err.value)
-    for fragment in ("unknown mode", "trials", "dt", "threads",
-                     "outage_probability", "exclusive"):
+    for fragment in ("unknown mode", "trials", "dt", "outage_probability",
+                     "exclusive"):
         assert fragment in message
 
 
@@ -207,7 +206,8 @@ def test_kernel_rows_equal_single_field_path_phase(monkeypatch):
         spec = make_spec(trials=40, master_seed=4,
                          cloud=make_cloud(density_lambda_s=lambda_s))
         segments = map_rays_to_field(build_rays(link), link, spec.cloud)
-        rows = trial_kernel(spec, spec.cloud, [(segments, both)])[0][0]
+        counts, values = trial_kernel(spec, spec.cloud, [(segments, both)])
+        rows = values[0][0]
         rays = len(segments)
         assert rows.shape == (40, 2 * rays)
         assert np.any(rows[:, rays:] > 0)    # the rays do pierce cloudlets
@@ -219,7 +219,7 @@ def test_kernel_rows_equal_single_field_path_phase(monkeypatch):
             assert np.array_equal(rows[t, :rays], single.per_ray_phase)
             assert np.array_equal(rows[t, rays:],
                                   single.per_ray_cloudlet_count)
-        counts = np.array([field.count for field in fields])
+        assert np.array_equal(counts, [field.count for field in fields])
         if lambda_s < 0.002:
             assert np.any(counts == 0), lambda_s
 
@@ -255,7 +255,8 @@ def test_kernel_without_points_draws_nothing(monkeypatch):
 
     monkeypatch.setattr(experiment, "draw_fields", fail)
     spec = make_spec(mode="correlation", trials=4, distance_grid=(2000.0,))
-    assert trial_kernel(spec, spec.cloud, []) == []
+    counts, values = trial_kernel(spec, spec.cloud, [])
+    assert counts.size == 0 and values == []
     result = run_correlation_sweep(spec)
     assert not result.engaged[0]
     assert result.with_cloud[0] == result.without_cloud[0]
@@ -306,14 +307,6 @@ def test_thickness_sweep_rebuilds_layer():
     assert [p.value for p in points] == [500.0, 1000.0]
 
 
-def test_thread_count_never_changes_capacity_samples():
-    base = make_spec(trials=10)
-    threaded = dataclasses.replace(base, threads=3)
-    single = run_capacity_cdf(base)[0].cdf.samples
-    pooled = run_capacity_cdf(threaded)[0].cdf.samples
-    assert np.array_equal(single, pooled)
-
-
 # ============================================================
 # Distance sweeps
 # ============================================================
@@ -328,15 +321,6 @@ def test_correlation_sweep_skips_disengaged_distances():
     assert result.with_cloud[0] == result.without_cloud[0]
     assert result.trial_values[0] is None
     assert result.trial_values[1].shape == (4,)
-
-
-def test_correlation_sweep_thread_invariance():
-    spec = make_spec(mode="correlation", trials=6,
-                     distance_grid=(30000.0,))
-    pooled = run_correlation_sweep(dataclasses.replace(spec, threads=3))
-    single = run_correlation_sweep(spec)
-    assert np.array_equal(single.trial_values[0], pooled.trial_values[0])
-    assert single.with_cloud[0] == pooled.with_cloud[0]
 
 
 def test_compensated_sweep_forces_unit_gains():
@@ -438,26 +422,6 @@ def test_phase_compare_identical_samples_give_nan_kurtosis():
 # Operation counting
 # ============================================================
 
-def test_instrumented_round_phase_matches_production():
-    # The hand-counted scalar mirror must accrue the same phase as the
-    # vectorized production path for the same seed, or the count would
-    # describe a different computation.
-    cloud = make_cloud()
-    physics = PhysicsParams()
-    link = broadside_link(num_tx=1, num_rx=1, tx_spacing=0.0, rx_spacing=0.0,
-                          link_distance=30000.0, elevation_deg=90.0,
-                          cloud_upper_altitude=8000.0,
-                          layer_thickness=cloud.thickness_d)
-    segment = map_rays_to_field(build_rays(link), link, cloud)[0]
-    for seed in (11, 222, 3333):
-        mac, phi = _instrumented_round(cloud, segment, physics,
-                                       np.random.default_rng(seed))
-        field = generate_field(dataclasses.replace(cloud, rng_seed=seed))
-        produced = path_phase(field, [segment], physics).per_ray_phase[0]
-        assert mac > 0
-        assert phi == pytest.approx(produced, rel=1e-12, abs=1e-18)
-
-
 def test_run_mac_count_aggregates():
     spec = make_spec(mode="mac-count", trials=5,
                      scenario=make_scenario(link_distance=30000.0))
@@ -466,6 +430,41 @@ def test_run_mac_count_aggregates():
     assert np.all(result.per_round > 0)
     assert result.average == pytest.approx(result.per_round.mean())
     assert result.rounds == 5
+
+
+def test_mac_count_terms():
+    # An engaged ray through empty fields costs the set-up (17) and the
+    # ray's direction (2), nothing per cloudlet.
+    empty = make_spec(mode="mac-count", trials=6,
+                      cloud=make_cloud(density_lambda_s=0.0))
+    assert run_mac_count(empty).per_round.tolist() == [19] * 6
+
+    def fields(spec):
+        return [generate_field(dataclasses.replace(
+            spec.cloud, rng_seed=trial_seed(spec.master_seed, t)))
+            for t in range(spec.trials)]
+
+    # A ray that misses the layer costs the set-up and 6 per drawn cloudlet.
+    missed = make_spec(mode="mac-count", trials=20,
+                       scenario=make_scenario(link_distance=5000.0))
+    with pytest.warns(ModelValidityWarning):
+        per_round = run_mac_count(missed).per_round
+    assert per_round.tolist() == [17 + 6 * f.count for f in fields(missed)]
+
+    # An engaged ray adds 5 per cloudlet and 3 per pierced one.
+    spec = make_spec(mode="mac-count", trials=20, master_seed=31)
+    link = broadside_link(num_tx=1, num_rx=1, tx_spacing=0.0, rx_spacing=0.0,
+                          link_distance=40000.0, elevation_deg=90.0,
+                          cloud_upper_altitude=8000.0,
+                          layer_thickness=1000.0)
+    segments = map_rays_to_field(build_rays(link), link, spec.cloud)
+    expected = []
+    for field in fields(spec):
+        phases = path_phase(field, segments, spec.physics)
+        h = int(phases.per_ray_cloudlet_count[0])
+        expected.append(17 + 6 * field.count + 2 + 5 * field.count + 3 * h)
+    assert run_mac_count(spec).per_round.tolist() == expected
+    assert len(set(expected)) > 1
 
 
 def test_within_order_of_magnitude_bounds():
@@ -507,9 +506,7 @@ def test_flat_key_fills_every_field_it_names():
 
 def test_spec_from_flat_accepts_thread_hint():
     flat = spec_to_flat(make_spec(cloud=make_cloud(rng_seed=7)))
-    rebuilt = spec_from_flat(flat, threads=4)
-    assert rebuilt.threads == 4
-    assert dataclasses.replace(rebuilt, threads=1) == spec_from_flat(flat)
+    assert spec_from_flat(flat, threads=4) == spec_from_flat(flat)
 
 
 def test_format_csv_uses_shortest_round_trip_floats():
@@ -627,7 +624,6 @@ def test_build_manifest_records_numerics_outside_config():
 
 def test_build_manifest_records_the_package_version_by_default():
     assert build_manifest(make_spec(), {})["version"] == cloudmimo.__version__
-    assert build_manifest(make_spec(), {}, version="9")["version"] == "9"
 
 
 def test_build_manifest_lists_all_assumed_defaults_by_default():
