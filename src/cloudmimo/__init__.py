@@ -10,15 +10,14 @@ and sub-channel correlation.
 __version__ = "0.1.0"
 
 from .errors import (ConfigurationError, DegenerateDistributionError,
-                     DomainError, GeometryError, ModelValidityError,
-                     ModelValidityWarning, NumericError, ResourceLimitError)
+                     GeometryError, ModelValidityError, ModelValidityWarning,
+                     NumericError, ResourceLimitError)
 from .cloudfield import (CloudConfig, CloudField, cloudlet_radius,
                          generate_field, load_field, save_field, step_field)
 from .raygeometry import (LinkGeometry, Ray, Segment2D, broadside_link,
                           build_rays, chord_lengths, map_rays_to_field)
-from .phasephysics import (DEFAULT_ICE_SPHERE_VOLUME, PathPhase,
-                           PhysicsParams, SPEED_OF_LIGHT,
-                           mixture_coefficient, path_phase)
+from .phasephysics import (DEFAULT_ICE_SPHERE_VOLUME, PhysicsParams,
+                           SPEED_OF_LIGHT, mixture_coefficient, path_phase)
 from .analyticmodel import (AnalyticParams, PhaseDistribution,
                             chord_moments, closed_form_stationary,
                             count_weight, drift_length_variance,
@@ -37,15 +36,15 @@ from .experiment import (CapacityCdf, DistanceSweepResult, ExperimentSpec,
                          results_csv_text, spec_from_flat, spec_to_flat)
 
 __all__ = [
-    "ConfigurationError", "DegenerateDistributionError",
-    "DomainError", "GeometryError", "ModelValidityError",
-    "ModelValidityWarning", "NumericError", "ResourceLimitError",
+    "ConfigurationError", "DegenerateDistributionError", "GeometryError",
+    "ModelValidityError", "ModelValidityWarning", "NumericError",
+    "ResourceLimitError",
     "CloudConfig", "CloudField", "cloudlet_radius",
     "generate_field", "load_field", "save_field", "step_field",
     "LinkGeometry", "Ray", "Segment2D", "broadside_link", "build_rays",
     "chord_lengths", "map_rays_to_field",
-    "DEFAULT_ICE_SPHERE_VOLUME", "PathPhase", "PhysicsParams",
-    "SPEED_OF_LIGHT", "mixture_coefficient", "path_phase",
+    "DEFAULT_ICE_SPHERE_VOLUME", "PhysicsParams", "SPEED_OF_LIGHT",
+    "mixture_coefficient", "path_phase",
     "AnalyticParams", "PhaseDistribution", "chord_moments",
     "closed_form_stationary", "count_weight", "drift_length_variance",
     "drift_phase_variance", "gaussian_pdf", "laplace_pdf",

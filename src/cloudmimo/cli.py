@@ -28,7 +28,7 @@ from .analyticmodel import (AnalyticParams, stationary_report,
                             time_varying_distribution, total_phase_pdf,
                             laplace_pdf)
 from .cloudfield import CloudConfig, generate_field, save_field
-from .errors import (ConfigurationError, DomainError, GeometryError)
+from .errors import ConfigurationError, GeometryError
 from .experiment import (CONFIG_SCHEMA, NUMERICS_VERSION, ExperimentSpec,
                          build_manifest, format_csv, parse_config_value,
                          results_csv_text, run_capacity_cdf,
@@ -401,7 +401,7 @@ def _main(argv) -> int:
             args.mode, args.profile, args.config, args.set_overrides,
             _flag_overrides(args))
         spec = spec_from_flat(flat)
-    except (ConfigurationError, DomainError, GeometryError) as exc:
+    except (ConfigurationError, GeometryError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     outdir = Path(args.out) if args.out else Path("cloudmimo-runs") / args.mode
@@ -412,7 +412,7 @@ def _main(argv) -> int:
             _run_phase_dist(spec, outdir, explicit)
         else:
             _run_experiment(spec, outdir, explicit)
-    except (ConfigurationError, DomainError, GeometryError) as exc:
+    except (ConfigurationError, GeometryError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:   # runtime failures map to exit code 2

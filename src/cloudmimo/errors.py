@@ -13,10 +13,6 @@ class GeometryError(ValueError):
     """Raised for degenerate or impossible link geometry."""
 
 
-class DomainError(ValueError):
-    """Raised when a physical quantity is outside its admissible domain."""
-
-
 class NumericError(ArithmeticError):
     """Raised when a computation produces a non-finite result."""
 

@@ -15,8 +15,10 @@ generator's layout first).  Each block's fields come from one call of
 ``draw_fields``, whose one-field case is ``generate_field``, as unit x, y
 and content rows that the kernel scales in place.  No per-trial
 ``CloudField`` is built, and no array outlives its block: each stage
-allocates what it uses.  mac-count counts operations from the kernel's own
-per-trial cloudlet and pierced counts.
+allocates what it uses.  The kernel passes plain arrays: each point's
+metric gets the block's phases, and the kernel returns each trial's
+cloudlet count and each point's per-ray pierced counts beside the metric
+values, from which mac-count counts operations.
 
 Runs write two artifacts: ``results.csv`` with plot-ready columns and
 ``manifest.json`` with the full configuration, which can be fed back as a
@@ -314,7 +316,8 @@ def _warn_clear_sky(spec: ExperimentSpec, point: str) -> None:
 # ============================================================
 
 def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, points,
-                 contents=None) -> tuple[np.ndarray, list[np.ndarray]]:
+                 contents=None) -> tuple[np.ndarray, list[np.ndarray],
+                                         list[np.ndarray]]:
     """Evaluate every sweep point on one field draw per trial.
 
     Trial ``t`` draws its field from the stream
@@ -328,21 +331,25 @@ def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, points,
     Parameters
     ----------
     points : sequence of (segments, metric)
-        The in-layer ray segments of a sweep point, and a metric mapping a
-        :class:`PathPhase` of (len(contents), b, rays) stacks for a block
-        of b trials to (len(contents), b, ...) values.
+        The in-layer ray segments of a sweep point, and a metric mapping
+        the (len(contents), b, rays) phases [rad] of a block of b trials
+        to (len(contents), b, ...) values.
 
     Returns
     -------
     counts : ndarray
-        (trials,) cloudlet count of each trial's field; empty, with no
-        field drawn, when there are no points.
+        (trials,) cloudlet count of each trial's field.
+    pierced : list of ndarray
+        Per point, the (trials, rays) count of the cloudlets each ray
+        pierces; the same for every content bound.
     values : list of ndarray
         Per point, the metric values of all trials,
         (len(contents), trials, ...).
+
+    With no points no field is drawn, and all three are empty.
     """
     if not points:
-        return np.zeros(0, dtype=np.intp), []
+        return np.zeros(0, dtype=np.intp), [], []
     if contents is None:
         contents = (cloud.max_iwc_c,)
     scale = np.asarray(contents, dtype=float)[:, None]
@@ -350,6 +357,7 @@ def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, points,
     mean_count = cloud.density_lambda_s * cloud.width_w * cloud.thickness_d
     per_block = max(1, int(BLOCK_CLOUDLETS // max(mean_count, 1.0)))
     values: list[list] = [[] for _ in points]
+    pierced: list[list] = [[] for _ in points]
     trial_counts = np.empty(spec.trials, dtype=np.intp)
     streams = trial_streams(spec.master_seed, spec.trials)
     for first in range(0, spec.trials, per_block):
@@ -361,10 +369,13 @@ def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, points,
         y *= cloud.thickness_d
         positions = draws[:2].T
         iwc = scale * u
-        for (segments, metric), out in zip(points, values):
-            out.append(metric(block_phases(positions, iwc, counts, radius,
-                                           segments, spec.physics)))
-    return trial_counts, [np.concatenate(v, axis=1) for v in values]
+        for (segments, metric), out, hits in zip(points, values, pierced):
+            phases, hit = block_phases(positions, iwc, counts, radius,
+                                       segments, spec.physics)
+            out.append(metric(phases))
+            hits.append(hit)
+    return (trial_counts, [np.concatenate(h) for h in pierced],
+            [np.concatenate(v, axis=1) for v in values])
 
 
 # ============================================================
@@ -408,7 +419,8 @@ def _capacities(spec: ExperimentSpec, cloud: CloudConfig, contents,
         for point in point_names:
             _warn_clear_sky(spec, f"capacity-cdf point {point}")
     metric = functools.partial(_capacity, spec.scenario)
-    _, (caps,) = trial_kernel(spec, cloud, [(segments, metric)], contents)
+    _, _, (caps,) = trial_kernel(spec, cloud, [(segments, metric)],
+                                 contents)
     return caps
 
 
@@ -468,8 +480,8 @@ def run_distance_sweep(spec: ExperimentSpec, metric, reducer,
     """Ensemble summary of a per-trial channel metric over the distance grid.
 
     ``metric(scenario, phases)`` evaluates the channel of a scenario under
-    stacked cloud phases (a :class:`PathPhase`), or under clear sky for
-    None; ``reducer`` summarizes the trial values of one distance.
+    a (..., rays) stack of cloud phases, or under clear sky for None;
+    ``reducer`` summarizes the trial values of one distance.
     Distances where no ray reaches the layer reuse the clear-sky value
     exactly; the engaged distances are all evaluated on the same field
     draws.
@@ -482,7 +494,7 @@ def run_distance_sweep(spec: ExperimentSpec, metric, reducer,
     mapped = [_segments_for(spec, spec.cloud, float(d)) for d in distances]
     engaged = np.array([hit for _, hit in mapped], dtype=bool)
     live = np.flatnonzero(engaged)
-    _, values = trial_kernel(spec, spec.cloud, [
+    _, _, values = trial_kernel(spec, spec.cloud, [
         (mapped[i][0], functools.partial(metric, scenarios[i]))
         for i in live])
     with_cloud = without.copy()
@@ -529,7 +541,8 @@ class PhaseCompareResult:
     empirical_mean: float
     empirical_variance: float
     empirical_excess_kurtosis: float
-    cloudlet_counts: np.ndarray
+    cloudlet_counts: np.ndarray   # each trial's field
+    pierced_counts: np.ndarray    # each trial's ray
     analytic: PhaseDistribution
     ks_distance: float
     bin_centres: np.ndarray
@@ -568,6 +581,10 @@ def _excess_kurtosis(samples: np.ndarray) -> float:
     return float((dev2 ** 2).mean() / m2 ** 2.0 - 3)
 
 
+def _first_ray(phases: np.ndarray) -> np.ndarray:
+    return phases[..., 0]
+
+
 def run_phase_compare(spec: ExperimentSpec) -> PhaseCompareResult:
     """Histogram the Monte Carlo single-ray phase against the Laplace model.
 
@@ -577,14 +594,9 @@ def run_phase_compare(spec: ExperimentSpec) -> PhaseCompareResult:
     agreement is enforced, only measured.
     """
     segments = [_centre_segment(spec)]
-
-    def phase_and_count(phases):
-        return np.stack([phases.per_ray_phase[..., 0],
-                         phases.per_ray_cloudlet_count[..., 0]], axis=-1)
-
-    _, (pairs,) = trial_kernel(spec, spec.cloud, [(segments, phase_and_count)])
-    samples = np.ascontiguousarray(pairs[0, :, 0])
-    counts = pairs[0, :, 1].astype(int)
+    counts, (pierced,), (phases,) = trial_kernel(
+        spec, spec.cloud, [(segments, _first_ray)])
+    samples = phases[0]
     analytic = stationary_distribution(AnalyticParams(spec.cloud, spec.physics))
 
     if analytic.sigma_c2 > 0.0:
@@ -611,7 +623,8 @@ def run_phase_compare(spec: ExperimentSpec) -> PhaseCompareResult:
         samples=samples, empirical_mean=float(samples.mean()),
         empirical_variance=float(samples.var()),
         empirical_excess_kurtosis=_excess_kurtosis(samples),
-        cloudlet_counts=counts, analytic=analytic, ks_distance=ks,
+        cloudlet_counts=counts, pierced_counts=pierced[:, 0],
+        analytic=analytic, ks_distance=ks,
         bin_centres=centres, empirical_density=density,
         analytic_density=analytic_density)
 
@@ -663,13 +676,9 @@ def run_mac_count(spec: ExperimentSpec) -> MacCountResult:
     Warns with a :class:`ModelValidityWarning` if the ray misses the layer.
     """
     segment = _centre_segment(spec)
-
-    def pierced(phases):
-        return phases.per_ray_cloudlet_count[..., 0]
-
-    n, (h,) = trial_kernel(spec, spec.cloud, [([segment], pierced)])
+    n, (h,), _ = trial_kernel(spec, spec.cloud, [([segment], _first_ray)])
     traced = segment.length > 0.0
-    per_round = 17 + 6 * n + traced * (2 + 5 * n + 3 * h[0])
+    per_round = 17 + 6 * n + traced * (2 + 5 * n + 3 * h[:, 0])
     return MacCountResult(per_round=per_round,
                           average=float(per_round.mean()),
                           rounds=spec.trials)
@@ -751,6 +760,7 @@ def run_report(spec: ExperimentSpec, result) -> dict:
                 # null where it is undefined (NaN): strict JSON has no NaN
                 "excess_kurtosis": None if math.isnan(kurtosis) else kurtosis,
                 "mean_cloudlet_count": float(result.cloudlet_counts.mean()),
+                "mean_pierced_count": float(result.pierced_counts.mean()),
             },
             "analytic": {
                 "phi0_rad": result.analytic.phi0,

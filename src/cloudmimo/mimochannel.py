@@ -14,7 +14,7 @@ import dataclasses
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
-from .phasephysics import DEFAULT_CARRIER_FREQUENCY, SPEED_OF_LIGHT, PathPhase
+from .phasephysics import DEFAULT_CARRIER_FREQUENCY, SPEED_OF_LIGHT
 
 
 @dataclasses.dataclass(frozen=True)
@@ -80,21 +80,20 @@ def pair_distances(scenario: MimoScenario) -> np.ndarray:
     return np.sqrt(scenario.link_distance ** 2 + delta ** 2)
 
 
-def los_channel(scenario: MimoScenario,
-                cloud_phases: PathPhase | None = None) -> ChannelMatrix:
+def los_channel(scenario: MimoScenario, phases=None) -> ChannelMatrix:
     """Channel matrix with optional per-ray cloud phases.
 
     Entry (i, j) couples transmit antenna j to receive antenna i and sees
-    the total phase ``2 pi d_ij / lambda + phi_cloud(i, j)``; cloud phases
-    are indexed row-major to match the ray ordering of the geometry module.
-    Stacked cloud phases (..., rays) give a stack of channels (..., Nr, Nt).
-    In compensated mode all gains are unity, otherwise they fall off as the
-    inverse distance.
+    the total phase ``2 pi d_ij / lambda + phi_cloud(i, j)``; the cloud
+    phases [rad] are (rays,), indexed row-major to match the ray ordering
+    of the geometry module, or a stack (..., rays) that gives a stack of
+    channels (..., Nr, Nt).  In compensated mode all gains are unity,
+    otherwise they fall off as the inverse distance.
     """
     d = pair_distances(scenario)
     phase = 2.0 * np.pi * d / scenario.wavelength
-    if cloud_phases is not None:
-        extra = np.asarray(cloud_phases.per_ray_phase, dtype=float)
+    if phases is not None:
+        extra = np.asarray(phases, dtype=float)
         if extra.shape[-1:] != (d.size,):
             raise ConfigurationError(
                 f"cloud phases carry {extra.shape[-1:]} rays but the "

@@ -274,9 +274,9 @@ def chord_lengths(segment: Segment2D, centres: np.ndarray,
     if length == 0.0 or n == 0:
         return np.zeros(n)
     ux, uy = (segment.end - segment.start) / length
-    # Four (n,) rows, not one (4, n) array: in the trial kernel the one
-    # array made each later correlation_table4 call fault in ~2250 fresh
-    # pages (measured), against ~15 with rows.
+    # Four (n,) rows, not one (4, n) array: the chords returned live in
+    # the t row, and the other three are freed on return, where a view
+    # into one array would keep all four alive.
     wx, wy, t, tmp = (np.empty(n) for _ in range(4))
     # Written out per element (not ``w @ u``, whose BLAS kernel may fuse
     # the multiply-add) so a disc's chord never depends on the other discs.

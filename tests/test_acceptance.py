@@ -181,7 +181,7 @@ def test_04_phase_linearity_and_additivity():
         field = CloudField(config=CloudConfig(),
                            positions=np.asarray(pos, dtype=float),
                            iwc=np.asarray(iwc, dtype=float), radius=5.0)
-        return float(path_phase(field, [seg], physics).per_ray_phase[0])
+        return float(path_phase(field, [seg], physics)[0][0])
 
     combined = phase(base)
     lin_err = max(abs(phase(base * c) - c * combined) / abs(c * combined)

@@ -154,7 +154,8 @@ def _per_trial_outputs(spec: ExperimentSpec) -> dict:
         scenario=make_scenario(link_distance=30000.0)))
     return {"capacity": [p.cdf.samples for p in cdf],
             "correlation": [corr.trial_values[1], corr.trial_values[2]],
-            "phase": [phase.samples, phase.cloudlet_counts]}
+            "phase": [phase.samples, phase.cloudlet_counts,
+                      phase.pierced_counts]}
 
 
 def test_kernel_results_do_not_depend_on_block_size(monkeypatch):
@@ -183,45 +184,59 @@ def test_rwc_sweep_shares_one_draw_bit_for_bit():
         assert np.array_equal(point.cdf.samples, alone), point.value
 
 
+def _fields(spec: ExperimentSpec) -> list:
+    """Each trial's field, drawn alone from its own stream."""
+    return [generate_field(dataclasses.replace(
+        spec.cloud, rng_seed=trial_seed(spec.master_seed, t)))
+        for t in range(spec.trials)]
+
+
 def test_kernel_rows_equal_single_field_path_phase(monkeypatch):
-    link = broadside_link(num_tx=2, num_rx=2, tx_spacing=1.0,
-                          rx_spacing=6.0827, link_distance=40000.0,
-                          elevation_deg=90.0, cloud_upper_altitude=8000.0,
-                          layer_thickness=1000.0)
+    def link_at(distance):
+        return broadside_link(num_tx=2, num_rx=2, tx_spacing=1.0,
+                              rx_spacing=6.0827, link_distance=distance,
+                              elevation_deg=90.0, cloud_upper_altitude=8000.0,
+                              layer_thickness=1000.0)
 
-    def both(phases):
-        return np.concatenate([phases.per_ray_phase,
-                               phases.per_ray_cloudlet_count], axis=-1)
+    def phases(block):
+        return block
 
+    # The rays at 40 km cross the layer; those at 5 km stay below it.
+    links = (link_at(40000.0), link_at(5000.0))
     for lambda_s, block, chunk in (
             # ~40 cloudlets per field, 2 trials per block, streams derived
             # 3 trials at a time: block and chunk boundaries cross.
             (0.002, 100, 3),
-            # ~1 cloudlet per field, 2 trials per block, some fields empty.
-            (0.00005, 2, 1024),
+            # ~1 cloudlet per field, 5 trials per block: empty fields fall
+            # first, in the middle and last in a block.
+            (0.00005, 5, 1024),
             # ~0.2 cloudlets per field, all trials in one block.
             (0.00001, 8192, 1024)):
         monkeypatch.setattr(experiment, "BLOCK_CLOUDLETS", block)
         monkeypatch.setattr(streams, "_CHUNK_TRIALS", chunk)
         spec = make_spec(trials=40, master_seed=4,
                          cloud=make_cloud(density_lambda_s=lambda_s))
-        segments = map_rays_to_field(build_rays(link), link, spec.cloud)
-        counts, values = trial_kernel(spec, spec.cloud, [(segments, both)])
-        rows = values[0][0]
-        rays = len(segments)
-        assert rows.shape == (40, 2 * rays)
-        assert np.any(rows[:, rays:] > 0)    # the rays do pierce cloudlets
-        fields = [generate_field(dataclasses.replace(
-            spec.cloud, rng_seed=trial_seed(spec.master_seed, t)))
-            for t in range(spec.trials)]
-        for t, field in enumerate(fields):
-            single = path_phase(field, segments, spec.physics)
-            assert np.array_equal(rows[t, :rays], single.per_ray_phase)
-            assert np.array_equal(rows[t, rays:],
-                                  single.per_ray_cloudlet_count)
+        points = [map_rays_to_field(build_rays(link), link, spec.cloud)
+                  for link in links]
+        counts, pierced, values = trial_kernel(
+            spec, spec.cloud, [(segments, phases) for segments in points])
+        fields = _fields(spec)
         assert np.array_equal(counts, [field.count for field in fields])
+        for segments, hits, (rows,) in zip(points, pierced, values):
+            assert hits.shape == rows.shape == (40, len(segments))
+            for t, field in enumerate(fields):
+                single, single_hits = path_phase(field, segments,
+                                                 spec.physics)
+                assert np.array_equal(rows[t], single)
+                assert np.array_equal(hits[t], single_hits)
+        assert np.any(pierced[0] > 0)    # the rays at 40 km pierce cloudlets
+        assert not np.any(pierced[1]) and not np.any(values[1])
         if lambda_s < 0.002:
-            assert np.any(counts == 0), lambda_s
+            per_block = min(spec.trials, block // max(
+                lambda_s * spec.cloud.width_w * spec.cloud.thickness_d, 1))
+            where = set(np.flatnonzero(counts == 0) % per_block)
+            assert {0, per_block - 1} <= where, lambda_s
+            assert where - {0, per_block - 1}, lambda_s
 
 
 def test_a_point_whose_rays_miss_the_layer_warns():
@@ -255,8 +270,8 @@ def test_kernel_without_points_draws_nothing(monkeypatch):
 
     monkeypatch.setattr(experiment, "draw_fields", fail)
     spec = make_spec(mode="correlation", trials=4, distance_grid=(2000.0,))
-    counts, values = trial_kernel(spec, spec.cloud, [])
-    assert counts.size == 0 and values == []
+    counts, pierced, values = trial_kernel(spec, spec.cloud, [])
+    assert counts.size == 0 and pierced == [] and values == []
     result = run_correlation_sweep(spec)
     assert not result.engaged[0]
     assert result.with_cloud[0] == result.without_cloud[0]
@@ -354,8 +369,22 @@ def test_phase_compare_shapes_and_analytic_reference():
                      scenario=make_scenario(link_distance=30000.0))
     result = run_phase_compare(spec)
     assert result.samples.shape == (200,)
-    assert result.cloudlet_counts.shape == (200,)
-    assert np.all(result.cloudlet_counts >= 0)
+    # The field's cloudlet count and the ray's pierced count, each trial's
+    # own; the report gives the mean of each under its own key.
+    link = broadside_link(num_tx=1, num_rx=1, tx_spacing=0.0, rx_spacing=0.0,
+                          link_distance=30000.0, elevation_deg=90.0,
+                          cloud_upper_altitude=8000.0,
+                          layer_thickness=1000.0)
+    segments = map_rays_to_field(build_rays(link), link, spec.cloud)
+    fields = _fields(spec)
+    assert result.cloudlet_counts.tolist() == [f.count for f in fields]
+    assert result.pierced_counts.tolist() == [
+        int(path_phase(f, segments, spec.physics)[1][0]) for f in fields]
+    assert np.all(result.pierced_counts <= result.cloudlet_counts)
+    assert np.any(result.pierced_counts < result.cloudlet_counts)
+    empirical = run_report(spec, result)["empirical"]
+    assert empirical["mean_cloudlet_count"] == result.cloudlet_counts.mean()
+    assert empirical["mean_pierced_count"] == result.pierced_counts.mean()
     assert 0.0 <= result.ks_distance <= 1.0
     assert result.bin_centres.shape == (101,)
     assert result.empirical_density.shape == (101,)
@@ -439,17 +468,12 @@ def test_mac_count_terms():
                       cloud=make_cloud(density_lambda_s=0.0))
     assert run_mac_count(empty).per_round.tolist() == [19] * 6
 
-    def fields(spec):
-        return [generate_field(dataclasses.replace(
-            spec.cloud, rng_seed=trial_seed(spec.master_seed, t)))
-            for t in range(spec.trials)]
-
     # A ray that misses the layer costs the set-up and 6 per drawn cloudlet.
     missed = make_spec(mode="mac-count", trials=20,
                        scenario=make_scenario(link_distance=5000.0))
     with pytest.warns(ModelValidityWarning):
         per_round = run_mac_count(missed).per_round
-    assert per_round.tolist() == [17 + 6 * f.count for f in fields(missed)]
+    assert per_round.tolist() == [17 + 6 * f.count for f in _fields(missed)]
 
     # An engaged ray adds 5 per cloudlet and 3 per pierced one.
     spec = make_spec(mode="mac-count", trials=20, master_seed=31)
@@ -459,9 +483,8 @@ def test_mac_count_terms():
                           layer_thickness=1000.0)
     segments = map_rays_to_field(build_rays(link), link, spec.cloud)
     expected = []
-    for field in fields(spec):
-        phases = path_phase(field, segments, spec.physics)
-        h = int(phases.per_ray_cloudlet_count[0])
+    for field in _fields(spec):
+        h = int(path_phase(field, segments, spec.physics)[1][0])
         expected.append(17 + 6 * field.count + 2 + 5 * field.count + 3 * h)
     assert run_mac_count(spec).per_round.tolist() == expected
     assert len(set(expected)) > 1

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cloudmimo import (ChannelMatrix, ConfigurationError, MimoScenario,
-                       NumericError, PathPhase, capacity_bits, los_channel,
+                       NumericError, capacity_bits, los_channel,
                        pair_distances, rayleigh_distance)
 from cloudmimo.mimochannel import ensemble_mean, subchannel_coherence
 
@@ -86,17 +86,13 @@ def test_entry_phase_matches_distance():
 def test_zero_cloud_phase_is_exactly_transparent():
     scen = MimoScenario(compensated=True)
     clear = los_channel(scen)
-    zero = PathPhase(per_ray_phase=np.zeros(4),
-                     per_ray_cloudlet_count=np.zeros(4, dtype=int))
-    with_zero = los_channel(scen, zero)
+    with_zero = los_channel(scen, np.zeros(4))
     np.testing.assert_array_equal(with_zero.entries, clear.entries)
 
 
 def test_cloud_phase_rotates_entries():
     scen = MimoScenario(compensated=True)
-    phases = PathPhase(per_ray_phase=np.array([0.1, 0.2, 0.3, 0.4]),
-                       per_ray_cloudlet_count=np.ones(4, dtype=int))
-    cm = los_channel(scen, phases)
+    cm = los_channel(scen, np.array([0.1, 0.2, 0.3, 0.4]))
     clear = los_channel(scen)
     rotation = cm.entries / clear.entries
     np.testing.assert_allclose(
@@ -105,10 +101,8 @@ def test_cloud_phase_rotates_entries():
 
 def test_cloud_phase_ray_count_mismatch():
     scen = MimoScenario()
-    bad = PathPhase(per_ray_phase=np.zeros(3),
-                    per_ray_cloudlet_count=np.zeros(3, dtype=int))
     with pytest.raises(ConfigurationError):
-        los_channel(scen, bad)
+        los_channel(scen, np.zeros(3))
 
 
 # ============================================================
@@ -179,8 +173,7 @@ def test_capacity_of_a_stack_equals_each_matrix_alone():
     # A single matrix is a stack of one: the batched evaluation must give
     # every matrix's own capacity bit for bit, normalized or not.
     rng = np.random.default_rng(3)
-    phases = PathPhase(per_ray_phase=rng.normal(0.0, 1.0, (2, 5, 4)),
-                       per_ray_cloudlet_count=np.zeros((2, 5, 4), dtype=int))
+    phases = rng.normal(0.0, 1.0, (2, 5, 4))
     for compensated in (True, False):
         stack = los_channel(MimoScenario(compensated=compensated), phases)
         caps = capacity_bits(stack, 20.0)
@@ -196,11 +189,9 @@ def test_capacity_of_a_stack_equals_each_matrix_alone():
 def test_stacked_cloud_phases_give_stacked_channels():
     scen = MimoScenario()
     phases = np.array([[0.1, 0.2, 0.3, 0.4], [0.0, 0.0, 0.0, 0.0]])
-    stack = los_channel(scen, PathPhase(
-        per_ray_phase=phases, per_ray_cloudlet_count=np.zeros((2, 4), int)))
+    stack = los_channel(scen, phases)
     assert stack.entries.shape == (2, 2, 2)
-    one = los_channel(scen, PathPhase(per_ray_phase=phases[0],
-                                      per_ray_cloudlet_count=np.zeros(4)))
+    one = los_channel(scen, phases[0])
     assert np.array_equal(stack.entries[0], one.entries)
     assert np.array_equal(stack.entries[1], los_channel(scen).entries)
 
@@ -245,9 +236,7 @@ def test_correlation_all_equal_ensemble_is_exact():
     # coherences is the common value, bit for bit.
     scen = MimoScenario(link_distance=12345.0, compensated=True)
     single = subchannel_coherence(los_channel(scen))
-    phases = PathPhase(per_ray_phase=np.zeros((7, 4)),
-                       per_ray_cloudlet_count=np.zeros((7, 4), dtype=int))
-    many = subchannel_coherence(los_channel(scen, phases))
+    many = subchannel_coherence(los_channel(scen, np.zeros((7, 4))))
     assert many.shape == (7,)
     assert ensemble_mean(many) == single   # bitwise, no averaging drift
 

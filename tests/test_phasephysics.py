@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from cloudmimo import (CloudConfig, CloudField, ConfigurationError,
-                       DEFAULT_ICE_SPHERE_VOLUME, PhysicsParams, Segment2D,
-                       mixture_coefficient, path_phase)
+                       DEFAULT_ICE_SPHERE_VOLUME, MimoScenario, PhysicsParams,
+                       Segment2D, mixture_coefficient, path_phase)
 from cloudmimo.phasephysics import block_phases
 from cloudmimo.raygeometry import chord_lengths
 
@@ -28,7 +28,7 @@ def one_cloudlet_phase(chord, iwc):
     """Phase of a ray through the centre of one cloudlet of diameter chord."""
     field = synthetic_field([[10.0, 500.0]], [iwc], radius=chord / 2.0)
     seg = Segment2D(start=np.array([10.0, 0.0]), end=np.array([10.0, 1000.0]))
-    return path_phase(field, [seg], PhysicsParams()).per_ray_phase[0]
+    return path_phase(field, [seg], PhysicsParams())[0][0]
 
 
 # ============================================================
@@ -39,21 +39,17 @@ def test_default_wavelength_derived_from_frequency():
     params = PhysicsParams()
     assert params.wavelength_lambda0 == pytest.approx(WAVELENGTH_73_5_GHZ,
                                                       rel=1e-15)
+    # The channel's arithmetic, bit for bit; the wavelength is not settable.
+    for frequency in (73.5e9, 28e9):
+        assert PhysicsParams(carrier_frequency=frequency).wavelength_lambda0 \
+            == MimoScenario(carrier_frequency=frequency).wavelength
+    with pytest.raises(TypeError):
+        PhysicsParams(wavelength_lambda0=WAVELENGTH_73_5_GHZ)
 
 
 def test_default_sphere_volume():
     assert DEFAULT_ICE_SPHERE_VOLUME == pytest.approx(ICE_SPHERE_VOLUME,
                                                       rel=1e-15)
-
-
-def test_consistent_explicit_wavelength_accepted():
-    params = PhysicsParams(wavelength_lambda0=WAVELENGTH_73_5_GHZ)
-    assert params.wavelength_lambda0 == pytest.approx(WAVELENGTH_73_5_GHZ)
-
-
-def test_inconsistent_wavelength_rejected():
-    with pytest.raises(ConfigurationError):
-        PhysicsParams(wavelength_lambda0=0.005)
 
 
 def test_parameter_validation():
@@ -123,11 +119,11 @@ def test_path_phase_single_cloudlet_manual():
     params = PhysicsParams()
     field = synthetic_field([[10.0, 500.0]], [0.3])
     seg = Segment2D(start=np.array([10.0, 0.0]), end=np.array([10.0, 1000.0]))
-    result = path_phase(field, [seg], params)
+    phases, pierced = path_phase(field, [seg], params)
     eps = mixture_coefficient(params) * 0.3
     expected = 2.0 * math.pi * 10.0 / params.wavelength_lambda0 * eps
-    assert result.per_ray_phase[0] == pytest.approx(expected, rel=1e-12)
-    assert result.per_ray_cloudlet_count[0] == 1
+    assert phases[0] == pytest.approx(expected, rel=1e-12)
+    assert pierced[0] == 1
 
 
 def test_path_phase_additive_over_disjoint_cloudlets():
@@ -136,11 +132,11 @@ def test_path_phase_additive_over_disjoint_cloudlets():
     both = synthetic_field([[10.0, 200.0], [10.0, 800.0]], [0.1, 0.3])
     first = synthetic_field([[10.0, 200.0]], [0.1])
     second = synthetic_field([[10.0, 800.0]], [0.3])
-    phi_both = path_phase(both, [seg], params).per_ray_phase[0]
-    phi_sum = path_phase(first, [seg], params).per_ray_phase[0] \
-        + path_phase(second, [seg], params).per_ray_phase[0]
+    (phi_both,), (pierced,) = path_phase(both, [seg], params)
+    phi_sum = path_phase(first, [seg], params)[0][0] \
+        + path_phase(second, [seg], params)[0][0]
     assert phi_both == pytest.approx(phi_sum, rel=1e-12)
-    assert path_phase(both, [seg], params).per_ray_cloudlet_count[0] == 2
+    assert pierced == 2
 
 
 def test_path_phase_linear_in_iwc_scaling():
@@ -149,10 +145,9 @@ def test_path_phase_linear_in_iwc_scaling():
     rng = np.random.default_rng(3)
     positions = rng.uniform(0.0, [20.0, 1000.0], (30, 2))
     iwc = rng.uniform(0.0, 0.4, 30)
-    phi = path_phase(synthetic_field(positions, iwc), [seg],
-                     params).per_ray_phase[0]
+    phi = path_phase(synthetic_field(positions, iwc), [seg], params)[0][0]
     phi2 = path_phase(synthetic_field(positions, 2.0 * iwc), [seg],
-                      params).per_ray_phase[0]
+                      params)[0][0]
     assert phi2 == pytest.approx(2.0 * phi, rel=1e-12)
 
 
@@ -162,8 +157,8 @@ def test_path_phase_overlapping_cloudlets_sum_independently():
     # two cloudlets at the same centre act like one with summed content
     stacked = synthetic_field([[10.0, 500.0], [10.0, 500.0]], [0.1, 0.2])
     merged = synthetic_field([[10.0, 500.0]], [0.3])
-    phi_stacked = path_phase(stacked, [seg], params).per_ray_phase[0]
-    phi_merged = path_phase(merged, [seg], params).per_ray_phase[0]
+    phi_stacked = path_phase(stacked, [seg], params)[0][0]
+    phi_merged = path_phase(merged, [seg], params)[0][0]
     assert phi_stacked == pytest.approx(phi_merged, rel=1e-12)
 
 
@@ -172,13 +167,14 @@ def test_path_phase_zero_segment_and_empty_field():
     zero_seg = Segment2D(start=np.array([10.0, 0.0]),
                          end=np.array([10.0, 0.0]))
     field = synthetic_field([[10.0, 500.0]], [0.3])
-    result = path_phase(field, [zero_seg], params)
-    assert result.per_ray_phase[0] == 0.0
-    assert result.per_ray_cloudlet_count[0] == 0
+    phases, pierced = path_phase(field, [zero_seg], params)
+    assert phases[0] == 0.0
+    assert pierced[0] == 0
     empty = synthetic_field(np.empty((0, 2)), np.empty(0))
     seg = Segment2D(start=np.array([10.0, 0.0]), end=np.array([10.0, 1000.0]))
-    result = path_phase(empty, [seg], params)
-    assert result.per_ray_phase[0] == 0.0
+    phases, pierced = path_phase(empty, [seg], params)
+    assert phases[0] == 0.0
+    assert pierced[0] == 0
 
 
 def test_path_phase_multiple_segments_independent():
@@ -187,10 +183,10 @@ def test_path_phase_multiple_segments_independent():
     hit_seg = Segment2D(start=np.array([5.0, 0.0]), end=np.array([5.0, 1000.0]))
     miss_seg = Segment2D(start=np.array([15.0, 0.0]),
                          end=np.array([15.0, 1000.0]))
-    result = path_phase(field, [hit_seg, miss_seg], params)
-    assert result.per_ray_phase[0] > 0.0
-    assert result.per_ray_phase[1] == 0.0
-    assert list(result.per_ray_cloudlet_count) == [1, 0]
+    phases, pierced = path_phase(field, [hit_seg, miss_seg], params)
+    assert phases[0] > 0.0
+    assert phases[1] == 0.0
+    assert list(pierced) == [1, 0]
 
 
 def test_block_phases_leave_inputs_unmodified():
@@ -201,34 +197,31 @@ def test_block_phases_leave_inputs_unmodified():
                 for x in (9.5, 10.5)]
     params = PhysicsParams()
     # All but the first layout hold empty fields: first, in the middle,
-    # last and throughout.  reduceat would mis-sum them if they got a
-    # start, and rejects a start equal to n.
+    # last and throughout.
     for counts in ([100, 120, 80], [0, 150, 0, 150, 0], [0, 0, 300],
                    [300, 0, 0], [0, 0]):
         n = sum(counts)
         counts = np.array(counts)
         inputs = (positions[:n], iwc[:, :n], counts)
         before = [a.copy() for a in inputs]
-        fresh = block_phases(*inputs, 2.5, segments, params)
+        phases, pierced = block_phases(*inputs, 2.5, segments, params)
         for array, copy in zip(inputs, before):
             assert np.array_equal(array, copy)
-        assert fresh.per_ray_phase.shape == (2, len(counts), 2)
+        assert phases.shape == (2, len(counts), 2)
+        assert pierced.shape == (len(counts), 2)
         # each variant of each field equals a trace of that field alone
         starts = np.cumsum(counts) - counts
         for f, (start, count) in enumerate(zip(starts, counts)):
             mine = slice(start, start + count)
-            assert (np.all(fresh.per_ray_phase[:, f] > 0.0) if count
-                    else np.all(fresh.per_ray_phase[:, f] == 0.0))
+            assert (np.all(phases[:, f] > 0.0) if count
+                    else np.all(phases[:, f] == 0.0))
             for j in range(2):
                 field = CloudField(config=CloudConfig(),
                                    positions=positions[mine],
                                    iwc=iwc[j, mine], radius=2.5)
-                alone = path_phase(field, segments, params)
-                assert np.array_equal(alone.per_ray_phase,
-                                      fresh.per_ray_phase[j, f])
-                assert np.array_equal(alone.per_ray_cloudlet_count,
-                                      fresh.per_ray_cloudlet_count[j, f])
+                alone, alone_pierced = path_phase(field, segments, params)
+                assert np.array_equal(alone, phases[j, f])
+                assert np.array_equal(alone_pierced, pierced[f])
             for r, seg in enumerate(segments):
                 chords = chord_lengths(seg, positions[mine], 2.5)
-                assert (fresh.per_ray_cloudlet_count[:, f, r]
-                        == np.count_nonzero(chords > 0.0)).all()
+                assert pierced[f, r] == np.count_nonzero(chords > 0.0)
