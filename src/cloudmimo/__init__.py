@@ -13,7 +13,7 @@ from .errors import (ConfigurationError, DegenerateDistributionError,
                      GeometryError, ModelValidityError, ModelValidityWarning,
                      NumericError, ResourceLimitError)
 from .cloudfield import (CloudConfig, CloudField, cloudlet_radius,
-                         generate_field, load_field, save_field, step_field)
+                         generate_field, save_field, step_field)
 from .raygeometry import (LinkGeometry, Ray, Segment2D, broadside_link,
                           build_rays, chord_lengths, map_rays_to_field)
 from .phasephysics import (DEFAULT_ICE_SPHERE_VOLUME, PhysicsParams,
@@ -22,10 +22,9 @@ from .analyticmodel import (AnalyticParams, PhaseDistribution,
                             chord_moments, closed_form_stationary,
                             count_weight, drift_length_variance,
                             drift_phase_variance, gaussian_pdf, laplace_pdf,
-                            permittivity_moments, phase_moments_for_count,
-                            sample_total_phase, stationary_distribution,
-                            stationary_report, time_varying_distribution,
-                            total_phase_pdf)
+                            permittivity_moments, sample_total_phase,
+                            stationary_distribution, stationary_report,
+                            time_varying_distribution, total_phase_pdf)
 from .mimochannel import (ChannelMatrix, MimoScenario, capacity_bits,
                           los_channel, pair_distances, rayleigh_distance)
 from .experiment import (CapacityCdf, DistanceSweepResult, ExperimentSpec,
@@ -40,7 +39,7 @@ __all__ = [
     "ModelValidityError", "ModelValidityWarning", "NumericError",
     "ResourceLimitError",
     "CloudConfig", "CloudField", "cloudlet_radius",
-    "generate_field", "load_field", "save_field", "step_field",
+    "generate_field", "save_field", "step_field",
     "LinkGeometry", "Ray", "Segment2D", "broadside_link", "build_rays",
     "chord_lengths", "map_rays_to_field",
     "DEFAULT_ICE_SPHERE_VOLUME", "PhysicsParams", "SPEED_OF_LIGHT",
@@ -48,7 +47,7 @@ __all__ = [
     "AnalyticParams", "PhaseDistribution", "chord_moments",
     "closed_form_stationary", "count_weight", "drift_length_variance",
     "drift_phase_variance", "gaussian_pdf", "laplace_pdf",
-    "permittivity_moments", "phase_moments_for_count", "sample_total_phase",
+    "permittivity_moments", "sample_total_phase",
     "stationary_distribution", "stationary_report",
     "time_varying_distribution", "total_phase_pdf",
     "ChannelMatrix", "MimoScenario", "capacity_bits", "los_channel",

@@ -186,17 +186,6 @@ def _phase_slopes(params: AnalyticParams) -> tuple[float, float]:
     return mean_slope, var_slope
 
 
-def phase_moments_for_count(k: int,
-                            params: AnalyticParams) -> tuple[float, float]:
-    """Mean and variance of the phase conditioned on k pierced cloudlets.
-
-    k and k^2 times the slopes of :func:`_phase_slopes`; a negative
-    variance is clamped to zero with a warning.
-    """
-    mean_slope, var_slope = _phase_slopes(params)
-    return k * mean_slope, k ** 2 * var_slope
-
-
 # ============================================================
 # Stationary distribution
 # ============================================================

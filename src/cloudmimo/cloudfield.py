@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 import math
 from pathlib import Path
 
@@ -251,51 +250,15 @@ def step_field(field: CloudField, dt: float,
 # Serialization
 # ============================================================
 
-def _sidecar_path(csv_path: Path) -> Path:
-    return csv_path.with_suffix(".json")
-
-
 def save_field(field: CloudField, csv_path) -> None:
-    """Write a field to CSV plus a JSON sidecar.
+    """Write a field to CSV, one row per cloudlet.
 
-    The CSV holds one row per cloudlet with full-precision decimals; the
-    sidecar records the generating configuration and drift state so the file
-    pair reconstructs the exact field.
+    Every column holds shortest round-trip decimals, so the rows parse back
+    to the field's positions, radius and contents bit for bit; the run's
+    ``manifest.json`` replays the field itself.
     """
-    csv_path = Path(csv_path)
     lines = ["x_m,y_m,radius_m,iwc_g_m3"]
     for (x, y), w in zip(field.positions, field.iwc):
         lines.append(f"{float(x)!r},{float(y)!r},"
                      f"{float(field.radius)!r},{float(w)!r}")
-    csv_path.write_text("\n".join(lines) + "\n")
-    sidecar = {
-        "config": dataclasses.asdict(field.config),
-        "radius_m": field.radius,
-        "elapsed_time_s": field.elapsed_time,
-        "step_index": field.step_index,
-        "count": field.count,
-    }
-    _sidecar_path(csv_path).write_text(json.dumps(sidecar, indent=2) + "\n")
-
-
-def load_field(csv_path) -> CloudField:
-    """Read a field written by :func:`save_field`."""
-    csv_path = Path(csv_path)
-    sidecar = json.loads(_sidecar_path(csv_path).read_text())
-    config = CloudConfig(**sidecar["config"])
-    rows = csv_path.read_text().strip().split("\n")
-    header, body = rows[0], rows[1:]
-    if header != "x_m,y_m,radius_m,iwc_g_m3":
-        raise ConfigurationError(f"unrecognized field CSV header: {header}")
-    xs, ys, ws = [], [], []
-    for line in body:
-        x, y, _, w = line.split(",")
-        xs.append(float(x))
-        ys.append(float(y))
-        ws.append(float(w))
-    positions = (np.column_stack([np.array(xs), np.array(ys)])
-                 if xs else np.empty((0, 2)))
-    return CloudField(config=config, positions=positions,
-                      iwc=np.array(ws), radius=float(sidecar["radius_m"]),
-                      elapsed_time=float(sidecar["elapsed_time_s"]),
-                      step_index=int(sidecar["step_index"]))
+    Path(csv_path).write_text("\n".join(lines) + "\n")

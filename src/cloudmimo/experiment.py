@@ -14,11 +14,12 @@ state words in place (see :mod:`cloudmimo.streams`, which checks the
 generator's layout first).  Each block's fields come from one call of
 ``draw_fields``, whose one-field case is ``generate_field``, as unit x, y
 and content rows that the kernel scales in place.  No per-trial
-``CloudField`` is built, and no array outlives its block: each stage
-allocates what it uses.  The kernel passes plain arrays: each point's
-metric gets the block's phases, and the kernel returns each trial's
-cloudlet count and each point's per-ray pierced counts beside the metric
-values, from which mac-count counts operations.
+``CloudField`` is built, and no draw outlives its block.  The kernel only
+traces: it returns plain arrays of each trial's cloudlet count and each
+point's per-ray pierced counts and phases.  Each mode takes what it needs
+from them: capacity-cdf, correlation and compensated apply their channel
+metric in block-sized trial slices, phase-compare reads the phases of its
+one ray, and mac-count counts operations from the counts.
 
 Runs write two artifacts: ``results.csv`` with plot-ready columns and
 ``manifest.json`` with the full configuration, which can be fed back as a
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import collections
 import dataclasses
-import functools
 import math
 import operator
 import warnings
@@ -318,7 +318,7 @@ def _warn_clear_sky(spec: ExperimentSpec, point: str) -> None:
 def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, points,
                  contents=None) -> tuple[np.ndarray, list[np.ndarray],
                                          list[np.ndarray]]:
-    """Evaluate every sweep point on one field draw per trial.
+    """Trace every sweep point's rays through one field draw per trial.
 
     Trial ``t`` draws its field from the stream
     ``default_rng(trial_seed(master_seed, t))``, as :func:`generate_field`
@@ -326,14 +326,13 @@ def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, points,
     ``contents`` (default: the cloud's own) turns them into C * u, bit for
     bit the contents of a draw at bound C.  Trials run in blocks of about
     ``BLOCK_CLOUDLETS`` cloudlets: one :func:`draw_fields` call gives the
-    block's rows, which are traced against each point's rays at once.
+    block's rows, which are traced against each point's rays at once and
+    written into the run's output arrays.
 
     Parameters
     ----------
-    points : sequence of (segments, metric)
-        The in-layer ray segments of a sweep point, and a metric mapping
-        the (len(contents), b, rays) phases [rad] of a block of b trials
-        to (len(contents), b, ...) values.
+    points : sequence of list of Segment2D
+        The in-layer ray segments of each sweep point.
 
     Returns
     -------
@@ -342,9 +341,9 @@ def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, points,
     pierced : list of ndarray
         Per point, the (trials, rays) count of the cloudlets each ray
         pierces; the same for every content bound.
-    values : list of ndarray
-        Per point, the metric values of all trials,
-        (len(contents), trials, ...).
+    phases : list of ndarray
+        Per point, the (len(contents), trials, rays) unwrapped cloud phases
+        [rad] of every trial.
 
     With no points no field is drawn, and all three are empty.
     """
@@ -356,26 +355,44 @@ def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, points,
     radius = cloudlet_radius(cloud)
     mean_count = cloud.density_lambda_s * cloud.width_w * cloud.thickness_d
     per_block = max(1, int(BLOCK_CLOUDLETS // max(mean_count, 1.0)))
-    values: list[list] = [[] for _ in points]
-    pierced: list[list] = [[] for _ in points]
-    trial_counts = np.empty(spec.trials, dtype=np.intp)
-    streams = trial_streams(spec.master_seed, spec.trials)
-    for first in range(0, spec.trials, per_block):
-        counts, draws = draw_fields(cloud, streams,
-                                    min(per_block, spec.trials - first))
-        trial_counts[first:first + counts.size] = counts
+    trials = spec.trials
+    counts = np.empty(trials, dtype=np.intp)
+    pierced = [np.empty((trials, len(segments)), dtype=np.intp)
+               for segments in points]
+    phases = [np.empty((len(contents), trials, len(segments)))
+              for segments in points]
+    streams = trial_streams(spec.master_seed, trials)
+    for first in range(0, trials, per_block):
+        block = slice(first, min(first + per_block, trials))
+        block_counts, draws = draw_fields(cloud, streams, block.stop - first)
+        counts[block] = block_counts
         x, y, u = draws
         x *= cloud.width_w
         y *= cloud.thickness_d
         positions = draws[:2].T
         iwc = scale * u
-        for (segments, metric), out, hits in zip(points, values, pierced):
-            phases, hit = block_phases(positions, iwc, counts, radius,
-                                       segments, spec.physics)
-            out.append(metric(phases))
-            hits.append(hit)
-    return (trial_counts, [np.concatenate(h) for h in pierced],
-            [np.concatenate(v, axis=1) for v in values])
+        for segments, phase, hits in zip(points, phases, pierced):
+            phase[:, block], hits[block] = block_phases(
+                positions, iwc, block_counts, radius, segments, spec.physics)
+    return counts, pierced, phases
+
+
+def _apply_metric(metric, scenario: MimoScenario,
+                  phases: np.ndarray) -> np.ndarray:
+    """``metric(scenario, phases)`` of a (k, trials, rays) phase stack.
+
+    The stack goes in trial slices of at most ``BLOCK_CLOUDLETS`` phase
+    values, so the metric's temporaries stay the size of a kernel block's
+    at any trial count; the values do not depend on the slicing.
+    Returns the (k, trials) values.
+    """
+    k, trials, rays = phases.shape
+    step = max(1, BLOCK_CLOUDLETS // (k * rays))
+    values = np.empty((k, trials))
+    for first in range(0, trials, step):
+        values[:, first:first + step] = metric(
+            scenario, phases[:, first:first + step])
+    return values
 
 
 # ============================================================
@@ -418,10 +435,8 @@ def _capacities(spec: ExperimentSpec, cloud: CloudConfig, contents,
     if not engaged:
         for point in point_names:
             _warn_clear_sky(spec, f"capacity-cdf point {point}")
-    metric = functools.partial(_capacity, spec.scenario)
-    _, _, (caps,) = trial_kernel(spec, cloud, [(segments, metric)],
-                                 contents)
-    return caps
+    _, _, (phases,) = trial_kernel(spec, cloud, [segments], contents)
+    return _apply_metric(_capacity, spec.scenario, phases)
 
 
 def run_capacity_cdf(spec: ExperimentSpec) -> list[SweepPoint]:
@@ -483,8 +498,9 @@ def run_distance_sweep(spec: ExperimentSpec, metric, reducer,
     a (..., rays) stack of cloud phases, or under clear sky for None;
     ``reducer`` summarizes the trial values of one distance.
     Distances where no ray reaches the layer reuse the clear-sky value
-    exactly; the engaged distances are all evaluated on the same field
-    draws.
+    exactly.  The engaged distances are all traced on the same field
+    draws by one kernel call, and the metric then runs on each distance's
+    phases in block-sized trial slices.
     """
     distances = np.array(spec.distance_grid, dtype=float)
     scenarios = [_distance_scenario(spec, float(d), compensated)
@@ -494,14 +510,13 @@ def run_distance_sweep(spec: ExperimentSpec, metric, reducer,
     mapped = [_segments_for(spec, spec.cloud, float(d)) for d in distances]
     engaged = np.array([hit for _, hit in mapped], dtype=bool)
     live = np.flatnonzero(engaged)
-    _, _, values = trial_kernel(spec, spec.cloud, [
-        (mapped[i][0], functools.partial(metric, scenarios[i]))
-        for i in live])
+    _, _, phases = trial_kernel(spec, spec.cloud,
+                                [mapped[i][0] for i in live])
     with_cloud = without.copy()
     trial_values: list = [None] * len(distances)
-    for i, vals in zip(live, values):
-        trial_values[i] = vals[0]
-        with_cloud[i] = reducer(vals[0])
+    for i, phase in zip(live, phases):
+        trial_values[i] = _apply_metric(metric, scenarios[i], phase)[0]
+        with_cloud[i] = reducer(trial_values[i])
     return DistanceSweepResult(distances=distances, with_cloud=with_cloud,
                                without_cloud=without, engaged=engaged,
                                trial_values=trial_values)
@@ -581,10 +596,6 @@ def _excess_kurtosis(samples: np.ndarray) -> float:
     return float((dev2 ** 2).mean() / m2 ** 2.0 - 3)
 
 
-def _first_ray(phases: np.ndarray) -> np.ndarray:
-    return phases[..., 0]
-
-
 def run_phase_compare(spec: ExperimentSpec) -> PhaseCompareResult:
     """Histogram the Monte Carlo single-ray phase against the Laplace model.
 
@@ -594,9 +605,9 @@ def run_phase_compare(spec: ExperimentSpec) -> PhaseCompareResult:
     agreement is enforced, only measured.
     """
     segments = [_centre_segment(spec)]
-    counts, (pierced,), (phases,) = trial_kernel(
-        spec, spec.cloud, [(segments, _first_ray)])
-    samples = phases[0]
+    counts, (pierced,), (phases,) = trial_kernel(spec, spec.cloud,
+                                                 [segments])
+    samples = phases[0, :, 0]
     analytic = stationary_distribution(AnalyticParams(spec.cloud, spec.physics))
 
     if analytic.sigma_c2 > 0.0:
@@ -676,7 +687,7 @@ def run_mac_count(spec: ExperimentSpec) -> MacCountResult:
     Warns with a :class:`ModelValidityWarning` if the ray misses the layer.
     """
     segment = _centre_segment(spec)
-    n, (h,), _ = trial_kernel(spec, spec.cloud, [([segment], _first_ray)])
+    n, (h,), _ = trial_kernel(spec, spec.cloud, [[segment]])
     traced = segment.length > 0.0
     per_round = 17 + 6 * n + traced * (2 + 5 * n + 3 * h[:, 0])
     return MacCountResult(per_round=per_round,

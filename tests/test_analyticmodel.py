@@ -10,10 +10,9 @@ from cloudmimo import (AnalyticParams, CloudConfig, ConfigurationError,
                        PhaseDistribution, PhysicsParams, chord_moments,
                        closed_form_stationary, count_weight,
                        drift_length_variance, drift_phase_variance,
-                       gaussian_pdf, laplace_pdf, phase_moments_for_count,
-                       sample_total_phase, stationary_distribution,
-                       stationary_report, time_varying_distribution,
-                       total_phase_pdf)
+                       gaussian_pdf, laplace_pdf, sample_total_phase,
+                       stationary_distribution, stationary_report,
+                       time_varying_distribution, total_phase_pdf)
 
 # Frozen expectations from independent high-precision evaluation of the
 # fitted expressions at the default 20 m x 1000 m configuration.
@@ -92,19 +91,13 @@ def test_chord_moments_small_radius_negative_second_moment():
 
 
 def test_phase_moments_clamp_negative_variance_with_warning():
+    # radius 1 m: the negative fitted chord moment makes the conditional
+    # variance slope negative, which the stationary moments clamp to 0
     params = default_params(width_w=4.0)
     with pytest.warns(ModelValidityWarning):
-        mean, var = phase_moments_for_count(3, params)
-    assert var == 0.0
-    assert mean > 0.0
-
-
-def test_phase_moments_scale_with_count():
-    params = default_params()
-    m1, v1 = phase_moments_for_count(1, params)
-    m4, v4 = phase_moments_for_count(4, params)
-    assert m4 == pytest.approx(4.0 * m1, rel=1e-12)
-    assert v4 == pytest.approx(16.0 * v1, rel=1e-12)
+        dist = stationary_distribution(params)
+    assert dist.sigma_c2 == 0.0
+    assert dist.phi0 > 0.0
 
 
 # ============================================================

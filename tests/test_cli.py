@@ -372,7 +372,6 @@ def test_field_mode_writes_field_files(tmp_path):
                     "--out", str(out)])
     assert code == 0
     assert (out / "field.csv").exists()
-    assert (out / "field.json").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     header = (out / "field.csv").read_text().splitlines()[0]
     assert header == "x_m,y_m,radius_m,iwc_g_m3"

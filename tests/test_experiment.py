@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo experiment runner and run artifacts."""
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -198,9 +199,6 @@ def test_kernel_rows_equal_single_field_path_phase(monkeypatch):
                               elevation_deg=90.0, cloud_upper_altitude=8000.0,
                               layer_thickness=1000.0)
 
-    def phases(block):
-        return block
-
     # The rays at 40 km cross the layer; those at 5 km stay below it.
     links = (link_at(40000.0), link_at(5000.0))
     for lambda_s, block, chunk in (
@@ -218,19 +216,19 @@ def test_kernel_rows_equal_single_field_path_phase(monkeypatch):
                          cloud=make_cloud(density_lambda_s=lambda_s))
         points = [map_rays_to_field(build_rays(link), link, spec.cloud)
                   for link in links]
-        counts, pierced, values = trial_kernel(
-            spec, spec.cloud, [(segments, phases) for segments in points])
+        counts, pierced, phases = trial_kernel(spec, spec.cloud, points)
         fields = _fields(spec)
         assert np.array_equal(counts, [field.count for field in fields])
-        for segments, hits, (rows,) in zip(points, pierced, values):
-            assert hits.shape == rows.shape == (40, len(segments))
+        for segments, hits, rows in zip(points, pierced, phases):
+            assert hits.shape == (40, len(segments))
+            assert rows.shape == (1, 40, len(segments))
             for t, field in enumerate(fields):
                 single, single_hits = path_phase(field, segments,
                                                  spec.physics)
-                assert np.array_equal(rows[t], single)
+                assert np.array_equal(rows[0, t], single)
                 assert np.array_equal(hits[t], single_hits)
         assert np.any(pierced[0] > 0)    # the rays at 40 km pierce cloudlets
-        assert not np.any(pierced[1]) and not np.any(values[1])
+        assert not np.any(pierced[1]) and not np.any(phases[1])
         if lambda_s < 0.002:
             per_block = min(spec.trials, block // max(
                 lambda_s * spec.cloud.width_w * spec.cloud.thickness_d, 1))
@@ -270,8 +268,8 @@ def test_kernel_without_points_draws_nothing(monkeypatch):
 
     monkeypatch.setattr(experiment, "draw_fields", fail)
     spec = make_spec(mode="correlation", trials=4, distance_grid=(2000.0,))
-    counts, pierced, values = trial_kernel(spec, spec.cloud, [])
-    assert counts.size == 0 and pierced == [] and values == []
+    counts, pierced, phases = trial_kernel(spec, spec.cloud, [])
+    assert counts.size == 0 and pierced == [] and phases == []
     result = run_correlation_sweep(spec)
     assert not result.engaged[0]
     assert result.with_cloud[0] == result.without_cloud[0]
@@ -281,6 +279,27 @@ def test_kernel_enforces_the_expected_cloudlet_cap():
     spec = make_spec(trials=2, cloud=make_cloud(density_lambda_s=1e6))
     with pytest.raises(ResourceLimitError, match="expected cloudlet count"):
         run_capacity_cdf(spec)
+
+
+def test_capacity_memory_grows_per_trial_only_by_the_kernel_outputs():
+    # The kernel returns each trial's count, pierced counts and phases, and
+    # the capacity metric runs on them in block-sized trial slices.  So the
+    # peak grows per trial by about what those arrays hold; the channel
+    # stacks of a whole-run metric pass would add ~6x that.
+    def peak(trials):
+        spec = make_spec(trials=trials, sweep_rwc=(0.0, 0.4, 0.8))
+        tracemalloc.start()
+        try:
+            run_capacity_cdf(spec)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    variants, rays = 3, 4
+    returned = (np.dtype(np.intp).itemsize * (1 + rays)
+                + np.dtype(float).itemsize * variants * rays)
+    per_trial = (peak(8000) - peak(2000)) / 6000
+    assert per_trial < 2 * returned, (per_trial, returned)
 
 
 # ============================================================

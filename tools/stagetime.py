@@ -6,7 +6,8 @@ Each workload runs in a fresh interpreter that imports ``cloudmimo.cli``
 from ``DIR`` (default: ``src/`` of this checkout) and makes ``N + 1`` calls
 of the workload's command line at master seed 31; the first call is a
 warm-up.  Functions are wrapped from outside the package, at the names the
-kernel looks them up under, and each call's time in ``trial_kernel`` is
+kernel and the modes look them up under.  Each call's time in
+``trial_kernel``, and in the metrics the modes apply to its phases, is
 split into:
 
 - ``stream_reset``: taking each trial's generator from ``trial_streams``,
@@ -15,14 +16,17 @@ split into:
   fields and concatenates them into rows;
 - ``chord_lengths``: ``phasephysics.chord_lengths``;
 - ``phase_count_sums``: the rest of ``block_phases``;
-- ``metric``: the sweep points' metrics (channel, capacity, coherence);
-- ``scale``: the rest of ``trial_kernel``, mainly scaling the block's rows.
+- ``scale``: the rest of ``trial_kernel``, mainly scaling the block's rows;
+- ``metric``: the channel metrics, ``experiment._capacity`` and
+  ``experiment._coherence``, which the modes apply after the kernel to
+  its phases (and to clear sky).
 
 Prints one JSON line per workload with the median over the timed calls of
 each stage, in ms per call, and of ``kernel``, the traced
-``trial_kernel``.  ``untraced_kernel`` is the median of as many calls of
-the same command line (made first) with only ``trial_kernel`` itself
-timed, so the difference is the stage wrappers' own cost.  The workloads
+``trial_kernel``, which does not contain ``metric``.  ``untraced_kernel``
+is the median of as many calls of the same command line (made first) with
+only ``trial_kernel`` itself timed, so the difference is the other
+wrappers' own cost within the kernel.  The workloads
 and their command lines are those of ``bench/workloads.py``.
 """
 from __future__ import annotations
@@ -78,15 +82,10 @@ class _Clock:
 
 def _install(clock: _Clock) -> None:
     from cloudmimo import experiment, phasephysics
-    kernel = experiment.trial_kernel
     streams = experiment.trial_streams
-
-    def trial_kernel(spec, cloud, points, contents=None):
-        points = [(segments, clock.timed("metric", metric))
-                  for segments, metric in points]
-        return kernel(spec, cloud, points, contents)
-
-    experiment.trial_kernel = clock.timed("kernel", trial_kernel)
+    experiment.trial_kernel = clock.timed("kernel", experiment.trial_kernel)
+    experiment._capacity = clock.timed("metric", experiment._capacity)
+    experiment._coherence = clock.timed("metric", experiment._coherence)
     experiment.trial_streams = lambda *args: clock.timed_iter(
         "stream_reset", streams(*args))
     experiment.draw_fields = clock.timed("draw_fields",
@@ -105,7 +104,7 @@ def _split(spent: dict) -> dict:
     out["phase_count_sums"] = (ms.get("block_phases", 0.0)
                                - out["chord_lengths"])
     out["scale"] = ms.get("kernel", 0.0) - sum(
-        out[stage] for stage in STAGES if stage != "scale")
+        out[stage] for stage in STAGES if stage not in ("scale", "metric"))
     out["kernel"] = ms.get("kernel", 0.0)
     return out
 
