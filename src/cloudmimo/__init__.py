@@ -10,14 +10,13 @@ and sub-channel correlation.
 __version__ = "0.1.0"
 
 from .errors import (ConfigurationError, DegenerateDistributionError,
-                     GeometryError, ModelValidityError, ModelValidityWarning,
-                     NumericError, ResourceLimitError)
+                     ModelValidityWarning, NumericError, ResourceLimitError)
 from .cloudfield import (CloudConfig, CloudField, cloudlet_radius,
-                         generate_field, save_field, step_field)
+                         generate_field, step_field)
 from .raygeometry import (LinkGeometry, Ray, Segment2D, broadside_link,
                           build_rays, chord_lengths, map_rays_to_field)
 from .phasephysics import (DEFAULT_ICE_SPHERE_VOLUME, PhysicsParams,
-                           SPEED_OF_LIGHT, mixture_coefficient, path_phase)
+                           SPEED_OF_LIGHT, mixture_coefficient)
 from .analyticmodel import (AnalyticParams, PhaseDistribution,
                             chord_moments, closed_form_stationary,
                             count_weight, drift_length_variance,
@@ -27,23 +26,22 @@ from .analyticmodel import (AnalyticParams, PhaseDistribution,
                             time_varying_distribution, total_phase_pdf)
 from .mimochannel import (ChannelMatrix, MimoScenario, capacity_bits,
                           los_channel, pair_distances, rayleigh_distance)
-from .experiment import (CapacityCdf, DistanceSweepResult, ExperimentSpec,
-                         MacCountResult, PhaseCompareResult, build_manifest,
+from .experiment import (DistanceSweepResult, ExperimentSpec, MacCountResult,
+                         PhaseCompareResult, build_manifest,
                          outage_capacity, run_capacity_cdf,
                          run_compensated_sweep, run_correlation_sweep,
                          run_mac_count, run_phase_compare, run_report,
                          results_csv_text, spec_from_flat, spec_to_flat)
 
 __all__ = [
-    "ConfigurationError", "DegenerateDistributionError", "GeometryError",
-    "ModelValidityError", "ModelValidityWarning", "NumericError",
-    "ResourceLimitError",
+    "ConfigurationError", "DegenerateDistributionError",
+    "ModelValidityWarning", "NumericError", "ResourceLimitError",
     "CloudConfig", "CloudField", "cloudlet_radius",
-    "generate_field", "save_field", "step_field",
+    "generate_field", "step_field",
     "LinkGeometry", "Ray", "Segment2D", "broadside_link", "build_rays",
     "chord_lengths", "map_rays_to_field",
     "DEFAULT_ICE_SPHERE_VOLUME", "PhysicsParams", "SPEED_OF_LIGHT",
-    "mixture_coefficient", "path_phase",
+    "mixture_coefficient",
     "AnalyticParams", "PhaseDistribution", "chord_moments",
     "closed_form_stationary", "count_weight", "drift_length_variance",
     "drift_phase_variance", "gaussian_pdf", "laplace_pdf",
@@ -52,7 +50,7 @@ __all__ = [
     "time_varying_distribution", "total_phase_pdf",
     "ChannelMatrix", "MimoScenario", "capacity_bits", "los_channel",
     "pair_distances", "rayleigh_distance",
-    "CapacityCdf", "DistanceSweepResult", "ExperimentSpec", "MacCountResult",
+    "DistanceSweepResult", "ExperimentSpec", "MacCountResult",
     "PhaseCompareResult", "build_manifest", "outage_capacity",
     "run_capacity_cdf", "run_compensated_sweep", "run_correlation_sweep",
     "run_mac_count", "run_phase_compare", "run_report", "results_csv_text",

@@ -25,7 +25,7 @@ import numpy as np
 
 from .cloudfield import CloudConfig, cloudlet_radius
 from .errors import (ConfigurationError, DegenerateDistributionError,
-                     ModelValidityError, ModelValidityWarning, NumericError)
+                     ModelValidityWarning, NumericError)
 from .phasephysics import PhysicsParams, mixture_coefficient
 
 # Fitted constants shared by both evaluation paths.
@@ -157,10 +157,20 @@ def permittivity_moments(params: AnalyticParams) -> tuple[float, float]:
 
     Ice water content is uniform on [0, C], so the permittivity moments are
     the mixing coefficient times C/2 and its square times C^2/3.
+
+    Raises
+    ------
+    NumericError
+        If a square overflows float64.
     """
     coef = mixture_coefficient(params.physics)
     c = params.cloud.max_iwc_c
-    return coef * c / 2.0, coef ** 2 * c ** 2 / 3.0
+    try:
+        return coef * c / 2.0, coef ** 2 * c ** 2 / 3.0
+    except OverflowError:
+        raise NumericError(
+            f"second permittivity moment overflows (mixture coefficient "
+            f"{coef:.4g} m^3/g, max_iwc_c {c:.4g} g/m^3)") from None
 
 
 def _phase_slopes(params: AnalyticParams) -> tuple[float, float]:
@@ -218,7 +228,7 @@ def stationary_distribution(params: AnalyticParams) -> PhaseDistribution:
     phi0 = float(np.sum(weights * ks) * mean_slope)
     sigma_c2 = float(np.sum(weights ** 2 * ks ** 2) * var_slope)
     if not (math.isfinite(phi0) and math.isfinite(sigma_c2)):
-        raise ModelValidityError(
+        raise NumericError(
             f"stationary moments are not finite (phi0={phi0}, "
             f"sigma_c2={sigma_c2})")
     return PhaseDistribution(phi0=phi0, sigma_c2=sigma_c2)

@@ -27,8 +27,8 @@ from . import __version__
 from .analyticmodel import (AnalyticParams, stationary_report,
                             time_varying_distribution, total_phase_pdf,
                             laplace_pdf)
-from .cloudfield import CloudConfig, generate_field, save_field
-from .errors import ConfigurationError, GeometryError
+from .cloudfield import CloudConfig, generate_field
+from .errors import ConfigurationError
 from .experiment import (CONFIG_SCHEMA, NUMERICS_VERSION, ExperimentSpec,
                          build_manifest, format_csv, parse_config_value,
                          results_csv_text, run_capacity_cdf,
@@ -240,8 +240,11 @@ def _run_field(spec: ExperimentSpec, outdir: Path, explicit: set) -> None:
     start = time.perf_counter()
     field = generate_field(dataclasses.replace(
         spec.cloud, rng_seed=spec.master_seed))
+    rows = [(x, y, field.radius, iwc)
+            for (x, y), iwc in zip(field.positions, field.iwc)]
     outdir.mkdir(parents=True, exist_ok=True)
-    save_field(field, outdir / "field.csv")
+    (outdir / "field.csv").write_text(
+        format_csv("x_m,y_m,radius_m,iwc_g_m3", rows))
     report = {"cloudlet_count": field.count,
               "radius_m": field.radius}
     _write_run(outdir, spec, None, report, explicit,
@@ -401,7 +404,7 @@ def _main(argv) -> int:
             args.mode, args.profile, args.config, args.set_overrides,
             _flag_overrides(args))
         spec = spec_from_flat(flat)
-    except (ConfigurationError, GeometryError) as exc:
+    except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     outdir = Path(args.out) if args.out else Path("cloudmimo-runs") / args.mode
@@ -412,7 +415,7 @@ def _main(argv) -> int:
             _run_phase_dist(spec, outdir, explicit)
         else:
             _run_experiment(spec, outdir, explicit)
-    except (ConfigurationError, GeometryError) as exc:
+    except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:   # runtime failures map to exit code 2

@@ -21,7 +21,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from pathlib import Path
 
 import numpy as np
 
@@ -245,20 +244,3 @@ def step_field(field: CloudField, dt: float,
                                elapsed_time=field.elapsed_time + dt,
                                step_index=field.step_index + 1)
 
-
-# ============================================================
-# Serialization
-# ============================================================
-
-def save_field(field: CloudField, csv_path) -> None:
-    """Write a field to CSV, one row per cloudlet.
-
-    Every column holds shortest round-trip decimals, so the rows parse back
-    to the field's positions, radius and contents bit for bit; the run's
-    ``manifest.json`` replays the field itself.
-    """
-    lines = ["x_m,y_m,radius_m,iwc_g_m3"]
-    for (x, y), w in zip(field.positions, field.iwc):
-        lines.append(f"{float(x)!r},{float(y)!r},"
-                     f"{float(field.radius)!r},{float(w)!r}")
-    Path(csv_path).write_text("\n".join(lines) + "\n")

@@ -9,19 +9,11 @@ class ResourceLimitError(RuntimeError):
     """Raised when a requested simulation would exceed a safety cap."""
 
 
-class GeometryError(ValueError):
-    """Raised for degenerate or impossible link geometry."""
-
-
 class NumericError(ArithmeticError):
     """Raised when a computation produces a non-finite result."""
 
 
-class ModelValidityError(RuntimeError):
-    """Raised when the fitted model leaves its region of validity entirely."""
-
-
-class DegenerateDistributionError(ModelValidityError):
+class DegenerateDistributionError(RuntimeError):
     """Raised when a distribution collapses to a point mass and the caller
     must branch instead of evaluating a density."""
 

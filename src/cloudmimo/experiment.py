@@ -17,9 +17,13 @@ and content rows that the kernel scales in place.  No per-trial
 ``CloudField`` is built, and no draw outlives its block.  The kernel only
 traces: it returns plain arrays of each trial's cloudlet count and each
 point's per-ray pierced counts and phases.  Each mode takes what it needs
-from them: capacity-cdf, correlation and compensated apply their channel
-metric in block-sized trial slices, phase-compare reads the phases of its
-one ray, and mac-count counts operations from the counts.
+from them.  capacity-cdf, correlation and compensated run on one sweep
+runner, which traces the sweep points that reach the layer with one
+kernel call and applies the mode's channel metric to their phases in
+block-sized trial slices.  A sweep point none of whose rays reaches the
+layer is never traced: each of its trials has the metric's clear-sky
+value exactly.  phase-compare reads the phases of its one ray, and
+mac-count counts operations from the counts.
 
 Runs write two artifacts: ``results.csv`` with plot-ready columns and
 ``manifest.json`` with the full configuration, which can be fed back as a
@@ -47,8 +51,7 @@ from .mimochannel import (MimoScenario, capacity_bits, ensemble_mean,
                           los_channel, subchannel_coherence)
 from .phasephysics import (REFERENCE_IWC, PhysicsParams, block_phases,
                            mixture_coefficient)
-from .raygeometry import LinkGeometry, broadside_link, build_rays, \
-    map_rays_to_field
+from .raygeometry import broadside_link, build_rays, map_rays_to_field
 from .streams import trial_streams
 
 # Cloudlets the trial kernel traces at once.  A block holds as many trials
@@ -269,37 +272,31 @@ def spec_from_flat(flat: dict, threads: int = 1) -> ExperimentSpec:
     return ExperimentSpec(**parts, **values[""])
 
 
-def _link_for(spec: ExperimentSpec, distance: float,
-              thickness: float) -> LinkGeometry:
-    return broadside_link(
-        num_tx=spec.scenario.num_tx, num_rx=spec.scenario.num_rx,
-        tx_spacing=spec.scenario.tx_spacing,
-        rx_spacing=spec.scenario.rx_spacing,
-        link_distance=distance, elevation_deg=spec.elevation_deg,
-        cloud_upper_altitude=spec.cloud_upper_altitude,
-        layer_thickness=thickness)
-
-
 def _segments_for(spec: ExperimentSpec, cloud: CloudConfig,
-                  distance: float):
-    link = _link_for(spec, distance, cloud.thickness_d)
-    segments = map_rays_to_field(build_rays(link), link, cloud)
-    engaged = any(seg.length > 0.0 for seg in segments)
-    return segments, engaged
+                  scenario: MimoScenario):
+    """A scenario's in-layer ray segments, and whether any ray is in it.
 
-
-def _centre_segment(spec: ExperimentSpec):
-    """The in-layer segment of the ray phase-compare and mac-count trace."""
+    The scenario's broadside arrays sit at the spec's elevation, and the
+    layer has the cloud's thickness.
+    """
     link = broadside_link(
-        num_tx=1, num_rx=1, tx_spacing=0.0, rx_spacing=0.0,
-        link_distance=spec.scenario.link_distance,
+        num_tx=scenario.num_tx, num_rx=scenario.num_rx,
+        tx_spacing=scenario.tx_spacing, rx_spacing=scenario.rx_spacing,
+        link_distance=scenario.link_distance,
         elevation_deg=spec.elevation_deg,
         cloud_upper_altitude=spec.cloud_upper_altitude,
-        layer_thickness=spec.cloud.thickness_d)
-    segment = map_rays_to_field(build_rays(link), link, spec.cloud)[0]
-    if segment.length == 0.0:
+        layer_thickness=cloud.thickness_d)
+    segments = map_rays_to_field(build_rays(link), link, cloud)
+    return segments, any(seg.length > 0.0 for seg in segments)
+
+
+def _centre_ray(spec: ExperimentSpec):
+    """The segments of the 1x1 link phase-compare and mac-count trace."""
+    centre = dataclasses.replace(spec.scenario, num_tx=1, num_rx=1)
+    segments, engaged = _segments_for(spec, spec.cloud, centre)
+    if not engaged:
         _warn_clear_sky(spec, spec.mode)
-    return segment
+    return segments, engaged
 
 
 def _warn_clear_sky(spec: ExperimentSpec, point: str) -> None:
@@ -395,48 +392,52 @@ def _apply_metric(metric, scenario: MimoScenario,
     return values
 
 
+def _sweep(spec: ExperimentSpec, metric, scenarios, cloud: CloudConfig,
+           contents=None) -> list:
+    """Per scenario, its (k, trials) metric values, or None for clear sky.
+
+    The scenarios some of whose rays reach the layer are traced on the
+    same field draws by one kernel call, at each of the k bounds of
+    ``contents`` (default: the cloud's own), and ``metric(scenario,
+    phases)`` runs on each one's phases in block-sized trial slices.  A
+    scenario none of whose rays reaches the layer is not traced: every
+    trial of it is clear sky, ``metric(scenario, None)``.
+    """
+    mapped = [_segments_for(spec, cloud, scen) for scen in scenarios]
+    live = [i for i, (_, engaged) in enumerate(mapped) if engaged]
+    _, _, phases = trial_kernel(spec, cloud, [mapped[i][0] for i in live],
+                                contents)
+    values = [None] * len(scenarios)
+    for i, phase in zip(live, phases):
+        values[i] = _apply_metric(metric, scenarios[i], phase)
+    return values
+
+
 # ============================================================
 # Capacity CDF
 # ============================================================
 
-@dataclasses.dataclass(frozen=True)
-class CapacityCdf:
-    """Sorted per-trial capacity samples of one sweep point."""
-
-    samples: np.ndarray   # ascending [bit/s/Hz]
-    trial_count: int
-
-
-def outage_capacity(cdf: CapacityCdf, p: float) -> float:
-    """Nearest-rank lower quantile of the capacity samples."""
+def outage_capacity(samples: np.ndarray, p: float) -> float:
+    """Nearest-rank lower quantile of ascending capacity samples."""
     if not (0.0 < p <= 1.0):
         raise ConfigurationError(f"outage probability must be in (0, 1], got {p}")
-    if cdf.trial_count == 0:
+    if samples.size == 0:
         raise ConfigurationError("empty capacity CDF has no quantiles")
-    rank = max(int(math.ceil(p * cdf.trial_count)), 1)
-    return float(cdf.samples[rank - 1])
+    rank = max(int(math.ceil(p * samples.size)), 1)
+    return float(samples[rank - 1])
 
 
 @dataclasses.dataclass(frozen=True)
 class SweepPoint:
-    parameter: str     # "rwc", "thickness_m" or "none"
+    """Sorted per-trial capacity samples of one sweep point."""
+
+    parameter: str        # "rwc", "thickness_m" or "none"
     value: float
-    cdf: CapacityCdf
+    samples: np.ndarray   # ascending [bit/s/Hz]
 
 
 def _capacity(scenario: MimoScenario, phases):
     return capacity_bits(los_channel(scenario, phases), scenario.snr_db)
-
-
-def _capacities(spec: ExperimentSpec, cloud: CloudConfig, contents,
-                point_names) -> np.ndarray:
-    segments, engaged = _segments_for(spec, cloud,
-                                      spec.scenario.link_distance)
-    if not engaged:
-        for point in point_names:
-            _warn_clear_sky(spec, f"capacity-cdf point {point}")
-    _, _, (phases,) = trial_kernel(spec, cloud, [segments], contents)
-    return _apply_metric(_capacity, spec.scenario, phases)
 
 
 def run_capacity_cdf(spec: ExperimentSpec) -> list[SweepPoint]:
@@ -446,25 +447,35 @@ def run_capacity_cdf(spec: ExperimentSpec) -> list[SweepPoint]:
     all its points share each trial's field draw; a thickness sweep rebuilds
     the layer (and the in-layer geometry) and draws per value.  Without a
     sweep a single point at the configured cloud runs.  A point whose rays
-    all miss the layer warns with a :class:`ModelValidityWarning`.
+    all miss the layer is clear sky in every trial: it warns with a
+    :class:`ModelValidityWarning`, and draws no field.
     """
     if spec.sweep_thickness is not None:
-        name, values = "thickness_m", spec.sweep_thickness
-        caps = [_capacities(spec, dataclasses.replace(
-            spec.cloud, thickness_d=v), None, [f"{name}={v:g}"])[0]
-            for v in values]
+        name = "thickness_m"
+        runs = [(dataclasses.replace(spec.cloud, thickness_d=v), None, (v,))
+                for v in spec.sweep_thickness]
     elif spec.sweep_rwc is not None:
-        name, values = "rwc", spec.sweep_rwc
-        caps = _capacities(spec, spec.cloud,
-                           [v * REFERENCE_IWC for v in values],
-                           [f"{name}={v:g}" for v in values])
+        name = "rwc"
+        runs = [(spec.cloud, [v * REFERENCE_IWC for v in spec.sweep_rwc],
+                 spec.sweep_rwc)]
     else:
-        name, values = "none", (0.0,)
-        caps = _capacities(spec, spec.cloud, None, ["(no sweep)"])
-    return [SweepPoint(parameter=name, value=value,
-                       cdf=CapacityCdf(samples=np.sort(c),
-                                       trial_count=spec.trials))
-            for value, c in zip(values, caps)]
+        name = "none"
+        runs = [(spec.cloud, None, (0.0,))]
+    points = []
+    for cloud, contents, values in runs:
+        (caps,) = _sweep(spec, _capacity, [spec.scenario], cloud, contents)
+        for j, value in enumerate(values):
+            if caps is None:
+                label = "(no sweep)" if name == "none" \
+                    else f"{name}={value:g}"
+                _warn_clear_sky(spec, f"capacity-cdf point {label}")
+                samples = np.full(spec.trials,
+                                  _capacity(spec.scenario, None))
+            else:
+                samples = np.sort(caps[j])
+            points.append(SweepPoint(parameter=name, value=value,
+                                     samples=samples))
+    return points
 
 
 # ============================================================
@@ -482,41 +493,28 @@ class DistanceSweepResult:
     trial_values: list          # per distance: (trials,) array or None
 
 
-def _distance_scenario(spec: ExperimentSpec, distance: float,
-                       compensated: bool | None = None) -> MimoScenario:
-    scen = dataclasses.replace(spec.scenario, link_distance=distance)
-    if compensated is not None:
-        scen = dataclasses.replace(scen, compensated=compensated)
-    return scen
-
-
-def run_distance_sweep(spec: ExperimentSpec, metric, reducer,
-                       compensated: bool | None = None) -> DistanceSweepResult:
+def run_distance_sweep(spec: ExperimentSpec, metric,
+                       reducer) -> DistanceSweepResult:
     """Ensemble summary of a per-trial channel metric over the distance grid.
 
     ``metric(scenario, phases)`` evaluates the channel of a scenario under
     a (..., rays) stack of cloud phases, or under clear sky for None;
-    ``reducer`` summarizes the trial values of one distance.
-    Distances where no ray reaches the layer reuse the clear-sky value
-    exactly.  The engaged distances are all traced on the same field
-    draws by one kernel call, and the metric then runs on each distance's
-    phases in block-sized trial slices.
+    ``reducer`` summarizes the trial values of one distance.  The engaged
+    distances are traced on the same field draws (see :func:`_sweep`);
+    a distance where no ray reaches the layer is clear sky, and its
+    summary is the clear-sky value exactly.
     """
     distances = np.array(spec.distance_grid, dtype=float)
-    scenarios = [_distance_scenario(spec, float(d), compensated)
+    scenarios = [dataclasses.replace(spec.scenario, link_distance=float(d))
                  for d in distances]
     without = np.array([metric(scen, None) for scen in scenarios],
                        dtype=float)
-    mapped = [_segments_for(spec, spec.cloud, float(d)) for d in distances]
-    engaged = np.array([hit for _, hit in mapped], dtype=bool)
-    live = np.flatnonzero(engaged)
-    _, _, phases = trial_kernel(spec, spec.cloud,
-                                [mapped[i][0] for i in live])
-    with_cloud = without.copy()
-    trial_values: list = [None] * len(distances)
-    for i, phase in zip(live, phases):
-        trial_values[i] = _apply_metric(metric, scenarios[i], phase)[0]
-        with_cloud[i] = reducer(trial_values[i])
+    trial_values = [None if v is None else v[0]
+                    for v in _sweep(spec, metric, scenarios, spec.cloud)]
+    with_cloud = np.array([clear if v is None else reducer(v)
+                           for clear, v in zip(without, trial_values)],
+                          dtype=float)
+    engaged = np.array([v is not None for v in trial_values], dtype=bool)
     return DistanceSweepResult(distances=distances, with_cloud=with_cloud,
                                without_cloud=without, engaged=engaged,
                                trial_values=trial_values)
@@ -541,7 +539,9 @@ def run_compensated_sweep(spec: ExperimentSpec) -> DistanceSweepResult:
     Gains are forced to unity so only phase structure drives the capacity;
     the no-cloud capacity at each distance is deterministic.
     """
-    return run_distance_sweep(spec, _capacity, np.median, compensated=True)
+    unit_gains = dataclasses.replace(spec.scenario, compensated=True)
+    return run_distance_sweep(dataclasses.replace(spec, scenario=unit_gains),
+                              _capacity, np.median)
 
 
 # ============================================================
@@ -604,7 +604,7 @@ def run_phase_compare(spec: ExperimentSpec) -> PhaseCompareResult:
     pure comparison: the analytic constants were fitted elsewhere, so no
     agreement is enforced, only measured.
     """
-    segments = [_centre_segment(spec)]
+    segments, _ = _centre_ray(spec)
     counts, (pierced,), (phases,) = trial_kernel(spec, spec.cloud,
                                                  [segments])
     samples = phases[0, :, 0]
@@ -657,14 +657,12 @@ class MacCountResult:
     per_round: np.ndarray
     average: float
     rounds: int
-    reference: int = REFERENCE_MAC_PER_ROUND
-    grid_model_reference: int = GRID_MODEL_REFERENCE_MAC
 
     @property
     def within_order_of_magnitude(self) -> bool:
         if self.average <= 0.0:
             return False
-        ratio = self.reference / self.average
+        ratio = REFERENCE_MAC_PER_ROUND / self.average
         return 0.1 <= ratio <= 10.0
 
 
@@ -686,9 +684,8 @@ def run_mac_count(spec: ExperimentSpec) -> MacCountResult:
 
     Warns with a :class:`ModelValidityWarning` if the ray misses the layer.
     """
-    segment = _centre_segment(spec)
-    n, (h,), _ = trial_kernel(spec, spec.cloud, [[segment]])
-    traced = segment.length > 0.0
+    segments, traced = _centre_ray(spec)
+    n, (h,), _ = trial_kernel(spec, spec.cloud, [segments])
     per_round = 17 + 6 * n + traced * (2 + 5 * n + 3 * h[:, 0])
     return MacCountResult(per_round=per_round,
                           average=float(per_round.mean()),
@@ -718,7 +715,7 @@ def results_csv_text(spec: ExperimentSpec, result) -> str:
         for point in result:
             prefix = f"{point.parameter},{float(point.value)!r},"
             lines.extend(prefix + cell + "\n"
-                         for cell in map(repr, point.cdf.samples.tolist()))
+                         for cell in map(repr, point.samples.tolist()))
         return "".join(lines)
     if spec.mode == "correlation":
         rows = [(float(d), float(w), float(c)) for d, w, c in
@@ -749,9 +746,9 @@ def run_report(spec: ExperimentSpec, result) -> dict:
         return {
             "points": [{
                 "parameter": point.parameter, "value": point.value,
-                "median_bps_hz": outage_capacity(point.cdf, 0.5),
+                "median_bps_hz": outage_capacity(point.samples, 0.5),
                 "outage_bps_hz": outage_capacity(
-                    point.cdf, spec.outage_probability),
+                    point.samples, spec.outage_probability),
                 "outage_probability": spec.outage_probability,
             } for point in result],
         }
@@ -786,8 +783,8 @@ def run_report(spec: ExperimentSpec, result) -> dict:
         return {
             "average_mac_per_round": result.average,
             "rounds": result.rounds,
-            "reference_mac_per_round": result.reference,
-            "grid_model_reference_mac": result.grid_model_reference,
+            "reference_mac_per_round": REFERENCE_MAC_PER_ROUND,
+            "grid_model_reference_mac": GRID_MODEL_REFERENCE_MAC,
             "within_order_of_magnitude": result.within_order_of_magnitude,
             "scope": ("one round = one field generation plus one ray's "
                       "phase accrual"),

@@ -15,7 +15,6 @@ import dataclasses
 
 import numpy as np
 
-from .cloudfield import CloudField
 from .errors import ConfigurationError
 from .raygeometry import Segment2D, chord_lengths
 
@@ -138,15 +137,3 @@ def block_phases(positions: np.ndarray, iwc: np.ndarray, counts,
                                             minlength=fields)
     return phases, pierced
 
-
-def path_phase(field: CloudField, segments: list[Segment2D],
-               params: PhysicsParams) -> tuple[np.ndarray, np.ndarray]:
-    """Cloud phases [rad] and pierced counts, each (rays,), of one field.
-
-    A single field is a block of one with one variant (see
-    :func:`block_phases`).
-    """
-    phases, pierced = block_phases(field.positions, field.iwc[None],
-                                   [field.count], field.radius, segments,
-                                   params)
-    return phases[0, 0], pierced[0]

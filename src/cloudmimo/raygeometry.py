@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .cloudfield import CloudConfig
-from .errors import ConfigurationError, GeometryError
+from .errors import ConfigurationError
 
 _DEGENERATE_LENGTH = 1e-9   # minimum antenna separation [m]
 
@@ -151,7 +151,7 @@ def build_rays(link: LinkGeometry) -> list[Ray]:
             diff = rx - tx
             length = float(np.linalg.norm(diff))
             if length < _DEGENERATE_LENGTH:
-                raise GeometryError(
+                raise ConfigurationError(
                     f"transmit and receive antennas coincide at {tx}")
             direction = diff / length
             s_lo, s_hi = _slab_interval(float(tx[2]), float(direction[2]),

@@ -7,11 +7,13 @@ import textwrap
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cloudmimo
 from cloudmimo.cli import (PROFILES, REQUIRED_KEYS, _write_run,
                            assemble_config, main, parse_distance)
+from cloudmimo.cloudfield import generate_field
 from cloudmimo.errors import ConfigurationError, ModelValidityWarning
 from cloudmimo.experiment import (CONFIG_SCHEMA, NUMERICS_VERSION,
                                   spec_from_flat)
@@ -313,6 +315,22 @@ def test_main_non_finite_value_is_configuration_error(tmp_path, capsys, error,
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("density, error", [
+    # The mixing coefficient's square overflows a Python float.
+    ("1e300", "second permittivity moment overflows"),
+    # The coefficient itself is infinite, and so are the moments.
+    ("1e308", "stationary moments are not finite"),
+], ids=["1e300", "1e308"])
+def test_phase_dist_overflow_is_a_named_runtime_error(tmp_path, capsys,
+                                                      density, error):
+    code = run_cli(["phase-dist", "--profile", "table3",
+                    "--set", f"physics.sphere_density_n={density}",
+                    "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert f"runtime error: {error}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_main_runtime_failure_exits_two(tmp_path, capsys):
     # An absurd density blows the cloudlet cap mid-run, after the config
     # itself has validated.
@@ -376,6 +394,22 @@ def test_field_mode_writes_field_files(tmp_path):
     header = (out / "field.csv").read_text().splitlines()[0]
     assert header == "x_m,y_m,radius_m,iwc_g_m3"
     assert manifest["report"]["cloudlet_count"] >= 0
+
+
+def test_field_csv_parses_back_to_the_field_bit_for_bit(tmp_path):
+    # Every column holds shortest round-trip decimals.
+    out = tmp_path / "field"
+    assert run_cli(["field", "--profile", "table3", "--seed", "21",
+                    "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    field = generate_field(spec_from_flat(manifest["config"]).cloud)
+    header, *rows = (out / "field.csv").read_text().splitlines()
+    assert header == "x_m,y_m,radius_m,iwc_g_m3"
+    parsed = np.array([[float(v) for v in row.split(",")] for row in rows])
+    assert parsed.shape == (field.count, 4)
+    np.testing.assert_array_equal(parsed[:, :2], field.positions)
+    assert np.all(parsed[:, 2] == field.radius)
+    np.testing.assert_array_equal(parsed[:, 3], field.iwc)
 
 
 def test_phase_dist_mode_writes_density_grid(tmp_path, capsys):

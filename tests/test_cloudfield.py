@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cloudmimo import (CloudConfig, ConfigurationError, ResourceLimitError,
-                       cloudlet_radius, generate_field, save_field,
-                       step_field)
+                       cloudlet_radius, generate_field, step_field)
 from cloudmimo.cloudfield import draw_fields
 
 
@@ -299,28 +298,3 @@ def test_step_closure_for_arbitrary_step_sizes(seed, dt):
     assert np.all(stepped.positions[:, 1] >= 0.0)
     assert np.all(stepped.positions[:, 1] <= cfg.thickness_d)
 
-
-# ============================================================
-# Serialization
-# ============================================================
-
-def test_save_load_round_trip(tmp_path):
-    # The CSV's decimals parse back to the field bit for bit.
-    field = generate_field(CloudConfig(rng_seed=21))
-    path = tmp_path / "field.csv"
-    save_field(field, path)
-    header, *rows = path.read_text().splitlines()
-    assert header == "x_m,y_m,radius_m,iwc_g_m3"
-    parsed = np.array([[float(v) for v in row.split(",")] for row in rows])
-    assert parsed.shape == (field.count, 4)
-    np.testing.assert_array_equal(parsed[:, :2], field.positions)
-    assert np.all(parsed[:, 2] == field.radius)
-    np.testing.assert_array_equal(parsed[:, 3], field.iwc)
-
-
-def test_save_writes_expected_header(tmp_path):
-    field = generate_field(CloudConfig(rng_seed=1))
-    path = tmp_path / "field.csv"
-    save_field(field, path)
-    first = path.read_text().splitlines()[0]
-    assert first == "x_m,y_m,radius_m,iwc_g_m3"

@@ -14,7 +14,7 @@ from cloudmimo.errors import (ConfigurationError, ModelValidityWarning,
 import cloudmimo
 from cloudmimo import experiment, streams
 from cloudmimo.experiment import (ASSUMED_PARAMETER_KEYS, NUMERICS_VERSION,
-                                  CapacityCdf, MacCountResult, SweepPoint,
+                                  MacCountResult, SweepPoint,
                                   ExperimentSpec, build_manifest, format_csv,
                                   outage_capacity, run_capacity_cdf,
                                   run_compensated_sweep,
@@ -23,7 +23,7 @@ from cloudmimo.experiment import (ASSUMED_PARAMETER_KEYS, NUMERICS_VERSION,
                                   results_csv_text, spec_from_flat,
                                   spec_to_flat, trial_kernel)
 from cloudmimo.mimochannel import MimoScenario, capacity_bits, los_channel
-from cloudmimo.phasephysics import PhysicsParams, path_phase
+from cloudmimo.phasephysics import PhysicsParams, block_phases
 from cloudmimo.raygeometry import (broadside_link, build_rays,
                                    map_rays_to_field)
 from cloudmimo.streams import trial_seed
@@ -120,8 +120,7 @@ def test_spec_rejects_negative_sweep_values():
 # ============================================================
 
 def test_outage_capacity_nearest_rank():
-    cdf = CapacityCdf(samples=np.array([10.0, 20.0, 30.0, 40.0]),
-                      trial_count=4)
+    cdf = np.array([10.0, 20.0, 30.0, 40.0])
     assert outage_capacity(cdf, 0.5) == 20.0
     assert outage_capacity(cdf, 0.25) == 10.0
     assert outage_capacity(cdf, 0.26) == 20.0
@@ -130,14 +129,14 @@ def test_outage_capacity_nearest_rank():
 
 
 def test_outage_capacity_rejects_bad_probability():
-    cdf = CapacityCdf(samples=np.array([1.0]), trial_count=1)
+    cdf = np.array([1.0])
     for p in (0.0, -0.5, 1.5):
         with pytest.raises(ConfigurationError):
             outage_capacity(cdf, p)
 
 
 def test_outage_capacity_rejects_empty_cdf():
-    empty = CapacityCdf(samples=np.array([]), trial_count=0)
+    empty = np.array([])
     with pytest.raises(ConfigurationError):
         outage_capacity(empty, 0.5)
 
@@ -153,7 +152,7 @@ def _per_trial_outputs(spec: ExperimentSpec) -> dict:
     phase = run_phase_compare(dataclasses.replace(
         spec, mode="phase-compare",
         scenario=make_scenario(link_distance=30000.0)))
-    return {"capacity": [p.cdf.samples for p in cdf],
+    return {"capacity": [p.samples for p in cdf],
             "correlation": [corr.trial_values[1], corr.trial_values[2]],
             "phase": [phase.samples, phase.cloudlet_counts,
                       phase.pierced_counts]}
@@ -181,8 +180,16 @@ def test_rwc_sweep_shares_one_draw_bit_for_bit():
     for point in run_capacity_cdf(spec):
         single = make_spec(trials=12, cloud=make_cloud(
             max_iwc_c=point.value * 0.6))
-        alone = run_capacity_cdf(single)[0].cdf.samples
-        assert np.array_equal(point.cdf.samples, alone), point.value
+        alone = run_capacity_cdf(single)[0].samples
+        assert np.array_equal(point.samples, alone), point.value
+
+
+def _field_phases(field, segments, physics):
+    """(rays,) phases and pierced counts of one field, a block of one."""
+    phases, pierced = block_phases(field.positions, field.iwc[None],
+                                   [field.count], field.radius, segments,
+                                   physics)
+    return phases[0, 0], pierced[0]
 
 
 def _fields(spec: ExperimentSpec) -> list:
@@ -223,8 +230,8 @@ def test_kernel_rows_equal_single_field_path_phase(monkeypatch):
             assert hits.shape == (40, len(segments))
             assert rows.shape == (1, 40, len(segments))
             for t, field in enumerate(fields):
-                single, single_hits = path_phase(field, segments,
-                                                 spec.physics)
+                single, single_hits = _field_phases(field, segments,
+                                                    spec.physics)
                 assert np.array_equal(rows[0, t], single)
                 assert np.array_equal(hits[t], single_hits)
         assert np.any(pierced[0] > 0)    # the rays at 40 km pierce cloudlets
@@ -313,9 +320,8 @@ def test_capacity_cdf_single_point_without_sweep():
     point = points[0]
     assert point.parameter == "none"
     assert point.value == 0.0
-    assert point.cdf.trial_count == 6
-    assert point.cdf.samples.shape == (6,)
-    assert np.all(np.diff(point.cdf.samples) >= 0.0)
+    assert point.samples.shape == (6,)
+    assert np.all(np.diff(point.samples) >= 0.0)
 
 
 def test_capacity_cdf_rwc_sweep_orders_points():
@@ -331,7 +337,39 @@ def test_capacity_cdf_zero_water_matches_clear_sky_exactly():
     spec = make_spec(trials=5, sweep_rwc=(0.0,))
     clear = capacity_bits(los_channel(spec.scenario), spec.scenario.snr_db)
     point = run_capacity_cdf(spec)[0]
-    assert np.all(point.cdf.samples == clear)
+    assert np.all(point.samples == clear)
+
+
+def test_a_clear_sky_capacity_point_draws_no_field(monkeypatch):
+    # A vertical link that ends at 5 km (7.5 km) stays below a layer from
+    # 7 km (7.5 km or 7.7 km) to 8 km.  Such a point is never traced: it
+    # draws no field, and every sample is the clear-sky capacity exactly.
+    draw = experiment.draw_fields
+
+    def draw_only_at(thicknesses):
+        def draw_fields(cloud, *args):
+            assert cloud.thickness_d in thicknesses, "a clear-sky draw"
+            return draw(cloud, *args)
+        return draw_fields
+
+    near = make_scenario(link_distance=5000.0)
+    mid = make_scenario(link_distance=7500.0)
+    cases = [(make_spec(scenario=near, trials=5), (), [True]),
+             (make_spec(scenario=near, trials=5, sweep_rwc=(0.0, 0.4, 0.8)),
+              (), [True, True, True]),
+             (make_spec(scenario=mid, trials=5,
+                        sweep_thickness=(500.0, 1000.0, 300.0)),
+              (1000.0,), [True, False, True])]
+    for spec, engaged, clear_sky in cases:
+        monkeypatch.setattr(experiment, "draw_fields", draw_only_at(engaged))
+        with pytest.warns(ModelValidityWarning) as caught:
+            points = run_capacity_cdf(spec)
+        assert len(caught) == sum(clear_sky)
+        clear = capacity_bits(los_channel(spec.scenario),
+                              spec.scenario.snr_db)
+        for point, is_clear in zip(points, clear_sky):
+            assert point.samples.shape == (5,)
+            assert np.all(point.samples == clear) == is_clear, point
 
 
 def test_thickness_sweep_rebuilds_layer():
@@ -398,7 +436,7 @@ def test_phase_compare_shapes_and_analytic_reference():
     fields = _fields(spec)
     assert result.cloudlet_counts.tolist() == [f.count for f in fields]
     assert result.pierced_counts.tolist() == [
-        int(path_phase(f, segments, spec.physics)[1][0]) for f in fields]
+        int(_field_phases(f, segments, spec.physics)[1][0]) for f in fields]
     assert np.all(result.pierced_counts <= result.cloudlet_counts)
     assert np.any(result.pierced_counts < result.cloudlet_counts)
     empirical = run_report(spec, result)["empirical"]
@@ -503,7 +541,7 @@ def test_mac_count_terms():
     segments = map_rays_to_field(build_rays(link), link, spec.cloud)
     expected = []
     for field in _fields(spec):
-        h = int(path_phase(field, segments, spec.physics)[1][0])
+        h = int(_field_phases(field, segments, spec.physics)[1][0])
         expected.append(17 + 6 * field.count + 2 + 5 * field.count + 3 * h)
     assert run_mac_count(spec).per_round.tolist() == expected
     assert len(set(expected)) > 1
@@ -560,12 +598,11 @@ def test_format_csv_uses_shortest_round_trip_floats():
 def test_capacity_csv_equals_format_csv_of_its_rows():
     samples = np.array([0.1, 1.0 / 3.0, 2.0, 1e-17, 12345.678901234567])
     points = [SweepPoint(parameter=name, value=value,
-                         cdf=CapacityCdf(samples=samples * (1.0 + value),
-                                         trial_count=5))
+                         samples=samples * (1.0 + value))
               for name, value in (("rwc", 0.4), ("rwc", 1.0 / 7.0),
                                   ("thickness_m", 500.0))]
     rows = [(p.parameter, float(p.value), float(s))
-            for p in points for s in p.cdf.samples]
+            for p in points for s in p.samples]
     spec = make_spec(trials=5)
     assert results_csv_text(spec, points) == format_csv(
         "sweep,sweep_value,capacity_bps_hz", rows)
@@ -575,8 +612,7 @@ def test_capacity_csv_equals_format_csv_of_its_rows():
 def test_results_csv_headers_per_mode():
     cdf_spec = make_spec(trials=2)
     points = [SweepPoint(parameter="rwc", value=0.5,
-                         cdf=CapacityCdf(samples=np.array([1.0, 2.0]),
-                                         trial_count=2))]
+                         samples=np.array([1.0, 2.0]))]
     text = results_csv_text(cdf_spec, points)
     assert text.splitlines()[0] == "sweep,sweep_value,capacity_bps_hz"
     assert text.splitlines()[1] == "rwc,0.5,1.0"
@@ -617,7 +653,7 @@ def test_run_report_keys_per_mode():
     entry = report["points"][0]
     assert set(entry) == {"parameter", "value", "median_bps_hz",
                           "outage_bps_hz", "outage_probability"}
-    assert entry["median_bps_hz"] == outage_capacity(points[0].cdf, 0.5)
+    assert entry["median_bps_hz"] == outage_capacity(points[0].samples, 0.5)
 
     corr_spec = make_spec(mode="correlation", trials=2,
                           distance_grid=(30000.0,))

@@ -6,7 +6,7 @@ import pytest
 
 from cloudmimo import (CloudConfig, CloudField, ConfigurationError,
                        DEFAULT_ICE_SPHERE_VOLUME, MimoScenario, PhysicsParams,
-                       Segment2D, mixture_coefficient, path_phase)
+                       Segment2D, mixture_coefficient)
 from cloudmimo.phasephysics import block_phases
 from cloudmimo.raygeometry import chord_lengths
 
@@ -24,11 +24,19 @@ def synthetic_field(positions, iwc, radius=5.0):
                       iwc=np.asarray(iwc, dtype=float), radius=radius)
 
 
+def field_phases(field, segments, params):
+    """(rays,) phases and pierced counts of one field, a block of one."""
+    phases, pierced = block_phases(field.positions, field.iwc[None],
+                                   [field.count], field.radius, segments,
+                                   params)
+    return phases[0, 0], pierced[0]
+
+
 def one_cloudlet_phase(chord, iwc):
     """Phase of a ray through the centre of one cloudlet of diameter chord."""
     field = synthetic_field([[10.0, 500.0]], [iwc], radius=chord / 2.0)
     seg = Segment2D(start=np.array([10.0, 0.0]), end=np.array([10.0, 1000.0]))
-    return path_phase(field, [seg], PhysicsParams())[0][0]
+    return field_phases(field, [seg], PhysicsParams())[0][0]
 
 
 # ============================================================
@@ -119,7 +127,7 @@ def test_path_phase_single_cloudlet_manual():
     params = PhysicsParams()
     field = synthetic_field([[10.0, 500.0]], [0.3])
     seg = Segment2D(start=np.array([10.0, 0.0]), end=np.array([10.0, 1000.0]))
-    phases, pierced = path_phase(field, [seg], params)
+    phases, pierced = field_phases(field, [seg], params)
     eps = mixture_coefficient(params) * 0.3
     expected = 2.0 * math.pi * 10.0 / params.wavelength_lambda0 * eps
     assert phases[0] == pytest.approx(expected, rel=1e-12)
@@ -132,9 +140,9 @@ def test_path_phase_additive_over_disjoint_cloudlets():
     both = synthetic_field([[10.0, 200.0], [10.0, 800.0]], [0.1, 0.3])
     first = synthetic_field([[10.0, 200.0]], [0.1])
     second = synthetic_field([[10.0, 800.0]], [0.3])
-    (phi_both,), (pierced,) = path_phase(both, [seg], params)
-    phi_sum = path_phase(first, [seg], params)[0][0] \
-        + path_phase(second, [seg], params)[0][0]
+    (phi_both,), (pierced,) = field_phases(both, [seg], params)
+    phi_sum = field_phases(first, [seg], params)[0][0] \
+        + field_phases(second, [seg], params)[0][0]
     assert phi_both == pytest.approx(phi_sum, rel=1e-12)
     assert pierced == 2
 
@@ -145,8 +153,8 @@ def test_path_phase_linear_in_iwc_scaling():
     rng = np.random.default_rng(3)
     positions = rng.uniform(0.0, [20.0, 1000.0], (30, 2))
     iwc = rng.uniform(0.0, 0.4, 30)
-    phi = path_phase(synthetic_field(positions, iwc), [seg], params)[0][0]
-    phi2 = path_phase(synthetic_field(positions, 2.0 * iwc), [seg],
+    phi = field_phases(synthetic_field(positions, iwc), [seg], params)[0][0]
+    phi2 = field_phases(synthetic_field(positions, 2.0 * iwc), [seg],
                       params)[0][0]
     assert phi2 == pytest.approx(2.0 * phi, rel=1e-12)
 
@@ -157,8 +165,8 @@ def test_path_phase_overlapping_cloudlets_sum_independently():
     # two cloudlets at the same centre act like one with summed content
     stacked = synthetic_field([[10.0, 500.0], [10.0, 500.0]], [0.1, 0.2])
     merged = synthetic_field([[10.0, 500.0]], [0.3])
-    phi_stacked = path_phase(stacked, [seg], params)[0][0]
-    phi_merged = path_phase(merged, [seg], params)[0][0]
+    phi_stacked = field_phases(stacked, [seg], params)[0][0]
+    phi_merged = field_phases(merged, [seg], params)[0][0]
     assert phi_stacked == pytest.approx(phi_merged, rel=1e-12)
 
 
@@ -167,12 +175,12 @@ def test_path_phase_zero_segment_and_empty_field():
     zero_seg = Segment2D(start=np.array([10.0, 0.0]),
                          end=np.array([10.0, 0.0]))
     field = synthetic_field([[10.0, 500.0]], [0.3])
-    phases, pierced = path_phase(field, [zero_seg], params)
+    phases, pierced = field_phases(field, [zero_seg], params)
     assert phases[0] == 0.0
     assert pierced[0] == 0
     empty = synthetic_field(np.empty((0, 2)), np.empty(0))
     seg = Segment2D(start=np.array([10.0, 0.0]), end=np.array([10.0, 1000.0]))
-    phases, pierced = path_phase(empty, [seg], params)
+    phases, pierced = field_phases(empty, [seg], params)
     assert phases[0] == 0.0
     assert pierced[0] == 0
 
@@ -183,7 +191,7 @@ def test_path_phase_multiple_segments_independent():
     hit_seg = Segment2D(start=np.array([5.0, 0.0]), end=np.array([5.0, 1000.0]))
     miss_seg = Segment2D(start=np.array([15.0, 0.0]),
                          end=np.array([15.0, 1000.0]))
-    phases, pierced = path_phase(field, [hit_seg, miss_seg], params)
+    phases, pierced = field_phases(field, [hit_seg, miss_seg], params)
     assert phases[0] > 0.0
     assert phases[1] == 0.0
     assert list(pierced) == [1, 0]
@@ -219,7 +227,7 @@ def test_block_phases_leave_inputs_unmodified():
                 field = CloudField(config=CloudConfig(),
                                    positions=positions[mine],
                                    iwc=iwc[j, mine], radius=2.5)
-                alone, alone_pierced = path_phase(field, segments, params)
+                alone, alone_pierced = field_phases(field, segments, params)
                 assert np.array_equal(alone, phases[j, f])
                 assert np.array_equal(alone_pierced, pierced[f])
             for r, seg in enumerate(segments):

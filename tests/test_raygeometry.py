@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudmimo import (CloudConfig, ConfigurationError, GeometryError,
-                       LinkGeometry, Segment2D, broadside_link, build_rays,
-                       chord_lengths, map_rays_to_field)
+from cloudmimo import (CloudConfig, ConfigurationError, LinkGeometry,
+                       Segment2D, broadside_link, build_rays, chord_lengths,
+                       map_rays_to_field)
 
 # Independently evaluated slant quantities for a 1000 m thick layer.
 SLANT_LENGTH_85_14 = 1003.60828728      # 1000 / sin(85.14 deg) [m]
@@ -139,7 +139,7 @@ def test_coincident_antennas_raise():
                         cloud_lower_altitude=7000.0,
                         cloud_upper_altitude=8000.0,
                         elevation_deg=45.0, link_distance=1.0)
-    with pytest.raises(GeometryError):
+    with pytest.raises(ConfigurationError, match="coincide"):
         build_rays(link)
 
 
