@@ -13,8 +13,7 @@ from .errors import (ConfigurationError, DegenerateDistributionError,
                      ModelValidityWarning, NumericError, ResourceLimitError)
 from .cloudfield import (CloudConfig, CloudField, cloudlet_radius,
                          generate_field, step_field)
-from .raygeometry import (LinkGeometry, Ray, Segment2D, broadside_link,
-                          build_rays, chord_lengths, map_rays_to_field)
+from .raygeometry import Segment2D
 from .phasephysics import (DEFAULT_ICE_SPHERE_VOLUME, PhysicsParams,
                            SPEED_OF_LIGHT, mixture_coefficient)
 from .analyticmodel import (AnalyticParams, PhaseDistribution,
@@ -38,8 +37,7 @@ __all__ = [
     "ModelValidityWarning", "NumericError", "ResourceLimitError",
     "CloudConfig", "CloudField", "cloudlet_radius",
     "generate_field", "step_field",
-    "LinkGeometry", "Ray", "Segment2D", "broadside_link", "build_rays",
-    "chord_lengths", "map_rays_to_field",
+    "Segment2D",
     "DEFAULT_ICE_SPHERE_VOLUME", "PhysicsParams", "SPEED_OF_LIGHT",
     "mixture_coefficient",
     "AnalyticParams", "PhaseDistribution", "chord_moments",

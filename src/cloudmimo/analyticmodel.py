@@ -181,12 +181,23 @@ def _phase_slopes(params: AnalyticParams) -> tuple[float, float]:
     ``k0^2 (E(eps^2) E(l^2) - E(eps)^2 E(l)^2)``.  A negative variance
     slope (possible because the fitted chord moments are not a true moment
     pair everywhere) is clamped to zero with a warning.
+
+    Raises
+    ------
+    NumericError
+        If the squared wavenumber overflows float64.
     """
     k0 = 2.0 * np.pi / params.physics.wavelength_lambda0
     e_l, e_l2 = chord_moments(params)
     e_eps, e_eps2 = permittivity_moments(params)
     mean_slope = k0 * e_l * e_eps
-    var_slope = k0 ** 2 * (e_eps2 * e_l2 - e_eps ** 2 * e_l ** 2)
+    try:
+        k0_sq = k0 ** 2
+    except OverflowError:
+        raise NumericError(
+            f"squared wavenumber overflows (wavenumber {k0:.4g} rad/m)"
+        ) from None
+    var_slope = k0_sq * (e_eps2 * e_l2 - e_eps ** 2 * e_l ** 2)
     if var_slope < 0.0:
         warnings.warn(
             f"conditional phase variance slope is negative ({var_slope:.4g});"

@@ -51,7 +51,7 @@ from .mimochannel import (MimoScenario, capacity_bits, ensemble_mean,
                           los_channel, subchannel_coherence)
 from .phasephysics import (REFERENCE_IWC, PhysicsParams, block_phases,
                            mixture_coefficient)
-from .raygeometry import broadside_link, build_rays, map_rays_to_field
+from .raygeometry import map_rays_to_field
 from .streams import trial_streams
 
 # Cloudlets the trial kernel traces at once.  A block holds as many trials
@@ -106,6 +106,9 @@ class ExperimentSpec:
         if self.master_seed < 0:
             problems.append(
                 f"master_seed must be >= 0, got {self.master_seed}")
+        if not (0.0 < self.elevation_deg <= 90.0):
+            problems.append(
+                f"elevation_deg must be in (0, 90], got {self.elevation_deg}")
         if not (0.0 < self.outage_probability <= 1.0):
             problems.append(
                 f"outage_probability must be in (0, 1], got "
@@ -279,14 +282,8 @@ def _segments_for(spec: ExperimentSpec, cloud: CloudConfig,
     The scenario's broadside arrays sit at the spec's elevation, and the
     layer has the cloud's thickness.
     """
-    link = broadside_link(
-        num_tx=scenario.num_tx, num_rx=scenario.num_rx,
-        tx_spacing=scenario.tx_spacing, rx_spacing=scenario.rx_spacing,
-        link_distance=scenario.link_distance,
-        elevation_deg=spec.elevation_deg,
-        cloud_upper_altitude=spec.cloud_upper_altitude,
-        layer_thickness=cloud.thickness_d)
-    segments = map_rays_to_field(build_rays(link), link, cloud)
+    segments = map_rays_to_field(scenario, spec.elevation_deg,
+                                 spec.cloud_upper_altitude, cloud)
     return segments, any(seg.length > 0.0 for seg in segments)
 
 

@@ -55,6 +55,18 @@ class MimoScenario:
     def wavelength(self) -> float:
         return SPEED_OF_LIGHT / self.carrier_frequency
 
+    def element_offsets(self) -> tuple[np.ndarray, np.ndarray]:
+        """Transmit and receive element offsets from each array's centre [m].
+
+        Both arrays are uniform, broadside and centred on the link axis;
+        the offsets run along the shared perpendicular to the axis.
+        """
+        tx = (np.arange(self.num_tx) - (self.num_tx - 1) / 2.0) \
+            * self.tx_spacing
+        rx = (np.arange(self.num_rx) - (self.num_rx - 1) / 2.0) \
+            * self.rx_spacing
+        return tx, rx
+
 
 @dataclasses.dataclass(frozen=True)
 class ChannelMatrix:
@@ -72,10 +84,7 @@ def pair_distances(scenario: MimoScenario) -> np.ndarray:
     pair's distance depends only on the link distance and the difference of
     the element offsets along the shared perpendicular.
     """
-    tx_off = (np.arange(scenario.num_tx)
-              - (scenario.num_tx - 1) / 2.0) * scenario.tx_spacing
-    rx_off = (np.arange(scenario.num_rx)
-              - (scenario.num_rx - 1) / 2.0) * scenario.rx_spacing
+    tx_off, rx_off = scenario.element_offsets()
     delta = rx_off[:, None] - tx_off[None, :]
     return np.sqrt(scenario.link_distance ** 2 + delta ** 2)
 

@@ -1,171 +1,39 @@
-"""Link geometry and ray tracing through the cloud layer.
+"""Ray tracing of the broadside link through the cloud layer.
 
-Antennas live in 3-D (x horizontal along the link, y across the link,
-z altitude).  Each transmit/receive antenna pair defines one straight ray;
-the portion of a ray inside the cloud altitude slab is mapped into the 2-D
-cross-section frame of :mod:`cloudmimo.cloudfield`, where chord lengths
-through individual cloudlets are computed exactly.
+The link lies in one vertical plane with coordinates (x, z): x horizontal,
+z altitude.  The ground array is centred at the origin and the airborne
+array's centre lies ``link_distance`` metres along the elevation ray.  Both
+arrays are broadside: their elements sit along the perpendicular
+``(-sin, cos)`` of the link axis, at the offsets of
+:meth:`cloudmimo.mimochannel.MimoScenario.element_offsets`.  Each
+transmit/receive antenna pair defines one straight ray; the portion of a
+ray inside the cloud altitude band is mapped into the 2-D cross-section
+frame of :mod:`cloudmimo.cloudfield` as (h, height above the layer bottom),
+where chord lengths through individual cloudlets are computed exactly.
+
+h is x measured from the transmit array centre, pointing towards the
+receive array centre.  For a vertical link, whose centres lie within 1e-9 m
+of each other horizontally, the transmit array fixes the direction instead:
+h points from its first element to its last, which is -x.  With a single
+transmit element (or zero spacing) the receive array does the same, and
+with neither h is +x.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .cloudfield import CloudConfig
 from .errors import ConfigurationError
 
-_DEGENERATE_LENGTH = 1e-9   # minimum antenna separation [m]
+if TYPE_CHECKING:
+    from .mimochannel import MimoScenario
 
+_DEGENERATE_LENGTH = 1e-9   # shortest separation or span taken as nonzero [m]
 
-# ============================================================
-# Link geometry
-# ============================================================
-
-@dataclasses.dataclass(frozen=True)
-class LinkGeometry:
-    """Terminal positions and the altitude band of the cloud layer."""
-
-    tx_positions: np.ndarray      # (Nt, 3) transmit antenna coordinates [m]
-    rx_positions: np.ndarray      # (Nr, 3) receive antenna coordinates [m]
-    cloud_lower_altitude: float   # layer bottom altitude [m]
-    cloud_upper_altitude: float   # layer top altitude [m]
-    elevation_deg: float          # link elevation above horizontal [deg]
-    link_distance: float          # distance between array centres [m]
-
-    def __post_init__(self) -> None:
-        problems = []
-        tx = np.asarray(self.tx_positions, dtype=float)
-        rx = np.asarray(self.rx_positions, dtype=float)
-        if tx.ndim != 2 or tx.shape[1] != 3 or tx.shape[0] == 0:
-            problems.append("tx_positions must be a non-empty (Nt, 3) array")
-        if rx.ndim != 2 or rx.shape[1] != 3 or rx.shape[0] == 0:
-            problems.append("rx_positions must be a non-empty (Nr, 3) array")
-        if not (self.cloud_upper_altitude > self.cloud_lower_altitude):
-            problems.append(
-                f"cloud_upper_altitude ({self.cloud_upper_altitude}) must "
-                f"exceed cloud_lower_altitude ({self.cloud_lower_altitude})")
-        if not (0.0 < self.elevation_deg <= 90.0):
-            problems.append(
-                f"elevation_deg must be in (0, 90], got {self.elevation_deg}")
-        if not (self.link_distance > 0.0):
-            problems.append(
-                f"link_distance must be > 0, got {self.link_distance}")
-        if problems:
-            raise ConfigurationError("; ".join(problems))
-        object.__setattr__(self, "tx_positions", tx)
-        object.__setattr__(self, "rx_positions", rx)
-
-    @property
-    def layer_thickness(self) -> float:
-        return self.cloud_upper_altitude - self.cloud_lower_altitude
-
-    @property
-    def tx_centre(self) -> np.ndarray:
-        return self.tx_positions.mean(axis=0)
-
-    @property
-    def rx_centre(self) -> np.ndarray:
-        return self.rx_positions.mean(axis=0)
-
-
-def broadside_link(num_tx: int, num_rx: int, tx_spacing: float,
-                   rx_spacing: float, link_distance: float,
-                   elevation_deg: float, cloud_upper_altitude: float,
-                   layer_thickness: float) -> LinkGeometry:
-    """Build a ground-to-air link with broadside uniform linear arrays.
-
-    The ground array centre sits at the origin; the airborne array centre
-    sits ``link_distance`` metres along the ray at ``elevation_deg`` above
-    horizontal.  Both arrays are perpendicular to the link axis and lie in
-    the vertical plane containing it, centred on the axis.
-    """
-    if num_tx < 1 or num_rx < 1:
-        raise ConfigurationError(
-            f"array sizes must be >= 1, got num_tx={num_tx}, num_rx={num_rx}")
-    theta = math.radians(elevation_deg)
-    axis = np.array([math.cos(theta), 0.0, math.sin(theta)])
-    perp = np.array([-math.sin(theta), 0.0, math.cos(theta)])
-    tx_off = (np.arange(num_tx) - (num_tx - 1) / 2.0) * tx_spacing
-    rx_off = (np.arange(num_rx) - (num_rx - 1) / 2.0) * rx_spacing
-    tx = tx_off[:, None] * perp[None, :]
-    rx = link_distance * axis[None, :] + rx_off[:, None] * perp[None, :]
-    return LinkGeometry(tx_positions=tx, rx_positions=rx,
-                        cloud_lower_altitude=cloud_upper_altitude - layer_thickness,
-                        cloud_upper_altitude=cloud_upper_altitude,
-                        elevation_deg=elevation_deg,
-                        link_distance=link_distance)
-
-
-# ============================================================
-# Rays and the altitude slab
-# ============================================================
-
-@dataclasses.dataclass(frozen=True)
-class Ray:
-    """Straight path from one transmit antenna to one receive antenna."""
-
-    origin: np.ndarray        # (3,) transmit antenna position [m]
-    direction: np.ndarray     # (3,) unit direction towards the receiver
-    length: float             # total path length [m]
-    layer_entry_s: float      # arc length where the path enters the layer [m]
-    layer_exit_s: float       # arc length where the path leaves the layer [m]
-
-    @property
-    def in_layer_length(self) -> float:
-        return self.layer_exit_s - self.layer_entry_s
-
-    def point_at(self, s: float) -> np.ndarray:
-        return self.origin + s * self.direction
-
-
-def _slab_interval(z0: float, dz: float, length: float,
-                   lower: float, upper: float) -> tuple[float, float]:
-    # Intersection of the path parameter range [0, length] with the altitude
-    # slab; an empty intersection collapses to a zero-length interval.
-    if abs(dz) < 1e-15:
-        if lower <= z0 <= upper:
-            return 0.0, length
-        return 0.0, 0.0
-    s_a = (lower - z0) / dz
-    s_b = (upper - z0) / dz
-    s_lo, s_hi = min(s_a, s_b), max(s_a, s_b)
-    s_lo = max(s_lo, 0.0)
-    s_hi = min(s_hi, length)
-    if s_hi <= s_lo:
-        return 0.0, 0.0
-    return s_lo, s_hi
-
-
-def build_rays(link: LinkGeometry) -> list[Ray]:
-    """One ray per antenna pair, receive index outermost.
-
-    Ray ``i * Nt + j`` runs from transmit antenna ``j`` to receive antenna
-    ``i``.  Rays that never reach the layer carry a zero-length in-layer
-    interval.
-    """
-    rays = []
-    for rx in link.rx_positions:
-        for tx in link.tx_positions:
-            diff = rx - tx
-            length = float(np.linalg.norm(diff))
-            if length < _DEGENERATE_LENGTH:
-                raise ConfigurationError(
-                    f"transmit and receive antennas coincide at {tx}")
-            direction = diff / length
-            s_lo, s_hi = _slab_interval(float(tx[2]), float(direction[2]),
-                                        length, link.cloud_lower_altitude,
-                                        link.cloud_upper_altitude)
-            rays.append(Ray(origin=tx.copy(), direction=direction,
-                            length=length, layer_entry_s=s_lo,
-                            layer_exit_s=s_hi))
-    return rays
-
-
-# ============================================================
-# Mapping into the 2-D cross-section frame
-# ============================================================
 
 @dataclasses.dataclass(frozen=True)
 class Segment2D:
@@ -179,53 +47,76 @@ class Segment2D:
         return float(np.linalg.norm(self.end - self.start))
 
 
-def _horizontal_axis(link: LinkGeometry) -> np.ndarray:
-    # Horizontal direction of the vertical model plane.  For a vertical link
-    # the plane is fixed by the array axis instead; with neither available
-    # the x axis is used.
-    for span in (link.rx_centre - link.tx_centre,
-                 link.tx_positions[-1] - link.tx_positions[0],
-                 link.rx_positions[-1] - link.rx_positions[0]):
-        h = np.array([span[0], span[1], 0.0])
-        norm = np.linalg.norm(h)
-        if norm > _DEGENERATE_LENGTH:
-            return h / norm
-    return np.array([1.0, 0.0, 0.0])
+def map_rays_to_field(scenario: MimoScenario, elevation_deg: float,
+                      cloud_upper_altitude: float,
+                      cloud: CloudConfig) -> list[Segment2D]:
+    """In-layer segments of a broadside link's rays, with one shared anchor.
 
+    One segment per antenna pair, receive index outermost: segment
+    ``i * Nt + j`` belongs to the ray from transmit antenna ``j`` to
+    receive antenna ``i``.  The layer is ``cloud.thickness_d`` thick below
+    ``cloud_upper_altitude``.  All in-layer segments are translated by the
+    same offset, chosen so the mean segment midpoint lands at W/2.  Sharing
+    the anchor preserves the relative geometry between rays, which is what
+    lets nearby paths pierce the same cloudlets.  Rays that never reach the
+    layer map to zero-length segments at (W/2, 0).  ``elevation_deg`` must
+    lie in (0, 90]; :class:`cloudmimo.experiment.ExperimentSpec` checks it.
 
-def _plane_coords(link: LinkGeometry, ray: Ray, axis_h: np.ndarray,
-                  s: float) -> tuple[float, float]:
-    p = ray.point_at(s)
-    h = float(np.dot(p - link.tx_centre, axis_h))
-    return h, float(p[2]) - link.cloud_lower_altitude
-
-
-def map_rays_to_field(rays: list[Ray], link: LinkGeometry,
-                      config: CloudConfig) -> list[Segment2D]:
-    """Map a ray bundle into the cross-section with one shared anchor.
-
-    All in-layer segments are translated by the same offset, chosen so the
-    mean segment midpoint lands at W/2.  Sharing the anchor preserves the
-    relative geometry between rays, which is what lets nearby paths pierce
-    the same cloudlets.  Rays that never reach the layer map to zero-length
-    segments.
+    Raises
+    ------
+    ConfigurationError
+        If the layer's top does not exceed its bottom in floating point, a
+        transmit and a receive antenna coincide, or a segment falls outside
+        the layer width.
     """
-    axis_h = _horizontal_axis(link)
+    upper = cloud_upper_altitude
+    lower = upper - cloud.thickness_d
+    if not (upper > lower):
+        raise ConfigurationError(
+            f"cloud_upper_altitude ({upper}) must exceed "
+            f"cloud_lower_altitude ({lower})")
+    theta = math.radians(elevation_deg)
+    axis = np.array([math.cos(theta), math.sin(theta)])
+    perp = np.array([-math.sin(theta), math.cos(theta)])
+    tx_off, rx_off = scenario.element_offsets()
+    tx = tx_off[:, None] * perp                    # (Nt, 2) (x, z) [m]
+    rx = scenario.link_distance * axis + rx_off[:, None] * perp
+    tx_centre = tx.mean(axis=0)[0]
+    spans = (rx.mean(axis=0)[0] - tx_centre, tx[-1, 0] - tx[0, 0],
+             rx[-1, 0] - rx[0, 0])
+    sign = next((math.copysign(1.0, span) for span in spans
+                 if abs(span) > _DEGENERATE_LENGTH), 1.0)
     coords = []
     mids = []
-    for ray in rays:
-        if ray.in_layer_length <= 0.0:
-            coords.append(None)
-            continue
-        h0, y0 = _plane_coords(link, ray, axis_h, ray.layer_entry_s)
-        h1, y1 = _plane_coords(link, ray, axis_h, ray.layer_exit_s)
-        coords.append((h0, y0, h1, y1))
-        mids.append((h0 + h1) / 2.0)
-    half_w = config.width_w / 2.0
-    if not mids:
-        return [Segment2D(start=np.array([half_w, 0.0]),
-                          end=np.array([half_w, 0.0])) for _ in rays]
-    shift = half_w - float(np.mean(mids))
+    for r in rx:
+        for t in tx:
+            diff = r - t
+            length = float(np.linalg.norm(diff))
+            if length < _DEGENERATE_LENGTH:
+                raise ConfigurationError(
+                    f"transmit and receive antennas coincide at {t}")
+            direction = diff / length
+            # Arc lengths where the ray is inside the altitude band.
+            z0, dz = float(t[1]), float(direction[1])
+            if abs(dz) < 1e-15:
+                s_lo, s_hi = 0.0, length
+                crosses = lower <= z0 <= upper
+            else:
+                s_a = (lower - z0) / dz
+                s_b = (upper - z0) / dz
+                s_lo = max(min(s_a, s_b), 0.0)
+                s_hi = min(max(s_a, s_b), length)
+                crosses = not (s_hi <= s_lo)
+            if not crosses:
+                coords.append(None)
+                continue
+            entry, exit_ = t + s_lo * direction, t + s_hi * direction
+            h0 = sign * (entry[0] - tx_centre)
+            h1 = sign * (exit_[0] - tx_centre)
+            coords.append((h0, entry[1] - lower, h1, exit_[1] - lower))
+            mids.append((h0 + h1) / 2.0)
+    half_w = cloud.width_w / 2.0
+    shift = half_w - float(np.mean(mids)) if mids else 0.0
     segments = []
     for entry in coords:
         if entry is None:
@@ -234,10 +125,10 @@ def map_rays_to_field(rays: list[Ray], link: LinkGeometry,
             continue
         h0, y0, h1, y1 = entry
         for h in (h0 + shift, h1 + shift):
-            if not (-1e-9 <= h <= config.width_w + 1e-9):
+            if not (-1e-9 <= h <= cloud.width_w + 1e-9):
                 raise ConfigurationError(
                     f"mapped ray coordinate {h:.4g} m falls outside the "
-                    f"layer width [0, {config.width_w:.4g}] m; increase "
+                    f"layer width [0, {cloud.width_w:.4g}] m; increase "
                     f"width_w or steepen the elevation")
         segments.append(Segment2D(start=np.array([h0 + shift, y0]),
                                   end=np.array([h1 + shift, y1])))

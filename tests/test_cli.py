@@ -315,16 +315,29 @@ def test_main_non_finite_value_is_configuration_error(tmp_path, capsys, error,
     assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize("density, error", [
+@pytest.mark.parametrize("mode, elevation", [
+    ("field", "120"), ("phase-dist", "0")])
+def test_every_mode_checks_the_elevation(tmp_path, capsys, mode, elevation):
+    code = run_cli([mode, "--profile", "table3",
+                    "--set", f"link.elevation_deg={elevation}",
+                    "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert "elevation_deg must be in (0, 90]" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("setting, error", [
     # The mixing coefficient's square overflows a Python float.
-    ("1e300", "second permittivity moment overflows"),
+    ("physics.sphere_density_n=1e300",
+     "second permittivity moment overflows"),
     # The coefficient itself is infinite, and so are the moments.
-    ("1e308", "stationary moments are not finite"),
-], ids=["1e300", "1e308"])
+    ("physics.sphere_density_n=1e308", "stationary moments are not finite"),
+    # The wavenumber's square overflows a Python float.
+    ("physics.carrier_frequency_hz=1e200", "squared wavenumber overflows"),
+], ids=["1e300", "1e308", "frequency-1e200"])
 def test_phase_dist_overflow_is_a_named_runtime_error(tmp_path, capsys,
-                                                      density, error):
-    code = run_cli(["phase-dist", "--profile", "table3",
-                    "--set", f"physics.sphere_density_n={density}",
+                                                      setting, error):
+    code = run_cli(["phase-dist", "--profile", "table3", "--set", setting,
                     "--out", str(tmp_path / "x")])
     assert code == 2
     assert f"runtime error: {error}" in capsys.readouterr().err

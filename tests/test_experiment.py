@@ -24,8 +24,7 @@ from cloudmimo.experiment import (ASSUMED_PARAMETER_KEYS, NUMERICS_VERSION,
                                   spec_to_flat, trial_kernel)
 from cloudmimo.mimochannel import MimoScenario, capacity_bits, los_channel
 from cloudmimo.phasephysics import PhysicsParams, block_phases
-from cloudmimo.raygeometry import (broadside_link, build_rays,
-                                   map_rays_to_field)
+from cloudmimo.raygeometry import map_rays_to_field
 from cloudmimo.streams import trial_seed
 
 
@@ -81,10 +80,11 @@ def test_trial_seed_fits_in_64_bits():
 def test_spec_collects_all_problems():
     with pytest.raises(ConfigurationError) as err:
         make_spec(mode="bogus", trials=0, dt=-1.0, outage_probability=0.0,
-                  sweep_rwc=(0.5,), sweep_thickness=(100.0,))
+                  sweep_rwc=(0.5,), sweep_thickness=(100.0,),
+                  elevation_deg=120.0)
     message = str(err.value)
     for fragment in ("unknown mode", "trials", "dt", "outage_probability",
-                     "exclusive"):
+                     "exclusive", "elevation_deg must be in (0, 90]"):
         assert fragment in message
 
 
@@ -200,14 +200,9 @@ def _fields(spec: ExperimentSpec) -> list:
 
 
 def test_kernel_rows_equal_single_field_path_phase(monkeypatch):
-    def link_at(distance):
-        return broadside_link(num_tx=2, num_rx=2, tx_spacing=1.0,
-                              rx_spacing=6.0827, link_distance=distance,
-                              elevation_deg=90.0, cloud_upper_altitude=8000.0,
-                              layer_thickness=1000.0)
-
     # The rays at 40 km cross the layer; those at 5 km stay below it.
-    links = (link_at(40000.0), link_at(5000.0))
+    scenarios = (make_scenario(link_distance=40000.0),
+                 make_scenario(link_distance=5000.0))
     for lambda_s, block, chunk in (
             # ~40 cloudlets per field, 2 trials per block, streams derived
             # 3 trials at a time: block and chunk boundaries cross.
@@ -221,8 +216,8 @@ def test_kernel_rows_equal_single_field_path_phase(monkeypatch):
         monkeypatch.setattr(streams, "_CHUNK_TRIALS", chunk)
         spec = make_spec(trials=40, master_seed=4,
                          cloud=make_cloud(density_lambda_s=lambda_s))
-        points = [map_rays_to_field(build_rays(link), link, spec.cloud)
-                  for link in links]
+        points = [map_rays_to_field(scenario, 90.0, 8000.0, spec.cloud)
+                  for scenario in scenarios]
         counts, pierced, phases = trial_kernel(spec, spec.cloud, points)
         fields = _fields(spec)
         assert np.array_equal(counts, [field.count for field in fields])
@@ -428,11 +423,8 @@ def test_phase_compare_shapes_and_analytic_reference():
     assert result.samples.shape == (200,)
     # The field's cloudlet count and the ray's pierced count, each trial's
     # own; the report gives the mean of each under its own key.
-    link = broadside_link(num_tx=1, num_rx=1, tx_spacing=0.0, rx_spacing=0.0,
-                          link_distance=30000.0, elevation_deg=90.0,
-                          cloud_upper_altitude=8000.0,
-                          layer_thickness=1000.0)
-    segments = map_rays_to_field(build_rays(link), link, spec.cloud)
+    centre = make_scenario(num_tx=1, num_rx=1, link_distance=30000.0)
+    segments = map_rays_to_field(centre, 90.0, 8000.0, spec.cloud)
     fields = _fields(spec)
     assert result.cloudlet_counts.tolist() == [f.count for f in fields]
     assert result.pierced_counts.tolist() == [
@@ -534,11 +526,8 @@ def test_mac_count_terms():
 
     # An engaged ray adds 5 per cloudlet and 3 per pierced one.
     spec = make_spec(mode="mac-count", trials=20, master_seed=31)
-    link = broadside_link(num_tx=1, num_rx=1, tx_spacing=0.0, rx_spacing=0.0,
-                          link_distance=40000.0, elevation_deg=90.0,
-                          cloud_upper_altitude=8000.0,
-                          layer_thickness=1000.0)
-    segments = map_rays_to_field(build_rays(link), link, spec.cloud)
+    centre = make_scenario(num_tx=1, num_rx=1, link_distance=40000.0)
+    segments = map_rays_to_field(centre, 90.0, 8000.0, spec.cloud)
     expected = []
     for field in _fields(spec):
         h = int(_field_phases(field, segments, spec.physics)[1][0])

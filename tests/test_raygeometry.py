@@ -1,146 +1,140 @@
-"""Tests for link geometry, slab crossing, frame mapping and chords."""
+"""Tests for the link's rays, slab crossing, frame mapping and chords."""
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cloudmimo import (CloudConfig, ConfigurationError, LinkGeometry,
-                       Segment2D, broadside_link, build_rays, chord_lengths,
-                       map_rays_to_field)
+from cloudmimo import (CloudConfig, ConfigurationError, MimoScenario,
+                       Segment2D, pair_distances)
+from cloudmimo.raygeometry import chord_lengths, map_rays_to_field
 
 # Independently evaluated slant quantities for a 1000 m thick layer.
 SLANT_LENGTH_85_14 = 1003.60828728      # 1000 / sin(85.14 deg) [m]
 HORIZONTAL_EXTENT_85_14 = 85.0270210113  # 1000 / tan(85.14 deg) [m]
 
 
-def vertical_link(distance=40000.0, upper=8000.0, thickness=1000.0,
-                  num_tx=2, num_rx=2, tx_spacing=1.0, rx_spacing=6.0827):
-    return broadside_link(num_tx=num_tx, num_rx=num_rx,
-                          tx_spacing=tx_spacing, rx_spacing=rx_spacing,
-                          link_distance=distance, elevation_deg=90.0,
-                          cloud_upper_altitude=upper,
-                          layer_thickness=thickness)
+def link_segments(distance=40000.0, elevation=90.0, upper=8000.0,
+                  thickness=1000.0, width=20.0, **arrays):
+    """Mapped segments of a broadside link, 2x2 at 1 m / 6.0827 m spacing
+    unless ``arrays`` overrides the scenario's array fields."""
+    scenario = MimoScenario(**{**dict(num_tx=2, num_rx=2, tx_spacing=1.0,
+                                      rx_spacing=6.0827,
+                                      link_distance=distance), **arrays})
+    cloud = CloudConfig(width_w=width, thickness_d=thickness,
+                        max_thickness_dmax=thickness)
+    return map_rays_to_field(scenario, elevation, upper, cloud)
+
+
+def single_ray(**link):
+    return link_segments(num_tx=1, num_rx=1, tx_spacing=0.0,
+                         rx_spacing=0.0, **link)
 
 
 # ============================================================
 # Link construction
 # ============================================================
 
+def whole_link(**link):
+    # A layer from 1000 m below ground to 50 km holds every ray whole, so
+    # each segment runs from its transmit to its receive antenna.
+    return link_segments(upper=50000.0, thickness=51000.0, **link)
+
+
 def test_broadside_vertical_centres():
-    link = vertical_link()
-    np.testing.assert_allclose(link.tx_centre, [0.0, 0.0, 0.0], atol=1e-9)
-    np.testing.assert_allclose(link.rx_centre, [0.0, 0.0, 40000.0],
-                               atol=1e-9)
+    [seg] = whole_link(num_tx=1, num_rx=1)
+    # ground centre at altitude 0, airborne centre 40 km straight above
+    assert seg.start.tolist() == pytest.approx([10.0, 1000.0], abs=1e-9)
+    assert seg.end.tolist() == pytest.approx([10.0, 41000.0], abs=1e-9)
 
 
 def test_broadside_array_spans():
-    link = vertical_link()
-    tx_span = np.linalg.norm(link.tx_positions[-1] - link.tx_positions[0])
-    rx_span = np.linalg.norm(link.rx_positions[-1] - link.rx_positions[0])
-    assert tx_span == pytest.approx(1.0, rel=1e-12)
-    assert rx_span == pytest.approx(6.0827, rel=1e-12)
+    # A vertical link's arrays are horizontal.
+    first, second = whole_link(num_rx=1)
+    assert second.start[0] - first.start[0] == pytest.approx(1.0, rel=1e-12)
+    first, second = whole_link(num_tx=1)
+    assert second.end[0] - first.end[0] == pytest.approx(6.0827, rel=1e-12)
 
 
 def test_broadside_slant_centre_altitude():
-    link = broadside_link(num_tx=1, num_rx=1, tx_spacing=0.0, rx_spacing=0.0,
-                          link_distance=20000.0, elevation_deg=30.0,
-                          cloud_upper_altitude=8000.0, layer_thickness=1000.0)
-    assert link.rx_centre[2] == pytest.approx(10000.0, rel=1e-12)
-
-
-def test_link_validation_collects_problems():
-    with pytest.raises(ConfigurationError) as err:
-        LinkGeometry(tx_positions=np.zeros((1, 3)),
-                     rx_positions=np.zeros((1, 3)),
-                     cloud_lower_altitude=8000.0,
-                     cloud_upper_altitude=7000.0,
-                     elevation_deg=120.0, link_distance=-1.0)
-    message = str(err.value)
-    assert "cloud_upper_altitude" in message
-    assert "elevation_deg" in message
-    assert "link_distance" in message
-
-
-def test_broadside_rejects_empty_arrays():
-    with pytest.raises(ConfigurationError):
-        broadside_link(num_tx=0, num_rx=1, tx_spacing=1.0, rx_spacing=1.0,
-                       link_distance=1000.0, elevation_deg=45.0,
-                       cloud_upper_altitude=8000.0, layer_thickness=1000.0)
+    [seg] = whole_link(num_tx=1, num_rx=1, distance=20000.0, elevation=30.0,
+                       width=40000.0)
+    assert seg.end[1] - seg.start[1] == pytest.approx(10000.0, rel=1e-12)
 
 
 # ============================================================
-# Ray construction and slab crossing
+# Ray order and slab crossing
 # ============================================================
 
 def test_ray_count_and_ordering():
-    link = vertical_link(num_tx=2, num_rx=3)
-    rays = build_rays(link)
-    assert len(rays) == 6
-    # receive index outermost: ray i*Nt + j starts at transmit antenna j
+    segments = whole_link(num_rx=3)
+    assert len(segments) == 6
+    # receive index outermost: segment i*Nt + j starts at transmit antenna
+    # j and ends at receive antenna i
     for i in range(3):
         for j in range(2):
-            np.testing.assert_array_equal(rays[i * 2 + j].origin,
-                                          link.tx_positions[j])
+            assert segments[i * 2 + j].start[0] == segments[j].start[0]
+            assert segments[i * 2 + j].end[0] == segments[i * 2].end[0]
+    assert segments[0].start[0] != segments[1].start[0]
+    assert len({seg.end[0] for seg in segments}) == 3
 
 
 def test_ray_lengths_match_pair_distances():
-    link = vertical_link()
-    rays = build_rays(link)
-    for i, rx in enumerate(link.rx_positions):
-        for j, tx in enumerate(link.tx_positions):
-            expected = float(np.linalg.norm(rx - tx))
-            assert rays[i * 2 + j].length == pytest.approx(expected,
-                                                           rel=1e-15)
+    scenario = MimoScenario(num_tx=2, num_rx=3, tx_spacing=1.0,
+                            rx_spacing=6.0827, link_distance=40000.0)
+    lengths = [seg.length for seg in whole_link(num_rx=3)]
+    np.testing.assert_allclose(lengths, pair_distances(scenario).ravel(),
+                               rtol=1e-15)
 
 
 def test_vertical_in_layer_length():
-    rays = build_rays(vertical_link())
-    for ray in rays:
+    for seg in link_segments():
         # antenna-pair tilt adds a few parts in 1e9 to the vertical crossing
-        assert 1000.0 <= ray.in_layer_length <= 1000.0 + 1e-4
+        assert 1000.0 <= seg.length <= 1000.0 + 1e-4
 
 
 def test_slant_in_layer_length():
-    link = broadside_link(num_tx=1, num_rx=1, tx_spacing=0.0, rx_spacing=0.0,
-                          link_distance=20000.0, elevation_deg=85.14,
-                          cloud_upper_altitude=8000.0, layer_thickness=1000.0)
-    ray = build_rays(link)[0]
-    assert ray.in_layer_length == pytest.approx(SLANT_LENGTH_85_14, rel=1e-9)
+    [seg] = single_ray(distance=20000.0, elevation=85.14, width=100.0)
+    assert seg.length == pytest.approx(SLANT_LENGTH_85_14, rel=1e-9)
 
 
 def test_link_below_layer_never_crosses():
-    rays = build_rays(vertical_link(distance=2000.0))
-    for ray in rays:
-        assert ray.in_layer_length == 0.0
+    for seg in link_segments(distance=2000.0):
+        assert seg.length == 0.0
 
 
 def test_link_ending_inside_layer_crosses_partially():
-    rays = build_rays(vertical_link(distance=7500.0))
-    for ray in rays:
+    for seg in link_segments(distance=7500.0):
         # pair tilt lengthens the crossing by a few tens of micrometres
-        assert 500.0 <= ray.in_layer_length <= 500.0 + 1e-3
+        assert 500.0 <= seg.length <= 500.0 + 1e-3
+    # At 30 deg the receive centre sits at 15000 sin(30) = 7500 m.
+    [seg] = single_ray(distance=15000.0, elevation=30.0, width=2000.0)
+    assert seg.length == pytest.approx(1000.0, rel=1e-12)
 
 
 def test_horizontal_ray_inside_layer():
-    link = LinkGeometry(tx_positions=np.array([[0.0, 0.0, 7500.0]]),
-                        rx_positions=np.array([[5000.0, 0.0, 7500.0]]),
-                        cloud_lower_altitude=7000.0,
-                        cloud_upper_altitude=8000.0,
-                        elevation_deg=1.0, link_distance=5000.0)
-    ray = build_rays(link)[0]
-    assert ray.in_layer_length == pytest.approx(5000.0, rel=1e-12)
+    # Receive antenna 0 sits at 1000 (cos 45, sin 45) - 1000 (-sin 45,
+    # cos 45), level with the transmitter, inside the layer: ray 0 runs
+    # in it along its whole length 1000 sqrt(2).
+    segments = link_segments(distance=1000.0, elevation=45.0, upper=500.0,
+                             width=5000.0, num_tx=1, tx_spacing=0.0,
+                             rx_spacing=2000.0)
+    assert segments[0].length == pytest.approx(1000.0 * math.sqrt(2.0),
+                                              rel=1e-12)
+    assert segments[0].start[1] == pytest.approx(500.0, abs=1e-9)
+    assert segments[1].length == pytest.approx(500.0, rel=1e-9)
 
 
 def test_coincident_antennas_raise():
-    link = LinkGeometry(tx_positions=np.array([[1.0, 2.0, 3.0]]),
-                        rx_positions=np.array([[1.0, 2.0, 3.0]]),
-                        cloud_lower_altitude=7000.0,
-                        cloud_upper_altitude=8000.0,
-                        elevation_deg=45.0, link_distance=1.0)
     with pytest.raises(ConfigurationError, match="coincide"):
-        build_rays(link)
+        single_ray(distance=1e-12)
+
+
+def test_layer_top_must_exceed_its_bottom():
+    # 1e300 - 1000 rounds back to 1e300.
+    with pytest.raises(ConfigurationError, match="cloud_upper_altitude"):
+        link_segments(upper=1e300)
 
 
 # ============================================================
@@ -148,9 +142,7 @@ def test_coincident_antennas_raise():
 # ============================================================
 
 def test_single_vertical_ray_maps_to_centre():
-    link = vertical_link(num_tx=1, num_rx=1, tx_spacing=0.0, rx_spacing=0.0)
-    config = CloudConfig()
-    [segment] = map_rays_to_field(build_rays(link), link, config)
+    [segment] = single_ray()
     assert segment.start[0] == pytest.approx(10.0, abs=1e-9)
     assert segment.end[0] == pytest.approx(10.0, abs=1e-9)
     assert segment.start[1] == pytest.approx(0.0, abs=1e-9)
@@ -158,11 +150,7 @@ def test_single_vertical_ray_maps_to_centre():
 
 
 def test_slant_segment_length_and_extent():
-    link = broadside_link(num_tx=1, num_rx=1, tx_spacing=0.0, rx_spacing=0.0,
-                          link_distance=20000.0, elevation_deg=85.14,
-                          cloud_upper_altitude=8000.0, layer_thickness=1000.0)
-    config = CloudConfig(width_w=100.0)
-    [segment] = map_rays_to_field(build_rays(link), link, config)
+    [segment] = single_ray(distance=20000.0, elevation=85.14, width=100.0)
     assert segment.length == pytest.approx(SLANT_LENGTH_85_14, rel=1e-9)
     extent = abs(segment.end[0] - segment.start[0])
     assert extent == pytest.approx(HORIZONTAL_EXTENT_85_14, rel=1e-9)
@@ -172,46 +160,94 @@ def test_slant_segment_length_and_extent():
 
 
 def test_narrow_layer_rejects_wide_slant():
-    link = broadside_link(num_tx=1, num_rx=1, tx_spacing=0.0, rx_spacing=0.0,
-                          link_distance=20000.0, elevation_deg=85.14,
-                          cloud_upper_altitude=8000.0, layer_thickness=1000.0)
     with pytest.raises(ConfigurationError) as err:
-        map_rays_to_field(build_rays(link), link, CloudConfig(width_w=20.0))
+        single_ray(distance=20000.0, elevation=85.14, width=20.0)
     assert "width_w" in str(err.value)
 
 
 def test_bundle_anchor_centres_mean_midpoint():
-    link = vertical_link()
-    config = CloudConfig()
-    segments = map_rays_to_field(build_rays(link), link, config)
-    mids = [(seg.start[0] + seg.end[0]) / 2.0 for seg in segments]
+    mids = [(seg.start[0] + seg.end[0]) / 2.0 for seg in link_segments()]
     assert np.mean(mids) == pytest.approx(10.0, abs=1e-9)
 
 
-def test_bundle_preserves_relative_offsets():
-    link = vertical_link()
-    config = CloudConfig()
-    rays = build_rays(link)
-    segments = map_rays_to_field(rays, link, config)
-    # rays from the same transmit antenna to different receive antennas
-    # enter the layer at horizontal offsets matching the 3-D geometry
-    entry_x = [seg.start[0] for seg in segments]
-    span_3d = []
-    axis = np.array([1.0, 0.0, 0.0])
-    for ray in rays:
-        p = ray.point_at(ray.layer_entry_s)
-        span_3d.append(float(np.dot(p, axis)))
-    diffs_2d = np.sort(np.diff(sorted(entry_x)))
-    diffs_3d = np.sort(np.diff(sorted(span_3d)))
-    np.testing.assert_allclose(diffs_2d, diffs_3d, atol=1e-9)
-
-
 def test_bundle_below_layer_maps_to_zero_segments():
-    link = vertical_link(distance=2000.0)
-    segments = map_rays_to_field(build_rays(link), link, CloudConfig())
-    for seg in segments:
-        assert seg.length == 0.0
-        assert seg.start[0] == pytest.approx(10.0)
+    for seg in link_segments(distance=2000.0):
+        assert seg.start.tolist() == seg.end.tolist() == [10.0, 0.0]
+
+
+def test_vertical_link_h_runs_along_the_transmit_array():
+    # Transmit element j sits at x = -(j - 1/2) 10 m; h = -x grows with j.
+    first, second = link_segments(num_rx=1, tx_spacing=10.0, rx_spacing=0.0)
+    assert first.start[0] < 10.0 < second.start[0]
+    assert second.start[0] - first.start[0] == pytest.approx(
+        10.0 * (1.0 - 7000.0 / 40000.0), rel=1e-9)
+    # With one transmit element the receive array sets the same direction.
+    first, second = link_segments(num_tx=1, tx_spacing=0.0, rx_spacing=10.0)
+    assert first.end[0] < second.end[0]
+
+
+def closed_form_crossings(num_tx, num_rx, tx_spacing, rx_spacing, distance,
+                          elevation, upper, thickness):
+    """Each ray's in-layer end points (x, height above the layer bottom),
+    or None, receive index outermost: the ray is tx + u (rx - tx) for u in
+    [0, 1], and it is in the layer where its altitude is in the band."""
+    c, s = math.cos(math.radians(elevation)), math.sin(math.radians(elevation))
+    lower = upper - thickness
+    crossings = []
+    for i in range(num_rx):
+        b = (i - (num_rx - 1) / 2.0) * rx_spacing
+        rx = (distance * c - b * s, distance * s + b * c)
+        for j in range(num_tx):
+            a = (j - (num_tx - 1) / 2.0) * tx_spacing
+            tx = (-a * s, a * c)
+            dx, dz = rx[0] - tx[0], rx[1] - tx[1]
+            u_lo, u_hi = sorted(((lower - tx[1]) / dz, (upper - tx[1]) / dz))
+            u_lo, u_hi = max(u_lo, 0.0), min(u_hi, 1.0)
+            crossings.append(None if u_hi <= u_lo else tuple(
+                (tx[0] + u * dx, tx[1] + u * dz - lower)
+                for u in (u_lo, u_hi)))
+    return crossings
+
+
+@settings(max_examples=200, deadline=None)
+@given(num_tx=st.integers(1, 4), num_rx=st.integers(1, 4),
+       tx_spacing=st.floats(0.0, 50.0), rx_spacing=st.floats(0.0, 50.0),
+       distance=st.floats(2000.0, 60000.0), elevation=st.floats(5.0, 89.0),
+       upper=st.floats(-1000.0, 20000.0), thickness=st.floats(10.0, 1000.0),
+       width=st.floats(20.0, 20000.0))
+def test_bundle_preserves_relative_offsets(
+        num_tx, num_rx, tx_spacing, rx_spacing, distance, elevation, upper,
+        thickness, width):
+    # The arrays span under 150 m and the centres rise over 170 m, so no
+    # ray is level.  The transmit centre is at x = 0 and the receive
+    # centre at x > 0, so h is x plus the shared anchor shift.
+    crossings = closed_form_crossings(num_tx, num_rx, tx_spacing,
+                                      rx_spacing, distance, elevation,
+                                      upper, thickness)
+    mids = [(p[0] + q[0]) / 2.0 for p, q in filter(None, crossings)]
+    shift = width / 2.0 - (np.mean(mids) if mids else 0.0)
+    hs = [p[0] + shift for ends in filter(None, crossings) for p in ends]
+    outside = max([max(-h, h - width) for h in hs], default=-1.0)
+    assume(abs(outside) > 1e-6)
+    scenario = dict(num_tx=num_tx, num_rx=num_rx, tx_spacing=tx_spacing,
+                    rx_spacing=rx_spacing)
+    if outside > 0.0:
+        with pytest.raises(ConfigurationError, match="width_w"):
+            link_segments(distance, elevation, upper, thickness, width,
+                          **scenario)
+        return
+    segments = link_segments(distance, elevation, upper, thickness, width,
+                             **scenario)
+    assert len(segments) == len(crossings)
+    for seg, ends in zip(segments, crossings):
+        if ends is None:
+            assert seg.start.tolist() == seg.end.tolist() == [width / 2, 0.0]
+            continue
+        (x0, y0), (x1, y1) = ends
+        np.testing.assert_allclose(seg.start, [x0 + shift, y0], rtol=0,
+                                   atol=1e-9)
+        np.testing.assert_allclose(seg.end, [x1 + shift, y1], rtol=0,
+                                   atol=1e-9)
 
 
 # ============================================================
