@@ -25,12 +25,10 @@ from .analyticmodel import (AnalyticParams, PhaseDistribution,
                             time_varying_distribution, total_phase_pdf)
 from .mimochannel import (ChannelMatrix, MimoScenario, capacity_bits,
                           los_channel, pair_distances, rayleigh_distance)
-from .experiment import (DistanceSweepResult, ExperimentSpec, MacCountResult,
-                         PhaseCompareResult, build_manifest,
-                         outage_capacity, run_capacity_cdf,
-                         run_compensated_sweep, run_correlation_sweep,
-                         run_mac_count, run_phase_compare, run_report,
-                         results_csv_text, spec_from_flat, spec_to_flat)
+from .experiment import (ExperimentSpec, build_manifest, outage_capacity,
+                         run_capacity_cdf, run_compensated_sweep,
+                         run_correlation_sweep, run_mac_count,
+                         run_phase_compare, spec_from_flat, spec_to_flat)
 
 __all__ = [
     "ConfigurationError", "DegenerateDistributionError",
@@ -48,10 +46,8 @@ __all__ = [
     "time_varying_distribution", "total_phase_pdf",
     "ChannelMatrix", "MimoScenario", "capacity_bits", "los_channel",
     "pair_distances", "rayleigh_distance",
-    "DistanceSweepResult", "ExperimentSpec", "MacCountResult",
-    "PhaseCompareResult", "build_manifest", "outage_capacity",
+    "ExperimentSpec", "build_manifest", "outage_capacity",
     "run_capacity_cdf", "run_compensated_sweep", "run_correlation_sweep",
-    "run_mac_count", "run_phase_compare", "run_report", "results_csv_text",
-    "spec_from_flat", "spec_to_flat",
+    "run_mac_count", "run_phase_compare", "spec_from_flat", "spec_to_flat",
     "__version__",
 ]

@@ -7,34 +7,29 @@ file, ``CLOUDMIMO_``-prefixed environment variables, repeated ``--set``
 overrides, and dedicated flags.  A run's ``manifest.json`` is itself a valid
 config file, so any run can be reproduced from its manifest alone.
 
+Every mode runs the same way: the CLI builds its subcommands from
+:data:`cloudmimo.experiment.MODES`, times the mode's runner, writes the
+CSV and ``manifest.json`` the runner's output describes, and prints where
+they went followed by the runner's summary lines.
+
 Exit codes: 0 success, 1 configuration error, 2 runtime error.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
-import math
 import os
 import sys
 import time
 import warnings
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .analyticmodel import (AnalyticParams, stationary_report,
-                            time_varying_distribution, total_phase_pdf,
-                            laplace_pdf)
-from .cloudfield import CloudConfig, generate_field
+from .cloudfield import CloudConfig
 from .errors import ConfigurationError
-from .experiment import (CONFIG_SCHEMA, NUMERICS_VERSION, ExperimentSpec,
-                         build_manifest, format_csv, parse_config_value,
-                         results_csv_text, run_capacity_cdf,
-                         run_compensated_sweep, run_correlation_sweep,
-                         run_mac_count, run_phase_compare, run_report,
-                         spec_from_flat, spec_to_flat)
+from .experiment import (CONFIG_SCHEMA, MODES, NUMERICS_VERSION,
+                         ExperimentSpec, RunOutput, build_manifest,
+                         parse_config_value, spec_from_flat, spec_to_flat)
 from .mimochannel import MimoScenario
 from .phasephysics import PhysicsParams
 
@@ -223,90 +218,29 @@ def assemble_config(mode: str, profile: str | None, config_path: str | None,
 # Subcommand execution
 # ============================================================
 
-def _write_run(outdir: Path, spec: ExperimentSpec, csv_text: str | None,
-               report: dict, explicit: set, wall_time: float) -> None:
-    manifest = build_manifest(spec, report, explicit_keys=explicit,
+def _write_run(outdir: Path, spec: ExperimentSpec, run: RunOutput,
+               explicit: set, wall_time: float) -> None:
+    manifest = build_manifest(spec, run.report, explicit_keys=explicit,
                               wall_time_s=wall_time)
     # Strict JSON: a NaN or infinity raises, before anything is written,
     # instead of writing a literal that RFC 8259 parsers reject.
     text = json.dumps(manifest, indent=2, allow_nan=False) + "\n"
     outdir.mkdir(parents=True, exist_ok=True)
-    if csv_text is not None:
-        (outdir / "results.csv").write_text(csv_text)
+    (outdir / run.csv_name).write_text(run.csv_text)
     (outdir / "manifest.json").write_text(text)
 
 
-def _run_field(spec: ExperimentSpec, outdir: Path, explicit: set) -> None:
+# Each mode's runner, looked up at call time so it can be wrapped.
+_RUNNERS = {mode: runner for mode, (_, runner) in MODES.items()}
+
+
+def _run(spec: ExperimentSpec, outdir: Path, explicit: set) -> None:
     start = time.perf_counter()
-    field = generate_field(dataclasses.replace(
-        spec.cloud, rng_seed=spec.master_seed))
-    rows = [(x, y, field.radius, iwc)
-            for (x, y), iwc in zip(field.positions, field.iwc)]
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "field.csv").write_text(
-        format_csv("x_m,y_m,radius_m,iwc_g_m3", rows))
-    report = {"cloudlet_count": field.count,
-              "radius_m": field.radius}
-    _write_run(outdir, spec, None, report, explicit,
-               time.perf_counter() - start)
-    print(f"wrote {field.count} cloudlets to {outdir / 'field.csv'}")
-
-
-def _run_phase_dist(spec: ExperimentSpec, outdir: Path,
-                    explicit: set) -> None:
-    start = time.perf_counter()
-    params = AnalyticParams(spec.cloud, spec.physics)
-    report = stationary_report(params, dt=spec.dt)
-    dist = time_varying_distribution(params, spec.dt)
-    if dist.total_variance > 0.0:
-        span = 8.0 * math.sqrt(dist.total_variance)
-        grid = np.linspace(dist.phi0 - span, dist.phi0 + span, 501)
-        total = np.asarray(total_phase_pdf(grid, dist))
-        if dist.sigma_c2 > 0.0:
-            stationary = np.asarray(laplace_pdf(grid, dist))
-        else:
-            stationary = np.zeros_like(grid)
-        rows = [(float(p), float(s), float(t)) for p, s, t in
-                zip(grid, stationary, total)]
-        csv_text = format_csv("phi_rad,pdf_stationary,pdf_total", rows)
-    else:
-        report["warnings"] = report.get("warnings", []) + [
-            "all variances are zero: the phase is a point mass at phi0 "
-            "and no density grid is written"]
-        csv_text = "phi_rad,pdf_stationary,pdf_total\n"
-    _write_run(outdir, spec, csv_text, report, explicit,
-               time.perf_counter() - start)
-    phi0 = report["truncated_sum"]["phi0_rad"]
-    sig2 = report["truncated_sum"]["sigma_c2_rad2"]
-    print(f"phi0 = {phi0:.6e} rad, sigma_c2 = {sig2:.6e} rad^2 "
-          f"(truncated sum); see {outdir / 'manifest.json'}")
-
-
-_RUNNERS = {
-    "capacity-cdf": run_capacity_cdf,
-    "correlation": run_correlation_sweep,
-    "compensated": run_compensated_sweep,
-    "phase-compare": run_phase_compare,
-    "mac-count": run_mac_count,
-}
-
-
-def _run_experiment(spec: ExperimentSpec, outdir: Path,
-                    explicit: set) -> None:
-    start = time.perf_counter()
-    result = _RUNNERS[spec.mode](spec)
-    csv_text = results_csv_text(spec, result)
-    report = run_report(spec, result)
-    _write_run(outdir, spec, csv_text, report, explicit,
-               time.perf_counter() - start)
-    print(f"wrote {outdir / 'results.csv'} and {outdir / 'manifest.json'}")
-    if spec.mode == "capacity-cdf":
-        for item in report["points"]:
-            print(f"  {item['parameter']}={item['value']:g}: median "
-                  f"{item['median_bps_hz']:.4f} bit/s/Hz")
-    elif spec.mode == "mac-count":
-        print(f"  average {report['average_mac_per_round']:.1f} MAC/round "
-              f"(reference {report['reference_mac_per_round']})")
+    run = _RUNNERS[spec.mode](spec)
+    _write_run(outdir, spec, run, explicit, time.perf_counter() - start)
+    print(f"wrote {outdir / run.csv_name} and {outdir / 'manifest.json'}")
+    for line in run.summary:
+        print(f"  {line}")
 
 
 # ============================================================
@@ -319,16 +253,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version",
                         version=f"cloudmimo {__version__}")
     sub = parser.add_subparsers(dest="mode", metavar="MODE")
-    descriptions = {
-        "field": "generate one cloud field realization",
-        "phase-dist": "analytic phase distribution report and density grid",
-        "capacity-cdf": "per-trial capacity CDF, optionally swept",
-        "correlation": "sub-channel correlation over a distance grid",
-        "compensated": "median compensated capacity over a distance grid",
-        "phase-compare": "Monte Carlo vs analytic single-ray phase",
-        "mac-count": "average per-round operation count",
-    }
-    for mode, help_text in descriptions.items():
+    for mode, (help_text, _) in MODES.items():
         p = sub.add_parser(mode, help=help_text, description=help_text)
         p.add_argument("--profile", choices=sorted(PROFILES),
                        help="named parameter profile")
@@ -351,22 +276,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# Each dedicated flag and the config key it sets.
+_FLAG_KEYS = {"seed": "run.master_seed", "trials": "run.trials",
+              "distance": "link.distance_m", "rwc": "run.sweep_rwc",
+              "thickness": "run.sweep_thickness_m",
+              "grid": "run.distance_grid_m", "dt": "run.dt_s"}
+
+
 def _flag_overrides(args) -> dict:
-    out = {}
-    if args.seed is not None:
-        out["run.master_seed"] = args.seed
-    if args.trials is not None:
-        out["run.trials"] = args.trials
-    if args.distance is not None:
-        out["link.distance_m"] = parse_distance(args.distance)
-    if args.rwc is not None:
-        out["run.sweep_rwc"] = args.rwc
-    if args.thickness is not None:
-        out["run.sweep_thickness_m"] = args.thickness
-    if args.grid is not None:
-        out["run.distance_grid_m"] = args.grid
-    if args.dt is not None:
-        out["run.dt_s"] = args.dt
+    out = {key: getattr(args, flag) for flag, key in _FLAG_KEYS.items()
+           if getattr(args, flag) is not None}
+    if "link.distance_m" in out:
+        out["link.distance_m"] = parse_distance(out["link.distance_m"])
     return out
 
 
@@ -409,12 +330,7 @@ def _main(argv) -> int:
         return 1
     outdir = Path(args.out) if args.out else Path("cloudmimo-runs") / args.mode
     try:
-        if spec.mode == "field":
-            _run_field(spec, outdir, explicit)
-        elif spec.mode == "phase-dist":
-            _run_phase_dist(spec, outdir, explicit)
-        else:
-            _run_experiment(spec, outdir, explicit)
+        _run(spec, outdir, explicit)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

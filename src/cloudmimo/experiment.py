@@ -1,16 +1,19 @@
 """Monte Carlo experiment runner, aggregation, and run artifacts.
 
-Every experiment draws a fresh static cloud field per trial (capacity and
-correlation studies are snapshot studies), traces the antenna-pair rays of
-the configured link through it, and feeds the accumulated cloud phases into
-the LoS MIMO channel.  One trial kernel serves every Monte Carlo mode
-(``field`` and ``phase-dist`` draw no trials): it draws each trial's field
-once per run, evaluates every sweep point whose field does not depend on
-the sweep value on that draw, and works on blocks of trials as arrays.
-Per-trial random streams derive deterministically from the master seed
-and the trial index, so results are reproducible and independent of the
-block size: one generator is reset to each trial's stream by writing its
-state words in place (see :mod:`cloudmimo.streams`, which checks the
+Each mode is one function ``spec -> RunOutput`` that returns the mode's
+CSV text, manifest report and summary lines; :data:`MODES` lists every
+mode once, with its help text and runner.  ``field`` draws one cloud field
+and ``phase-dist`` evaluates the analytic phase model.  The other modes
+draw a fresh static cloud field per trial (capacity and correlation
+studies are snapshot studies), trace the antenna-pair rays of the
+configured link through it, and feed the accumulated cloud phases into the
+LoS MIMO channel.  One trial kernel serves them all: it draws each trial's
+field once per run, evaluates every sweep point whose field does not
+depend on the sweep value on that draw, and works on blocks of trials as
+arrays.  Per-trial random streams derive deterministically from the master
+seed and the trial index, so results are reproducible and independent of
+the block size: one generator is reset to each trial's stream by writing
+its state words in place (see :mod:`cloudmimo.streams`, which checks the
 generator's layout first).  Each block's fields come from one call of
 ``draw_fields``, whose one-field case is ``generate_field``, as unit x, y
 and content rows that the kernel scales in place.  No per-trial
@@ -18,16 +21,16 @@ and content rows that the kernel scales in place.  No per-trial
 traces: it returns plain arrays of each trial's cloudlet count and each
 point's per-ray pierced counts and phases.  Each mode takes what it needs
 from them.  capacity-cdf, correlation and compensated run on one sweep
-runner, which traces the sweep points that reach the layer with one
-kernel call and applies the mode's channel metric to their phases in
-block-sized trial slices.  A sweep point none of whose rays reaches the
-layer is never traced: each of its trials has the metric's clear-sky
-value exactly.  phase-compare reads the phases of its one ray, and
-mac-count counts operations from the counts.
+runner, which traces the sweep points that reach the layer with one kernel
+call and applies the mode's channel metric to their phases in block-sized
+trial slices.  A sweep point none of whose rays reaches the layer is never
+traced: each of its trials has the metric's clear-sky value exactly.
+phase-compare reads the phases of its one ray, and mac-count counts
+operations from the counts.
 
-Runs write two artifacts: ``results.csv`` with plot-ready columns and
-``manifest.json`` with the full configuration, which can be fed back as a
-config file to reproduce the run byte for byte.
+Runs write two artifacts: ``results.csv`` (``field.csv`` for ``field``)
+with plot-ready columns and ``manifest.json`` with the full configuration,
+which can be fed back as a config file to reproduce the run byte for byte.
 """
 from __future__ import annotations
 
@@ -40,12 +43,11 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .analyticmodel import (AnalyticParams, PhaseDistribution, laplace_pdf,
-                            stationary_distribution)
-# generate_field is not called here; bench/layertrace.py and bench/selftest.py
-# look it up under this module until the benchmark wraps draw_fields.
+from .analyticmodel import (AnalyticParams, laplace_pdf,
+                            stationary_distribution, stationary_report,
+                            time_varying_distribution, total_phase_pdf)
 from .cloudfield import (CloudConfig, cloudlet_radius, draw_fields,
-                         generate_field)  # noqa: F401
+                         generate_field)
 from .errors import ConfigurationError, ModelValidityWarning
 from .mimochannel import (MimoScenario, capacity_bits, ensemble_mean,
                           los_channel, subchannel_coherence)
@@ -70,9 +72,6 @@ NUMERICS_VERSION = 2
 # cloud simulator at 500 m^2 coverage for context.
 REFERENCE_MAC_PER_ROUND = 10367
 GRID_MODEL_REFERENCE_MAC = 5391772
-
-MODES = ("field", "phase-dist", "capacity-cdf", "correlation",
-         "compensated", "phase-compare", "mac-count")
 
 
 # ============================================================
@@ -100,7 +99,8 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         problems = []
         if self.mode not in MODES:
-            problems.append(f"unknown mode {self.mode!r}; expected one of {MODES}")
+            problems.append(f"unknown mode {self.mode!r}; expected one of "
+                            f"{tuple(MODES)}")
         if self.trials < 1:
             problems.append(f"trials must be >= 1, got {self.trials}")
         if self.master_seed < 0:
@@ -134,6 +134,14 @@ class ExperimentSpec:
         if self.mode in ("correlation", "compensated") \
                 and self.distance_grid is None:
             problems.append(f"mode {self.mode!r} needs a distance grid")
+        # Every layer a run traces must have a top above its bottom: the
+        # thinnest one has the highest bottom, as rounding is monotone.
+        upper = self.cloud_upper_altitude
+        lower = upper - min((self.cloud.thickness_d,
+                             *(self.sweep_thickness or ())))
+        if not upper > lower:
+            problems.append(f"cloud_upper_altitude ({upper}) must exceed "
+                            f"cloud_lower_altitude ({lower})")
         freq_gap = abs(self.scenario.carrier_frequency
                        - self.physics.carrier_frequency)
         if freq_gap > 1e-6 * self.physics.carrier_frequency:
@@ -141,6 +149,16 @@ class ExperimentSpec:
                 "scenario and physics carrier frequencies disagree")
         if problems:
             raise ConfigurationError("; ".join(problems))
+
+
+@dataclasses.dataclass(frozen=True)
+class RunOutput:
+    """What one run writes and prints: its CSV, report and summary."""
+
+    csv_text: str
+    report: dict                    # the manifest's "report"
+    summary: tuple = ()             # lines printed after the run
+    csv_name: str = "results.csv"
 
 
 # ============================================================
@@ -411,6 +429,53 @@ def _sweep(spec: ExperimentSpec, metric, scenarios, cloud: CloudConfig,
 
 
 # ============================================================
+# Cloud field and analytic phase density
+# ============================================================
+
+def run_field(spec: ExperimentSpec) -> RunOutput:
+    """One cloud field realization at the master seed, one row per cloudlet."""
+    field = generate_field(dataclasses.replace(
+        spec.cloud, rng_seed=spec.master_seed))
+    rows = [(x, y, field.radius, iwc)
+            for (x, y), iwc in zip(field.positions, field.iwc)]
+    return RunOutput(
+        format_csv("x_m,y_m,radius_m,iwc_g_m3", rows),
+        {"cloudlet_count": field.count, "radius_m": field.radius},
+        (f"{field.count} cloudlets",), csv_name="field.csv")
+
+
+def run_phase_dist(spec: ExperimentSpec) -> RunOutput:
+    """The analytic phase report and its density on a 501-point grid.
+
+    The grid spans 8 standard deviations of the total phase about phi0; a
+    point mass (every variance zero) gets a header-only CSV and a warning.
+    """
+    params = AnalyticParams(spec.cloud, spec.physics)
+    report = stationary_report(params, dt=spec.dt)
+    dist = time_varying_distribution(params, spec.dt)
+    header = "phi_rad,pdf_stationary,pdf_total"
+    if dist.total_variance > 0.0:
+        span = 8.0 * math.sqrt(dist.total_variance)
+        grid = np.linspace(dist.phi0 - span, dist.phi0 + span, 501)
+        total = np.asarray(total_phase_pdf(grid, dist))
+        if dist.sigma_c2 > 0.0:
+            stationary = np.asarray(laplace_pdf(grid, dist))
+        else:
+            stationary = np.zeros_like(grid)
+        csv_text = format_csv(header, zip(grid, stationary, total))
+    else:
+        report["warnings"] = report.get("warnings", []) + [
+            "all variances are zero: the phase is a point mass at phi0 "
+            "and no density grid is written"]
+        csv_text = format_csv(header, [])
+    phi0 = report["truncated_sum"]["phi0_rad"]
+    sig2 = report["truncated_sum"]["sigma_c2_rad2"]
+    return RunOutput(csv_text, report, (
+        f"phi0 = {phi0:.6e} rad, sigma_c2 = {sig2:.6e} rad^2 "
+        f"(truncated sum)",))
+
+
+# ============================================================
 # Capacity CDF
 # ============================================================
 
@@ -424,20 +489,11 @@ def outage_capacity(samples: np.ndarray, p: float) -> float:
     return float(samples[rank - 1])
 
 
-@dataclasses.dataclass(frozen=True)
-class SweepPoint:
-    """Sorted per-trial capacity samples of one sweep point."""
-
-    parameter: str        # "rwc", "thickness_m" or "none"
-    value: float
-    samples: np.ndarray   # ascending [bit/s/Hz]
-
-
 def _capacity(scenario: MimoScenario, phases):
     return capacity_bits(los_channel(scenario, phases), scenario.snr_db)
 
 
-def run_capacity_cdf(spec: ExperimentSpec) -> list[SweepPoint]:
+def run_capacity_cdf(spec: ExperimentSpec) -> RunOutput:
     """Per-trial capacities for each sweep point of the configured sweep.
 
     A relative-water-content sweep rescales the ice water content bound, so
@@ -445,7 +501,9 @@ def run_capacity_cdf(spec: ExperimentSpec) -> list[SweepPoint]:
     the layer (and the in-layer geometry) and draws per value.  Without a
     sweep a single point at the configured cloud runs.  A point whose rays
     all miss the layer is clear sky in every trial: it warns with a
-    :class:`ModelValidityWarning`, and draws no field.
+    :class:`ModelValidityWarning`, and draws no field.  The CSV has one row
+    per trial, each point's samples in ascending order; the report gives
+    each point's median and outage capacity.
     """
     if spec.sweep_thickness is not None:
         name = "thickness_m"
@@ -458,7 +516,8 @@ def run_capacity_cdf(spec: ExperimentSpec) -> list[SweepPoint]:
     else:
         name = "none"
         runs = [(spec.cloud, None, (0.0,))]
-    points = []
+    chunks = ["sweep,sweep_value,capacity_bps_hz\n"]
+    points, summary = [], []
     for cloud, contents, values in runs:
         (caps,) = _sweep(spec, _capacity, [spec.scenario], cloud, contents)
         for j, value in enumerate(values):
@@ -470,28 +529,28 @@ def run_capacity_cdf(spec: ExperimentSpec) -> list[SweepPoint]:
                                   _capacity(spec.scenario, None))
             else:
                 samples = np.sort(caps[j])
-            points.append(SweepPoint(parameter=name, value=value,
-                                     samples=samples))
-    return points
+            # The point's two columns are formatted once, the samples with
+            # the shortest round-trip repr of format_csv.
+            prefix = f"{name},{float(value)!r},"
+            chunks.append(prefix + f"\n{prefix}".join(
+                map(repr, samples.tolist())) + "\n")
+            median = outage_capacity(samples, 0.5)
+            points.append({
+                "parameter": name, "value": value, "median_bps_hz": median,
+                "outage_bps_hz": outage_capacity(
+                    samples, spec.outage_probability),
+                "outage_probability": spec.outage_probability,
+            })
+            summary.append(f"{name}={value:g}: median {median:.4f} bit/s/Hz")
+    return RunOutput("".join(chunks), {"points": points}, tuple(summary))
 
 
 # ============================================================
 # Correlation and compensated-capacity distance sweeps
 # ============================================================
 
-@dataclasses.dataclass(frozen=True)
-class DistanceSweepResult:
-    """Per-distance ensemble summaries plus raw per-trial values."""
-
-    distances: np.ndarray
-    with_cloud: np.ndarray      # ensemble summary with cloud
-    without_cloud: np.ndarray   # deterministic no-cloud value
-    engaged: np.ndarray         # bool: any ray touches the layer
-    trial_values: list          # per distance: (trials,) array or None
-
-
-def run_distance_sweep(spec: ExperimentSpec, metric,
-                       reducer) -> DistanceSweepResult:
+def _distance_sweep(spec: ExperimentSpec, metric, reducer,
+                    header: str) -> RunOutput:
     """Ensemble summary of a per-trial channel metric over the distance grid.
 
     ``metric(scenario, phases)`` evaluates the channel of a scenario under
@@ -501,66 +560,50 @@ def run_distance_sweep(spec: ExperimentSpec, metric,
     a distance where no ray reaches the layer is clear sky, and its
     summary is the clear-sky value exactly.
     """
-    distances = np.array(spec.distance_grid, dtype=float)
-    scenarios = [dataclasses.replace(spec.scenario, link_distance=float(d))
+    distances = [float(d) for d in spec.distance_grid]
+    scenarios = [dataclasses.replace(spec.scenario, link_distance=d)
                  for d in distances]
-    without = np.array([metric(scen, None) for scen in scenarios],
-                       dtype=float)
-    trial_values = [None if v is None else v[0]
-                    for v in _sweep(spec, metric, scenarios, spec.cloud)]
-    with_cloud = np.array([clear if v is None else reducer(v)
-                           for clear, v in zip(without, trial_values)],
-                          dtype=float)
-    engaged = np.array([v is not None for v in trial_values], dtype=bool)
-    return DistanceSweepResult(distances=distances, with_cloud=with_cloud,
-                               without_cloud=without, engaged=engaged,
-                               trial_values=trial_values)
+    without = [float(metric(scen, None)) for scen in scenarios]
+    values = _sweep(spec, metric, scenarios, spec.cloud)
+    with_cloud = [clear if v is None else float(reducer(v[0]))
+                  for clear, v in zip(without, values)]
+    return RunOutput(
+        format_csv(header, zip(distances, with_cloud, without)),
+        {"distances_m": distances, "with_cloud": with_cloud,
+         "without_cloud": without,
+         "engaged": [v is not None for v in values]})
 
 
 def _coherence(scenario: MimoScenario, phases):
     return subchannel_coherence(los_channel(scenario, phases))
 
 
-def run_correlation_sweep(spec: ExperimentSpec) -> DistanceSweepResult:
+def run_correlation_sweep(spec: ExperimentSpec) -> RunOutput:
     """Sub-channel correlation with and without cloud over a distance grid.
 
     Engaged distances average the per-trial coherence over the ensemble of
     cloud realizations.
     """
-    return run_distance_sweep(spec, _coherence, ensemble_mean)
+    return _distance_sweep(spec, _coherence, ensemble_mean,
+                           "distance_m,corr_cloud,corr_clear")
 
 
-def run_compensated_sweep(spec: ExperimentSpec) -> DistanceSweepResult:
+def run_compensated_sweep(spec: ExperimentSpec) -> RunOutput:
     """Median compensated capacity with and without cloud over distances.
 
     Gains are forced to unity so only phase structure drives the capacity;
     the no-cloud capacity at each distance is deterministic.
     """
     unit_gains = dataclasses.replace(spec.scenario, compensated=True)
-    return run_distance_sweep(dataclasses.replace(spec, scenario=unit_gains),
-                              _capacity, np.median)
+    return _distance_sweep(
+        dataclasses.replace(spec, scenario=unit_gains), _capacity, np.median,
+        "distance_m,median_capacity_cloud_bps_hz,"
+        "median_capacity_clear_bps_hz")
 
 
 # ============================================================
 # Monte Carlo vs analytic phase comparison
 # ============================================================
-
-@dataclasses.dataclass(frozen=True)
-class PhaseCompareResult:
-    """Empirical single-ray phase statistics beside the analytic model."""
-
-    samples: np.ndarray
-    empirical_mean: float
-    empirical_variance: float
-    empirical_excess_kurtosis: float
-    cloudlet_counts: np.ndarray   # each trial's field
-    pierced_counts: np.ndarray    # each trial's ray
-    analytic: PhaseDistribution
-    ks_distance: float
-    bin_centres: np.ndarray
-    empirical_density: np.ndarray
-    analytic_density: np.ndarray
-
 
 def _laplace_ks_distance(samples: np.ndarray, loc: float,
                          scale: float) -> float:
@@ -593,7 +636,7 @@ def _excess_kurtosis(samples: np.ndarray) -> float:
     return float((dev2 ** 2).mean() / m2 ** 2.0 - 3)
 
 
-def run_phase_compare(spec: ExperimentSpec) -> PhaseCompareResult:
+def run_phase_compare(spec: ExperimentSpec) -> RunOutput:
     """Histogram the Monte Carlo single-ray phase against the Laplace model.
 
     One centre ray is traced per trial through a fresh field; a ray that
@@ -627,49 +670,50 @@ def run_phase_compare(spec: ExperimentSpec) -> PhaseCompareResult:
         analytic_density = np.asarray(laplace_pdf(centres, analytic))
     else:
         analytic_density = np.zeros_like(centres)
-    return PhaseCompareResult(
-        samples=samples, empirical_mean=float(samples.mean()),
-        empirical_variance=float(samples.var()),
-        empirical_excess_kurtosis=_excess_kurtosis(samples),
-        cloudlet_counts=counts, pierced_counts=pierced[:, 0],
-        analytic=analytic, ks_distance=ks,
-        bin_centres=centres, empirical_density=density,
-        analytic_density=analytic_density)
+    kurtosis = _excess_kurtosis(samples)
+    report = {
+        "empirical": {
+            "mean_rad": float(samples.mean()),
+            "variance_rad2": float(samples.var()),
+            # null where it is undefined (NaN): strict JSON has no NaN
+            "excess_kurtosis": None if math.isnan(kurtosis) else kurtosis,
+            "mean_cloudlet_count": float(counts.mean()),
+            "mean_pierced_count": float(pierced[:, 0].mean()),
+        },
+        "analytic": {
+            "phi0_rad": analytic.phi0,
+            "sigma_c2_rad2": analytic.sigma_c2,
+            "excess_kurtosis": 3.0,
+        },
+        "ks_distance": ks,
+        "note": ("comparison only: the analytic constants were fitted "
+                 "to measurements that are not available here"),
+    }
+    return RunOutput(
+        format_csv("phi_rad,empirical_density,analytic_density",
+                   zip(centres, density, analytic_density)), report)
 
 
 # ============================================================
 # Operation counting
 # ============================================================
 
-@dataclasses.dataclass(frozen=True)
-class MacCountResult:
-    """Average multiply-accumulate count per simulation round.
+def _within_order_of_magnitude(average: float) -> bool:
+    """Whether the reference per-round count is 0.1 to 10 times ``average``."""
+    return average > 0.0 and 0.1 <= REFERENCE_MAC_PER_ROUND / average <= 10.0
+
+
+def run_mac_count(spec: ExperimentSpec) -> RunOutput:
+    """Average the per-round operation count over the kernel's rounds.
 
     One round is one trial of the trial kernel with one ray: its field
     draw plus the ray's phase accrual.  The counting convention: every
     scalar multiply, multiply-add, division and random draw counts one;
-    additions, comparisons and square roots are free.
-    """
-
-    per_round: np.ndarray
-    average: float
-    rounds: int
-
-    @property
-    def within_order_of_magnitude(self) -> bool:
-        if self.average <= 0.0:
-            return False
-        ratio = REFERENCE_MAC_PER_ROUND / self.average
-        return 0.1 <= ratio <= 10.0
-
-
-def run_mac_count(spec: ExperimentSpec) -> MacCountResult:
-    """Average the per-round operation count over the kernel's rounds.
-
-    The trial kernel traces the centre ray through each trial's field and
-    gives the field's cloudlet count n and the ray's pierced count h.  A
-    round then costs ``17 + 6 n + [L > 0] (2 + 5 n + 3 h)`` operations,
-    where L is the ray's in-layer length:
+    additions, comparisons and square roots are free.  The trial kernel
+    traces the centre ray through each trial's field and gives the field's
+    cloudlet count n and the ray's pierced count h.  A round then costs
+    ``17 + 6 n + [L > 0] (2 + 5 n + 3 h)`` operations, where L is the
+    ray's in-layer length:
 
     - 17 set the round up: the thickness ratio (1), the radius (3), the
       mean count (2), the Poisson draw (1), the mixture coefficient (6),
@@ -680,13 +724,50 @@ def run_mac_count(spec: ExperimentSpec) -> MacCountResult:
       chord's phase; a ray that misses the layer does none of these.
 
     Warns with a :class:`ModelValidityWarning` if the ray misses the layer.
+    The CSV gives each round's count.
     """
     segments, traced = _centre_ray(spec)
     n, (h,), _ = trial_kernel(spec, spec.cloud, [segments])
     per_round = 17 + 6 * n + traced * (2 + 5 * n + 3 * h[:, 0])
-    return MacCountResult(per_round=per_round,
-                          average=float(per_round.mean()),
-                          rounds=spec.trials)
+    average = float(per_round.mean())
+    report = {
+        "average_mac_per_round": average,
+        "rounds": spec.trials,
+        "reference_mac_per_round": REFERENCE_MAC_PER_ROUND,
+        "grid_model_reference_mac": GRID_MODEL_REFERENCE_MAC,
+        "within_order_of_magnitude": _within_order_of_magnitude(average),
+        "scope": ("one round = one field generation plus one ray's "
+                  "phase accrual"),
+        "convention": ("multiplies, multiply-adds, divisions and random "
+                       "draws count 1; additions, comparisons and "
+                       "square roots count 0"),
+    }
+    return RunOutput(
+        format_csv("round,mac_count", enumerate(per_round.tolist())), report,
+        (f"average {average:.1f} MAC/round "
+         f"(reference {REFERENCE_MAC_PER_ROUND})",))
+
+
+# ============================================================
+# Mode table
+# ============================================================
+
+# Every mode once, in the order the command line lists them: its help
+# text and its runner.
+MODES = {
+    "field": ("generate one cloud field realization", run_field),
+    "phase-dist": ("analytic phase distribution report and density grid",
+                   run_phase_dist),
+    "capacity-cdf": ("per-trial capacity CDF, optionally swept",
+                     run_capacity_cdf),
+    "correlation": ("sub-channel correlation over a distance grid",
+                    run_correlation_sweep),
+    "compensated": ("median compensated capacity over a distance grid",
+                    run_compensated_sweep),
+    "phase-compare": ("Monte Carlo vs analytic single-ray phase",
+                      run_phase_compare),
+    "mac-count": ("average per-round operation count", run_mac_count),
+}
 
 
 # ============================================================
@@ -701,95 +782,6 @@ def format_csv(header: str, rows) -> str:
             repr(float(v)) if isinstance(v, (float, np.floating))
             else str(v) for v in row))
     return "\n".join(lines) + "\n"
-
-
-def results_csv_text(spec: ExperimentSpec, result) -> str:
-    """Plot-ready CSV body for any experiment result."""
-    if spec.mode == "capacity-cdf":
-        # One row per trial: the point's two columns are formatted once,
-        # the samples with the shortest round-trip repr of format_csv.
-        lines = ["sweep,sweep_value,capacity_bps_hz\n"]
-        for point in result:
-            prefix = f"{point.parameter},{float(point.value)!r},"
-            lines.extend(prefix + cell + "\n"
-                         for cell in map(repr, point.samples.tolist()))
-        return "".join(lines)
-    if spec.mode == "correlation":
-        rows = [(float(d), float(w), float(c)) for d, w, c in
-                zip(result.distances, result.with_cloud,
-                    result.without_cloud)]
-        return format_csv("distance_m,corr_cloud,corr_clear", rows)
-    if spec.mode == "compensated":
-        rows = [(float(d), float(w), float(c)) for d, w, c in
-                zip(result.distances, result.with_cloud,
-                    result.without_cloud)]
-        return format_csv(
-            "distance_m,median_capacity_cloud_bps_hz,"
-            "median_capacity_clear_bps_hz", rows)
-    if spec.mode == "phase-compare":
-        rows = [(float(p), float(e), float(a)) for p, e, a in
-                zip(result.bin_centres, result.empirical_density,
-                    result.analytic_density)]
-        return format_csv("phi_rad,empirical_density,analytic_density", rows)
-    if spec.mode == "mac-count":
-        rows = [(i, int(c)) for i, c in enumerate(result.per_round)]
-        return format_csv("round,mac_count", rows)
-    raise ConfigurationError(f"mode {spec.mode!r} has no CSV writer here")
-
-
-def run_report(spec: ExperimentSpec, result) -> dict:
-    """Mode-specific summary embedded in the manifest."""
-    if spec.mode == "capacity-cdf":
-        return {
-            "points": [{
-                "parameter": point.parameter, "value": point.value,
-                "median_bps_hz": outage_capacity(point.samples, 0.5),
-                "outage_bps_hz": outage_capacity(
-                    point.samples, spec.outage_probability),
-                "outage_probability": spec.outage_probability,
-            } for point in result],
-        }
-    if spec.mode in ("correlation", "compensated"):
-        return {
-            "distances_m": [float(v) for v in result.distances],
-            "with_cloud": [float(v) for v in result.with_cloud],
-            "without_cloud": [float(v) for v in result.without_cloud],
-            "engaged": [bool(v) for v in result.engaged],
-        }
-    if spec.mode == "phase-compare":
-        kurtosis = result.empirical_excess_kurtosis
-        return {
-            "empirical": {
-                "mean_rad": result.empirical_mean,
-                "variance_rad2": result.empirical_variance,
-                # null where it is undefined (NaN): strict JSON has no NaN
-                "excess_kurtosis": None if math.isnan(kurtosis) else kurtosis,
-                "mean_cloudlet_count": float(result.cloudlet_counts.mean()),
-                "mean_pierced_count": float(result.pierced_counts.mean()),
-            },
-            "analytic": {
-                "phi0_rad": result.analytic.phi0,
-                "sigma_c2_rad2": result.analytic.sigma_c2,
-                "excess_kurtosis": 3.0,
-            },
-            "ks_distance": result.ks_distance,
-            "note": ("comparison only: the analytic constants were fitted "
-                     "to measurements that are not available here"),
-        }
-    if spec.mode == "mac-count":
-        return {
-            "average_mac_per_round": result.average,
-            "rounds": result.rounds,
-            "reference_mac_per_round": REFERENCE_MAC_PER_ROUND,
-            "grid_model_reference_mac": GRID_MODEL_REFERENCE_MAC,
-            "within_order_of_magnitude": result.within_order_of_magnitude,
-            "scope": ("one round = one field generation plus one ray's "
-                      "phase accrual"),
-            "convention": ("multiplies, multiply-adds, divisions and random "
-                           "draws count 1; additions, comparisons and "
-                           "square roots count 0"),
-        }
-    return {}
 
 
 ASSUMED_PARAMETER_KEYS = (

@@ -70,10 +70,9 @@ class MimoScenario:
 
 @dataclasses.dataclass(frozen=True)
 class ChannelMatrix:
-    """Complex channel entries plus the antenna-pair distances behind them."""
+    """Complex channel entries and the gain convention behind them."""
 
     entries: np.ndarray     # (Nr, Nt) complex gains, or a stack (..., Nr, Nt)
-    distances: np.ndarray   # (Nr, Nt) antenna-pair distances [m]
     compensated: bool = True   # True: unit gains, no capacity normalization
 
 
@@ -109,7 +108,7 @@ def los_channel(scenario: MimoScenario, phases=None) -> ChannelMatrix:
                 f"scenario has {d.size} antenna pairs")
         phase = phase + extra.reshape(extra.shape[:-1] + d.shape)
     gain = np.ones_like(d) if scenario.compensated else 1.0 / d
-    return ChannelMatrix(entries=gain * np.exp(-1j * phase), distances=d,
+    return ChannelMatrix(entries=gain * np.exp(-1j * phase),
                          compensated=scenario.compensated)
 
 

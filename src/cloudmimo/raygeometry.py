@@ -60,21 +60,17 @@ def map_rays_to_field(scenario: MimoScenario, elevation_deg: float,
     the anchor preserves the relative geometry between rays, which is what
     lets nearby paths pierce the same cloudlets.  Rays that never reach the
     layer map to zero-length segments at (W/2, 0).  ``elevation_deg`` must
-    lie in (0, 90]; :class:`cloudmimo.experiment.ExperimentSpec` checks it.
+    lie in (0, 90], and the layer's top must exceed its bottom in floating
+    point; :class:`cloudmimo.experiment.ExperimentSpec` checks both.
 
     Raises
     ------
     ConfigurationError
-        If the layer's top does not exceed its bottom in floating point, a
-        transmit and a receive antenna coincide, or a segment falls outside
-        the layer width.
+        If a transmit and a receive antenna coincide, or a segment falls
+        outside the layer width.
     """
     upper = cloud_upper_altitude
     lower = upper - cloud.thickness_d
-    if not (upper > lower):
-        raise ConfigurationError(
-            f"cloud_upper_altitude ({upper}) must exceed "
-            f"cloud_lower_altitude ({lower})")
     theta = math.radians(elevation_deg)
     axis = np.array([math.cos(theta), math.sin(theta)])
     perp = np.array([-math.sin(theta), math.cos(theta)])

@@ -23,13 +23,14 @@ from cloudmimo.analyticmodel import (AnalyticParams, gaussian_pdf,
                                      time_varying_distribution)
 from cloudmimo.cli import main
 from cloudmimo.cloudfield import CloudConfig, generate_field
+from cloudmimo import experiment
 from cloudmimo.experiment import (REFERENCE_MAC_PER_ROUND, ExperimentSpec,
-                                  build_manifest, outage_capacity,
-                                  run_capacity_cdf, run_compensated_sweep,
-                                  run_correlation_sweep, run_mac_count,
-                                  run_report)
+                                  build_manifest, run_capacity_cdf,
+                                  run_compensated_sweep,
+                                  run_correlation_sweep, run_mac_count)
 from cloudmimo.mimochannel import (ChannelMatrix, MimoScenario,
-                                   capacity_bits, rayleigh_distance)
+                                   capacity_bits, ensemble_mean,
+                                   rayleigh_distance)
 from cloudmimo.phasephysics import PhysicsParams, block_phases
 from cloudmimo.raygeometry import Segment2D, chord_lengths
 
@@ -209,15 +210,17 @@ def test_04_phase_linearity_and_additivity():
 def test_05_compensated_capacity_bounds_and_identity():
     spec = make_spec(scenario=make_scenario(compensated=True),
                      cloud=make_cloud(max_iwc_c=0.48), trials=500)
-    samples = run_capacity_cdf(spec)[0].samples
+    # the run's CSV holds one sample per row, shortest round-trip decimals
+    rows = run_capacity_cdf(spec).csv_text.splitlines()[1:]
+    samples = np.array([float(row.split(",")[2]) for row in rows])
+    assert samples.shape == (500,)
     # trace-constrained eigenvalue extremes of a unit-modulus 2x2 at 20 dB
     lower = math.log2(201.0)
     upper = 2.0 * math.log2(101.0)
     in_bounds = bool(np.all((samples >= lower - 1e-9)
                             & (samples <= upper + 1e-9)))
     identity = capacity_bits(ChannelMatrix(
-        entries=np.eye(2, dtype=complex), distances=np.ones((2, 2)),
-        compensated=True), 20.0)
+        entries=np.eye(2, dtype=complex), compensated=True), 20.0)
     identity_ok = abs(identity - 11.3449) <= 1e-4
     passed = in_bounds and identity_ok
     announce(5, passed,
@@ -254,16 +257,23 @@ def test_07_correlation_reduction_across_distances():
         scenario=make_scenario(rx_spacing=5.0, link_distance=30000.0),
         mode="correlation", trials=10000,
         distance_grid=tuple(float(d) for d in range(2000, 30001, 2000)))
-    result = run_correlation_sweep(spec)
+    report = run_correlation_sweep(spec).report
+    # The per-trial coherences behind the report's means, from the sweep
+    # runner the mode runs on.
+    scenarios = [dataclasses.replace(spec.scenario, link_distance=d)
+                 for d in spec.distance_grid]
+    trial_values = experiment._sweep(spec, experiment._coherence, scenarios,
+                                     spec.cloud)
     worst_z = -math.inf
     engaged = 0
-    for i in range(len(result.distances)):
-        if not result.engaged[i]:
+    for i in range(len(report["distances_m"])):
+        if not report["engaged"][i]:
             continue
         engaged += 1
-        values = result.trial_values[i]
+        values = trial_values[i][0]
+        assert report["with_cloud"][i] == ensemble_mean(values)
         sem = float(values.std(ddof=1)) / math.sqrt(values.size)
-        z = (float(values.mean()) - float(result.without_cloud[i])) / sem
+        z = (float(values.mean()) - report["without_cloud"][i]) / sem
         worst_z = max(worst_z, z)
     elapsed = time.perf_counter() - start
     # one-sided test at 95%: the cloud mean may not exceed the clear value
@@ -284,9 +294,10 @@ def test_08_compensated_makeup_beyond_rayleigh(tmp_path):
         cloud=make_cloud(max_iwc_c=0.48),    # relative water content 0.8
         mode="compensated", trials=4000,
         distance_grid=tuple(float(d) for d in range(20000, 40001, 2000)))
-    result = run_compensated_sweep(spec)
-    above = int(np.sum(result.with_cloud > result.without_cloud))
-    total = len(result.distances)
+    report = run_compensated_sweep(spec).report
+    above = sum(cloud > clear for cloud, clear in
+                zip(report["with_cloud"], report["without_cloud"]))
+    total = len(report["distances_m"])
     trend_holds = above >= 0.8 * total
     if trend_holds:
         announce(8, True,
@@ -298,7 +309,7 @@ def test_08_compensated_makeup_beyond_rayleigh(tmp_path):
         record = {
             "discrepancy": (f"cloud median exceeded the clear median at "
                             f"only {above}/{total} distances; 80% required"),
-            "manifest": build_manifest(spec, run_report(spec, result)),
+            "manifest": build_manifest(spec, report),
         }
         path = tmp_path / "makeup-discrepancy.json"
         path.write_text(json.dumps(record, indent=2) + "\n")
@@ -319,8 +330,8 @@ def test_09_median_capacity_report():
     for distance, refs in references.items():
         spec = make_spec(scenario=make_scenario(link_distance=distance),
                          sweep_rwc=(0.0, 0.4, 0.8))
-        medians = [outage_capacity(point.samples, 0.5)
-                   for point in run_capacity_cdf(spec)]
+        medians = [point["median_bps_hz"]
+                   for point in run_capacity_cdf(spec).report["points"]]
         measured = "/".join(f"{m:.3f}" for m in medians)
         published = "/".join(f"{r:g}" for r in refs)
         pieces.append(f"{distance / 1000.0:.0f} km measured {measured} vs "
@@ -337,18 +348,19 @@ def test_09_median_capacity_report():
 def test_10_mac_count_report():
     spec = make_spec(scenario=make_scenario(link_distance=30000.0),
                      mode="mac-count", trials=1000)
-    result = run_mac_count(spec)
-    if result.within_order_of_magnitude:
+    report = run_mac_count(spec).report
+    average = report["average_mac_per_round"]
+    if report["within_order_of_magnitude"]:
         announce(10, True,
-                 f"average {result.average:.1f} MAC/round within one order "
+                 f"average {average:.1f} MAC/round within one order "
                  f"of magnitude of the reference {REFERENCE_MAC_PER_ROUND}")
     else:
         announce(10, True,
-                 f"report-only beyond tolerance: average {result.average:.1f} "
+                 f"report-only beyond tolerance: average {average:.1f} "
                  f"MAC/round vs reference {REFERENCE_MAC_PER_ROUND} (ratio "
-                 f"{REFERENCE_MAC_PER_ROUND / result.average:.1f}x; counting-"
+                 f"{REFERENCE_MAC_PER_ROUND / average:.1f}x; counting-"
                  f"convention gap documented in the run report)")
-    assert result.average > 0.0
+    assert average > 0.0
 
 
 # ------------------------------------------------------------

@@ -15,8 +15,8 @@ from cloudmimo.cli import (PROFILES, REQUIRED_KEYS, _write_run,
                            assemble_config, main, parse_distance)
 from cloudmimo.cloudfield import generate_field
 from cloudmimo.errors import ConfigurationError, ModelValidityWarning
-from cloudmimo.experiment import (CONFIG_SCHEMA, NUMERICS_VERSION,
-                                  spec_from_flat)
+from cloudmimo.experiment import (CONFIG_SCHEMA, MODES, NUMERICS_VERSION,
+                                  RunOutput, spec_from_flat)
 
 
 @pytest.fixture(autouse=True)
@@ -326,6 +326,24 @@ def test_every_mode_checks_the_elevation(tmp_path, capsys, mode, elevation):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("mode, args", [
+    ("field", ["--set", "link.cloud_upper_altitude_m=1e300"]),
+    ("phase-dist", ["--set", "link.cloud_upper_altitude_m=1e300"]),
+    # 1e18 - 1000 is below 1e18, but 1e18 - 1 rounds back to it: the
+    # sweep's thinner layer has no thickness in floating point.
+    ("capacity-cdf", ["--trials", "1", "--thickness", "1,1000",
+                      "--set", "link.cloud_upper_altitude_m=1e18"]),
+], ids=["field-1e300", "phase-dist-1e300", "thickness-sweep-1e18"])
+def test_every_mode_checks_the_layer_order(tmp_path, capsys, mode, args):
+    code = run_cli([mode, "--profile", "table3", *args,
+                    "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "configuration error: cloud_upper_altitude (" in err
+    assert ") must exceed cloud_lower_altitude (" in err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("setting, error", [
     # The mixing coefficient's square overflows a Python float.
     ("physics.sphere_density_n=1e300",
@@ -438,6 +456,42 @@ def test_phase_dist_mode_writes_density_grid(tmp_path, capsys):
     assert "closed_form" in manifest["report"]
 
 
+# A small run of each mode, and the lines it prints after "wrote ...",
+# rebuilt from its manifest's report.
+_MODE_RUNS = {
+    "field": ([], lambda r: [f"{r['cloudlet_count']} cloudlets"]),
+    "phase-dist": ([], lambda r: [
+        f"phi0 = {r['truncated_sum']['phi0_rad']:.6e} rad, sigma_c2 = "
+        f"{r['truncated_sum']['sigma_c2_rad2']:.6e} rad^2 (truncated sum)"]),
+    "capacity-cdf": (["--trials", "3", "--rwc", "0,0.4"], lambda r: [
+        f"{p['parameter']}={p['value']:g}: median "
+        f"{p['median_bps_hz']:.4f} bit/s/Hz" for p in r["points"]]),
+    "correlation": (["--trials", "2", "--grid", "2000,30000"],
+                    lambda r: []),
+    "compensated": (["--trials", "2", "--grid", "30000"], lambda r: []),
+    "phase-compare": (["--trials", "20"], lambda r: []),
+    "mac-count": (["--trials", "5"], lambda r: [
+        f"average {r['average_mac_per_round']:.1f} MAC/round "
+        f"(reference {r['reference_mac_per_round']})"]),
+}
+
+
+@pytest.mark.parametrize("mode", list(MODES))
+def test_every_mode_prints_where_it_wrote_and_its_summary(tmp_path, capsys,
+                                                          mode):
+    args, summary = _MODE_RUNS[mode]
+    out = tmp_path / "run"
+    assert run_cli([mode, "--profile", "table3", "--seed", "4", *args,
+                    "--out", str(out)]) == 0
+    csv_name = "field.csv" if mode == "field" else "results.csv"
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [csv_name, "manifest.json"])
+    report = json.loads((out / "manifest.json").read_text())["report"]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"wrote {out / csv_name} and {out / 'manifest.json'}"
+    assert lines[1:] == [f"  {line}" for line in summary(report)]
+
+
 def test_env_override_reaches_manifest(tmp_path, monkeypatch):
     monkeypatch.setenv("CLOUDMIMO_RUN__TRIALS", "4")
     out = tmp_path / "env"
@@ -497,8 +551,8 @@ def test_manifest_is_strict_json(tmp_path):
     # written.
     spec = spec_from_flat(manifest["config"])
     with pytest.raises(ValueError):
-        _write_run(tmp_path / "nan", spec, "x\n", {"x": float("nan")},
-                   set(), 0.0)
+        _write_run(tmp_path / "nan", spec,
+                   RunOutput("x\n", {"x": float("nan")}), set(), 0.0)
     assert not (tmp_path / "nan").exists()
 
 

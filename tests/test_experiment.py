@@ -1,5 +1,7 @@
 """Tests for the Monte Carlo experiment runner and run artifacts."""
 import dataclasses
+import itertools
+import json
 import math
 import tracemalloc
 import warnings
@@ -13,17 +15,16 @@ from cloudmimo.errors import (ConfigurationError, ModelValidityWarning,
                               ResourceLimitError)
 import cloudmimo
 from cloudmimo import experiment, streams
-from cloudmimo.experiment import (ASSUMED_PARAMETER_KEYS, NUMERICS_VERSION,
-                                  MacCountResult, SweepPoint,
-                                  ExperimentSpec, build_manifest, format_csv,
+from cloudmimo.experiment import (ASSUMED_PARAMETER_KEYS, MODES,
+                                  NUMERICS_VERSION, ExperimentSpec,
+                                  build_manifest, format_csv,
                                   outage_capacity, run_capacity_cdf,
                                   run_compensated_sweep,
                                   run_correlation_sweep, run_mac_count,
-                                  run_phase_compare, run_report,
-                                  results_csv_text, spec_from_flat,
+                                  run_phase_compare, spec_from_flat,
                                   spec_to_flat, trial_kernel)
 from cloudmimo.mimochannel import MimoScenario, capacity_bits, los_channel
-from cloudmimo.phasephysics import PhysicsParams, block_phases
+from cloudmimo.phasephysics import REFERENCE_IWC, PhysicsParams, block_phases
 from cloudmimo.raygeometry import map_rays_to_field
 from cloudmimo.streams import trial_seed
 
@@ -50,6 +51,54 @@ def make_spec(**overrides) -> ExperimentSpec:
                 master_seed=7)
     args.update(overrides)
     return ExperimentSpec(**args)
+
+
+# What a run returns is its CSV text and report.  The CSV holds shortest
+# round-trip decimals, so the values parsed from it are the run's own; the
+# per-trial values behind a summary come from the sweep runner or the
+# trial kernel themselves.
+
+def capacity_points(run) -> list:
+    """(parameter, value, samples) of each capacity-cdf point, from its CSV."""
+    header, *rows = run.csv_text.splitlines()
+    assert header == "sweep,sweep_value,capacity_bps_hz"
+    cells = [row.split(",") for row in rows]
+    return [(name, float(value), np.array([float(c[2]) for c in group]))
+            for (name, value), group in itertools.groupby(
+                cells, key=lambda c: (c[0], c[1]))]
+
+
+def csv_columns(run) -> np.ndarray:
+    """The numeric columns of a run's CSV, one row per line."""
+    return np.array([[float(v) for v in row.split(",")]
+                     for row in run.csv_text.splitlines()[1:]])
+
+
+def trial_values(spec: ExperimentSpec, metric) -> list:
+    """Per grid distance, the (trials,) metric values, or None if clear."""
+    scenarios = [dataclasses.replace(spec.scenario, link_distance=d)
+                 for d in spec.distance_grid]
+    return [None if v is None else v[0] for v in
+            experiment._sweep(spec, metric, scenarios, spec.cloud)]
+
+
+def centre_ray_trace(spec: ExperimentSpec):
+    """Each trial's cloudlet count, and the 1x1 link's pierced count and
+    phase: what phase-compare and mac-count summarize."""
+    centre = dataclasses.replace(spec.scenario, num_tx=1, num_rx=1)
+    segments = map_rays_to_field(centre, spec.elevation_deg,
+                                 spec.cloud_upper_altitude, spec.cloud)
+    counts, (pierced,), (phases,) = trial_kernel(spec, spec.cloud,
+                                                 [segments])
+    return counts, pierced[:, 0], phases[0, :, 0]
+
+
+def mac_rounds(run) -> np.ndarray:
+    """Each round's operation count, from a mac-count run's CSV."""
+    header, *rows = run.csv_text.splitlines()
+    assert header == "round,mac_count"
+    assert [int(row.split(",")[0]) for row in rows] == list(range(len(rows)))
+    return np.array([int(row.split(",")[1]) for row in rows])
 
 
 # ============================================================
@@ -115,6 +164,24 @@ def test_spec_rejects_negative_sweep_values():
         make_spec(mode="correlation", distance_grid=(0.0, 20000.0))
 
 
+def test_layer_top_must_exceed_its_bottom():
+    # 1e300 - 1000 rounds back to 1e300, in every mode.
+    for mode in ("field", "phase-dist", "capacity-cdf"):
+        with pytest.raises(ConfigurationError, match="cloud_upper_altitude"):
+            make_spec(mode=mode, cloud_upper_altitude=1e300)
+    # Each layer a thickness sweep traces is checked too: 1e18 - 1000 is
+    # below 1e18, but 1e18 - 1 rounds back to it.
+    make_spec(cloud_upper_altitude=1e18, sweep_thickness=(1000.0,))
+    with pytest.raises(ConfigurationError, match=(
+            r"cloud_upper_altitude \(1e\+18\) must exceed "
+            r"cloud_lower_altitude \(1e\+18\)")):
+        make_spec(cloud_upper_altitude=1e18, sweep_thickness=(1.0, 1000.0))
+    with pytest.raises(ConfigurationError, match="cloud_upper_altitude"):
+        make_spec(cloud_upper_altitude=1e18,
+                  cloud=make_cloud(thickness_d=1.0, max_thickness_dmax=1.0),
+                  sweep_thickness=(1000.0,))
+
+
 # ============================================================
 # Outage capacity (nearest-rank lower quantile)
 # ============================================================
@@ -147,15 +214,20 @@ def test_outage_capacity_rejects_empty_cdf():
 
 def _per_trial_outputs(spec: ExperimentSpec) -> dict:
     cdf = run_capacity_cdf(dataclasses.replace(spec, sweep_rwc=(0.4, 0.8)))
-    corr = run_correlation_sweep(dataclasses.replace(
-        spec, mode="correlation", distance_grid=(2000.0, 20000.0, 30000.0)))
-    phase = run_phase_compare(dataclasses.replace(
+    corr_spec = dataclasses.replace(
+        spec, mode="correlation", distance_grid=(2000.0, 20000.0, 30000.0))
+    corr = run_correlation_sweep(corr_spec)
+    phase_spec = dataclasses.replace(
         spec, mode="phase-compare",
-        scenario=make_scenario(link_distance=30000.0)))
-    return {"capacity": [p.samples for p in cdf],
-            "correlation": [corr.trial_values[1], corr.trial_values[2]],
-            "phase": [phase.samples, phase.cloudlet_counts,
-                      phase.pierced_counts]}
+        scenario=make_scenario(link_distance=30000.0))
+    phase = run_phase_compare(phase_spec)
+    counts, pierced, samples = centre_ray_trace(phase_spec)
+    return {"capacity": [points[2] for points in capacity_points(cdf)],
+            "correlation": trial_values(corr_spec,
+                                        experiment._coherence)[1:],
+            "phase": [samples, counts, pierced],
+            "runs": [run.csv_text + json.dumps(run.report)
+                     for run in (cdf, corr, phase)]}
 
 
 def test_kernel_results_do_not_depend_on_block_size(monkeypatch):
@@ -177,11 +249,11 @@ def test_rwc_sweep_shares_one_draw_bit_for_bit():
     # One field draw serves every RWC point; each point must equal a
     # separate run at the ice water content bound rwc * 0.6 g/m^3.
     spec = make_spec(trials=12, sweep_rwc=(0.0, 0.4, 0.8))
-    for point in run_capacity_cdf(spec):
+    for _, value, samples in capacity_points(run_capacity_cdf(spec)):
         single = make_spec(trials=12, cloud=make_cloud(
-            max_iwc_c=point.value * 0.6))
-        alone = run_capacity_cdf(single)[0].samples
-        assert np.array_equal(point.samples, alone), point.value
+            max_iwc_c=value * 0.6))
+        [(_, _, alone)] = capacity_points(run_capacity_cdf(single))
+        assert np.array_equal(samples, alone), value
 
 
 def _field_phases(field, segments, physics):
@@ -272,9 +344,9 @@ def test_kernel_without_points_draws_nothing(monkeypatch):
     spec = make_spec(mode="correlation", trials=4, distance_grid=(2000.0,))
     counts, pierced, phases = trial_kernel(spec, spec.cloud, [])
     assert counts.size == 0 and pierced == [] and phases == []
-    result = run_correlation_sweep(spec)
-    assert not result.engaged[0]
-    assert result.with_cloud[0] == result.without_cloud[0]
+    report = run_correlation_sweep(spec).report
+    assert not report["engaged"][0]
+    assert report["with_cloud"][0] == report["without_cloud"][0]
 
 
 def test_kernel_enforces_the_expected_cloudlet_cap():
@@ -310,20 +382,23 @@ def test_capacity_memory_grows_per_trial_only_by_the_kernel_outputs():
 
 def test_capacity_cdf_single_point_without_sweep():
     spec = make_spec(trials=6)
-    points = run_capacity_cdf(spec)
+    points = capacity_points(run_capacity_cdf(spec))
     assert len(points) == 1
-    point = points[0]
-    assert point.parameter == "none"
-    assert point.value == 0.0
-    assert point.samples.shape == (6,)
-    assert np.all(np.diff(point.samples) >= 0.0)
+    parameter, value, samples = points[0]
+    assert parameter == "none"
+    assert value == 0.0
+    assert samples.shape == (6,)
+    assert np.all(np.diff(samples) >= 0.0)
 
 
 def test_capacity_cdf_rwc_sweep_orders_points():
     spec = make_spec(trials=4, sweep_rwc=(0.8, 0.2))
-    points = run_capacity_cdf(spec)
-    assert [p.parameter for p in points] == ["rwc", "rwc"]
-    assert [p.value for p in points] == [0.8, 0.2]
+    run = run_capacity_cdf(spec)
+    points = capacity_points(run)
+    assert [p[0] for p in points] == ["rwc", "rwc"]
+    assert [p[1] for p in points] == [0.8, 0.2]
+    assert [(p["parameter"], p["value"]) for p in run.report["points"]] \
+        == [("rwc", 0.8), ("rwc", 0.2)]
 
 
 def test_capacity_cdf_zero_water_matches_clear_sky_exactly():
@@ -331,8 +406,8 @@ def test_capacity_cdf_zero_water_matches_clear_sky_exactly():
     # trial must reproduce the deterministic clear-sky capacity bitwise.
     spec = make_spec(trials=5, sweep_rwc=(0.0,))
     clear = capacity_bits(los_channel(spec.scenario), spec.scenario.snr_db)
-    point = run_capacity_cdf(spec)[0]
-    assert np.all(point.samples == clear)
+    [(_, _, samples)] = capacity_points(run_capacity_cdf(spec))
+    assert np.all(samples == clear)
 
 
 def test_a_clear_sky_capacity_point_draws_no_field(monkeypatch):
@@ -358,20 +433,21 @@ def test_a_clear_sky_capacity_point_draws_no_field(monkeypatch):
     for spec, engaged, clear_sky in cases:
         monkeypatch.setattr(experiment, "draw_fields", draw_only_at(engaged))
         with pytest.warns(ModelValidityWarning) as caught:
-            points = run_capacity_cdf(spec)
+            points = capacity_points(run_capacity_cdf(spec))
         assert len(caught) == sum(clear_sky)
+        assert len(points) == len(clear_sky)
         clear = capacity_bits(los_channel(spec.scenario),
                               spec.scenario.snr_db)
-        for point, is_clear in zip(points, clear_sky):
-            assert point.samples.shape == (5,)
-            assert np.all(point.samples == clear) == is_clear, point
+        for (_, value, samples), is_clear in zip(points, clear_sky):
+            assert samples.shape == (5,)
+            assert np.all(samples == clear) == is_clear, value
 
 
 def test_thickness_sweep_rebuilds_layer():
     spec = make_spec(trials=3, sweep_thickness=(500.0, 1000.0))
-    points = run_capacity_cdf(spec)
-    assert [p.parameter for p in points] == ["thickness_m", "thickness_m"]
-    assert [p.value for p in points] == [500.0, 1000.0]
+    points = capacity_points(run_capacity_cdf(spec))
+    assert [p[0] for p in points] == ["thickness_m", "thickness_m"]
+    assert [p[1] for p in points] == [500.0, 1000.0]
 
 
 # ============================================================
@@ -383,11 +459,12 @@ def test_correlation_sweep_skips_disengaged_distances():
     # never reaches the cloud while a 30 km link crosses it.
     spec = make_spec(mode="correlation", trials=4,
                      distance_grid=(2000.0, 30000.0))
-    result = run_correlation_sweep(spec)
-    assert list(result.engaged) == [False, True]
-    assert result.with_cloud[0] == result.without_cloud[0]
-    assert result.trial_values[0] is None
-    assert result.trial_values[1].shape == (4,)
+    report = run_correlation_sweep(spec).report
+    assert report["engaged"] == [False, True]
+    assert report["with_cloud"][0] == report["without_cloud"][0]
+    values = trial_values(spec, experiment._coherence)
+    assert values[0] is None
+    assert values[1].shape == (4,)
 
 
 def test_compensated_sweep_forces_unit_gains():
@@ -396,20 +473,24 @@ def test_compensated_sweep_forces_unit_gains():
     spec = make_spec(mode="compensated", trials=4,
                      distance_grid=(20000.0, 40000.0))
     assert spec.scenario.compensated is False
-    result = run_compensated_sweep(spec)
-    for i, d in enumerate(result.distances):
+    report = run_compensated_sweep(spec).report
+    assert report["distances_m"] == [20000.0, 40000.0]
+    for i, d in enumerate(report["distances_m"]):
         scen = dataclasses.replace(spec.scenario, link_distance=float(d),
                                    compensated=True)
         expected = capacity_bits(los_channel(scen), scen.snr_db)
-        assert result.without_cloud[i] == expected
+        assert report["without_cloud"][i] == expected
 
 
 def test_compensated_sweep_reports_median():
     spec = make_spec(mode="compensated", trials=5,
                      distance_grid=(30000.0,))
-    result = run_compensated_sweep(spec)
-    assert result.engaged[0]
-    assert result.with_cloud[0] == float(np.median(result.trial_values[0]))
+    report = run_compensated_sweep(spec).report
+    assert report["engaged"][0]
+    unit_gains = dataclasses.replace(spec, scenario=dataclasses.replace(
+        spec.scenario, compensated=True))
+    [values] = trial_values(unit_gains, experiment._capacity)
+    assert report["with_cloud"][0] == float(np.median(values))
 
 
 # ============================================================
@@ -419,37 +500,38 @@ def test_compensated_sweep_reports_median():
 def test_phase_compare_shapes_and_analytic_reference():
     spec = make_spec(mode="phase-compare", trials=200,
                      scenario=make_scenario(link_distance=30000.0))
-    result = run_phase_compare(spec)
-    assert result.samples.shape == (200,)
+    run = run_phase_compare(spec)
+    counts, pierced, samples = centre_ray_trace(spec)
+    assert samples.shape == (200,)
     # The field's cloudlet count and the ray's pierced count, each trial's
     # own; the report gives the mean of each under its own key.
     centre = make_scenario(num_tx=1, num_rx=1, link_distance=30000.0)
     segments = map_rays_to_field(centre, 90.0, 8000.0, spec.cloud)
     fields = _fields(spec)
-    assert result.cloudlet_counts.tolist() == [f.count for f in fields]
-    assert result.pierced_counts.tolist() == [
+    assert counts.tolist() == [f.count for f in fields]
+    assert pierced.tolist() == [
         int(_field_phases(f, segments, spec.physics)[1][0]) for f in fields]
-    assert np.all(result.pierced_counts <= result.cloudlet_counts)
-    assert np.any(result.pierced_counts < result.cloudlet_counts)
-    empirical = run_report(spec, result)["empirical"]
-    assert empirical["mean_cloudlet_count"] == result.cloudlet_counts.mean()
-    assert empirical["mean_pierced_count"] == result.pierced_counts.mean()
-    assert 0.0 <= result.ks_distance <= 1.0
-    assert result.bin_centres.shape == (101,)
-    assert result.empirical_density.shape == (101,)
-    assert result.analytic_density.shape == (101,)
+    assert np.all(pierced <= counts)
+    assert np.any(pierced < counts)
+    empirical = run.report["empirical"]
+    assert empirical["mean_cloudlet_count"] == counts.mean()
+    assert empirical["mean_pierced_count"] == pierced.mean()
+    assert 0.0 <= run.report["ks_distance"] <= 1.0
+    # bin centre, empirical density and analytic density of 101 bins
+    assert csv_columns(run).shape == (101, 3)
     reference = stationary_distribution(
         AnalyticParams(spec.cloud, spec.physics))
-    assert result.analytic.phi0 == reference.phi0
-    assert result.analytic.sigma_c2 == reference.sigma_c2
+    assert run.report["analytic"]["phi0_rad"] == reference.phi0
+    assert run.report["analytic"]["sigma_c2_rad2"] == reference.sigma_c2
 
 
 def test_phase_compare_moments_match_samples():
     spec = make_spec(mode="phase-compare", trials=150,
                      scenario=make_scenario(link_distance=30000.0))
-    result = run_phase_compare(spec)
-    assert result.empirical_mean == pytest.approx(result.samples.mean())
-    assert result.empirical_variance == pytest.approx(result.samples.var())
+    empirical = run_phase_compare(spec).report["empirical"]
+    samples = centre_ray_trace(spec)[2]
+    assert empirical["mean_rad"] == pytest.approx(samples.mean())
+    assert empirical["variance_rad2"] == pytest.approx(samples.var())
 
 
 @pytest.mark.parametrize("seed", [0, 7, 31])
@@ -457,14 +539,15 @@ def test_phase_compare_statistics_equal_scipy(seed):
     # The KS distance and the kurtosis follow scipy's arithmetic exactly;
     # scipy serves only as the reference here.
     stats = pytest.importorskip("scipy.stats")
-    result = run_phase_compare(make_spec(mode="phase-compare", trials=3000,
-                                         master_seed=seed))
-    samples, analytic = result.samples, result.analytic
-    assert analytic.sigma_c2 > 0.0
-    model = stats.laplace(loc=analytic.phi0,
-                          scale=math.sqrt(analytic.sigma_c2 / 2.0))
-    assert result.ks_distance == stats.kstest(samples, model.cdf).statistic
-    assert result.empirical_excess_kurtosis == stats.kurtosis(samples)
+    spec = make_spec(mode="phase-compare", trials=3000, master_seed=seed)
+    report = run_phase_compare(spec).report
+    samples = centre_ray_trace(spec)[2]
+    phi0 = report["analytic"]["phi0_rad"]
+    sigma_c2 = report["analytic"]["sigma_c2_rad2"]
+    assert sigma_c2 > 0.0
+    model = stats.laplace(loc=phi0, scale=math.sqrt(sigma_c2 / 2.0))
+    assert report["ks_distance"] == stats.kstest(samples, model.cdf).statistic
+    assert report["empirical"]["excess_kurtosis"] == stats.kurtosis(samples)
     # The analytic model sits far from the samples (distance 1), so also
     # compare against Laplace laws near them, shifted either way.
     loc = float(np.median(samples))
@@ -483,12 +566,15 @@ def test_phase_compare_statistics_equal_scipy(seed):
 @pytest.mark.filterwarnings("ignore:Precision loss:RuntimeWarning")
 def test_phase_compare_identical_samples_give_nan_kurtosis():
     stats = pytest.importorskip("scipy.stats")
-    result = run_phase_compare(make_spec(
-        mode="phase-compare", trials=50,
-        cloud=make_cloud(density_lambda_s=0.0)))
-    assert np.all(result.samples == result.samples[0])
-    assert math.isnan(result.empirical_excess_kurtosis)
-    assert math.isnan(stats.kurtosis(result.samples))
+    spec = make_spec(mode="phase-compare", trials=50,
+                     cloud=make_cloud(density_lambda_s=0.0))
+    report = run_phase_compare(spec).report
+    samples = centre_ray_trace(spec)[2]
+    assert np.all(samples == samples[0])
+    # NaN, which the report gives as null: strict JSON has no NaN
+    assert math.isnan(experiment._excess_kurtosis(samples))
+    assert report["empirical"]["excess_kurtosis"] is None
+    assert math.isnan(stats.kurtosis(samples))
     # equal non-zero samples leave a rounding residue about their mean
     equal = np.full(999, 0.3)
     assert np.var(equal) > 0.0
@@ -503,11 +589,13 @@ def test_phase_compare_identical_samples_give_nan_kurtosis():
 def test_run_mac_count_aggregates():
     spec = make_spec(mode="mac-count", trials=5,
                      scenario=make_scenario(link_distance=30000.0))
-    result = run_mac_count(spec)
-    assert result.per_round.shape == (5,)
-    assert np.all(result.per_round > 0)
-    assert result.average == pytest.approx(result.per_round.mean())
-    assert result.rounds == 5
+    run = run_mac_count(spec)
+    per_round = mac_rounds(run)
+    assert per_round.shape == (5,)
+    assert np.all(per_round > 0)
+    assert run.report["average_mac_per_round"] == pytest.approx(
+        per_round.mean())
+    assert run.report["rounds"] == 5
 
 
 def test_mac_count_terms():
@@ -515,13 +603,13 @@ def test_mac_count_terms():
     # ray's direction (2), nothing per cloudlet.
     empty = make_spec(mode="mac-count", trials=6,
                       cloud=make_cloud(density_lambda_s=0.0))
-    assert run_mac_count(empty).per_round.tolist() == [19] * 6
+    assert mac_rounds(run_mac_count(empty)).tolist() == [19] * 6
 
     # A ray that misses the layer costs the set-up and 6 per drawn cloudlet.
     missed = make_spec(mode="mac-count", trials=20,
                        scenario=make_scenario(link_distance=5000.0))
     with pytest.warns(ModelValidityWarning):
-        per_round = run_mac_count(missed).per_round
+        per_round = mac_rounds(run_mac_count(missed))
     assert per_round.tolist() == [17 + 6 * f.count for f in _fields(missed)]
 
     # An engaged ray adds 5 per cloudlet and 3 per pierced one.
@@ -532,20 +620,17 @@ def test_mac_count_terms():
     for field in _fields(spec):
         h = int(_field_phases(field, segments, spec.physics)[1][0])
         expected.append(17 + 6 * field.count + 2 + 5 * field.count + 3 * h)
-    assert run_mac_count(spec).per_round.tolist() == expected
+    assert mac_rounds(run_mac_count(spec)).tolist() == expected
     assert len(set(expected)) > 1
 
 
 def test_within_order_of_magnitude_bounds():
-    def fabricate(avg):
-        return MacCountResult(per_round=np.array([avg]), average=avg,
-                              rounds=1)
-
-    assert fabricate(10367.0).within_order_of_magnitude
-    assert fabricate(2000.0).within_order_of_magnitude
-    assert not fabricate(100.0).within_order_of_magnitude
-    assert not fabricate(200000.0).within_order_of_magnitude
-    assert not fabricate(0.0).within_order_of_magnitude
+    within = experiment._within_order_of_magnitude
+    assert within(10367.0)
+    assert within(2000.0)
+    assert not within(100.0)
+    assert not within(200000.0)
+    assert not within(0.0)
 
 
 # ============================================================
@@ -585,83 +670,101 @@ def test_format_csv_uses_shortest_round_trip_floats():
 
 
 def test_capacity_csv_equals_format_csv_of_its_rows():
-    samples = np.array([0.1, 1.0 / 3.0, 2.0, 1e-17, 12345.678901234567])
-    points = [SweepPoint(parameter=name, value=value,
-                         samples=samples * (1.0 + value))
-              for name, value in (("rwc", 0.4), ("rwc", 1.0 / 7.0),
-                                  ("thickness_m", 500.0))]
-    rows = [(p.parameter, float(p.value), float(s))
-            for p in points for s in p.samples]
-    spec = make_spec(trials=5)
-    assert results_csv_text(spec, points) == format_csv(
-        "sweep,sweep_value,capacity_bps_hz", rows)
-    assert results_csv_text(spec, []) == "sweep,sweep_value,capacity_bps_hz\n"
+    # One row per trial of each point, its samples in ascending order, as
+    # format_csv would write them; the samples come from the sweep runner.
+    for sweep in (dict(sweep_rwc=(0.4, 1.0 / 7.0)),
+                  dict(sweep_thickness=(500.0, 1000.0 / 3.0))):
+        spec = make_spec(trials=5, **sweep)
+        if "sweep_rwc" in sweep:
+            name, values = "rwc", spec.sweep_rwc
+            [caps] = experiment._sweep(
+                spec, experiment._capacity, [spec.scenario], spec.cloud,
+                [v * REFERENCE_IWC for v in values])
+        else:
+            name, values = "thickness_m", spec.sweep_thickness
+            caps = [experiment._sweep(
+                spec, experiment._capacity, [spec.scenario],
+                dataclasses.replace(spec.cloud, thickness_d=v))[0][0]
+                for v in values]
+        rows = [(name, float(value), float(c))
+                for value, samples in zip(values, caps)
+                for c in np.sort(samples)]
+        assert run_capacity_cdf(spec).csv_text == format_csv(
+            "sweep,sweep_value,capacity_bps_hz", rows)
+
+
+def _every_mode_run(mode: str):
+    """A small run of ``mode`` that reaches the layer."""
+    spec = make_spec(mode=mode, trials=3,
+                     scenario=make_scenario(link_distance=30000.0),
+                     sweep_rwc=(0.5,) if mode == "capacity-cdf" else None,
+                     distance_grid=(30000.0,) if mode in (
+                         "correlation", "compensated") else None)
+    return spec, MODES[mode][1](spec)
 
 
 def test_results_csv_headers_per_mode():
-    cdf_spec = make_spec(trials=2)
-    points = [SweepPoint(parameter="rwc", value=0.5,
-                         samples=np.array([1.0, 2.0]))]
-    text = results_csv_text(cdf_spec, points)
-    assert text.splitlines()[0] == "sweep,sweep_value,capacity_bps_hz"
-    assert text.splitlines()[1] == "rwc,0.5,1.0"
-
-    corr_spec = make_spec(mode="correlation", trials=2,
-                          distance_grid=(30000.0,))
-    corr = run_correlation_sweep(corr_spec)
-    assert results_csv_text(corr_spec, corr).splitlines()[0] == \
-        "distance_m,corr_cloud,corr_clear"
-
-    comp_spec = make_spec(mode="compensated", trials=2,
-                          distance_grid=(30000.0,))
-    comp = run_compensated_sweep(comp_spec)
-    assert results_csv_text(comp_spec, comp).splitlines()[0] == \
-        "distance_m,median_capacity_cloud_bps_hz,median_capacity_clear_bps_hz"
-
-    pc_spec = make_spec(mode="phase-compare", trials=50,
-                        scenario=make_scenario(link_distance=30000.0))
-    pc = run_phase_compare(pc_spec)
-    assert results_csv_text(pc_spec, pc).splitlines()[0] == \
-        "phi_rad,empirical_density,analytic_density"
-
-    mac_spec = make_spec(mode="mac-count", trials=3,
-                         scenario=make_scenario(link_distance=30000.0))
-    mac = run_mac_count(mac_spec)
-    lines = results_csv_text(mac_spec, mac).splitlines()
-    assert lines[0] == "round,mac_count"
-    assert len(lines) == 4
-
-    with pytest.raises(ConfigurationError):
-        results_csv_text(make_spec(mode="field"), None)
+    headers = {
+        "field": "x_m,y_m,radius_m,iwc_g_m3",
+        "phase-dist": "phi_rad,pdf_stationary,pdf_total",
+        "capacity-cdf": "sweep,sweep_value,capacity_bps_hz",
+        "correlation": "distance_m,corr_cloud,corr_clear",
+        "compensated": "distance_m,median_capacity_cloud_bps_hz,"
+                       "median_capacity_clear_bps_hz",
+        "phase-compare": "phi_rad,empirical_density,analytic_density",
+        "mac-count": "round,mac_count",
+    }
+    assert list(headers) == list(MODES)
+    for mode, header in headers.items():
+        _, run = _every_mode_run(mode)
+        lines = run.csv_text.splitlines()
+        assert lines[0] == header, mode
+        assert run.csv_name == ("field.csv" if mode == "field"
+                                else "results.csv"), mode
+    _, cdf = _every_mode_run("capacity-cdf")
+    first = cdf.csv_text.splitlines()[1]
+    assert first.startswith("rwc,0.5,")
+    assert repr(float(first.split(",")[2])) == first.split(",")[2]
+    _, mac = _every_mode_run("mac-count")
+    assert len(mac.csv_text.splitlines()) == 4
+    _, dist = _every_mode_run("phase-dist")
+    assert len(dist.csv_text.splitlines()) == 502
 
 
 def test_run_report_keys_per_mode():
-    cdf_spec = make_spec(trials=4)
-    points = run_capacity_cdf(cdf_spec)
-    report = run_report(cdf_spec, points)
-    entry = report["points"][0]
+    spec, cdf = _every_mode_run("capacity-cdf")
+    entry = cdf.report["points"][0]
     assert set(entry) == {"parameter", "value", "median_bps_hz",
                           "outage_bps_hz", "outage_probability"}
-    assert entry["median_bps_hz"] == outage_capacity(points[0].samples, 0.5)
+    [(_, _, samples)] = capacity_points(cdf)
+    assert entry["median_bps_hz"] == outage_capacity(samples, 0.5)
+    assert entry["outage_bps_hz"] == outage_capacity(
+        samples, spec.outage_probability)
 
-    corr_spec = make_spec(mode="correlation", trials=2,
-                          distance_grid=(30000.0,))
-    corr_report = run_report(corr_spec, run_correlation_sweep(corr_spec))
-    assert set(corr_report) == {"distances_m", "with_cloud",
+    _, corr = _every_mode_run("correlation")
+    assert set(corr.report) == {"distances_m", "with_cloud",
                                 "without_cloud", "engaged"}
 
-    pc_spec = make_spec(mode="phase-compare", trials=50,
-                        scenario=make_scenario(link_distance=30000.0))
-    pc_report = run_report(pc_spec, run_phase_compare(pc_spec))
-    assert set(pc_report) == {"empirical", "analytic", "ks_distance", "note"}
-    assert pc_report["analytic"]["excess_kurtosis"] == 3.0
+    _, pc = _every_mode_run("phase-compare")
+    assert set(pc.report) == {"empirical", "analytic", "ks_distance", "note"}
+    assert pc.report["analytic"]["excess_kurtosis"] == 3.0
 
-    mac_spec = make_spec(mode="mac-count", trials=3,
-                         scenario=make_scenario(link_distance=30000.0))
-    mac_report = run_report(mac_spec, run_mac_count(mac_spec))
-    assert mac_report["reference_mac_per_round"] == 10367
+    _, mac = _every_mode_run("mac-count")
+    assert mac.report["reference_mac_per_round"] == 10367
+    assert mac.report["within_order_of_magnitude"] == \
+        experiment._within_order_of_magnitude(
+            mac.report["average_mac_per_round"])
 
-    assert run_report(make_spec(mode="field"), None) == {}
+    # field draws at the master seed, whatever the cloud's own seed
+    spec, field = _every_mode_run("field")
+    drawn = generate_field(dataclasses.replace(spec.cloud,
+                                               rng_seed=spec.master_seed))
+    assert field.report == {"cloudlet_count": drawn.count,
+                            "radius_m": cloudlet_radius(spec.cloud)}
+    assert field.summary == (f"{drawn.count} cloudlets",)
+
+    _, dist = _every_mode_run("phase-dist")
+    assert {"truncated_sum", "closed_form", "warnings"} <= set(dist.report)
 
 
 def test_build_manifest_contents():

@@ -20,8 +20,7 @@ ORTHOGONALITY_DISTANCE = 2982.58637314    # d_t d_r N / lambda0 [m]
 def compensated(h) -> ChannelMatrix:
     """A bare matrix, or a stack, as a channel that is used as-is."""
     h = np.asarray(h)
-    return ChannelMatrix(entries=h, distances=np.ones(h.shape[-2:]),
-                         compensated=True)
+    return ChannelMatrix(entries=h, compensated=True)
 
 
 # ============================================================
@@ -72,14 +71,15 @@ def test_compensated_entries_are_unit_modulus():
 def test_uncompensated_entries_carry_inverse_distance():
     scen = MimoScenario(compensated=False)
     cm = los_channel(scen)
-    np.testing.assert_allclose(np.abs(cm.entries), 1.0 / cm.distances,
-                               rtol=1e-14)
+    np.testing.assert_allclose(np.abs(cm.entries),
+                               1.0 / pair_distances(scen), rtol=1e-14)
 
 
 def test_entry_phase_matches_distance():
     scen = MimoScenario(compensated=True)
     cm = los_channel(scen)
-    expected = np.exp(-1j * 2.0 * np.pi * cm.distances / scen.wavelength)
+    expected = np.exp(-1j * 2.0 * np.pi * pair_distances(scen)
+                      / scen.wavelength)
     np.testing.assert_allclose(cm.entries, expected, rtol=1e-12)
 
 
@@ -181,7 +181,6 @@ def test_capacity_of_a_stack_equals_each_matrix_alone():
         for i in range(2):
             for j in range(5):
                 alone = ChannelMatrix(entries=stack.entries[i, j],
-                                      distances=stack.distances,
                                       compensated=compensated)
                 assert caps[i, j] == capacity_bits(alone, 20.0)
 

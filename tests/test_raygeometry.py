@@ -131,12 +131,6 @@ def test_coincident_antennas_raise():
         single_ray(distance=1e-12)
 
 
-def test_layer_top_must_exceed_its_bottom():
-    # 1e300 - 1000 rounds back to 1e300.
-    with pytest.raises(ConfigurationError, match="cloud_upper_altitude"):
-        link_segments(upper=1e300)
-
-
 # ============================================================
 # Mapping into the cross-section frame
 # ============================================================
