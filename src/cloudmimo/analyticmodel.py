@@ -104,16 +104,15 @@ class AnalyticParams:
 # Mixture ingredients
 # ============================================================
 
-def count_weight(k, params: AnalyticParams) -> float | np.ndarray:
+def count_weight(k, params: AnalyticParams) -> np.ndarray:
     """Mixture weight of the k-cloudlet component.
 
     A bell curve in k centred at ``count_weight_centre`` with fixed width;
     the weights are a fitted family and do not sum to one.
     """
     k = np.asarray(k, dtype=float)
-    out = params.count_weight_peak * np.exp(
+    return params.count_weight_peak * np.exp(
         -((k - params.count_weight_centre) / COUNT_WEIGHT_WIDTH) ** 2)
-    return float(out) if out.ndim == 0 else out
 
 
 def chord_moments(params: AnalyticParams) -> tuple[float, float]:
@@ -348,7 +347,7 @@ def time_varying_distribution(params: AnalyticParams,
 # Densities and sampling
 # ============================================================
 
-def laplace_pdf(phi, dist: PhaseDistribution) -> float | np.ndarray:
+def laplace_pdf(phi, dist: PhaseDistribution) -> np.ndarray:
     """Stationary Laplace density with variance exactly ``sigma_c2``."""
     if dist.sigma_c2 <= 0.0:
         raise DegenerateDistributionError(
@@ -356,12 +355,11 @@ def laplace_pdf(phi, dist: PhaseDistribution) -> float | np.ndarray:
             "phi0 and has no density")
     sigma = math.sqrt(dist.sigma_c2)
     phi = np.asarray(phi, dtype=float)
-    out = (1.0 / (math.sqrt(2.0) * sigma)
-           * np.exp(-np.abs(phi - dist.phi0) * math.sqrt(2.0) / sigma))
-    return float(out) if out.ndim == 0 else out
+    return (1.0 / (math.sqrt(2.0) * sigma)
+            * np.exp(-np.abs(phi - dist.phi0) * math.sqrt(2.0) / sigma))
 
 
-def gaussian_pdf(phi, dist: PhaseDistribution) -> float | np.ndarray:
+def gaussian_pdf(phi, dist: PhaseDistribution) -> np.ndarray:
     """Density of the zero-mean Gaussian drift component."""
     if dist.delta_sigma_c2 <= 0.0:
         raise DegenerateDistributionError(
@@ -369,11 +367,10 @@ def gaussian_pdf(phi, dist: PhaseDistribution) -> float | np.ndarray:
             "at 0 and has no density")
     s2 = dist.delta_sigma_c2
     phi = np.asarray(phi, dtype=float)
-    out = np.exp(-phi ** 2 / (2.0 * s2)) / math.sqrt(2.0 * np.pi * s2)
-    return float(out) if out.ndim == 0 else out
+    return np.exp(-phi ** 2 / (2.0 * s2)) / math.sqrt(2.0 * np.pi * s2)
 
 
-def total_phase_pdf(phi, dist: PhaseDistribution) -> float | np.ndarray:
+def total_phase_pdf(phi, dist: PhaseDistribution) -> np.ndarray:
     """Density of the total phase: Laplace convolved with the drift Gaussian.
 
     Uses the closed form of the Laplace-normal convolution written with the
@@ -407,20 +404,18 @@ def total_phase_pdf(phi, dist: PhaseDistribution) -> float | np.ndarray:
                 s ** 2 / (2.0 * b ** 2) + sign * z[~pos] / b, _MAX_EXP_ARG))
             term[~pos] = 2.0 * tail - np.exp(gauss_log[~pos]) * erfcx(-u[~pos])
         total += term
-    out = total / (4.0 * b)
-    return float(out) if out.ndim == 0 else out
+    return total / (4.0 * b)
 
 
 def sample_total_phase(dist: PhaseDistribution, count: int,
-                       seed: int) -> np.ndarray:
-    """Draw total phases: Laplace stationary plus Gaussian drift samples.
+                       rng: np.random.Generator) -> np.ndarray:
+    """Draw total phases from ``rng``: Laplace stationary plus Gaussian drift.
 
     Degenerate components collapse to constants, so a fully degenerate
     distribution yields ``phi0`` repeated.
     """
     if count < 0:
         raise ConfigurationError(f"count must be >= 0, got {count}")
-    rng = np.random.default_rng(seed)
     laplace_scale = math.sqrt(dist.sigma_c2 / 2.0)
     samples = rng.laplace(dist.phi0, laplace_scale, count)
     if dist.delta_sigma_c2 > 0.0:

@@ -287,7 +287,12 @@ def _flag_overrides(args) -> dict:
     out = {key: getattr(args, flag) for flag, key in _FLAG_KEYS.items()
            if getattr(args, flag) is not None}
     if "link.distance_m" in out:
-        out["link.distance_m"] = parse_distance(out["link.distance_m"])
+        try:
+            out["link.distance_m"] = parse_distance(out["link.distance_m"])
+        except ValueError:
+            raise ConfigurationError(
+                f"--distance: {args.distance!r} is not a distance, e.g. "
+                f"40km or 40000") from None
     return out
 
 
@@ -320,17 +325,12 @@ def _main(argv) -> int:
         print(parser.format_usage() + "error: a MODE is required",
               file=sys.stderr)
         return 1
+    outdir = Path(args.out) if args.out else Path("cloudmimo-runs") / args.mode
     try:
         flat, explicit = assemble_config(
             args.mode, args.profile, args.config, args.set_overrides,
             _flag_overrides(args))
-        spec = spec_from_flat(flat)
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
-    outdir = Path(args.out) if args.out else Path("cloudmimo-runs") / args.mode
-    try:
-        _run(spec, outdir, explicit)
+        _run(spec_from_flat(flat), outdir, explicit)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

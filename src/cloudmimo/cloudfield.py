@@ -12,7 +12,8 @@ concatenated; ``generate_field`` is its one-field case and builds a
 scales each block's rows in place.  Drift is modelled by bounded
 random centre displacements with reflection at the rectangle boundary, so
 a field can be stepped forward in time without cloudlets escaping the
-layer.
+layer.  Nothing here holds a seed: every function that draws takes its
+generator from its caller.
 
 Units: metres for lengths, g/m^3 for ice water content, seconds for time.
 """
@@ -28,10 +29,6 @@ from .errors import ConfigurationError, ResourceLimitError
 
 # Safety cap on the expected cloudlet count of a single field realization.
 DEFAULT_CLOUDLET_CAP = 10_000_000
-
-# Salt mixed into the seed stream used for drift steps so displacement draws
-# never collide with the generation draws of the same seed.
-_STEP_STREAM_SALT = 0x5D21F
 
 
 # ============================================================
@@ -49,7 +46,6 @@ class CloudConfig:
     smoothness_alpha: float = 0.5      # radius fraction alpha in (0, 1]
     max_iwc_c: float = 0.4             # IWC upper bound C [g/m^3]
     drift_speed_vb: float = 1000.0     # cloudlet drift speed bound V_b [m/s]
-    rng_seed: int = 0                  # seed for generation and drift draws
 
     def __post_init__(self) -> None:
         problems = []
@@ -75,8 +71,6 @@ class CloudConfig:
         if self.drift_speed_vb < 0.0:
             problems.append(
                 f"drift_speed_vb must be >= 0, got {self.drift_speed_vb}")
-        if self.rng_seed < 0:
-            problems.append(f"rng_seed must be >= 0, got {self.rng_seed}")
         if problems:
             raise ConfigurationError("; ".join(problems))
 
@@ -114,16 +108,14 @@ class CloudField:
     iwc: np.ndarray         # (n,) ice water content per cloudlet [g/m^3]
     radius: float           # shared cloudlet radius [m]
     elapsed_time: float = 0.0  # simulated drift time [s]
-    step_index: int = 0        # number of drift steps applied
 
     @property
     def count(self) -> int:
         return int(self.positions.shape[0])
 
 
-def draw_fields(config: CloudConfig, streams, fields: int,
-                cloudlet_cap: int = DEFAULT_CLOUDLET_CAP
-                ) -> tuple[np.ndarray, np.ndarray]:
+def draw_fields(config: CloudConfig, streams,
+                fields: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw the next ``fields`` fields for ``config``, one per generator.
 
     Each field takes the next generator of ``streams``.  Its count n is
@@ -145,20 +137,23 @@ def draw_fields(config: CloudConfig, streams, fields: int,
     Raises
     ------
     ResourceLimitError
-        If the expected or a realized cloudlet count exceeds ``cloudlet_cap``.
+        If the expected or a realized cloudlet count exceeds
+        ``DEFAULT_CLOUDLET_CAP``.
     """
     mean_count = (config.density_lambda_s
                   * config.width_w * config.thickness_d)
-    if mean_count > cloudlet_cap:
+    if mean_count > DEFAULT_CLOUDLET_CAP:
         raise ResourceLimitError(
             f"expected cloudlet count {mean_count:.3g} exceeds the cap "
-            f"{cloudlet_cap}; reduce density_lambda_s or the layer size")
+            f"{DEFAULT_CLOUDLET_CAP}; reduce density_lambda_s or the layer "
+            f"size")
     counts, parts = [], []
     for rng in itertools.islice(streams, fields):
         n = int(rng.poisson(mean_count))
-        if n > cloudlet_cap:
+        if n > DEFAULT_CLOUDLET_CAP:
             raise ResourceLimitError(
-                f"realized cloudlet count {n} exceeds the cap {cloudlet_cap}")
+                f"realized cloudlet count {n} exceeds the cap "
+                f"{DEFAULT_CLOUDLET_CAP}")
         counts.append(n)
         parts.append(rng.random((3, n)))
     counts = np.array(counts, dtype=np.intp)
@@ -168,24 +163,20 @@ def draw_fields(config: CloudConfig, streams, fields: int,
 
 
 def generate_field(config: CloudConfig,
-                   cloudlet_cap: int = DEFAULT_CLOUDLET_CAP,
-                   rng: np.random.Generator | None = None) -> CloudField:
-    """Draw a fresh field realization for ``config``.
+                   rng: np.random.Generator) -> CloudField:
+    """Draw a fresh field realization for ``config`` from ``rng``.
 
     The cloudlet count is Poisson with mean ``lambda_s * W * D``; centres are
     i.i.d. uniform on the rectangle and each ice water content is uniform on
     [0, C] (see :func:`draw_fields`, of which this is the one-field case).
-    The draw is fully determined by ``config.rng_seed``, or comes from
-    ``rng`` when one is given.
 
     Raises
     ------
     ResourceLimitError
-        If the expected or realized cloudlet count exceeds ``cloudlet_cap``.
+        If the expected or realized cloudlet count exceeds
+        ``DEFAULT_CLOUDLET_CAP``.
     """
-    if rng is None:
-        rng = np.random.default_rng(config.rng_seed)
-    _, unit = draw_fields(config, [rng], 1, cloudlet_cap)
+    _, unit = draw_fields(config, [rng], 1)
     positions = unit[:2].T * (config.width_w, config.thickness_d)
     iwc = config.max_iwc_c * unit[2]
     return CloudField(config=config, positions=positions, iwc=iwc,
@@ -214,23 +205,18 @@ def _displace_with_reflection(coords: np.ndarray, delta: np.ndarray,
 
 
 def step_field(field: CloudField, dt: float,
-               rng: np.random.Generator | None = None) -> CloudField:
-    """Advance cloudlet drift by ``dt`` seconds.
+               rng: np.random.Generator) -> CloudField:
+    """Advance cloudlet drift by ``dt`` seconds, drawing from ``rng``.
 
     Each centre coordinate receives an independent displacement uniform on
     [-V_b dt, V_b dt]; displacements that would leave the rectangle are
-    reflected.  Radii and ice water contents are untouched.  Without an
-    explicit ``rng`` the displacement stream is derived from the config seed
-    and the step counter, so repeated stepping is reproducible.
+    reflected.  Radii and ice water contents are untouched.  A zero step,
+    or an empty field, draws nothing.
     """
     if dt < 0.0:
         raise ConfigurationError(f"dt must be >= 0, got {dt}")
     if dt == 0.0 or field.count == 0:
-        return dataclasses.replace(field, elapsed_time=field.elapsed_time + dt,
-                                   step_index=field.step_index + 1)
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(
-            [field.config.rng_seed, _STEP_STREAM_SALT, field.step_index]))
+        return dataclasses.replace(field, elapsed_time=field.elapsed_time + dt)
     bound = field.config.drift_speed_vb * dt
     n = field.count
     dx = rng.uniform(-bound, bound, n)
@@ -241,6 +227,4 @@ def step_field(field: CloudField, dt: float,
                                       field.config.thickness_d)
     return dataclasses.replace(field,
                                positions=np.column_stack([new_x, new_y]),
-                               elapsed_time=field.elapsed_time + dt,
-                               step_index=field.step_index + 1)
-
+                               elapsed_time=field.elapsed_time + dt)

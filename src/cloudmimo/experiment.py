@@ -194,7 +194,7 @@ CONFIG_SCHEMA = {
     "link.cloud_upper_altitude_m": ("float", "cloud_upper_altitude"),
     "run.mode": ("str", "mode"),
     "run.trials": ("int", "trials"),
-    "run.master_seed": ("int", "master_seed", "cloud.rng_seed"),
+    "run.master_seed": ("int", "master_seed"),
     "run.sweep_rwc": ("float_list", "sweep_rwc"),
     "run.sweep_thickness_m": ("float_list", "sweep_thickness"),
     "run.distance_grid_m": ("float_list", "distance_grid"),
@@ -333,13 +333,14 @@ def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, points,
     """Trace every sweep point's rays through one field draw per trial.
 
     Trial ``t`` draws its field from the stream
-    ``default_rng(trial_seed(master_seed, t))``, as :func:`generate_field`
-    does, and keeps the unit content variates u.  Each bound C of
-    ``contents`` (default: the cloud's own) turns them into C * u, bit for
-    bit the contents of a draw at bound C.  Trials run in blocks of about
-    ``BLOCK_CLOUDLETS`` cloudlets: one :func:`draw_fields` call gives the
-    block's rows, which are traced against each point's rays at once and
-    written into the run's output arrays.
+    ``default_rng(trial_seed(master_seed, t))``, the same bits as
+    :func:`generate_field` on that generator, and keeps the unit content
+    variates u.  Each bound C of ``contents`` (default: the cloud's own)
+    turns them into C * u, bit for bit the contents of a draw at bound C.
+    Trials run in blocks of about ``BLOCK_CLOUDLETS`` cloudlets: one
+    :func:`draw_fields` call gives the block's rows, which are traced
+    against each point's rays at once and written into the run's output
+    arrays.
 
     Parameters
     ----------
@@ -433,9 +434,11 @@ def _sweep(spec: ExperimentSpec, metric, scenarios, cloud: CloudConfig,
 # ============================================================
 
 def run_field(spec: ExperimentSpec) -> RunOutput:
-    """One cloud field realization at the master seed, one row per cloudlet."""
-    field = generate_field(dataclasses.replace(
-        spec.cloud, rng_seed=spec.master_seed))
+    """One cloud field realization, one row per cloudlet.
+
+    The field draws from ``default_rng(master_seed)``.
+    """
+    field = generate_field(spec.cloud, np.random.default_rng(spec.master_seed))
     rows = [(x, y, field.radius, iwc)
             for (x, y), iwc in zip(field.positions, field.iwc)]
     return RunOutput(
@@ -457,9 +460,9 @@ def run_phase_dist(spec: ExperimentSpec) -> RunOutput:
     if dist.total_variance > 0.0:
         span = 8.0 * math.sqrt(dist.total_variance)
         grid = np.linspace(dist.phi0 - span, dist.phi0 + span, 501)
-        total = np.asarray(total_phase_pdf(grid, dist))
+        total = total_phase_pdf(grid, dist)
         if dist.sigma_c2 > 0.0:
-            stationary = np.asarray(laplace_pdf(grid, dist))
+            stationary = laplace_pdf(grid, dist)
         else:
             stationary = np.zeros_like(grid)
         csv_text = format_csv(header, zip(grid, stationary, total))
@@ -667,7 +670,7 @@ def run_phase_compare(spec: ExperimentSpec) -> RunOutput:
                                   density=True)
     centres = (edges[:-1] + edges[1:]) / 2.0
     if analytic.sigma_c2 > 0.0:
-        analytic_density = np.asarray(laplace_pdf(centres, analytic))
+        analytic_density = laplace_pdf(centres, analytic)
     else:
         analytic_density = np.zeros_like(centres)
     kurtosis = _excess_kurtosis(samples)

@@ -112,15 +112,11 @@ def los_channel(scenario: MimoScenario, phases=None) -> ChannelMatrix:
                          compensated=scenario.compensated)
 
 
-def _single_or_stack(values: np.ndarray):
-    return float(values) if values.ndim == 0 else values
-
-
 def capacity_bits(channel: ChannelMatrix, snr_db: float):
     """Equal-power capacity in bit/s/Hz.
 
-    The channel's entries are (Nr, Nt) or a stack (..., Nr, Nt); returns a
-    float for one matrix and an array of the stack's shape otherwise.  An
+    The channel's entries are (Nr, Nt) or a stack (..., Nr, Nt); returns
+    values of the stack's shape, shape () for one matrix.  An
     uncompensated channel is first normalized to unit mean squared entry
     magnitude, so inverse-distance gains do not fold the free-space path
     loss into the capacity and the SNR keeps its average meaning at every
@@ -143,7 +139,7 @@ def capacity_bits(channel: ChannelMatrix, snr_db: float):
         bad = np.size(finite) - np.count_nonzero(finite)
         raise NumericError(f"capacity is not finite for {bad} of "
                            f"{np.size(finite)} channel(s)")
-    return _single_or_stack(capacity)
+    return capacity
 
 
 def rayleigh_distance(scenario: MimoScenario) -> float:
@@ -157,8 +153,8 @@ def subchannel_coherence(channel: ChannelMatrix):
     """Normalized coherence of the first two transmit columns.
 
     ``|<c1, c2>| / (|c1| |c2|)`` of the channel's entries, of shape
-    (Nr, Nt) or a stack (..., Nr, Nt); a float for one matrix and an array
-    of the stack's shape otherwise.  NaN where a column has zero norm.
+    (Nr, Nt) or a stack (..., Nr, Nt); values of the stack's shape, shape
+    () for one matrix.  NaN where a column has zero norm.
     """
     h = channel.entries
     if h.shape[-1] < 2:
@@ -168,8 +164,7 @@ def subchannel_coherence(channel: ChannelMatrix):
     norms = np.linalg.norm(c1, axis=-1) * np.linalg.norm(c2, axis=-1)
     inner = np.abs(np.sum(np.conj(c1) * c2, axis=-1))
     with np.errstate(invalid="ignore", divide="ignore"):
-        values = np.where(norms > 0.0, inner / norms, np.nan)
-    return _single_or_stack(values)
+        return np.where(norms > 0.0, inner / norms, np.nan)
 
 
 def ensemble_mean(values) -> float:

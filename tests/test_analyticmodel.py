@@ -289,23 +289,23 @@ def test_total_pdf_normalization_with_model_scales():
 
 def test_sampling_deterministic_and_sized():
     dist = PhaseDistribution(phi0=0.2, sigma_c2=1.0, delta_sigma_c2=0.5)
-    a = sample_total_phase(dist, 1000, seed=5)
-    b = sample_total_phase(dist, 1000, seed=5)
+    a = sample_total_phase(dist, 1000, np.random.default_rng(5))
+    b = sample_total_phase(dist, 1000, np.random.default_rng(5))
     np.testing.assert_array_equal(a, b)
     assert a.shape == (1000,)
-    assert sample_total_phase(dist, 0, seed=5).size == 0
+    assert sample_total_phase(dist, 0, np.random.default_rng(5)).size == 0
     with pytest.raises(ConfigurationError):
-        sample_total_phase(dist, -1, seed=5)
+        sample_total_phase(dist, -1, np.random.default_rng(5))
 
 
 def test_sampling_degenerate_collapses_to_location():
     dist = PhaseDistribution(phi0=0.7, sigma_c2=0.0, delta_sigma_c2=0.0)
-    samples = sample_total_phase(dist, 10, seed=1)
+    samples = sample_total_phase(dist, 10, np.random.default_rng(1))
     np.testing.assert_allclose(samples, 0.7, atol=1e-15)
 
 
 def test_sampling_moments_match_distribution():
     dist = PhaseDistribution(phi0=1.0, sigma_c2=4.0, delta_sigma_c2=2.0)
-    samples = sample_total_phase(dist, 400_000, seed=11)
+    samples = sample_total_phase(dist, 400_000, np.random.default_rng(11))
     assert samples.mean() == pytest.approx(1.0, abs=0.02)
     assert samples.var() == pytest.approx(6.0, rel=0.02)

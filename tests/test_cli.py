@@ -247,7 +247,21 @@ def test_main_negative_seed_is_configuration_error(tmp_path, capsys, mode):
     code = run_cli([mode, "--profile", "table3", "--trials", "1",
                     "--seed", "-1", "--out", str(tmp_path / "x")])
     assert code == 1
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "master_seed must be >= 0, got -1" in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("distance", ["abc", "km"])
+def test_main_unparsable_distance_is_configuration_error(tmp_path, capsys,
+                                                         distance):
+    code = run_cli(["capacity-cdf", "--profile", "table3", "--trials", "1",
+                    "--distance", distance, "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: --distance: ")
+    assert repr(distance) in err
     assert not (tmp_path / "x").exists()
 
 
@@ -433,7 +447,8 @@ def test_field_csv_parses_back_to_the_field_bit_for_bit(tmp_path):
     assert run_cli(["field", "--profile", "table3", "--seed", "21",
                     "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    field = generate_field(spec_from_flat(manifest["config"]).cloud)
+    spec = spec_from_flat(manifest["config"])
+    field = generate_field(spec.cloud, np.random.default_rng(spec.master_seed))
     header, *rows = (out / "field.csv").read_text().splitlines()
     assert header == "x_m,y_m,radius_m,iwc_g_m3"
     parsed = np.array([[float(v) for v in row.split(",")] for row in rows])

@@ -1,5 +1,4 @@
 """Tests for the stochastic cloudlet field."""
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -9,7 +8,12 @@ from hypothesis import strategies as st
 
 from cloudmimo import (CloudConfig, ConfigurationError, ResourceLimitError,
                        cloudlet_radius, generate_field, step_field)
+from cloudmimo import cloudfield
 from cloudmimo.cloudfield import draw_fields
+
+
+def field_of(config, seed):
+    return generate_field(config, np.random.default_rng(seed))
 
 
 # ============================================================
@@ -40,11 +44,6 @@ def test_config_rejects_each_bad_field():
         CloudConfig(max_iwc_c=-0.1)
     with pytest.raises(ConfigurationError):
         CloudConfig(drift_speed_vb=-1.0)
-
-
-def test_config_rejects_negative_seed():
-    with pytest.raises(ConfigurationError, match="rng_seed"):
-        CloudConfig(rng_seed=-1)
 
 
 def test_config_error_collects_all_problems():
@@ -83,8 +82,8 @@ def test_radius_never_exceeds_half_width():
 # ============================================================
 
 def test_generation_is_deterministic_in_seed():
-    a = generate_field(CloudConfig(rng_seed=42))
-    b = generate_field(CloudConfig(rng_seed=42))
+    a = field_of(CloudConfig(), 42)
+    b = field_of(CloudConfig(), 42)
     assert a.count == b.count
     np.testing.assert_array_equal(a.positions, b.positions)
     np.testing.assert_array_equal(a.iwc, b.iwc)
@@ -93,9 +92,9 @@ def test_generation_is_deterministic_in_seed():
 def test_draw_is_poisson_count_then_three_uniform_draws():
     # The field's stream layout: the count, then x, y and ice water content
     # as three consecutive uniform draws of n values each.
-    cfg = CloudConfig(rng_seed=17, density_lambda_s=0.01)
-    field = generate_field(cfg)
-    rng = np.random.default_rng(cfg.rng_seed)
+    cfg = CloudConfig(density_lambda_s=0.01)
+    field = field_of(cfg, 17)
+    rng = np.random.default_rng(17)
     n = int(rng.poisson(cfg.density_lambda_s * cfg.width_w * cfg.thickness_d))
     assert field.count == n > 0
     assert np.array_equal(field.positions[:, 0],
@@ -105,24 +104,15 @@ def test_draw_is_poisson_count_then_three_uniform_draws():
     assert np.array_equal(field.iwc, rng.uniform(0.0, cfg.max_iwc_c, n))
 
 
-def test_explicit_rng_replaces_the_config_stream():
-    cfg = CloudConfig(rng_seed=42)
-    own = generate_field(cfg)
-    given_rng = generate_field(dataclasses.replace(cfg, rng_seed=0),
-                               rng=np.random.default_rng(42))
-    np.testing.assert_array_equal(own.positions, given_rng.positions)
-    np.testing.assert_array_equal(own.iwc, given_rng.iwc)
-
-
 def test_different_seeds_differ():
-    a = generate_field(CloudConfig(rng_seed=0))
-    b = generate_field(CloudConfig(rng_seed=1))
+    a = field_of(CloudConfig(), 0)
+    b = field_of(CloudConfig(), 1)
     assert a.count != b.count or not np.array_equal(a.positions, b.positions)
 
 
 def test_draws_stay_in_bounds():
-    cfg = CloudConfig(rng_seed=3)
-    field = generate_field(cfg)
+    cfg = CloudConfig()
+    field = field_of(cfg, 3)
     assert np.all(field.positions[:, 0] >= 0.0)
     assert np.all(field.positions[:, 0] <= cfg.width_w)
     assert np.all(field.positions[:, 1] >= 0.0)
@@ -132,7 +122,7 @@ def test_draws_stay_in_bounds():
 
 
 def test_zero_density_gives_empty_field():
-    field = generate_field(CloudConfig(density_lambda_s=0.0))
+    field = field_of(CloudConfig(density_lambda_s=0.0), 0)
     assert field.count == 0
     assert field.positions.shape == (0, 2)
     assert field.iwc.shape == (0,)
@@ -151,7 +141,7 @@ def assert_block_matches_fields(config, seeds):
     assert unit.shape == (3, counts.sum())
     starts = np.cumsum(counts) - counts
     for seed, start, n in zip(seeds, starts, counts):
-        field = generate_field(dataclasses.replace(config, rng_seed=seed))
+        field = field_of(config, seed)
         assert field.count == n
         rows = unit[:, start:start + n]
         assert np.array_equal(rows[:2].T * (config.width_w,
@@ -173,10 +163,11 @@ def test_generate_field_keeps_no_copy_of_its_draw():
     # At its peak a call holds the (3, n) draw, the (n, 2) centres and the
     # (n,) contents: 48 B a cloudlet.  A slot buffer gathered into rows
     # (88 B) or any second array of the draw alive beside them breaks 64 B.
-    config = CloudConfig(density_lambda_s=5.0, rng_seed=1)
+    config = CloudConfig(density_lambda_s=5.0)
+    rng = np.random.default_rng(1)
     tracemalloc.start()
     try:
-        field = generate_field(config)
+        field = generate_field(config, rng)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -197,17 +188,18 @@ def test_expected_count_cap():
         draw_fields(CloudConfig(density_lambda_s=1e6), [], 3)
 
 
-def test_realized_count_cap():
+def test_realized_count_cap(monkeypatch):
     # Seed 0 draws 1 cloudlet, within the cap; seed 4 draws 3.
+    monkeypatch.setattr(cloudfield, "DEFAULT_CLOUDLET_CAP", 1)
     streams = [np.random.default_rng(s) for s in (0, 4)]
     with pytest.raises(ResourceLimitError, match="realized cloudlet count 3"):
-        draw_fields(SPARSE, streams, 2, cloudlet_cap=1)
+        draw_fields(SPARSE, streams, 2)
 
 
 def test_cloudlet_records_match_arrays():
     # One row of positions and one content per cloudlet, one shared radius.
-    cfg = CloudConfig(rng_seed=5)
-    field = generate_field(cfg)
+    cfg = CloudConfig()
+    field = field_of(cfg, 5)
     assert field.count > 0
     assert field.positions.shape == (field.count, 2)
     assert field.iwc.shape == (field.count,)
@@ -219,10 +211,11 @@ def test_cloudlet_records_match_arrays():
 # ============================================================
 
 def test_step_keeps_cloudlets_inside():
-    cfg = CloudConfig(rng_seed=11)
-    field = generate_field(cfg)
+    cfg = CloudConfig()
+    rng = np.random.default_rng(11)
+    field = generate_field(cfg, rng)
     for _ in range(20):
-        field = step_field(field, 0.05)
+        field = step_field(field, 0.05, rng)
         assert np.all(field.positions[:, 0] >= 0.0)
         assert np.all(field.positions[:, 0] <= cfg.width_w)
         assert np.all(field.positions[:, 1] >= 0.0)
@@ -230,33 +223,39 @@ def test_step_keeps_cloudlets_inside():
 
 
 def test_step_preserves_count_radius_iwc():
-    field = generate_field(CloudConfig(rng_seed=1))
-    stepped = step_field(field, 0.5)
+    rng = np.random.default_rng(1)
+    field = generate_field(CloudConfig(), rng)
+    stepped = step_field(field, 0.5, rng)
     assert stepped.count == field.count
     assert stepped.radius == field.radius
     np.testing.assert_array_equal(stepped.iwc, field.iwc)
 
 
 def test_step_is_deterministic():
-    field = generate_field(CloudConfig(rng_seed=9))
-    a = step_field(field, 0.25)
-    b = step_field(field, 0.25)
+    # Two generators of one seed give the same step.
+    field = field_of(CloudConfig(), 9)
+    a = step_field(field, 0.25, np.random.default_rng(10))
+    b = step_field(field, 0.25, np.random.default_rng(10))
+    assert not np.array_equal(a.positions, field.positions)
     np.testing.assert_array_equal(a.positions, b.positions)
 
 
 def test_step_streams_differ_per_step_index():
-    field = generate_field(CloudConfig(rng_seed=9))
-    first = step_field(field, 0.25)
-    second = step_field(first, 0.25)
+    # Successive steps from one generator draw different displacements.
+    rng = np.random.default_rng(9)
+    field = generate_field(CloudConfig(), rng)
+    first = step_field(field, 0.25, rng)
+    second = step_field(first, 0.25, rng)
     assert not np.array_equal(first.positions - field.positions,
                               second.positions - first.positions)
 
 
 def test_step_displacement_bound_respected():
-    cfg = CloudConfig(rng_seed=2, drift_speed_vb=10.0)
-    field = generate_field(cfg)
+    cfg = CloudConfig(drift_speed_vb=10.0)
+    rng = np.random.default_rng(2)
+    field = generate_field(cfg, rng)
     dt = 0.1
-    stepped = step_field(field, dt)
+    stepped = step_field(field, dt, rng)
     # Reflection can flip a displacement but never grow it beyond the
     # per-step bound while both points stay inside the rectangle.
     delta = np.abs(stepped.positions - field.positions)
@@ -264,24 +263,27 @@ def test_step_displacement_bound_respected():
 
 
 def test_step_zero_dt_only_advances_counters():
-    field = generate_field(CloudConfig(rng_seed=4))
-    stepped = step_field(field, 0.0)
+    rng = np.random.default_rng(4)
+    field = generate_field(CloudConfig(), rng)
+    state = rng.bit_generator.state
+    stepped = step_field(field, 0.0, rng)
     np.testing.assert_array_equal(stepped.positions, field.positions)
     assert stepped.elapsed_time == field.elapsed_time
-    assert stepped.step_index == field.step_index + 1
+    assert rng.bit_generator.state == state   # a zero step draws nothing
 
 
 def test_step_rejects_negative_dt():
-    field = generate_field(CloudConfig())
+    rng = np.random.default_rng(0)
+    field = generate_field(CloudConfig(), rng)
     with pytest.raises(ConfigurationError):
-        step_field(field, -0.1)
+        step_field(field, -0.1, rng)
 
 
 def test_step_accumulates_elapsed_time():
-    field = generate_field(CloudConfig(rng_seed=6))
-    field = step_field(step_field(field, 0.25), 0.5)
+    rng = np.random.default_rng(6)
+    field = generate_field(CloudConfig(), rng)
+    field = step_field(step_field(field, 0.25, rng), 0.5, rng)
     assert field.elapsed_time == pytest.approx(0.75, abs=1e-15)
-    assert field.step_index == 2
 
 
 @settings(max_examples=40, deadline=None)
@@ -290,9 +292,10 @@ def test_step_accumulates_elapsed_time():
 def test_step_closure_for_arbitrary_step_sizes(seed, dt):
     # Even steps whose displacement bound exceeds the rectangle size must
     # keep every centre inside.
-    cfg = CloudConfig(rng_seed=seed, drift_speed_vb=1000.0)
-    field = generate_field(cfg)
-    stepped = step_field(field, dt)
+    cfg = CloudConfig(drift_speed_vb=1000.0)
+    rng = np.random.default_rng(seed)
+    field = generate_field(cfg, rng)
+    stepped = step_field(field, dt, rng)
     assert np.all(stepped.positions[:, 0] >= 0.0)
     assert np.all(stepped.positions[:, 0] <= cfg.width_w)
     assert np.all(stepped.positions[:, 1] >= 0.0)

@@ -32,7 +32,7 @@ from cloudmimo.streams import trial_seed
 def make_cloud(**overrides) -> CloudConfig:
     base = dict(width_w=20.0, thickness_d=1000.0, max_thickness_dmax=1000.0,
                 density_lambda_s=0.002, smoothness_alpha=0.5, max_iwc_c=0.4,
-                drift_speed_vb=1000.0, rng_seed=0)
+                drift_speed_vb=1000.0)
     base.update(overrides)
     return CloudConfig(**base)
 
@@ -265,10 +265,9 @@ def _field_phases(field, segments, physics):
 
 
 def _fields(spec: ExperimentSpec) -> list:
-    """Each trial's field, drawn alone from its own stream."""
-    return [generate_field(dataclasses.replace(
-        spec.cloud, rng_seed=trial_seed(spec.master_seed, t)))
-        for t in range(spec.trials)]
+    """Each trial's field, drawn alone from numpy's own stream of its seed."""
+    return [generate_field(spec.cloud, np.random.default_rng(
+        trial_seed(spec.master_seed, t))) for t in range(spec.trials)]
 
 
 def test_kernel_rows_equal_single_field_path_phase(monkeypatch):
@@ -638,7 +637,7 @@ def test_within_order_of_magnitude_bounds():
 # ============================================================
 
 def test_spec_flat_round_trip():
-    spec = make_spec(cloud=make_cloud(rng_seed=3), master_seed=3,
+    spec = make_spec(master_seed=3,
                      sweep_rwc=(0.2, 0.8), dt=0.5, outage_probability=0.1)
     flat = spec_to_flat(spec)
     assert "run.threads" not in flat
@@ -647,19 +646,17 @@ def test_spec_flat_round_trip():
 
 
 def test_flat_key_fills_every_field_it_names():
-    # One key sets both carrier frequencies, another the master seed and
-    # the cloud's own seed.
+    # One key sets both carrier frequencies; the master seed is one field.
     flat = spec_to_flat(make_spec())
     flat.update({"physics.carrier_frequency_hz": 60e9, "run.master_seed": 5})
     spec = spec_from_flat(flat)
     assert spec.physics.carrier_frequency == 60e9
     assert spec.scenario.carrier_frequency == 60e9
     assert spec.master_seed == 5
-    assert spec.cloud.rng_seed == 5
 
 
 def test_spec_from_flat_accepts_thread_hint():
-    flat = spec_to_flat(make_spec(cloud=make_cloud(rng_seed=7)))
+    flat = spec_to_flat(make_spec())
     assert spec_from_flat(flat, threads=4) == spec_from_flat(flat)
 
 
@@ -755,10 +752,9 @@ def test_run_report_keys_per_mode():
         experiment._within_order_of_magnitude(
             mac.report["average_mac_per_round"])
 
-    # field draws at the master seed, whatever the cloud's own seed
+    # field draws from numpy's own stream of the master seed
     spec, field = _every_mode_run("field")
-    drawn = generate_field(dataclasses.replace(spec.cloud,
-                                               rng_seed=spec.master_seed))
+    drawn = generate_field(spec.cloud, np.random.default_rng(spec.master_seed))
     assert field.report == {"cloudlet_count": drawn.count,
                             "radius_m": cloudlet_radius(spec.cloud)}
     assert field.summary == (f"{drawn.count} cloudlets",)
