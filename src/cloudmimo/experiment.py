@@ -65,7 +65,9 @@ BLOCK_CLOUDLETS = 8192
 # manifest.  1: one field, one ray and one channel at a time.  2: per-ray
 # phases summed per trial by bincount and channels evaluated as stacks,
 # which moves phase-compare and correlation values by ~1e-14 relative.
-NUMERICS_VERSION = 2
+# 3: per-field pairwise sums (np.add.reduceat), with the constants applied
+# per field sum, which moves phase-compare values by ~1e-14 relative.
+NUMERICS_VERSION = 3
 
 # Reference per-round complexity figures for the operation-count mode: the
 # cloudlet model at the 20 m x 1000 m configuration, and a grid-interpolation

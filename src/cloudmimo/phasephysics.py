@@ -95,11 +95,13 @@ def block_phases(positions: np.ndarray, iwc: np.ndarray, counts,
     ``iwc`` is (k, n): k ice water content variants of the same cloudlets,
     which share the chord tracing.  Each segment is traced through all
     cloudlets at once; each chord contributes ``2 pi l / lambda0`` times
-    the cloudlet's excess permittivity, and a field's contributions add
-    without wrapping in cloudlet order, so its phases do not depend on the
-    other fields of the block.  Overlapping cloudlets contribute
-    independently, which matches the additive overlap rule of the field
-    model.  Each call allocates its own weights row.
+    the cloudlet's excess permittivity.  A missed cloudlet adds an exact
+    zero, and a field's terms ``iwc * l`` add without wrapping over its own
+    slice alone (``np.add.reduceat``: the first term plus numpy's pairwise
+    sum of the rest), so its phases do not depend on the other fields of
+    the block.  The constants multiply each field's sum once.  Overlapping
+    cloudlets contribute independently, which matches the additive overlap
+    rule of the field model.
 
     Returns
     -------
@@ -109,31 +111,18 @@ def block_phases(positions: np.ndarray, iwc: np.ndarray, counts,
         (fields, rays) count of the cloudlets each ray pierces, which is
         the same for every variant.
     """
-    k0 = 2.0 * np.pi / params.wavelength_lambda0
-    coefficient = mixture_coefficient(params)
-    (k, n), rays = iwc.shape, len(segments)
     counts = np.asarray(counts, dtype=np.intp)
-    fields = counts.size
-    owner = np.repeat(np.arange(fields), counts)
-    weights = np.empty(n)
-    phases = np.empty((k, fields, rays))
-    pierced = np.empty((fields, rays), dtype=np.intp)
+    # reduceat gives an empty slice the element at its start, so only the
+    # non-empty fields get a start; the empty ones keep their zero rows.
+    full = np.flatnonzero(counts)
+    starts = (np.cumsum(counts) - counts)[full]
+    phases = np.zeros((len(iwc), counts.size, len(segments)))
+    pierced = np.zeros((counts.size, len(segments)), dtype=np.intp)
     for idx, seg in enumerate(segments):
         chords = chord_lengths(seg, positions, radius)
-        # The hit mask as 0/1 weights: exact sums, and no gather of the
-        # hit owners, which is slower at the ~50 % hit rates of the
-        # profiles.
-        pierced[:, idx] = np.bincount(owner, weights=chords > 0.0,
-                                      minlength=fields)
-        chords *= k0
-        # One row of weights per variant: (k0 l) times the excess
-        # permittivity.  A missed cloudlet adds an exact zero, so summing
-        # over every cloudlet gives each field the sum over its pierced
-        # ones.  bincount adds in cloudlet order, which fixes the bits.
-        for j, variant in enumerate(iwc):
-            np.multiply(variant, coefficient, out=weights)
-            weights *= chords
-            phases[j, :, idx] = np.bincount(owner, weights=weights,
-                                            minlength=fields)
+        pierced[full, idx] = np.add.reduceat(chords > 0.0, starts,
+                                             dtype=np.intp)
+        phases[:, full, idx] = np.add.reduceat(iwc * chords, starts, axis=1)
+    phases *= (2.0 * np.pi / params.wavelength_lambda0
+               * mixture_coefficient(params))
     return phases, pierced
-

@@ -59,9 +59,11 @@ def map_rays_to_field(scenario: MimoScenario, elevation_deg: float,
     same offset, chosen so the mean segment midpoint lands at W/2.  Sharing
     the anchor preserves the relative geometry between rays, which is what
     lets nearby paths pierce the same cloudlets.  Rays that never reach the
-    layer map to zero-length segments at (W/2, 0).  ``elevation_deg`` must
-    lie in (0, 90], and the layer's top must exceed its bottom in floating
-    point; :class:`cloudmimo.experiment.ExperimentSpec` checks both.
+    layer, or whose in-layer piece is shorter than ``_DEGENERATE_LENGTH``,
+    map to zero-length segments at (W/2, 0) and take no part in the
+    anchor.  ``elevation_deg`` must lie in (0, 90], and the layer's top
+    must exceed its bottom in floating point;
+    :class:`cloudmimo.experiment.ExperimentSpec` checks both.
 
     Raises
     ------
@@ -102,7 +104,7 @@ def map_rays_to_field(scenario: MimoScenario, elevation_deg: float,
                 s_b = (upper - z0) / dz
                 s_lo = max(min(s_a, s_b), 0.0)
                 s_hi = min(max(s_a, s_b), length)
-                crosses = not (s_hi <= s_lo)
+                crosses = s_hi - s_lo >= _DEGENERATE_LENGTH
             if not crosses:
                 coords.append(None)
                 continue

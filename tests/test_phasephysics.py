@@ -197,6 +197,37 @@ def test_path_phase_multiple_segments_independent():
     assert list(pierced) == [1, 0]
 
 
+def test_block_phases_match_exact_sums_at_pairwise_block_edges():
+    # Field sizes at the edges of numpy's pairwise summation (8
+    # accumulators, 128-term blocks), with empty fields first, in the
+    # middle and last.
+    counts = np.array([0, 1, 7, 0, 8, 129, 0, 1000, 0])
+    n = counts.sum()
+    rng = np.random.default_rng(16)
+    # Both rays pierce every cloudlet, so one counted in a neighbouring
+    # field moves both fields' phases by a whole term.
+    positions = np.column_stack([rng.uniform(9.6, 10.4, n),
+                                 rng.uniform(0.0, 1000.0, n)])
+    iwc = rng.random((2, n)) * 0.4
+    segments = [Segment2D(start=np.array([x, 0.0]), end=np.array([x, 1000.0]))
+                for x in (9.9, 10.1)]
+    params = PhysicsParams()
+    phases, pierced = block_phases(positions, iwc, counts, 2.5, segments,
+                                   params)
+    scale = (2.0 * math.pi / params.wavelength_lambda0
+             * mixture_coefficient(params))
+    starts = np.cumsum(counts) - counts
+    for f, (start, count) in enumerate(zip(starts, counts)):
+        mine = slice(start, start + count)
+        assert pierced[f].tolist() == [count, count]
+        for r, seg in enumerate(segments):
+            chords = chord_lengths(seg, positions[mine], 2.5)
+            for j in range(2):
+                terms = [scale * w * l for w, l in zip(iwc[j, mine], chords)]
+                bound = 4.0 * np.finfo(float).eps * math.fsum(map(abs, terms))
+                assert abs(phases[j, f, r] - math.fsum(terms)) <= bound
+
+
 def test_block_phases_leave_inputs_unmodified():
     rng = np.random.default_rng(3)
     positions = rng.random((300, 2)) * (20.0, 1000.0)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cloudmimo import (CloudConfig, ConfigurationError, MimoScenario,
@@ -184,7 +184,8 @@ def closed_form_crossings(num_tx, num_rx, tx_spacing, rx_spacing, distance,
                           elevation, upper, thickness):
     """Each ray's in-layer end points (x, height above the layer bottom),
     or None, receive index outermost: the ray is tx + u (rx - tx) for u in
-    [0, 1], and it is in the layer where its altitude is in the band."""
+    [0, 1], and it is in the layer where its altitude is in the band.  As
+    in the mapping, an in-layer piece shorter than 1e-9 m is a miss."""
     c, s = math.cos(math.radians(elevation)), math.sin(math.radians(elevation))
     lower = upper - thickness
     crossings = []
@@ -197,7 +198,8 @@ def closed_form_crossings(num_tx, num_rx, tx_spacing, rx_spacing, distance,
             dx, dz = rx[0] - tx[0], rx[1] - tx[1]
             u_lo, u_hi = sorted(((lower - tx[1]) / dz, (upper - tx[1]) / dz))
             u_lo, u_hi = max(u_lo, 0.0), min(u_hi, 1.0)
-            crossings.append(None if u_hi <= u_lo else tuple(
+            piece = (u_hi - u_lo) * math.hypot(dx, dz)
+            crossings.append(None if piece < 1e-9 else tuple(
                 (tx[0] + u * dx, tx[1] + u * dz - lower)
                 for u in (u_lo, u_hi)))
     return crossings
@@ -209,6 +211,19 @@ def closed_form_crossings(num_tx, num_rx, tx_spacing, rx_spacing, distance,
        distance=st.floats(2000.0, 60000.0), elevation=st.floats(5.0, 89.0),
        upper=st.floats(-1000.0, 20000.0), thickness=st.floats(10.0, 1000.0),
        width=st.floats(20.0, 20000.0))
+# A layer top one subnormal above the transmit centre's element: its ray's
+# in-layer piece is a zero-length point, a miss both in the mapping and in
+# the closed form, and it must not move the anchor of the other rays.  The
+# last example's piece (0.6 nm) is nonzero in both, and still a miss.
+@example(num_tx=1, num_rx=1, tx_spacing=0.0, rx_spacing=0.0,
+         distance=2000.0, elevation=5.0, upper=5e-324, thickness=10.0,
+         width=20.0)
+@example(num_tx=3, num_rx=1, tx_spacing=1.0, rx_spacing=1.0,
+         distance=2000.0, elevation=5.0, upper=5e-324, thickness=10.0,
+         width=20.0)
+@example(num_tx=1, num_rx=1, tx_spacing=0.0, rx_spacing=0.0,
+         distance=2000.0, elevation=5.0, upper=5e-11, thickness=10.0,
+         width=20.0)
 def test_bundle_preserves_relative_offsets(
         num_tx, num_rx, tx_spacing, rx_spacing, distance, elevation, upper,
         thickness, width):
