@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 
 from .errors import (ConfigurationError, DegenerateDistributionError,
                      ModelValidityWarning, NumericError, ResourceLimitError)
-from .cloudfield import (CloudConfig, CloudField, cloudlet_radius,
-                         generate_field, step_field)
+from .cloudfield import (CloudConfig, cloudlet_radius, draw_fields,
+                         step_field)
 from .raygeometry import Segment2D
 from .phasephysics import (DEFAULT_ICE_SPHERE_VOLUME, PhysicsParams,
                            SPEED_OF_LIGHT, mixture_coefficient)
@@ -33,8 +33,7 @@ from .experiment import (ExperimentSpec, build_manifest, outage_capacity,
 __all__ = [
     "ConfigurationError", "DegenerateDistributionError",
     "ModelValidityWarning", "NumericError", "ResourceLimitError",
-    "CloudConfig", "CloudField", "cloudlet_radius",
-    "generate_field", "step_field",
+    "CloudConfig", "cloudlet_radius", "draw_fields", "step_field",
     "Segment2D",
     "DEFAULT_ICE_SPHERE_VOLUME", "PhysicsParams", "SPEED_OF_LIGHT",
     "mixture_coefficient",

@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 configuration error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -44,8 +45,6 @@ REQUIRED_KEYS = tuple(key for key, (kind, *_) in CONFIG_SCHEMA.items()
 _PROFILE_BASE = spec_to_flat(ExperimentSpec(MimoScenario(), CloudConfig(),
                                             PhysicsParams()))
 
-_CORRELATION_GRID = tuple(float(d) for d in range(2000, 30001, 2000))
-
 PROFILES = {
     # Measured-link configuration: the shallow elevation needs a wider
     # cross-section for the slanted path to fit.
@@ -58,14 +57,7 @@ PROFILES = {
     # Correlation sweep: closer receive spacing, distance grid to 30 km.
     "table4": {"mimo.rx_spacing_m": 5.0,
                "link.distance_m": 30000.0,
-               "run.distance_grid_m": _CORRELATION_GRID},
-}
-
-_MODE_TRIAL_DEFAULTS = {"phase-compare": 100000, "mac-count": 1000}
-
-_MODE_GRID_DEFAULTS = {
-    "correlation": _CORRELATION_GRID,
-    "compensated": tuple(float(d) for d in range(20000, 40001, 2000)),
+               "run.distance_grid_m": MODES["correlation"].grid},
 }
 
 
@@ -195,11 +187,12 @@ def assemble_config(mode: str, profile: str | None, config_path: str | None,
     apply("flags", flag_overrides)
 
     merged["run.mode"] = mode
-    if "run.trials" not in explicit and mode in _MODE_TRIAL_DEFAULTS:
-        merged["run.trials"] = _MODE_TRIAL_DEFAULTS[mode]
-    if mode in _MODE_GRID_DEFAULTS and merged.get("run.distance_grid_m") \
+    defaults = MODES[mode]
+    if "run.trials" not in explicit and defaults.trials is not None:
+        merged["run.trials"] = defaults.trials
+    if defaults.grid is not None and merged.get("run.distance_grid_m") \
             is None:
-        merged["run.distance_grid_m"] = _MODE_GRID_DEFAULTS[mode]
+        merged["run.distance_grid_m"] = defaults.grid
 
     missing = [key for key in REQUIRED_KEYS if key not in merged]
     if missing:
@@ -231,7 +224,7 @@ def _write_run(outdir: Path, spec: ExperimentSpec, run: RunOutput,
 
 
 # Each mode's runner, looked up at call time so it can be wrapped.
-_RUNNERS = {mode: runner for mode, (_, runner) in MODES.items()}
+_RUNNERS = {mode: facts.runner for mode, facts in MODES.items()}
 
 
 def _run(spec: ExperimentSpec, outdir: Path, explicit: set) -> None:
@@ -247,14 +240,19 @@ def _run(spec: ExperimentSpec, outdir: Path, explicit: set) -> None:
 # Entry point
 # ============================================================
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # Built once per process: each parse_args call fills a fresh
+    # Namespace, and the append action copies the --set default before
+    # appending to it, so no parse leaves state behind for the next.
     parser = _Parser(prog="cloudmimo",
                      description="Cloud-layer LoS MIMO link simulator")
     parser.add_argument("--version", action="version",
                         version=f"cloudmimo {__version__}")
     sub = parser.add_subparsers(dest="mode", metavar="MODE")
-    for mode, (help_text, _) in MODES.items():
-        p = sub.add_parser(mode, help=help_text, description=help_text)
+    for mode, facts in MODES.items():
+        p = sub.add_parser(mode, help=facts.help_text,
+                           description=facts.help_text)
         p.add_argument("--profile", choices=sorted(PROFILES),
                        help="named parameter profile")
         p.add_argument("--config", help="config file or manifest.json")

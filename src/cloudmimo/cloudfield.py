@@ -5,15 +5,14 @@ thickness D.  Cloudlet centres follow a homogeneous Poisson point process on
 the rectangle [0, W] x [0, D]; every cloudlet shares one radius derived from
 the layer geometry, and carries an ice water content drawn uniformly on
 [0, C].  Where cloudlets overlap, their ice water contents add.
-``draw_fields`` draws a block of fields, one generator each, and returns
-their counts and unit x, y and content rows, the fields' (3, n) draws
-concatenated; ``generate_field`` is its one-field case and builds a
-``CloudField`` from the draw itself, and the experiment's trial kernel
-scales each block's rows in place.  Drift is modelled by bounded
-random centre displacements with reflection at the rectangle boundary, so
-a field can be stepped forward in time without cloudlets escaping the
-layer.  Nothing here holds a seed: every function that draws takes its
-generator from its caller.
+``draw_fields`` is the one field draw: it draws a block of fields, one
+generator each, and returns their counts and their x, y and content rows,
+centres in metres and contents unit, the fields' (3, n) draws
+concatenated.  Drift is modelled by bounded random centre displacements
+with reflection at the rectangle boundary: ``step_field`` steps an array
+of centres forward in time without cloudlets escaping the layer.  Nothing
+here holds a seed: every function that draws takes its generator from
+its caller.
 
 Units: metres for lengths, g/m^3 for ice water content, seconds for time.
 """
@@ -95,25 +94,6 @@ def cloudlet_radius(config: CloudConfig) -> float:
 # Field realization
 # ============================================================
 
-@dataclasses.dataclass(frozen=True)
-class CloudField:
-    """Immutable snapshot of a cloud layer at one instant.
-
-    Centre coordinates and ice water contents are stored as arrays in draw
-    order, one row per cloudlet.
-    """
-
-    config: CloudConfig
-    positions: np.ndarray   # (n, 2) cloudlet centres [m]
-    iwc: np.ndarray         # (n,) ice water content per cloudlet [g/m^3]
-    radius: float           # shared cloudlet radius [m]
-    elapsed_time: float = 0.0  # simulated drift time [s]
-
-    @property
-    def count(self) -> int:
-        return int(self.positions.shape[0])
-
-
 def draw_fields(config: CloudConfig, streams,
                 fields: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw the next ``fields`` fields for ``config``, one per generator.
@@ -121,18 +101,19 @@ def draw_fields(config: CloudConfig, streams,
     Each field takes the next generator of ``streams``.  Its count n is
     Poisson with mean ``lambda_s * W * D``; one ``random((3, n))`` call
     then gives its uniform variates on [0, 1), one row each for x, y and
-    ice water content, the same bits as three draws of n.  Scaling them by
-    W, D and C gives the field's centres and contents; W * u is bit for bit
-    what ``rng.uniform(0, W, n)`` returns, and unit contents let a sweep
-    over C rescale a single draw.
+    ice water content, the same bits as three draws of n.  The x and y
+    rows are scaled to metres in place: W * u is bit for bit what
+    ``rng.uniform(0, W, n)`` returns.  The content row stays unit, so a
+    sweep over C can rescale a single draw; C * u is the field's contents.
 
     Returns
     -------
     counts : ndarray
         (fields,) cloudlet count of each field.
-    unit : ndarray
-        (3, counts.sum()) unit x, y and content rows, field after field:
-        the fields' draws concatenated, or a single field's draw itself.
+    rows : ndarray
+        (3, counts.sum()) centre x and y [m] and unit content rows, field
+        after field: the fields' draws concatenated, or a single field's
+        draw itself.
 
     Raises
     ------
@@ -158,29 +139,12 @@ def draw_fields(config: CloudConfig, streams,
         parts.append(rng.random((3, n)))
     counts = np.array(counts, dtype=np.intp)
     if len(parts) == 1:     # one field's draw is its rows; no copy
-        return counts, parts[0]
-    return counts, np.concatenate([np.empty((3, 0)), *parts], axis=1)
-
-
-def generate_field(config: CloudConfig,
-                   rng: np.random.Generator) -> CloudField:
-    """Draw a fresh field realization for ``config`` from ``rng``.
-
-    The cloudlet count is Poisson with mean ``lambda_s * W * D``; centres are
-    i.i.d. uniform on the rectangle and each ice water content is uniform on
-    [0, C] (see :func:`draw_fields`, of which this is the one-field case).
-
-    Raises
-    ------
-    ResourceLimitError
-        If the expected or realized cloudlet count exceeds
-        ``DEFAULT_CLOUDLET_CAP``.
-    """
-    _, unit = draw_fields(config, [rng], 1)
-    positions = unit[:2].T * (config.width_w, config.thickness_d)
-    iwc = config.max_iwc_c * unit[2]
-    return CloudField(config=config, positions=positions, iwc=iwc,
-                      radius=cloudlet_radius(config))
+        rows = parts[0]
+    else:
+        rows = np.concatenate([np.empty((3, 0)), *parts], axis=1)
+    rows[0] *= config.width_w
+    rows[1] *= config.thickness_d
+    return counts, rows
 
 
 def _displace_with_reflection(coords: np.ndarray, delta: np.ndarray,
@@ -204,27 +168,25 @@ def _displace_with_reflection(coords: np.ndarray, delta: np.ndarray,
     return moved
 
 
-def step_field(field: CloudField, dt: float,
-               rng: np.random.Generator) -> CloudField:
-    """Advance cloudlet drift by ``dt`` seconds, drawing from ``rng``.
+def step_field(centres: np.ndarray, config: CloudConfig, dt: float,
+               rng: np.random.Generator) -> np.ndarray:
+    """Centres [m] after ``dt`` seconds of drift, drawn from ``rng``.
 
-    Each centre coordinate receives an independent displacement uniform on
-    [-V_b dt, V_b dt]; displacements that would leave the rectangle are
-    reflected.  Radii and ice water contents are untouched.  A zero step,
-    or an empty field, draws nothing.
+    ``centres`` is an (n, 2) array of x and y, such as the transposed
+    centre rows of a :func:`draw_fields` draw.  Each coordinate receives
+    an independent displacement uniform on [-V_b dt, V_b dt];
+    displacements that would leave the rectangle are reflected.  Returns
+    a new (n, 2) array; ``centres`` is not modified.  A zero step, or no
+    centres, draws nothing and returns ``centres`` itself.
     """
     if dt < 0.0:
         raise ConfigurationError(f"dt must be >= 0, got {dt}")
-    if dt == 0.0 or field.count == 0:
-        return dataclasses.replace(field, elapsed_time=field.elapsed_time + dt)
-    bound = field.config.drift_speed_vb * dt
-    n = field.count
+    n = len(centres)
+    if dt == 0.0 or n == 0:
+        return centres
+    bound = config.drift_speed_vb * dt
     dx = rng.uniform(-bound, bound, n)
     dy = rng.uniform(-bound, bound, n)
-    new_x = _displace_with_reflection(field.positions[:, 0], dx,
-                                      field.config.width_w)
-    new_y = _displace_with_reflection(field.positions[:, 1], dy,
-                                      field.config.thickness_d)
-    return dataclasses.replace(field,
-                               positions=np.column_stack([new_x, new_y]),
-                               elapsed_time=field.elapsed_time + dt)
+    return np.column_stack([
+        _displace_with_reflection(centres[:, 0], dx, config.width_w),
+        _displace_with_reflection(centres[:, 1], dy, config.thickness_d)])

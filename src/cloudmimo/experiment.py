@@ -2,8 +2,9 @@
 
 Each mode is one function ``spec -> RunOutput`` that returns the mode's
 CSV text, manifest report and summary lines; :data:`MODES` lists every
-mode once, with its help text and runner.  ``field`` draws one cloud field
-and ``phase-dist`` evaluates the analytic phase model.  The other modes
+mode once, with its help text, runner and default trials or distance
+grid.  ``field`` draws one cloud field and ``phase-dist`` evaluates the
+analytic phase model.  The other modes
 draw a fresh static cloud field per trial (capacity and correlation
 studies are snapshot studies), trace the antenna-pair rays of the
 configured link through it, and feed the accumulated cloud phases into the
@@ -15,10 +16,9 @@ seed and the trial index, so results are reproducible and independent of
 the block size: one generator is reset to each trial's stream by writing
 its state words in place (see :mod:`cloudmimo.streams`, which checks the
 generator's layout first).  Each block's fields come from one call of
-``draw_fields``, whose one-field case is ``generate_field``, as unit x, y
-and content rows that the kernel scales in place.  No per-trial
-``CloudField`` is built, and no draw outlives its block.  The kernel only
-traces: it returns plain arrays of each trial's cloudlet count and each
+``draw_fields``, the one field draw, as rows of centres in metres and
+unit contents; no draw outlives its block.  The kernel only traces: it
+returns plain arrays of each trial's cloudlet count and each
 point's per-ray pierced counts and phases.  Each mode takes what it needs
 from them.  capacity-cdf, correlation and compensated run on one sweep
 runner, which traces the sweep points that reach the layer with one kernel
@@ -36,8 +36,10 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import itertools
 import math
 import operator
+import typing
 import warnings
 
 import numpy as np
@@ -46,8 +48,7 @@ from . import __version__
 from .analyticmodel import (AnalyticParams, laplace_pdf,
                             stationary_distribution, stationary_report,
                             time_varying_distribution, total_phase_pdf)
-from .cloudfield import (CloudConfig, cloudlet_radius, draw_fields,
-                         generate_field)
+from .cloudfield import CloudConfig, cloudlet_radius, draw_fields
 from .errors import ConfigurationError, ModelValidityWarning
 from .mimochannel import (MimoScenario, capacity_bits, ensemble_mean,
                           los_channel, subchannel_coherence)
@@ -133,7 +134,7 @@ class ExperimentSpec:
                 problems.append("distance grid values must be > 0")
             object.__setattr__(self, "distance_grid",
                                tuple(self.distance_grid))
-        if self.mode in ("correlation", "compensated") \
+        if self.mode in MODES and MODES[self.mode].grid is not None \
                 and self.distance_grid is None:
             problems.append(f"mode {self.mode!r} needs a distance grid")
         # Every layer a run traces must have a top above its bottom: the
@@ -335,10 +336,11 @@ def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, points,
     """Trace every sweep point's rays through one field draw per trial.
 
     Trial ``t`` draws its field from the stream
-    ``default_rng(trial_seed(master_seed, t))``, the same bits as
-    :func:`generate_field` on that generator, and keeps the unit content
-    variates u.  Each bound C of ``contents`` (default: the cloud's own)
-    turns them into C * u, bit for bit the contents of a draw at bound C.
+    ``default_rng(trial_seed(master_seed, t))``, the same bits as a
+    one-field :func:`draw_fields` call on that generator, centres in
+    metres and unit content variates u.  Each bound C of ``contents``
+    (default: the cloud's own) turns them into C * u, bit for bit the
+    contents of a draw at bound C.
     Trials run in blocks of about ``BLOCK_CLOUDLETS`` cloudlets: one
     :func:`draw_fields` call gives the block's rows, which are traced
     against each point's rays at once and written into the run's output
@@ -379,13 +381,10 @@ def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, points,
     streams = trial_streams(spec.master_seed, trials)
     for first in range(0, trials, per_block):
         block = slice(first, min(first + per_block, trials))
-        block_counts, draws = draw_fields(cloud, streams, block.stop - first)
+        block_counts, rows = draw_fields(cloud, streams, block.stop - first)
         counts[block] = block_counts
-        x, y, u = draws
-        x *= cloud.width_w
-        y *= cloud.thickness_d
-        positions = draws[:2].T
-        iwc = scale * u
+        positions = rows[:2].T
+        iwc = scale * rows[2]
         for segments, phase, hits in zip(points, phases, pierced):
             phase[:, block], hits[block] = block_phases(
                 positions, iwc, block_counts, radius, segments, spec.physics)
@@ -438,15 +437,18 @@ def _sweep(spec: ExperimentSpec, metric, scenarios, cloud: CloudConfig,
 def run_field(spec: ExperimentSpec) -> RunOutput:
     """One cloud field realization, one row per cloudlet.
 
-    The field draws from ``default_rng(master_seed)``.
+    The field is one :func:`draw_fields` call on
+    ``default_rng(master_seed)``.
     """
-    field = generate_field(spec.cloud, np.random.default_rng(spec.master_seed))
-    rows = [(x, y, field.radius, iwc)
-            for (x, y), iwc in zip(field.positions, field.iwc)]
+    (count,), (x, y, u) = draw_fields(
+        spec.cloud, [np.random.default_rng(spec.master_seed)], 1)
+    radius = cloudlet_radius(spec.cloud)
+    iwc = spec.cloud.max_iwc_c * u
     return RunOutput(
-        format_csv("x_m,y_m,radius_m,iwc_g_m3", rows),
-        {"cloudlet_count": field.count, "radius_m": field.radius},
-        (f"{field.count} cloudlets",), csv_name="field.csv")
+        format_csv("x_m,y_m,radius_m,iwc_g_m3",
+                   zip(x, y, itertools.repeat(radius), iwc)),
+        {"cloudlet_count": int(count), "radius_m": radius},
+        (f"{count} cloudlets",), csv_name="field.csv")
 
 
 def run_phase_dist(spec: ExperimentSpec) -> RunOutput:
@@ -757,21 +759,41 @@ def run_mac_count(spec: ExperimentSpec) -> RunOutput:
 # Mode table
 # ============================================================
 
-# Every mode once, in the order the command line lists them: its help
-# text and its runner.
+class Mode(typing.NamedTuple):
+    """A mode's help text and runner, and the defaults it puts on a run.
+
+    ``trials`` fills ``run.trials`` unless that is set explicitly.  ``grid``
+    fills ``run.distance_grid_m`` unless that is set, and a mode with a
+    default grid needs a distance grid.
+    """
+
+    help_text: str
+    runner: typing.Callable[[ExperimentSpec], RunOutput]
+    trials: int | None = None
+    grid: tuple | None = None
+
+
+def _distances(first: int, last: int) -> tuple:
+    """A distance grid [m] from ``first`` to ``last`` in 2 km steps."""
+    return tuple(float(d) for d in range(first, last + 1, 2000))
+
+
+# Every mode once, in the order the command line lists them.
 MODES = {
-    "field": ("generate one cloud field realization", run_field),
-    "phase-dist": ("analytic phase distribution report and density grid",
-                   run_phase_dist),
-    "capacity-cdf": ("per-trial capacity CDF, optionally swept",
-                     run_capacity_cdf),
-    "correlation": ("sub-channel correlation over a distance grid",
-                    run_correlation_sweep),
-    "compensated": ("median compensated capacity over a distance grid",
-                    run_compensated_sweep),
-    "phase-compare": ("Monte Carlo vs analytic single-ray phase",
-                      run_phase_compare),
-    "mac-count": ("average per-round operation count", run_mac_count),
+    "field": Mode("generate one cloud field realization", run_field),
+    "phase-dist": Mode("analytic phase distribution report and density grid",
+                       run_phase_dist),
+    "capacity-cdf": Mode("per-trial capacity CDF, optionally swept",
+                         run_capacity_cdf),
+    "correlation": Mode("sub-channel correlation over a distance grid",
+                        run_correlation_sweep, grid=_distances(2000, 30000)),
+    "compensated": Mode("median compensated capacity over a distance grid",
+                        run_compensated_sweep,
+                        grid=_distances(20000, 40000)),
+    "phase-compare": Mode("Monte Carlo vs analytic single-ray phase",
+                          run_phase_compare, trials=100000),
+    "mac-count": Mode("average per-round operation count", run_mac_count,
+                      trials=1000),
 }
 
 

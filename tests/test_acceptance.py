@@ -22,7 +22,7 @@ from cloudmimo.analyticmodel import (AnalyticParams, gaussian_pdf,
                                      stationary_distribution,
                                      time_varying_distribution)
 from cloudmimo.cli import main
-from cloudmimo.cloudfield import CloudConfig, generate_field
+from cloudmimo.cloudfield import CloudConfig, draw_fields
 from cloudmimo import experiment
 from cloudmimo.experiment import (REFERENCE_MAC_PER_ROUND, ExperimentSpec,
                                   build_manifest, run_capacity_cdf,
@@ -117,10 +117,10 @@ def test_02_poisson_count_and_centre_uniformity():
     counts = np.empty(seeds)
     xs, ys = [], []
     for seed in range(seeds):
-        field = generate_field(cloud, np.random.default_rng(seed))
-        counts[seed] = field.count
-        xs.append(field.positions[:, 0])
-        ys.append(field.positions[:, 1])
+        (counts[seed],), (x, y, _) = draw_fields(
+            cloud, [np.random.default_rng(seed)], 1)
+        xs.append(x)
+        ys.append(y)
     mean = float(counts.mean())
     bound = 3.0 * math.sqrt(40.0 / seeds)
     p_x = float(sstats.kstest(np.concatenate(xs) / cloud.width_w,

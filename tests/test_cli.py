@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import cloudmimo
+from cloudmimo import cli
 from cloudmimo.cli import (PROFILES, REQUIRED_KEYS, _write_run,
                            assemble_config, main, parse_distance)
-from cloudmimo.cloudfield import generate_field
+from cloudmimo.cloudfield import cloudlet_radius, draw_fields
 from cloudmimo.errors import ConfigurationError, ModelValidityWarning
 from cloudmimo.experiment import (CONFIG_SCHEMA, MODES, NUMERICS_VERSION,
                                   RunOutput, spec_from_flat)
@@ -222,6 +223,43 @@ def test_main_bad_flag_exits_one(capsys):
 def test_main_requires_mode(capsys):
     assert run_cli([]) == 1
     assert "MODE is required" in capsys.readouterr().err
+
+
+def _help_text(argv, capsys) -> str:
+    with pytest.raises(SystemExit) as exited:
+        main([*argv, "--help"])
+    assert exited.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_parser_is_built_once_per_process(capsys):
+    cli._build_parser.cache_clear()
+    first = _help_text([], capsys)
+    assert _help_text([], capsys) == first
+    assert first.startswith("usage: cloudmimo")
+    assert cli._build_parser.cache_info().misses == 1
+    # A parse leaves nothing behind: --set appends to a copy of its
+    # default, and each parse fills a fresh namespace.
+    parser = cli._build_parser()
+    assert parser.parse_args(["field", "--set", "a=1"]).set_overrides == [
+        "a=1"]
+    assert parser.parse_args(["field"]).set_overrides == []
+    assert parser.parse_args(["field"]).profile is None
+
+
+# Each --help text at 80 columns, recorded from the command line, one file
+# per mode and top.txt for the top level.
+_HELP_TEXTS = Path(__file__).parent / "cli_help"
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse formats help differently off Python "
+                           "3.11")
+@pytest.mark.parametrize("mode", ["top", *MODES])
+def test_help_text_is_unchanged(monkeypatch, capsys, mode):
+    monkeypatch.setenv("COLUMNS", "80")
+    text = _help_text([] if mode == "top" else [mode], capsys)
+    assert text == (_HELP_TEXTS / f"{mode}.txt").read_text()
 
 
 def test_main_unknown_profile_exits_one(capsys):
@@ -448,14 +486,16 @@ def test_field_csv_parses_back_to_the_field_bit_for_bit(tmp_path):
                     "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     spec = spec_from_flat(manifest["config"])
-    field = generate_field(spec.cloud, np.random.default_rng(spec.master_seed))
+    (count,), (x, y, u) = draw_fields(
+        spec.cloud, [np.random.default_rng(spec.master_seed)], 1)
     header, *rows = (out / "field.csv").read_text().splitlines()
     assert header == "x_m,y_m,radius_m,iwc_g_m3"
     parsed = np.array([[float(v) for v in row.split(",")] for row in rows])
-    assert parsed.shape == (field.count, 4)
-    np.testing.assert_array_equal(parsed[:, :2], field.positions)
-    assert np.all(parsed[:, 2] == field.radius)
-    np.testing.assert_array_equal(parsed[:, 3], field.iwc)
+    assert parsed.shape == (count, 4)
+    np.testing.assert_array_equal(parsed[:, 0], x)
+    np.testing.assert_array_equal(parsed[:, 1], y)
+    assert np.all(parsed[:, 2] == cloudlet_radius(spec.cloud))
+    np.testing.assert_array_equal(parsed[:, 3], spec.cloud.max_iwc_c * u)
 
 
 def test_phase_dist_mode_writes_density_grid(tmp_path, capsys):

@@ -7,13 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cloudmimo import (CloudConfig, ConfigurationError, ResourceLimitError,
-                       cloudlet_radius, generate_field, step_field)
+                       cloudlet_radius, draw_fields, step_field)
 from cloudmimo import cloudfield
-from cloudmimo.cloudfield import draw_fields
 
 
 def field_of(config, seed):
-    return generate_field(config, np.random.default_rng(seed))
+    """One field's count, (n, 2) centres [m] and (n,) contents [g/m^3]."""
+    (count,), (x, y, u) = draw_fields(
+        config, [np.random.default_rng(seed)], 1)
+    return count, np.column_stack([x, y]), config.max_iwc_c * u
 
 
 # ============================================================
@@ -84,48 +86,47 @@ def test_radius_never_exceeds_half_width():
 def test_generation_is_deterministic_in_seed():
     a = field_of(CloudConfig(), 42)
     b = field_of(CloudConfig(), 42)
-    assert a.count == b.count
-    np.testing.assert_array_equal(a.positions, b.positions)
-    np.testing.assert_array_equal(a.iwc, b.iwc)
+    assert a[0] == b[0]
+    np.testing.assert_array_equal(a[1], b[1])
+    np.testing.assert_array_equal(a[2], b[2])
 
 
 def test_draw_is_poisson_count_then_three_uniform_draws():
     # The field's stream layout: the count, then x, y and ice water content
     # as three consecutive uniform draws of n values each.
     cfg = CloudConfig(density_lambda_s=0.01)
-    field = field_of(cfg, 17)
+    count, positions, iwc = field_of(cfg, 17)
     rng = np.random.default_rng(17)
     n = int(rng.poisson(cfg.density_lambda_s * cfg.width_w * cfg.thickness_d))
-    assert field.count == n > 0
-    assert np.array_equal(field.positions[:, 0],
-                          rng.uniform(0.0, cfg.width_w, n))
-    assert np.array_equal(field.positions[:, 1],
+    assert count == n > 0
+    assert np.array_equal(positions[:, 0], rng.uniform(0.0, cfg.width_w, n))
+    assert np.array_equal(positions[:, 1],
                           rng.uniform(0.0, cfg.thickness_d, n))
-    assert np.array_equal(field.iwc, rng.uniform(0.0, cfg.max_iwc_c, n))
+    assert np.array_equal(iwc, rng.uniform(0.0, cfg.max_iwc_c, n))
 
 
 def test_different_seeds_differ():
     a = field_of(CloudConfig(), 0)
     b = field_of(CloudConfig(), 1)
-    assert a.count != b.count or not np.array_equal(a.positions, b.positions)
+    assert a[0] != b[0] or not np.array_equal(a[1], b[1])
 
 
 def test_draws_stay_in_bounds():
     cfg = CloudConfig()
-    field = field_of(cfg, 3)
-    assert np.all(field.positions[:, 0] >= 0.0)
-    assert np.all(field.positions[:, 0] <= cfg.width_w)
-    assert np.all(field.positions[:, 1] >= 0.0)
-    assert np.all(field.positions[:, 1] <= cfg.thickness_d)
-    assert np.all(field.iwc >= 0.0)
-    assert np.all(field.iwc <= cfg.max_iwc_c)
+    _, positions, iwc = field_of(cfg, 3)
+    assert np.all(positions[:, 0] >= 0.0)
+    assert np.all(positions[:, 0] <= cfg.width_w)
+    assert np.all(positions[:, 1] >= 0.0)
+    assert np.all(positions[:, 1] <= cfg.thickness_d)
+    assert np.all(iwc >= 0.0)
+    assert np.all(iwc <= cfg.max_iwc_c)
 
 
 def test_zero_density_gives_empty_field():
-    field = field_of(CloudConfig(density_lambda_s=0.0), 0)
-    assert field.count == 0
-    assert field.positions.shape == (0, 2)
-    assert field.iwc.shape == (0,)
+    count, positions, iwc = field_of(CloudConfig(density_lambda_s=0.0), 0)
+    assert count == 0
+    assert positions.shape == (0, 2)
+    assert iwc.shape == (0,)
 
 
 # One cloudlet per field on average.
@@ -134,24 +135,22 @@ SPARSE = CloudConfig(density_lambda_s=0.00005)
 
 def assert_block_matches_fields(config, seeds):
     # Field f of one draw_fields call over the seeds' streams is bit for
-    # bit generate_field of seed f.  Returns the block's counts.
-    counts, unit = draw_fields(
+    # bit the one-field call on seed f.  Returns the block's counts.
+    counts, rows = draw_fields(
         config, (np.random.default_rng(s) for s in seeds), len(seeds))
     assert counts.shape == (len(seeds),)
-    assert unit.shape == (3, counts.sum())
+    assert rows.shape == (3, counts.sum())
     starts = np.cumsum(counts) - counts
     for seed, start, n in zip(seeds, starts, counts):
-        field = field_of(config, seed)
-        assert field.count == n
-        rows = unit[:, start:start + n]
-        assert np.array_equal(rows[:2].T * (config.width_w,
-                                            config.thickness_d),
-                              field.positions)
-        assert np.array_equal(config.max_iwc_c * rows[2], field.iwc)
+        count, positions, iwc = field_of(config, seed)
+        assert count == n
+        mine = rows[:, start:start + n]
+        assert np.array_equal(mine[:2].T, positions)
+        assert np.array_equal(config.max_iwc_c * mine[2], iwc)
     return counts
 
 
-def test_draw_fields_matches_generate_field_around_empty_fields():
+def test_draw_fields_block_matches_single_fields_around_empty_fields():
     counts = assert_block_matches_fields(SPARSE, [2, 4, 3, 1, 8])
     # Empty first, in the middle and last.
     assert counts.tolist() == [0, 3, 0, 2, 0]
@@ -159,20 +158,21 @@ def test_draw_fields_matches_generate_field_around_empty_fields():
     assert assert_block_matches_fields(SPARSE, []).size == 0
 
 
-def test_generate_field_keeps_no_copy_of_its_draw():
-    # At its peak a call holds the (3, n) draw, the (n, 2) centres and the
-    # (n,) contents: 48 B a cloudlet.  A slot buffer gathered into rows
-    # (88 B) or any second array of the draw alive beside them breaks 64 B.
+def test_draw_fields_keeps_no_copy_of_its_draw():
+    # At its peak a one-field call holds its (3, n) draw, scaled in place:
+    # 24 B a cloudlet.  Any second array of the draw alive beside it breaks
+    # 32 B: a row scaled out of place (8 B), scaled centres (16 B) or a
+    # copy of the rows (24 B).
     config = CloudConfig(density_lambda_s=5.0)
     rng = np.random.default_rng(1)
     tracemalloc.start()
     try:
-        field = generate_field(config, rng)
+        (count,), rows = draw_fields(config, [rng], 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert field.count == 100010
-    assert peak / field.count < 64
+    assert count == 100010 and rows.shape == (3, count)
+    assert peak / count < 32
 
 
 def test_draw_fields_takes_only_its_fields_from_the_streams():
@@ -197,93 +197,112 @@ def test_realized_count_cap(monkeypatch):
 
 
 def test_cloudlet_records_match_arrays():
-    # One row of positions and one content per cloudlet, one shared radius.
-    cfg = CloudConfig()
-    field = field_of(cfg, 5)
-    assert field.count > 0
-    assert field.positions.shape == (field.count, 2)
-    assert field.iwc.shape == (field.count,)
-    assert field.radius == cloudlet_radius(cfg)
+    # One centre row and one content per cloudlet.
+    count, positions, iwc = field_of(CloudConfig(), 5)
+    assert count > 0
+    assert positions.shape == (count, 2)
+    assert iwc.shape == (count,)
 
 
 # ============================================================
 # Drift
 # ============================================================
 
+def centres_of(config, rng):
+    """The (n, 2) centres [m] of one field drawn from ``rng``."""
+    return draw_fields(config, [rng], 1)[1][:2].T
+
+
+def assert_inside(centres, cfg):
+    assert np.all(centres[:, 0] >= 0.0)
+    assert np.all(centres[:, 0] <= cfg.width_w)
+    assert np.all(centres[:, 1] >= 0.0)
+    assert np.all(centres[:, 1] <= cfg.thickness_d)
+
+
 def test_step_keeps_cloudlets_inside():
     cfg = CloudConfig()
     rng = np.random.default_rng(11)
-    field = generate_field(cfg, rng)
+    centres = centres_of(cfg, rng)
     for _ in range(20):
-        field = step_field(field, 0.05, rng)
-        assert np.all(field.positions[:, 0] >= 0.0)
-        assert np.all(field.positions[:, 0] <= cfg.width_w)
-        assert np.all(field.positions[:, 1] >= 0.0)
-        assert np.all(field.positions[:, 1] <= cfg.thickness_d)
+        centres = step_field(centres, cfg, 0.05, rng)
+        assert_inside(centres, cfg)
 
 
 def test_step_preserves_count_radius_iwc():
+    # A step moves the centres of a draw's rows and nothing else: the
+    # count, and the content row, stay as they were; the input is intact.
+    cfg = CloudConfig()
     rng = np.random.default_rng(1)
-    field = generate_field(CloudConfig(), rng)
-    stepped = step_field(field, 0.5, rng)
-    assert stepped.count == field.count
-    assert stepped.radius == field.radius
-    np.testing.assert_array_equal(stepped.iwc, field.iwc)
+    (count,), rows = draw_fields(cfg, [rng], 1)
+    before = rows.copy()
+    stepped = step_field(rows[:2].T, cfg, 0.5, rng)
+    assert stepped.shape == (count, 2)
+    assert not np.array_equal(stepped, rows[:2].T)
+    np.testing.assert_array_equal(rows, before)
 
 
 def test_step_is_deterministic():
     # Two generators of one seed give the same step.
-    field = field_of(CloudConfig(), 9)
-    a = step_field(field, 0.25, np.random.default_rng(10))
-    b = step_field(field, 0.25, np.random.default_rng(10))
-    assert not np.array_equal(a.positions, field.positions)
-    np.testing.assert_array_equal(a.positions, b.positions)
+    cfg = CloudConfig()
+    _, centres, _ = field_of(cfg, 9)
+    a = step_field(centres, cfg, 0.25, np.random.default_rng(10))
+    b = step_field(centres, cfg, 0.25, np.random.default_rng(10))
+    assert not np.array_equal(a, centres)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_step_streams_differ_per_step_index():
     # Successive steps from one generator draw different displacements.
+    cfg = CloudConfig()
     rng = np.random.default_rng(9)
-    field = generate_field(CloudConfig(), rng)
-    first = step_field(field, 0.25, rng)
-    second = step_field(first, 0.25, rng)
-    assert not np.array_equal(first.positions - field.positions,
-                              second.positions - first.positions)
+    centres = centres_of(cfg, rng)
+    first = step_field(centres, cfg, 0.25, rng)
+    second = step_field(first, cfg, 0.25, rng)
+    assert not np.array_equal(first - centres, second - first)
+
+
+def test_step_draws_two_uniform_displacements_per_centre():
+    # dx for every centre, then dy, each uniform on [-V_b dt, V_b dt].
+    cfg = CloudConfig(drift_speed_vb=1.0)
+    centres = np.array([[10.0, 500.0], [5.0, 200.0], [12.0, 700.0]])
+    stepped = step_field(centres, cfg, 0.5, np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    dx, dy = rng.uniform(-0.5, 0.5, 3), rng.uniform(-0.5, 0.5, 3)
+    np.testing.assert_array_equal(stepped, centres + np.column_stack([dx, dy]))
 
 
 def test_step_displacement_bound_respected():
     cfg = CloudConfig(drift_speed_vb=10.0)
     rng = np.random.default_rng(2)
-    field = generate_field(cfg, rng)
+    centres = centres_of(cfg, rng)
     dt = 0.1
-    stepped = step_field(field, dt, rng)
+    stepped = step_field(centres, cfg, dt, rng)
     # Reflection can flip a displacement but never grow it beyond the
     # per-step bound while both points stay inside the rectangle.
-    delta = np.abs(stepped.positions - field.positions)
+    delta = np.abs(stepped - centres)
     assert np.all(delta <= cfg.drift_speed_vb * dt + 1e-12)
 
 
 def test_step_zero_dt_only_advances_counters():
+    # A zero step, or a step of no centres, draws nothing and moves
+    # nothing.
+    cfg = CloudConfig()
     rng = np.random.default_rng(4)
-    field = generate_field(CloudConfig(), rng)
+    centres = centres_of(cfg, rng)
     state = rng.bit_generator.state
-    stepped = step_field(field, 0.0, rng)
-    np.testing.assert_array_equal(stepped.positions, field.positions)
-    assert stepped.elapsed_time == field.elapsed_time
-    assert rng.bit_generator.state == state   # a zero step draws nothing
+    np.testing.assert_array_equal(step_field(centres, cfg, 0.0, rng),
+                                  centres)
+    assert step_field(np.empty((0, 2)), cfg, 0.5, rng).shape == (0, 2)
+    assert rng.bit_generator.state == state
 
 
 def test_step_rejects_negative_dt():
+    cfg = CloudConfig()
     rng = np.random.default_rng(0)
-    field = generate_field(CloudConfig(), rng)
+    centres = centres_of(cfg, rng)
     with pytest.raises(ConfigurationError):
-        step_field(field, -0.1, rng)
-
-
-def test_step_accumulates_elapsed_time():
-    rng = np.random.default_rng(6)
-    field = generate_field(CloudConfig(), rng)
-    field = step_field(step_field(field, 0.25, rng), 0.5, rng)
-    assert field.elapsed_time == pytest.approx(0.75, abs=1e-15)
+        step_field(centres, cfg, -0.1, rng)
 
 
 @settings(max_examples=40, deadline=None)
@@ -294,10 +313,5 @@ def test_step_closure_for_arbitrary_step_sizes(seed, dt):
     # keep every centre inside.
     cfg = CloudConfig(drift_speed_vb=1000.0)
     rng = np.random.default_rng(seed)
-    field = generate_field(cfg, rng)
-    stepped = step_field(field, dt, rng)
-    assert np.all(stepped.positions[:, 0] >= 0.0)
-    assert np.all(stepped.positions[:, 0] <= cfg.width_w)
-    assert np.all(stepped.positions[:, 1] >= 0.0)
-    assert np.all(stepped.positions[:, 1] <= cfg.thickness_d)
-
+    centres = centres_of(cfg, rng)
+    assert_inside(step_field(centres, cfg, dt, rng), cfg)

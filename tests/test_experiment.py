@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from cloudmimo.analyticmodel import AnalyticParams, stationary_distribution
-from cloudmimo.cloudfield import CloudConfig, cloudlet_radius, generate_field
+from cloudmimo.cloudfield import CloudConfig, cloudlet_radius, draw_fields
 from cloudmimo.errors import (ConfigurationError, ModelValidityWarning,
                               ResourceLimitError)
 import cloudmimo
@@ -256,18 +256,31 @@ def test_rwc_sweep_shares_one_draw_bit_for_bit():
         assert np.array_equal(samples, alone), value
 
 
-def _field_phases(field, segments, physics):
+def _field_phases(field, spec: ExperimentSpec, segments):
     """(rays,) phases and pierced counts of one field, a block of one."""
-    phases, pierced = block_phases(field.positions, field.iwc[None],
-                                   [field.count], field.radius, segments,
-                                   physics)
+    positions, iwc = field
+    phases, pierced = block_phases(positions, iwc[None], [len(iwc)],
+                                   cloudlet_radius(spec.cloud), segments,
+                                   spec.physics)
     return phases[0, 0], pierced[0]
 
 
 def _fields(spec: ExperimentSpec) -> list:
-    """Each trial's field, drawn alone from numpy's own stream of its seed."""
-    return [generate_field(spec.cloud, np.random.default_rng(
-        trial_seed(spec.master_seed, t))) for t in range(spec.trials)]
+    """Each trial's (n, 2) centres and (n,) contents, drawn alone by numpy.
+
+    The stream of the trial's seed gives the Poisson count n, then one
+    ``random((3, n))`` call gives the unit x, y and content rows.
+    """
+    cloud = spec.cloud
+    mean_count = cloud.density_lambda_s * cloud.width_w * cloud.thickness_d
+    fields = []
+    for t in range(spec.trials):
+        rng = np.random.default_rng(trial_seed(spec.master_seed, t))
+        x, y, u = rng.random((3, int(rng.poisson(mean_count))))
+        fields.append((np.column_stack([cloud.width_w * x,
+                                        cloud.thickness_d * y]),
+                       cloud.max_iwc_c * u))
+    return fields
 
 
 def test_kernel_rows_equal_single_field_path_phase(monkeypatch):
@@ -291,13 +304,12 @@ def test_kernel_rows_equal_single_field_path_phase(monkeypatch):
                   for scenario in scenarios]
         counts, pierced, phases = trial_kernel(spec, spec.cloud, points)
         fields = _fields(spec)
-        assert np.array_equal(counts, [field.count for field in fields])
+        assert np.array_equal(counts, [len(iwc) for _, iwc in fields])
         for segments, hits, rows in zip(points, pierced, phases):
             assert hits.shape == (40, len(segments))
             assert rows.shape == (1, 40, len(segments))
             for t, field in enumerate(fields):
-                single, single_hits = _field_phases(field, segments,
-                                                    spec.physics)
+                single, single_hits = _field_phases(field, spec, segments)
                 assert np.array_equal(rows[0, t], single)
                 assert np.array_equal(hits[t], single_hits)
         assert np.any(pierced[0] > 0)    # the rays at 40 km pierce cloudlets
@@ -507,9 +519,9 @@ def test_phase_compare_shapes_and_analytic_reference():
     centre = make_scenario(num_tx=1, num_rx=1, link_distance=30000.0)
     segments = map_rays_to_field(centre, 90.0, 8000.0, spec.cloud)
     fields = _fields(spec)
-    assert counts.tolist() == [f.count for f in fields]
+    assert counts.tolist() == [len(iwc) for _, iwc in fields]
     assert pierced.tolist() == [
-        int(_field_phases(f, segments, spec.physics)[1][0]) for f in fields]
+        int(_field_phases(f, spec, segments)[1][0]) for f in fields]
     assert np.all(pierced <= counts)
     assert np.any(pierced < counts)
     empirical = run.report["empirical"]
@@ -609,7 +621,8 @@ def test_mac_count_terms():
                        scenario=make_scenario(link_distance=5000.0))
     with pytest.warns(ModelValidityWarning):
         per_round = mac_rounds(run_mac_count(missed))
-    assert per_round.tolist() == [17 + 6 * f.count for f in _fields(missed)]
+    assert per_round.tolist() == [17 + 6 * len(iwc)
+                                  for _, iwc in _fields(missed)]
 
     # An engaged ray adds 5 per cloudlet and 3 per pierced one.
     spec = make_spec(mode="mac-count", trials=20, master_seed=31)
@@ -617,8 +630,9 @@ def test_mac_count_terms():
     segments = map_rays_to_field(centre, 90.0, 8000.0, spec.cloud)
     expected = []
     for field in _fields(spec):
-        h = int(_field_phases(field, segments, spec.physics)[1][0])
-        expected.append(17 + 6 * field.count + 2 + 5 * field.count + 3 * h)
+        n = len(field[1])
+        h = int(_field_phases(field, spec, segments)[1][0])
+        expected.append(17 + 6 * n + 2 + 5 * n + 3 * h)
     assert mac_rounds(run_mac_count(spec)).tolist() == expected
     assert len(set(expected)) > 1
 
@@ -754,10 +768,11 @@ def test_run_report_keys_per_mode():
 
     # field draws from numpy's own stream of the master seed
     spec, field = _every_mode_run("field")
-    drawn = generate_field(spec.cloud, np.random.default_rng(spec.master_seed))
-    assert field.report == {"cloudlet_count": drawn.count,
+    (count,), _ = draw_fields(
+        spec.cloud, [np.random.default_rng(spec.master_seed)], 1)
+    assert field.report == {"cloudlet_count": count,
                             "radius_m": cloudlet_radius(spec.cloud)}
-    assert field.summary == (f"{drawn.count} cloudlets",)
+    assert field.summary == (f"{count} cloudlets",)
 
     _, dist = _every_mode_run("phase-dist")
     assert {"truncated_sum", "closed_form", "warnings"} <= set(dist.report)

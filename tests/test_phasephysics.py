@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from cloudmimo import (CloudConfig, CloudField, ConfigurationError,
-                       DEFAULT_ICE_SPHERE_VOLUME, MimoScenario, PhysicsParams,
-                       Segment2D, mixture_coefficient)
+from cloudmimo import (ConfigurationError, DEFAULT_ICE_SPHERE_VOLUME,
+                       MimoScenario, PhysicsParams, Segment2D,
+                       mixture_coefficient)
 from cloudmimo.phasephysics import block_phases
 from cloudmimo.raygeometry import chord_lengths
 
@@ -19,16 +19,16 @@ PHASE_100M_1E6 = 0.15404460911344861               # 2 pi 100 / lambda0 * 1e-6
 
 
 def synthetic_field(positions, iwc, radius=5.0):
-    return CloudField(config=CloudConfig(), positions=np.asarray(positions,
-                                                                 dtype=float),
-                      iwc=np.asarray(iwc, dtype=float), radius=radius)
+    """One field: its (n, 2) centres [m], (n,) contents and radius [m]."""
+    return (np.asarray(positions, dtype=float), np.asarray(iwc, dtype=float),
+            radius)
 
 
 def field_phases(field, segments, params):
     """(rays,) phases and pierced counts of one field, a block of one."""
-    phases, pierced = block_phases(field.positions, field.iwc[None],
-                                   [field.count], field.radius, segments,
-                                   params)
+    positions, iwc, radius = field
+    phases, pierced = block_phases(positions, iwc[None], [len(iwc)], radius,
+                                   segments, params)
     return phases[0, 0], pierced[0]
 
 
@@ -255,9 +255,7 @@ def test_block_phases_leave_inputs_unmodified():
             assert (np.all(phases[:, f] > 0.0) if count
                     else np.all(phases[:, f] == 0.0))
             for j in range(2):
-                field = CloudField(config=CloudConfig(),
-                                   positions=positions[mine],
-                                   iwc=iwc[j, mine], radius=2.5)
+                field = (positions[mine], iwc[j, mine], 2.5)
                 alone, alone_pierced = field_phases(field, segments, params)
                 assert np.array_equal(alone, phases[j, f])
                 assert np.array_equal(alone_pierced, pierced[f])

@@ -1,0 +1,44 @@
+"""Guards on the repository's tools: the names they wrap still exist."""
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+# The functions tools/stagetime.py wraps, at the module it wraps them in:
+# the name the kernel and the modes look each one up under.
+STAGETIME_WRAPS = {
+    "cloudmimo.experiment": {"trial_kernel", "_capacity", "_coherence",
+                             "trial_streams", "draw_fields",
+                             "block_phases"},
+    "cloudmimo.phasephysics": {"chord_lengths"},
+}
+
+
+def _load_tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_stagetime_wraps_only_names_that_exist(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))   # the tool extends it
+    stagetime = _load_tool("stagetime")
+    modules = {name: importlib.import_module(name) for name in STAGETIME_WRAPS}
+    before = {name: dict(vars(module)) for name, module in modules.items()}
+    for name, attributes in STAGETIME_WRAPS.items():
+        for attribute in attributes:
+            # Raises if the name is gone; restores the original afterwards.
+            monkeypatch.setattr(modules[name], attribute,
+                                getattr(modules[name], attribute))
+    stagetime._install(stagetime._Clock())
+    for name, module in modules.items():
+        after = vars(module)
+        # A wrapper set at a name that no longer exists would add one, and
+        # its stage would silently read 0.
+        assert after.keys() == before[name].keys(), name
+        wrapped = {key for key, value in after.items()
+                   if value is not before[name][key]}
+        assert wrapped == STAGETIME_WRAPS[name], name

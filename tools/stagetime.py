@@ -13,10 +13,12 @@ split into:
 - ``stream_reset``: taking each trial's generator from ``trial_streams``,
   the per-chunk seed arithmetic included;
 - ``field_draw``: the rest of ``draw_fields``, which draws each block's
-  fields and concatenates them into rows;
+  fields, concatenates them into rows and scales the centre rows to
+  metres;
 - ``chord_lengths``: ``phasephysics.chord_lengths``;
 - ``phase_count_sums``: the rest of ``block_phases``;
-- ``scale``: the rest of ``trial_kernel``, mainly scaling the block's rows;
+- ``scale``: the rest of ``trial_kernel``, mainly the content product
+  ``C * u`` of each block's unit content row;
 - ``metric``: the channel metrics, ``experiment._capacity`` and
   ``experiment._coherence``, which the modes apply after the kernel to
   its phases (and to clear sky).
