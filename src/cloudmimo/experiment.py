@@ -17,14 +17,17 @@ the block size: one generator is reset to each trial's stream by writing
 its state words in place (see :mod:`cloudmimo.streams`, which checks the
 generator's layout first).  Each block's fields come from one call of
 ``draw_fields``, the one field draw, as rows of centres in metres and
-unit contents; no draw outlives its block.  The kernel only traces: it
+unit contents; no draw outlives its block.  Each point's rays are traced
+once through the unit contents, and every content bound scales those
+phases.  The kernel only traces: it
 returns plain arrays of each trial's cloudlet count and each
 point's per-ray pierced counts and phases.  Each mode takes what it needs
 from them.  capacity-cdf, correlation and compensated run on one sweep
 runner, which traces the sweep points that reach the layer with one kernel
 call and applies the mode's channel metric to their phases in block-sized
 trial slices.  A sweep point none of whose rays reaches the layer is never
-traced: each of its trials has the metric's clear-sky value exactly.
+traced: each of its trials has the metric's clear-sky value exactly.  Nor
+is a content bound of 0, whose trials are clear sky too.
 phase-compare reads the phases of its one ray, and mac-count counts
 operations from the counts.
 
@@ -68,7 +71,10 @@ BLOCK_CLOUDLETS = 8192
 # which moves phase-compare and correlation values by ~1e-14 relative.
 # 3: per-field pairwise sums (np.add.reduceat), with the constants applied
 # per field sum, which moves phase-compare values by ~1e-14 relative.
-NUMERICS_VERSION = 3
+# 4: rays traced through unit contents, each bound C's phases written as C
+# times those, and the capacity from a Cholesky factorization, which moves
+# capacity values by ~6e-15 and phase-compare values by ~1e-13 relative.
+NUMERICS_VERSION = 4
 
 # Reference per-round complexity figures for the operation-count mode: the
 # cloudlet model at the 20 m x 1000 m configuration, and a grid-interpolation
@@ -120,6 +126,10 @@ class ExperimentSpec:
             problems.append(f"dt must be >= 0, got {self.dt}")
         if self.sweep_rwc is not None and self.sweep_thickness is not None:
             problems.append("sweep_rwc and sweep_thickness are exclusive")
+        for name in ("sweep_rwc", "sweep_thickness", "distance_grid"):
+            values = getattr(self, name)
+            if values is not None and len(values) == 0:
+                problems.append(f"{name} must not be empty")
         if self.sweep_rwc is not None:
             if any(v < 0.0 for v in self.sweep_rwc):
                 problems.append("relative water content values must be >= 0")
@@ -338,9 +348,10 @@ def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, points,
     Trial ``t`` draws its field from the stream
     ``default_rng(trial_seed(master_seed, t))``, the same bits as a
     one-field :func:`draw_fields` call on that generator, centres in
-    metres and unit content variates u.  Each bound C of ``contents``
-    (default: the cloud's own) turns them into C * u, bit for bit the
-    contents of a draw at bound C.
+    metres and unit content variates u.  Each point's rays are traced
+    once, through the unit contents: a field's phase P on a ray is linear
+    in its contents, so each bound C of ``contents`` (default: the
+    cloud's own) gets the phases ``C * P``.
     Trials run in blocks of about ``BLOCK_CLOUDLETS`` cloudlets: one
     :func:`draw_fields` call gives the block's rows, which are traced
     against each point's rays at once and written into the run's output
@@ -368,7 +379,7 @@ def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, points,
         return np.zeros(0, dtype=np.intp), [], []
     if contents is None:
         contents = (cloud.max_iwc_c,)
-    scale = np.asarray(contents, dtype=float)[:, None]
+    scale = np.asarray(contents, dtype=float)[:, None, None]
     radius = cloudlet_radius(cloud)
     mean_count = cloud.density_lambda_s * cloud.width_w * cloud.thickness_d
     per_block = max(1, int(BLOCK_CLOUDLETS // max(mean_count, 1.0)))
@@ -384,10 +395,11 @@ def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, points,
         block_counts, rows = draw_fields(cloud, streams, block.stop - first)
         counts[block] = block_counts
         positions = rows[:2].T
-        iwc = scale * rows[2]
         for segments, phase, hits in zip(points, phases, pierced):
-            phase[:, block], hits[block] = block_phases(
-                positions, iwc, block_counts, radius, segments, spec.physics)
+            unit, hits[block] = block_phases(
+                positions, rows[2], block_counts, radius, segments,
+                spec.physics)
+            np.multiply(scale, unit, out=phase[:, block])
     return counts, pierced, phases
 
 
@@ -414,19 +426,33 @@ def _sweep(spec: ExperimentSpec, metric, scenarios, cloud: CloudConfig,
     """Per scenario, its (k, trials) metric values, or None for clear sky.
 
     The scenarios some of whose rays reach the layer are traced on the
-    same field draws by one kernel call, at each of the k bounds of
-    ``contents`` (default: the cloud's own), and ``metric(scenario,
-    phases)`` runs on each one's phases in block-sized trial slices.  A
-    scenario none of whose rays reaches the layer is not traced: every
-    trial of it is clear sky, ``metric(scenario, None)``.
+    same field draws by one kernel call, at each nonzero one of the k
+    bounds of ``contents`` (default: the cloud's own), and
+    ``metric(scenario, phases)`` runs on each one's phases in block-sized
+    trial slices.  A scenario none of whose rays reaches the layer is not
+    traced: every trial of it is clear sky, ``metric(scenario, None)``.
+    Neither is a bound of 0, whose cloudlets add no phase: each of its
+    trials is the clear-sky value too, so a sweep of zero bounds alone
+    draws no field.
     """
+    if contents is None:
+        contents = (cloud.max_iwc_c,)
+    traced = [j for j, c in enumerate(contents) if c != 0.0]
+    clear = [j for j, c in enumerate(contents) if c == 0.0]
     mapped = [_segments_for(spec, cloud, scen) for scen in scenarios]
     live = [i for i, (_, engaged) in enumerate(mapped) if engaged]
-    _, _, phases = trial_kernel(spec, cloud, [mapped[i][0] for i in live],
-                                contents)
+    _, _, phases = trial_kernel(
+        spec, cloud, [mapped[i][0] for i in live] if traced else [],
+        [contents[j] for j in traced])
+    phases = iter(phases)
     values = [None] * len(scenarios)
-    for i, phase in zip(live, phases):
-        values[i] = _apply_metric(metric, scenarios[i], phase)
+    for i in live:
+        values[i] = np.empty((len(contents), spec.trials))
+        if clear:
+            values[i][clear] = metric(scenarios[i], None)
+        if traced:
+            values[i][traced] = _apply_metric(metric, scenarios[i],
+                                              next(phases))
     return values
 
 
@@ -508,7 +534,9 @@ def run_capacity_cdf(spec: ExperimentSpec) -> RunOutput:
     the layer (and the in-layer geometry) and draws per value.  Without a
     sweep a single point at the configured cloud runs.  A point whose rays
     all miss the layer is clear sky in every trial: it warns with a
-    :class:`ModelValidityWarning`, and draws no field.  The CSV has one row
+    :class:`ModelValidityWarning`, and draws no field.  So is a water
+    content of 0, without a warning, since its rays reach the layer; it is
+    not traced either.  The CSV has one row
     per trial, each point's samples in ascending order; the report gives
     each point's median and outage capacity.
     """

@@ -3,9 +3,10 @@
 The channel between broadside uniform linear arrays is purely geometric:
 every entry is a unit (or inverse-distance) gain at a phase set by the exact
 antenna-pair distance, plus any cloud-induced excess phase.  Capacity is the
-log-determinant of the usual equal-power allocation, and sub-channel
-correlation is the normalized column coherence that cloud phase noise is
-expected to erode.
+log-determinant of the usual equal-power allocation, taken from a Cholesky
+factorization that runs over a whole stack of channels at once, and
+sub-channel correlation is the normalized column coherence that cloud
+phase noise is expected to erode.
 """
 from __future__ import annotations
 
@@ -120,26 +121,76 @@ def capacity_bits(channel: ChannelMatrix, snr_db: float):
     uncompensated channel is first normalized to unit mean squared entry
     magnitude, so inverse-distance gains do not fold the free-space path
     loss into the capacity and the SNR keeps its average meaning at every
-    distance.  A compensated channel is used as-is.
+    distance.  A compensated channel is used as-is.  The capacity is
+    ``log2 det(I + (rho / Nt) H H^H)``, from a Cholesky factorization of
+    that matrix (see :func:`_log_det`).
     """
-    h = np.atleast_2d(channel.entries).astype(complex)
+    h = np.atleast_2d(channel.entries)
     num_rx, num_tx = h.shape[-2:]
+    # One matrix is a stack of one: every matrix takes the same array
+    # arithmetic, so its capacity does not depend on the stack around it.
+    re, im = _gram(h.reshape(-1, num_rx, num_tx))
+    scale = 10.0 ** (snr_db / 10.0) / num_tx
     if not channel.compensated:
-        power = np.sum(np.abs(h) ** 2, axis=(-2, -1), keepdims=True)
-        # an all-zero matrix stays as it is
+        # The normalization scales H H^H by num_rx num_tx over its trace,
+        # the power of H; an all-zero matrix stays as it is.
+        power = sum(re[i, i] for i in range(num_rx))
         power = np.where(power > 0.0, power, num_rx * num_tx)
-        h = h * np.sqrt(num_rx * num_tx / power)
-    rho = 10.0 ** (snr_db / 10.0)
-    gram = np.eye(num_rx) \
-        + (rho / num_tx) * (h @ np.conj(h).swapaxes(-1, -2))
-    sign, logdet = np.linalg.slogdet(gram)
-    capacity = np.real(sign) * logdet / np.log(2.0)
+        scale = scale * (num_rx * num_tx / power)
+    re *= scale
+    im *= scale
+    re[range(num_rx), range(num_rx)] += 1.0
+    # [()] turns the shape () of one matrix into a scalar.
+    capacity = (_log_det(re, im) / np.log(2.0)).reshape(h.shape[:-2])[()]
     finite = np.isfinite(capacity)
     if not np.all(finite):
         bad = np.size(finite) - np.count_nonzero(finite)
         raise NumericError(f"capacity is not finite for {bad} of "
                            f"{np.size(finite)} channel(s)")
     return capacity
+
+
+def _gram(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of ``H H^H`` of an (S, Nr, Nt) stack.
+
+    Both are (Nr, Nr, S): the stack is the last axis of every
+    intermediate here and in :func:`_log_det`, so each operation runs
+    along it.  The sum over the transmit antennas is taken in their order.
+    """
+    hr = h.real.transpose(1, 2, 0).copy()     # (Nr, Nt, S)
+    hi = h.imag.transpose(1, 2, 0).copy()
+    re = np.zeros((h.shape[1], h.shape[1], len(h)))
+    im = np.zeros_like(re)
+    for t in range(h.shape[2]):
+        xr, xi = hr[:, None, t], hi[:, None, t]
+        yr, yi = hr[None, :, t], hi[None, :, t]
+        re += xr * yr + xi * yi
+        im += xi * yr - xr * yi
+    return re, im
+
+
+def _log_det(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """``ln det A`` of a stack of Hermitian matrices with eigenvalues >= 1.
+
+    ``re`` and ``im`` are A's real and imaginary parts, (Nr, Nr, S), and
+    are overwritten.  Such an A is positive definite, so its Cholesky
+    factorization ``A = L L^H`` needs no pivoting and cannot break down
+    (Golub & Van Loan, *Matrix Computations*, 4th ed., sec. 4.2).  It runs
+    in the square-root-free outer-product form, one column at a time over
+    the whole stack: column j's pivot ``d_j = L_jj^2`` is its diagonal
+    entry after the earlier columns' updates, and ``ln det A`` is the sum
+    of ``ln d_j``.
+    """
+    log_det = np.zeros(re.shape[-1])
+    for j in range(len(re)):
+        pivot = re[j, j]
+        log_det += np.log(pivot)
+        # Subtract column j's outer product a a^H / d_j from the rest.
+        ar, ai = re[j + 1:, j], im[j + 1:, j]
+        br, bi = (ar / pivot)[:, None], (ai / pivot)[:, None]
+        re[j + 1:, j + 1:] -= br * ar + bi * ai
+        im[j + 1:, j + 1:] -= bi * ar - br * ai
+    return log_det
 
 
 def rayleigh_distance(scenario: MimoScenario) -> float:

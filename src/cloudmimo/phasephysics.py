@@ -85,44 +85,44 @@ def mixture_coefficient(params: PhysicsParams) -> float:
 # Per-ray phase accumulation
 # ============================================================
 
-def block_phases(positions: np.ndarray, iwc: np.ndarray, counts,
+def block_phases(positions: np.ndarray, contents: np.ndarray, counts,
                  radius: float, segments: list[Segment2D],
                  params: PhysicsParams) -> tuple[np.ndarray, np.ndarray]:
     """Accumulate cloud phases of a ray bundle through a block of fields.
 
     ``positions`` (n, 2) holds the cloudlets of ``len(counts)`` fields one
-    after another, ``counts[f]`` of them for field f (which may be 0).
-    ``iwc`` is (k, n): k ice water content variants of the same cloudlets,
-    which share the chord tracing.  Each segment is traced through all
-    cloudlets at once; each chord contributes ``2 pi l / lambda0`` times
-    the cloudlet's excess permittivity.  A missed cloudlet adds an exact
-    zero, and a field's terms ``iwc * l`` add without wrapping over its own
-    slice alone (``np.add.reduceat``: the first term plus numpy's pairwise
-    sum of the rest), so its phases do not depend on the other fields of
-    the block.  The constants multiply each field's sum once.  Overlapping
-    cloudlets contribute independently, which matches the additive overlap
-    rule of the field model.
+    after another, ``counts[f]`` of them for field f (which may be 0), and
+    ``contents`` (n,) their ice water contents u.  Each segment is traced
+    through all cloudlets at once; a field's phase on a ray is
+    ``P = (2 pi / lambda0 * a) * sum(u * l)`` over its cloudlets' chords
+    l, with a the mixture coefficient.  A missed cloudlet adds an exact
+    zero, and a field's terms add without wrapping over its own slice
+    alone (``np.add.reduceat``: the first term plus numpy's pairwise sum
+    of the rest), so its phases do not depend on the other fields of the
+    block.  Overlapping cloudlets contribute independently, which matches
+    the additive overlap rule of the field model.  The phase is linear in
+    the contents: the trial kernel traces unit contents once and scales P
+    by each content bound.
 
     Returns
     -------
     phases : ndarray
-        (k, fields, rays) unwrapped phase of each variant [rad].
+        (fields, rays) unwrapped phase of each field on each ray [rad].
     pierced : ndarray
-        (fields, rays) count of the cloudlets each ray pierces, which is
-        the same for every variant.
+        (fields, rays) count of the cloudlets each ray pierces.
     """
     counts = np.asarray(counts, dtype=np.intp)
     # reduceat gives an empty slice the element at its start, so only the
     # non-empty fields get a start; the empty ones keep their zero rows.
     full = np.flatnonzero(counts)
     starts = (np.cumsum(counts) - counts)[full]
-    phases = np.zeros((len(iwc), counts.size, len(segments)))
+    phases = np.zeros((counts.size, len(segments)))
     pierced = np.zeros((counts.size, len(segments)), dtype=np.intp)
     for idx, seg in enumerate(segments):
         chords = chord_lengths(seg, positions, radius)
         pierced[full, idx] = np.add.reduceat(chords > 0.0, starts,
                                              dtype=np.intp)
-        phases[:, full, idx] = np.add.reduceat(iwc * chords, starts, axis=1)
+        phases[full, idx] = np.add.reduceat(contents * chords, starts)
     phases *= (2.0 * np.pi / params.wavelength_lambda0
                * mixture_coefficient(params))
     return phases, pierced

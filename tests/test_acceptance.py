@@ -185,11 +185,11 @@ def test_04_phase_linearity_and_additivity():
     base = np.array([0.12, 0.31])
 
     def phase(iwc, pos=positions):
-        # One field with one content variant: a block of one.
+        # One field: a block of one.
         phases, _ = block_phases(np.asarray(pos, dtype=float),
-                                 np.asarray(iwc, dtype=float)[None],
+                                 np.asarray(iwc, dtype=float),
                                  [len(pos)], 5.0, [seg], physics)
-        return float(phases[0, 0, 0])
+        return float(phases[0, 0])
 
     combined = phase(base)
     lin_err = max(abs(phase(base * c) - c * combined) / abs(c * combined)

@@ -291,6 +291,25 @@ def test_main_negative_seed_is_configuration_error(tmp_path, capsys, mode):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("mode,profile,key,field", [
+    ("capacity-cdf", "table3", "run.sweep_rwc", "sweep_rwc"),
+    ("capacity-cdf", "table3", "run.sweep_thickness_m", "sweep_thickness"),
+    ("correlation", "table4", "run.distance_grid_m", "distance_grid")])
+def test_main_empty_sweep_or_grid_is_configuration_error(
+        tmp_path, capsys, mode, profile, key, field):
+    # An empty list is no sweep of no points: a configuration error before
+    # anything runs, not a crash or a header-only results.csv.
+    config = tmp_path / "empty.json"
+    config.write_text(json.dumps({key: []}))
+    code = run_cli([mode, "--profile", profile, "--trials", "5",
+                    "--config", str(config), "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert f"{field} must not be empty" in err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("distance", ["abc", "km"])
 def test_main_unparsable_distance_is_configuration_error(tmp_path, capsys,
                                                          distance):

@@ -18,7 +18,8 @@ from cloudmimo import experiment, streams
 from cloudmimo.experiment import (ASSUMED_PARAMETER_KEYS, MODES,
                                   NUMERICS_VERSION, ExperimentSpec,
                                   build_manifest, format_csv,
-                                  outage_capacity, run_capacity_cdf,
+                                  outage_capacity, parse_config_value,
+                                  run_capacity_cdf,
                                   run_compensated_sweep,
                                   run_correlation_sweep, run_mac_count,
                                   run_phase_compare, spec_from_flat,
@@ -135,6 +136,15 @@ def test_spec_collects_all_problems():
     for fragment in ("unknown mode", "trials", "dt", "outage_probability",
                      "exclusive", "elevation_deg must be in (0, 90]"):
         assert fragment in message
+
+
+def test_blank_or_none_list_means_no_sweep():
+    # Blank or "none" text is no sweep.  Only an explicit empty list is
+    # an empty sweep, which a spec rejects (tests/test_cli.py runs each
+    # list key).
+    for value in ("", "none", " None ", None):
+        assert parse_config_value("run.sweep_rwc", value) is None
+    assert parse_config_value("run.sweep_rwc", []) == []
 
 
 def test_spec_rejects_negative_master_seed():
@@ -258,15 +268,16 @@ def test_rwc_sweep_shares_one_draw_bit_for_bit():
 
 def _field_phases(field, spec: ExperimentSpec, segments):
     """(rays,) phases and pierced counts of one field, a block of one."""
-    positions, iwc = field
-    phases, pierced = block_phases(positions, iwc[None], [len(iwc)],
+    positions, contents = field
+    phases, pierced = block_phases(positions, contents, [len(contents)],
                                    cloudlet_radius(spec.cloud), segments,
                                    spec.physics)
-    return phases[0, 0], pierced[0]
+    return phases[0], pierced[0]
 
 
 def _fields(spec: ExperimentSpec) -> list:
-    """Each trial's (n, 2) centres and (n,) contents, drawn alone by numpy.
+    """Each trial's (n, 2) centres and (n,) unit contents, drawn alone by
+    numpy.
 
     The stream of the trial's seed gives the Poisson count n, then one
     ``random((3, n))`` call gives the unit x, y and content rows.
@@ -278,8 +289,7 @@ def _fields(spec: ExperimentSpec) -> list:
         rng = np.random.default_rng(trial_seed(spec.master_seed, t))
         x, y, u = rng.random((3, int(rng.poisson(mean_count))))
         fields.append((np.column_stack([cloud.width_w * x,
-                                        cloud.thickness_d * y]),
-                       cloud.max_iwc_c * u))
+                                        cloud.thickness_d * y]), u))
     return fields
 
 
@@ -304,13 +314,16 @@ def test_kernel_rows_equal_single_field_path_phase(monkeypatch):
                   for scenario in scenarios]
         counts, pierced, phases = trial_kernel(spec, spec.cloud, points)
         fields = _fields(spec)
-        assert np.array_equal(counts, [len(iwc) for _, iwc in fields])
+        assert np.array_equal(counts, [len(u) for _, u in fields])
         for segments, hits, rows in zip(points, pierced, phases):
             assert hits.shape == (40, len(segments))
             assert rows.shape == (1, 40, len(segments))
+            # The kernel traces the unit contents and scales the phases
+            # by the content bound.
             for t, field in enumerate(fields):
                 single, single_hits = _field_phases(field, spec, segments)
-                assert np.array_equal(rows[0, t], single)
+                assert np.array_equal(rows[0, t],
+                                      spec.cloud.max_iwc_c * single)
                 assert np.array_equal(hits[t], single_hits)
         assert np.any(pierced[0] > 0)    # the rays at 40 km pierce cloudlets
         assert not np.any(pierced[1]) and not np.any(phases[1])
@@ -454,6 +467,46 @@ def test_a_clear_sky_capacity_point_draws_no_field(monkeypatch):
             assert np.all(samples == clear) == is_clear, value
 
 
+def test_a_zero_content_bound_draws_no_field(monkeypatch):
+    # Rays at 40 km cross the layer, but a bound of 0 makes every cloudlet
+    # transparent: the point is clear sky in every trial, with no field
+    # drawn and no warning, since its rays do reach the layer.
+    def fail(*args, **kwargs):
+        raise AssertionError("a field was drawn")
+
+    monkeypatch.setattr(experiment, "draw_fields", fail)
+    spec = make_spec(trials=5, sweep_rwc=(0.0,))
+    clear = capacity_bits(los_channel(spec.scenario), spec.scenario.snr_db)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ModelValidityWarning)
+        [(_, _, samples)] = capacity_points(run_capacity_cdf(spec))
+        dry = make_cloud(max_iwc_c=0.0)
+        for mode in ("correlation", "compensated"):
+            report = MODES[mode].runner(make_spec(
+                mode=mode, trials=5, cloud=dry,
+                distance_grid=(5000.0, 40000.0))).report
+            assert report["engaged"] == [False, True]
+            assert report["with_cloud"] == report["without_cloud"]
+    assert samples.tolist() == [clear] * 5
+
+
+def test_an_rwc_sweep_traces_only_its_nonzero_bounds(monkeypatch):
+    traced = []
+    kernel = experiment.trial_kernel
+
+    def record(spec, cloud, points, contents=None):
+        traced.append(list(contents))
+        return kernel(spec, cloud, points, contents)
+
+    monkeypatch.setattr(experiment, "trial_kernel", record)
+    spec = make_spec(trials=5, sweep_rwc=(0.0, 0.4))
+    (_, _, dry), (_, _, wet) = capacity_points(run_capacity_cdf(spec))
+    assert traced == [[0.4 * REFERENCE_IWC]]
+    clear = capacity_bits(los_channel(spec.scenario), spec.scenario.snr_db)
+    assert dry.tolist() == [clear] * 5
+    assert not np.any(wet == clear)
+
+
 def test_thickness_sweep_rebuilds_layer():
     spec = make_spec(trials=3, sweep_thickness=(500.0, 1000.0))
     points = capacity_points(run_capacity_cdf(spec))
@@ -519,7 +572,7 @@ def test_phase_compare_shapes_and_analytic_reference():
     centre = make_scenario(num_tx=1, num_rx=1, link_distance=30000.0)
     segments = map_rays_to_field(centre, 90.0, 8000.0, spec.cloud)
     fields = _fields(spec)
-    assert counts.tolist() == [len(iwc) for _, iwc in fields]
+    assert counts.tolist() == [len(u) for _, u in fields]
     assert pierced.tolist() == [
         int(_field_phases(f, spec, segments)[1][0]) for f in fields]
     assert np.all(pierced <= counts)
@@ -621,8 +674,8 @@ def test_mac_count_terms():
                        scenario=make_scenario(link_distance=5000.0))
     with pytest.warns(ModelValidityWarning):
         per_round = mac_rounds(run_mac_count(missed))
-    assert per_round.tolist() == [17 + 6 * len(iwc)
-                                  for _, iwc in _fields(missed)]
+    assert per_round.tolist() == [17 + 6 * len(u)
+                                  for _, u in _fields(missed)]
 
     # An engaged ray adds 5 per cloudlet and 3 per pierced one.
     spec = make_spec(mode="mac-count", trials=20, master_seed=31)

@@ -16,6 +16,9 @@ CAPACITY_ORTHOGONAL = 13.316422965503589  # 2 log2(101) at 20 dB
 CAPACITY_RANK_ONE = 7.6510516911789286    # log2(201) at 20 dB
 ORTHOGONALITY_DISTANCE = 2982.58637314    # d_t d_r N / lambda0 [m]
 
+# Array shapes besides the 2x2 of both profiles: Nr x Nt.
+OTHER_SHAPES = [(1, 1), (2, 3), (3, 2), (4, 4)]
+
 
 def compensated(h) -> ChannelMatrix:
     """A bare matrix, or a stack, as a channel that is used as-is."""
@@ -171,18 +174,67 @@ def test_capacity_monotone_in_snr():
 
 def test_capacity_of_a_stack_equals_each_matrix_alone():
     # A single matrix is a stack of one: the batched evaluation must give
-    # every matrix's own capacity bit for bit, normalized or not.
-    rng = np.random.default_rng(3)
-    phases = rng.normal(0.0, 1.0, (2, 5, 4))
-    for compensated in (True, False):
-        stack = los_channel(MimoScenario(compensated=compensated), phases)
-        caps = capacity_bits(stack, 20.0)
-        assert caps.shape == (2, 5)
-        for i in range(2):
-            for j in range(5):
-                alone = ChannelMatrix(entries=stack.entries[i, j],
-                                      compensated=compensated)
-                assert caps[i, j] == capacity_bits(alone, 20.0)
+    # every matrix's own capacity bit for bit, normalized or not, on every
+    # array shape.
+    for num_rx, num_tx in ((2, 2), *OTHER_SHAPES):
+        rng = np.random.default_rng(3)
+        phases = rng.normal(0.0, 1.0, (2, 5, num_rx * num_tx))
+        for compensated in (True, False):
+            stack = los_channel(MimoScenario(
+                num_tx=num_tx, num_rx=num_rx, compensated=compensated),
+                phases)
+            caps = capacity_bits(stack, 20.0)
+            assert caps.shape == (2, 5)
+            for i in range(2):
+                for j in range(5):
+                    alone = ChannelMatrix(entries=stack.entries[i, j],
+                                          compensated=compensated)
+                    assert caps[i, j] == capacity_bits(alone, 20.0)
+
+
+def slogdet_capacity(h: np.ndarray, snr_db: float,
+                     compensated: bool) -> np.ndarray:
+    """The capacity of an (S, Nr, Nt) stack by LAPACK's log-determinant."""
+    num_rx, num_tx = h.shape[-2:]
+    if not compensated:
+        power = np.sum(np.abs(h) ** 2, axis=(-2, -1), keepdims=True)
+        power = np.where(power > 0.0, power, num_rx * num_tx)
+        h = h * np.sqrt(num_rx * num_tx / power)
+    rho = 10.0 ** (snr_db / 10.0)
+    gram = np.eye(num_rx) + (rho / num_tx) * (h @ np.conj(h).swapaxes(-1, -2))
+    sign, logdet = np.linalg.slogdet(gram)
+    return sign.real * logdet / np.log(2.0)
+
+
+@pytest.mark.parametrize("num_rx,num_tx", [(2, 2), *OTHER_SHAPES])
+@pytest.mark.parametrize("snr_db", [0.0, 20.0])
+@pytest.mark.parametrize("compensated", [True, False])
+def test_capacity_matches_a_slogdet_oracle(num_rx, num_tx, snr_db,
+                                           compensated):
+    rng = np.random.default_rng(18)
+    shape = (200, num_rx, num_tx)
+    h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    h[0] = 0.0          # the all-zero matrix: capacity 0, normalized or not
+    h[1] = h[2] * 0.5   # the same matrix at half the amplitude
+    # the LoS channel itself, off and at its orthogonality distance
+    for row, distance in ((3, 40000.0), (4, ORTHOGONALITY_DISTANCE)):
+        scen = MimoScenario(num_tx=num_tx, num_rx=num_rx,
+                            link_distance=distance, compensated=compensated)
+        h[row] = los_channel(scen).entries
+    caps = capacity_bits(ChannelMatrix(entries=h, compensated=compensated),
+                         snr_db)
+    assert caps.shape == (200,)
+    assert caps[0] == 0.0
+    np.testing.assert_allclose(caps, slogdet_capacity(h, snr_db, compensated),
+                               rtol=1e-13, atol=0.0)
+    if compensated:
+        assert caps[1] < caps[2]
+    else:
+        assert caps[1] == caps[2]   # a power-of-2 gain scales exactly
+    h[5, -1, -1] = np.nan
+    with pytest.raises(NumericError, match="not finite for 1 of 200"):
+        capacity_bits(ChannelMatrix(entries=h, compensated=compensated),
+                      snr_db)
 
 
 def test_stacked_cloud_phases_give_stacked_channels():

@@ -27,9 +27,9 @@ def synthetic_field(positions, iwc, radius=5.0):
 def field_phases(field, segments, params):
     """(rays,) phases and pierced counts of one field, a block of one."""
     positions, iwc, radius = field
-    phases, pierced = block_phases(positions, iwc[None], [len(iwc)], radius,
+    phases, pierced = block_phases(positions, iwc, [len(iwc)], radius,
                                    segments, params)
-    return phases[0, 0], pierced[0]
+    return phases[0], pierced[0]
 
 
 def one_cloudlet_phase(chord, iwc):
@@ -212,20 +212,20 @@ def test_block_phases_match_exact_sums_at_pairwise_block_edges():
     segments = [Segment2D(start=np.array([x, 0.0]), end=np.array([x, 1000.0]))
                 for x in (9.9, 10.1)]
     params = PhysicsParams()
-    phases, pierced = block_phases(positions, iwc, counts, 2.5, segments,
-                                   params)
     scale = (2.0 * math.pi / params.wavelength_lambda0
              * mixture_coefficient(params))
     starts = np.cumsum(counts) - counts
-    for f, (start, count) in enumerate(zip(starts, counts)):
-        mine = slice(start, start + count)
-        assert pierced[f].tolist() == [count, count]
-        for r, seg in enumerate(segments):
-            chords = chord_lengths(seg, positions[mine], 2.5)
-            for j in range(2):
+    for j in range(2):
+        phases, pierced = block_phases(positions, iwc[j], counts, 2.5,
+                                       segments, params)
+        for f, (start, count) in enumerate(zip(starts, counts)):
+            mine = slice(start, start + count)
+            assert pierced[f].tolist() == [count, count]
+            for r, seg in enumerate(segments):
+                chords = chord_lengths(seg, positions[mine], 2.5)
                 terms = [scale * w * l for w, l in zip(iwc[j, mine], chords)]
                 bound = 4.0 * np.finfo(float).eps * math.fsum(map(abs, terms))
-                assert abs(phases[j, f, r] - math.fsum(terms)) <= bound
+                assert abs(phases[f, r] - math.fsum(terms)) <= bound
 
 
 def test_block_phases_leave_inputs_unmodified():
@@ -241,24 +241,24 @@ def test_block_phases_leave_inputs_unmodified():
                    [300, 0, 0], [0, 0]):
         n = sum(counts)
         counts = np.array(counts)
-        inputs = (positions[:n], iwc[:, :n], counts)
-        before = [a.copy() for a in inputs]
-        phases, pierced = block_phases(*inputs, 2.5, segments, params)
-        for array, copy in zip(inputs, before):
-            assert np.array_equal(array, copy)
-        assert phases.shape == (2, len(counts), 2)
-        assert pierced.shape == (len(counts), 2)
-        # each variant of each field equals a trace of that field alone
         starts = np.cumsum(counts) - counts
-        for f, (start, count) in enumerate(zip(starts, counts)):
-            mine = slice(start, start + count)
-            assert (np.all(phases[:, f] > 0.0) if count
-                    else np.all(phases[:, f] == 0.0))
-            for j in range(2):
+        for j in range(2):
+            inputs = (positions[:n], iwc[j, :n], counts)
+            before = [a.copy() for a in inputs]
+            phases, pierced = block_phases(*inputs, 2.5, segments, params)
+            for array, copy in zip(inputs, before):
+                assert np.array_equal(array, copy)
+            assert phases.shape == (len(counts), 2)
+            assert pierced.shape == (len(counts), 2)
+            # each field equals a trace of that field alone
+            for f, (start, count) in enumerate(zip(starts, counts)):
+                mine = slice(start, start + count)
+                assert (np.all(phases[f] > 0.0) if count
+                        else np.all(phases[f] == 0.0))
                 field = (positions[mine], iwc[j, mine], 2.5)
                 alone, alone_pierced = field_phases(field, segments, params)
-                assert np.array_equal(alone, phases[j, f])
+                assert np.array_equal(alone, phases[f])
                 assert np.array_equal(alone_pierced, pierced[f])
-            for r, seg in enumerate(segments):
-                chords = chord_lengths(seg, positions[mine], 2.5)
-                assert pierced[f, r] == np.count_nonzero(chords > 0.0)
+                for r, seg in enumerate(segments):
+                    chords = chord_lengths(seg, positions[mine], 2.5)
+                    assert pierced[f, r] == np.count_nonzero(chords > 0.0)

@@ -6,14 +6,20 @@ them byte for byte; a change that means to alter them bumps
 ``NUMERICS_VERSION`` and re-records the table.  Numerics 3 (each field's
 phase summed over its own cloudlets by ``np.add.reduceat``, numpy's pairwise
 summation) re-recorded only the four phase-compare results digests, whose
-values moved by ~1e-14 relative; every other results digest is the one
-recorded under numerics 2.
+values moved by ~1e-14 relative.  Numerics 4 (each ray traced once through
+unit contents, a bound C's phases written as C times those, and the
+capacity's log-determinant taken from a Cholesky factorization in place of
+LAPACK's LU) re-recorded the six capacity, two compensated and four
+phase-compare results digests: capacities moved by up to ~6e-15 relative,
+phase-compare values by up to ~1e-13.  The correlation, mac-count and
+field results digests are the ones recorded under numerics 2.
 
 Each manifest digest hashes ``manifest.json`` without its ``wall_time_s``,
 re-serialized with ``json.dumps(..., indent=2)`` in file order, so a change
-in the config keys' order, value types or defaults fails here.  Numerics 3
+in the config keys' order, value types or defaults fails here.  Numerics 4
 re-recorded all of them: they moved by the ``numerics`` key, and the
-phase-compare ones also by their report's empirical moments.
+capacity, compensated and phase-compare ones also by the values their
+reports summarize.
 """
 import hashlib
 import json
@@ -24,7 +30,7 @@ import pytest
 from cloudmimo.cli import main
 from cloudmimo.experiment import NUMERICS_VERSION
 
-RECORDED_NUMERICS = 3
+RECORDED_NUMERICS = 4
 RECORDED_NUMPY = "2.4.6"
 
 # (case, CLI arguments before --seed/--out, file whose bytes are hashed)
@@ -51,21 +57,21 @@ CASES = {
 
 DIGESTS = {
     ("capacity", 0):
-        "c1a92b16e06b8bf061c50d58624acede6864663641a4b1cbf8aa0de34d8f9947",
+        "643a9480e70e5f860f1a0b51a1ffec28ea41cc85bcd88492d3fc33e4f1730b69",
     ("capacity", 31):
-        "e3f85ed66f3a3f06c1b1c5003a5e93795314b851c55639f519162b2c30ef5a81",
+        "4946e6d04814a27e2c3c59ef659b5a18c2c69e5b87847545f3cf5c3af6d73692",
     ("capacity-rwc", 0):
-        "0a283557ae46c2b7387c6a278404e92ec76450c37a6e784a5c098c297c196172",
+        "e8cb10e978b88edf08f2b3b6ed945a3e99370caa2b3468ee0fa0a8246f4cd52f",
     ("capacity-rwc", 31):
-        "66c8047cfb068a5c50f5a5bbc0e9aed7614ceb92d6dba83b158e4a6ed76e65ad",
+        "4b03b0a8b6d096c8cfcd6bab449e850531e804409b052f0c085c31a17f1d33a7",
     ("capacity-thickness", 0):
-        "be9fb4d70ad1169b2f72d6fb16dce46137f0af175d7e4e4e2eb0720b6fb20410",
+        "8c9696022eebbf73329725a518408834d1ae8f7f0a897e1983e8e03a66aecbca",
     ("capacity-thickness", 31):
-        "f6863a3804442b15b6dff01edb5f03db5b55ac3658e5fd04231cfefa7415a3f1",
+        "2de1ccfe9127bd8518301866a7039f3571f047974b0e1f6b33bbb4a2b1387bce",
     ("compensated", 0):
-        "3d1510d7231e125c69380ab414d074c1f6243a54406a9e8a19c5f8e6fa87cca4",
+        "f1b8bdff64d6934a4e06c1edbff7d739ec23f01d1945a0c68a58542b0edca0bc",
     ("compensated", 31):
-        "82856a6826da9e68b9bb03851d90b9899e73fb7433924f906b658d33ecfed255",
+        "4af02dded7dfd60329a50da9f2a0cc0761ffbe43f4be214819126ea00bc07295",
     ("correlation", 0):
         "a55059328ff53488f8fc25c01af98626958a3125c733b90e6c1eab8d6738f4a6",
     ("correlation", 31):
@@ -79,52 +85,52 @@ DIGESTS = {
     ("mac-count", 31):
         "e3282971472bfcadd1eabeb6629e2ab8a5ec4758a0408e37b56a2b8fe05b03bd",
     ("phase-compare-table1", 0):
-        "91b50d96efe1d96259b6fa6c3ec6dbcadfda95986b8fbd30b776cda8601980cd",
+        "2bc3cb913eb7389e14c1afb3f435c0abed06dfdcfaa811231cf0db26e5f85b42",
     ("phase-compare-table1", 31):
-        "c153df3a6276418b44fc3ec9eb80110b320a33664add25446531d4f91defd4df",
+        "c6d890caf1f61294dc1a113f48f12113676cd84222725645e8ef53323e157b28",
     ("phase-compare-table3", 0):
-        "a204740a437b3c431a21a877c300ccd81b7d9fe52516ae00ed348334d602c466",
+        "041de3b0a3a0f82017f5ec89a26eef5237b9f1d21dfb7df19215e99ab973aca1",
     ("phase-compare-table3", 31):
-        "65a194c0dee70959429751f5f58ab20b5337b4362811607bfee18ded5f294716",
+        "f9b21eff083c274f8035522d531f11dfa1efd236b14adc50474fde0e79ede66f",
 }
 
 MANIFEST_DIGESTS = {
     ("capacity", 0):
-        "a3bc81a260f5ed79b8273ac5499c542f2bf0e254c6f12546b85164cf77a26be5",
+        "51e4074f5582f947b3b2c924283437856a7259b561787eb83729e2ffd43b97d9",
     ("capacity", 31):
-        "960fc96e4b04434147525771d9ebffad8ae6b1d697cdc5271ec2e7929e0785ad",
+        "cef1f1072b4169f819f59c28d164a69a90543d152416c8cc38d7f5b46e516ac9",
     ("capacity-rwc", 0):
-        "5542eb87742b44fdeed41b300e5a546f4bc248d1a697902c74fc6551ef9ae2a5",
+        "8ac5f73f88cdabc4fc5920e975ff3f125ab0c95966861026d20bf57853919e00",
     ("capacity-rwc", 31):
-        "892ccd9a9b6fc1f32a08f8e8fd4fdb5f186ee8f6a0fc328737ea81314dddcf81",
+        "a34e42fa1cba71179222d0dfd39d50a9c18142c032ce7ed1c7fc8d24e67e6c9f",
     ("capacity-thickness", 0):
-        "30cb7bdc1f7a34ff820eb42397e073152d028025da2b679b4a509dc0de9951cf",
+        "5e37750c67d429f9aabb479b7bf4ea2012f09ac527009e0ecec276c528958f4f",
     ("capacity-thickness", 31):
-        "e14ed34994bb4cc36bf9a577873ca13a7423416f0330b56d4b9eaa1645df117c",
+        "33796ca5096f10b17ff0bf7fce0beaaa4cb52079d2c58e5488b4c898e8d924d1",
     ("compensated", 0):
-        "aa6636f70318775a9a5a51359ae16ddc3aab64473420b8bdd58a6d9b59b41aed",
+        "3a95cbcff93e95e8597654032dd5cf4ac2ae34bcd91c412863b9955a945a9002",
     ("compensated", 31):
-        "72b32b6ae5541153e4f129237f497bd343de5425763702f73e5503f5ea6e89c0",
+        "21ad0d8e9bf55aaab31f8d7a4bb11bb95f3c88d58e4a4f50cb76087654c23534",
     ("correlation", 0):
-        "8b8c86a08a253a446a5d94f2379089e809fbe2d3af42db31ad6d07a7492bbb8c",
+        "5bcab4d1f15f2cf43de32abf4fa4dd1a97efa3ec3d505abb3db55a05fb27e8b8",
     ("correlation", 31):
-        "b7c4a7f15852dacc6c40bf1fe2c761582f00a3f2057feb64e22cbabb7425479a",
+        "d850c299f6a90d71b162e7e69ac6dd73aac2bfcb74006050db464c835dddbf0e",
     ("field", 0):
-        "5589314ce4f2863fae077b7e485a83be3f752bdaef639b67d226625212abc832",
+        "c3d8fd5d6f18bb22fc9be895bdac0d0fbc032275f53b797f76dc78ddc0fc7c51",
     ("field", 31):
-        "dc7c79a071b4789ad5b63bdf95db8f5ccaa8ed7f03f1766f61a4370695c64a4f",
+        "28ed1f3a932f6fa12d0f7985a39738d12beb795250274c630b9a1751cfcc41a7",
     ("mac-count", 0):
-        "85252a9d6f3649288701805e2cb3e8eafa753b28130918bb21f785e2b7420091",
+        "e27c49979c03988acf2ceadb6a03967a0d33d8999950cf5c51f2d61bfbdd8853",
     ("mac-count", 31):
-        "b9a7739099bc63fd8d476e297f7a72ef76b7d817d84c798c8dc99bbd6bb49f92",
+        "c7d57d03ea73afbfff770d4c24e23e39fc242c4a5c17651e6f9d5f00969719d5",
     ("phase-compare-table1", 0):
-        "fcc473aa77a141bf1087a7c7ba20a6a20384f5095df08eab2a5aebf6dfcc13a9",
+        "ecb6fb3db6d1eb78ec1a9c00d0daff05b0c328a364651d68a76facb8dfb597f8",
     ("phase-compare-table1", 31):
-        "6b8b7aaf43939a058f08d86ae90ddcb7a504df8966e28757ba29af03df685069",
+        "19818c8a983343528d1563539b9415ebac3e2815fba78240e60b03d488c32a11",
     ("phase-compare-table3", 0):
-        "fbdea919443c71bcbdf1d4927bac80e388b646e2083ecd7185775bcd374b5a3b",
+        "0df6241985b20d1ddc6d4b97cec9df9c7bb4a9e6f46081f243e9877ba173c5fc",
     ("phase-compare-table3", 31):
-        "d98d3e65748c56bebfb23fb39132a447f6289dac223d12e8ef364847769ff0cf",
+        "6552f9fc69e31107c2e52ed89355d2217082852f7a5f13e9b60acc15923f4a9e",
 }
 
 

@@ -17,11 +17,12 @@ split into:
   metres;
 - ``chord_lengths``: ``phasephysics.chord_lengths``;
 - ``phase_count_sums``: the rest of ``block_phases``;
-- ``scale``: the rest of ``trial_kernel``, mainly the content product
-  ``C * u`` of each block's unit content row;
+- ``scale``: the rest of ``trial_kernel``: its own loop over blocks and
+  points, and the writes ``C * P`` of each content bound C's phases from
+  the unit-content phases P that ``block_phases`` returns;
 - ``metric``: the channel metrics, ``experiment._capacity`` and
   ``experiment._coherence``, which the modes apply after the kernel to
-  its phases (and to clear sky).
+  its phases (and to clear sky, which includes every zero content bound).
 
 Prints one JSON line per workload with the median over the timed calls of
 each stage, in ms per call, and of ``kernel``, the traced
