@@ -13,7 +13,6 @@ from .errors import (ConfigurationError, DegenerateDistributionError,
                      ModelValidityWarning, NumericError, ResourceLimitError)
 from .cloudfield import (CloudConfig, cloudlet_radius, draw_fields,
                          step_field)
-from .raygeometry import Segment2D
 from .phasephysics import (DEFAULT_ICE_SPHERE_VOLUME, PhysicsParams,
                            SPEED_OF_LIGHT, mixture_coefficient)
 from .analyticmodel import (AnalyticParams, PhaseDistribution,
@@ -23,8 +22,8 @@ from .analyticmodel import (AnalyticParams, PhaseDistribution,
                             permittivity_moments, sample_total_phase,
                             stationary_distribution, stationary_report,
                             time_varying_distribution, total_phase_pdf)
-from .mimochannel import (ChannelMatrix, MimoScenario, capacity_bits,
-                          los_channel, pair_distances, rayleigh_distance)
+from .mimochannel import (MimoScenario, capacity_bits, los_channel,
+                          pair_distances, rayleigh_distance)
 from .experiment import (ExperimentSpec, build_manifest, outage_capacity,
                          run_capacity_cdf, run_compensated_sweep,
                          run_correlation_sweep, run_mac_count,
@@ -34,7 +33,6 @@ __all__ = [
     "ConfigurationError", "DegenerateDistributionError",
     "ModelValidityWarning", "NumericError", "ResourceLimitError",
     "CloudConfig", "cloudlet_radius", "draw_fields", "step_field",
-    "Segment2D",
     "DEFAULT_ICE_SPHERE_VOLUME", "PhysicsParams", "SPEED_OF_LIGHT",
     "mixture_coefficient",
     "AnalyticParams", "PhaseDistribution", "chord_moments",
@@ -43,8 +41,8 @@ __all__ = [
     "permittivity_moments", "sample_total_phase",
     "stationary_distribution", "stationary_report",
     "time_varying_distribution", "total_phase_pdf",
-    "ChannelMatrix", "MimoScenario", "capacity_bits", "los_channel",
-    "pair_distances", "rayleigh_distance",
+    "MimoScenario", "capacity_bits", "los_channel", "pair_distances",
+    "rayleigh_distance",
     "ExperimentSpec", "build_manifest", "outage_capacity",
     "run_capacity_cdf", "run_compensated_sweep", "run_correlation_sweep",
     "run_mac_count", "run_phase_compare", "spec_from_flat", "spec_to_flat",

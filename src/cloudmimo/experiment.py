@@ -17,14 +17,14 @@ the block size: one generator is reset to each trial's stream by writing
 its state words in place (see :mod:`cloudmimo.streams`, which checks the
 generator's layout first).  Each block's fields come from one call of
 ``draw_fields``, the one field draw, as rows of centres in metres and
-unit contents; no draw outlives its block.  Each point's rays are traced
-once through the unit contents, and every content bound scales those
-phases.  The kernel only traces: it
-returns plain arrays of each trial's cloudlet count and each
-point's per-ray pierced counts and phases.  Each mode takes what it needs
-from them.  capacity-cdf, correlation and compensated run on one sweep
-runner, which traces the sweep points that reach the layer with one kernel
-call and applies the mode's channel metric to their phases in block-sized
+unit contents; no draw outlives its block.  The kernel traces one array
+of ray segments, once through the unit contents, and every content bound
+scales those phases.  It only traces: it returns plain arrays of each
+trial's cloudlet count and each ray's pierced counts and phases.  Each
+mode takes what it needs from them.  capacity-cdf, correlation and
+compensated run on one sweep runner, which traces the rays of every sweep
+point that reaches the layer, one after another, with one kernel call and
+applies the mode's channel metric to each point's phases in block-sized
 trial slices.  A sweep point none of whose rays reaches the layer is never
 traced: each of its trials has the metric's clear-sky value exactly.  Nor
 is a content bound of 0, whose trials are clear sky too.
@@ -308,18 +308,21 @@ def spec_from_flat(flat: dict, threads: int = 1) -> ExperimentSpec:
 
 def _segments_for(spec: ExperimentSpec, cloud: CloudConfig,
                   scenario: MimoScenario):
-    """A scenario's in-layer ray segments, and whether any ray is in it.
+    """A scenario's (rays, 2, 2) in-layer ray segments, and whether any ray
+    is in the layer.
 
     The scenario's broadside arrays sit at the spec's elevation, and the
-    layer has the cloud's thickness.
+    layer has the cloud's thickness.  A ray that misses the layer has a
+    segment whose start is its end.
     """
     segments = map_rays_to_field(scenario, spec.elevation_deg,
                                  spec.cloud_upper_altitude, cloud)
-    return segments, any(seg.length > 0.0 for seg in segments)
+    return segments, bool(np.any(segments[:, 0] != segments[:, 1]))
 
 
 def _centre_ray(spec: ExperimentSpec):
-    """The segments of the 1x1 link phase-compare and mac-count trace."""
+    """The (1, 2, 2) segment of the 1x1 link phase-compare and mac-count
+    trace, and whether it is in the layer."""
     centre = dataclasses.replace(spec.scenario, num_tx=1, num_rx=1)
     segments, engaged = _segments_for(spec, spec.cloud, centre)
     if not engaged:
@@ -340,43 +343,41 @@ def _warn_clear_sky(spec: ExperimentSpec, point: str) -> None:
 # Trial kernel
 # ============================================================
 
-def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, points,
-                 contents=None) -> tuple[np.ndarray, list[np.ndarray],
-                                         list[np.ndarray]]:
-    """Trace every sweep point's rays through one field draw per trial.
+def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, rays: np.ndarray,
+                 contents=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Trace one array of rays through one field draw per trial.
 
     Trial ``t`` draws its field from the stream
     ``default_rng(trial_seed(master_seed, t))``, the same bits as a
     one-field :func:`draw_fields` call on that generator, centres in
-    metres and unit content variates u.  Each point's rays are traced
-    once, through the unit contents: a field's phase P on a ray is linear
-    in its contents, so each bound C of ``contents`` (default: the
-    cloud's own) gets the phases ``C * P``.
+    metres and unit content variates u.  The rays are traced once,
+    through the unit contents: a field's phase P on a ray is linear in its
+    contents, so each bound C of ``contents`` (default: the cloud's own)
+    gets the phases ``C * P``.  Each ray is traced alone, so a ray's
+    values do not depend on the other rays of the call.
     Trials run in blocks of about ``BLOCK_CLOUDLETS`` cloudlets: one
-    :func:`draw_fields` call gives the block's rows, which are traced
-    against each point's rays at once and written into the run's output
-    arrays.
+    :func:`draw_fields` call gives the block's rows, and one
+    :func:`block_phases` call traces them against every ray at once; its
+    values are written into the run's output arrays.
 
     Parameters
     ----------
-    points : sequence of list of Segment2D
-        The in-layer ray segments of each sweep point.
+    rays : ndarray, shape (rays, 2, 2)
+        Each ray's in-layer segment start and end, as
+        :func:`map_rays_to_field` gives them; a sweep passes the rays of
+        its points one after another.
 
     Returns
     -------
     counts : ndarray
         (trials,) cloudlet count of each trial's field.
-    pierced : list of ndarray
-        Per point, the (trials, rays) count of the cloudlets each ray
-        pierces; the same for every content bound.
-    phases : list of ndarray
-        Per point, the (len(contents), trials, rays) unwrapped cloud phases
-        [rad] of every trial.
-
-    With no points no field is drawn, and all three are empty.
+    pierced : ndarray
+        (trials, rays) count of the cloudlets each ray pierces; the same
+        for every content bound.
+    phases : ndarray
+        (len(contents), trials, rays) unwrapped cloud phases [rad] of
+        every trial.
     """
-    if not points:
-        return np.zeros(0, dtype=np.intp), [], []
     if contents is None:
         contents = (cloud.max_iwc_c,)
     scale = np.asarray(contents, dtype=float)[:, None, None]
@@ -385,21 +386,16 @@ def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, points,
     per_block = max(1, int(BLOCK_CLOUDLETS // max(mean_count, 1.0)))
     trials = spec.trials
     counts = np.empty(trials, dtype=np.intp)
-    pierced = [np.empty((trials, len(segments)), dtype=np.intp)
-               for segments in points]
-    phases = [np.empty((len(contents), trials, len(segments)))
-              for segments in points]
+    pierced = np.empty((trials, len(rays)), dtype=np.intp)
+    phases = np.empty((len(contents), trials, len(rays)))
     streams = trial_streams(spec.master_seed, trials)
     for first in range(0, trials, per_block):
         block = slice(first, min(first + per_block, trials))
         block_counts, rows = draw_fields(cloud, streams, block.stop - first)
         counts[block] = block_counts
-        positions = rows[:2].T
-        for segments, phase, hits in zip(points, phases, pierced):
-            unit, hits[block] = block_phases(
-                positions, rows[2], block_counts, radius, segments,
-                spec.physics)
-            np.multiply(scale, unit, out=phase[:, block])
+        unit, pierced[block] = block_phases(
+            rows[:2].T, rows[2], block_counts, radius, rays, spec.physics)
+        np.multiply(scale, unit, out=phases[:, block])
     return counts, pierced, phases
 
 
@@ -426,7 +422,8 @@ def _sweep(spec: ExperimentSpec, metric, scenarios, cloud: CloudConfig,
     """Per scenario, its (k, trials) metric values, or None for clear sky.
 
     The scenarios some of whose rays reach the layer are traced on the
-    same field draws by one kernel call, at each nonzero one of the k
+    same field draws by one kernel call, their rays one after another (all
+    scenarios have the same Nr * Nt rays), at each nonzero one of the k
     bounds of ``contents`` (default: the cloud's own), and
     ``metric(scenario, phases)`` runs on each one's phases in block-sized
     trial slices.  A scenario none of whose rays reaches the layer is not
@@ -441,18 +438,19 @@ def _sweep(spec: ExperimentSpec, metric, scenarios, cloud: CloudConfig,
     clear = [j for j, c in enumerate(contents) if c == 0.0]
     mapped = [_segments_for(spec, cloud, scen) for scen in scenarios]
     live = [i for i, (_, engaged) in enumerate(mapped) if engaged]
-    _, _, phases = trial_kernel(
-        spec, cloud, [mapped[i][0] for i in live] if traced else [],
-        [contents[j] for j in traced])
-    phases = iter(phases)
     values = [None] * len(scenarios)
     for i in live:
         values[i] = np.empty((len(contents), spec.trials))
         if clear:
             values[i][clear] = metric(scenarios[i], None)
-        if traced:
+    if live and traced:
+        _, _, phases = trial_kernel(
+            spec, cloud, np.concatenate([mapped[i][0] for i in live]),
+            [contents[j] for j in traced])
+        phases = phases.reshape(len(traced), spec.trials, len(live), -1)
+        for point, i in enumerate(live):
             values[i][traced] = _apply_metric(metric, scenarios[i],
-                                              next(phases))
+                                              phases[:, :, point])
     return values
 
 
@@ -523,7 +521,8 @@ def outage_capacity(samples: np.ndarray, p: float) -> float:
 
 
 def _capacity(scenario: MimoScenario, phases):
-    return capacity_bits(los_channel(scenario, phases), scenario.snr_db)
+    return capacity_bits(los_channel(scenario, phases), scenario.snr_db,
+                         scenario.compensated)
 
 
 def run_capacity_cdf(spec: ExperimentSpec) -> RunOutput:
@@ -680,8 +679,7 @@ def run_phase_compare(spec: ExperimentSpec) -> RunOutput:
     agreement is enforced, only measured.
     """
     segments, _ = _centre_ray(spec)
-    counts, (pierced,), (phases,) = trial_kernel(spec, spec.cloud,
-                                                 [segments])
+    counts, pierced, phases = trial_kernel(spec, spec.cloud, segments)
     samples = phases[0, :, 0]
     analytic = stationary_distribution(AnalyticParams(spec.cloud, spec.physics))
 
@@ -762,7 +760,7 @@ def run_mac_count(spec: ExperimentSpec) -> RunOutput:
     The CSV gives each round's count.
     """
     segments, traced = _centre_ray(spec)
-    n, (h,), _ = trial_kernel(spec, spec.cloud, [segments])
+    n, h, _ = trial_kernel(spec, spec.cloud, segments)
     per_round = 17 + 6 * n + traced * (2 + 5 * n + 3 * h[:, 0])
     average = float(per_round.mean())
     report = {

@@ -69,14 +69,6 @@ class MimoScenario:
         return tx, rx
 
 
-@dataclasses.dataclass(frozen=True)
-class ChannelMatrix:
-    """Complex channel entries and the gain convention behind them."""
-
-    entries: np.ndarray     # (Nr, Nt) complex gains, or a stack (..., Nr, Nt)
-    compensated: bool = True   # True: unit gains, no capacity normalization
-
-
 def pair_distances(scenario: MimoScenario) -> np.ndarray:
     """Exact Euclidean antenna-pair distances for broadside arrays.
 
@@ -89,8 +81,8 @@ def pair_distances(scenario: MimoScenario) -> np.ndarray:
     return np.sqrt(scenario.link_distance ** 2 + delta ** 2)
 
 
-def los_channel(scenario: MimoScenario, phases=None) -> ChannelMatrix:
-    """Channel matrix with optional per-ray cloud phases.
+def los_channel(scenario: MimoScenario, phases=None) -> np.ndarray:
+    """Complex channel entries with optional per-ray cloud phases.
 
     Entry (i, j) couples transmit antenna j to receive antenna i and sees
     the total phase ``2 pi d_ij / lambda + phi_cloud(i, j)``; the cloud
@@ -109,37 +101,41 @@ def los_channel(scenario: MimoScenario, phases=None) -> ChannelMatrix:
                 f"scenario has {d.size} antenna pairs")
         phase = phase + extra.reshape(extra.shape[:-1] + d.shape)
     gain = np.ones_like(d) if scenario.compensated else 1.0 / d
-    return ChannelMatrix(entries=gain * np.exp(-1j * phase),
-                         compensated=scenario.compensated)
+    return gain * np.exp(-1j * phase)
 
 
-def capacity_bits(channel: ChannelMatrix, snr_db: float):
+def capacity_bits(h: np.ndarray, snr_db: float, compensated: bool):
     """Equal-power capacity in bit/s/Hz.
 
-    The channel's entries are (Nr, Nt) or a stack (..., Nr, Nt); returns
-    values of the stack's shape, shape () for one matrix.  An
+    ``h`` holds the channel entries, (Nr, Nt) or a stack (..., Nr, Nt);
+    returns values of the stack's shape, shape () for one matrix.
+    ``compensated`` is the gain convention of :class:`MimoScenario`.  An
     uncompensated channel is first normalized to unit mean squared entry
     magnitude, so inverse-distance gains do not fold the free-space path
     loss into the capacity and the SNR keeps its average meaning at every
     distance.  A compensated channel is used as-is.  The capacity is
     ``log2 det(I + (rho / Nt) H H^H)``, from a Cholesky factorization of
-    that matrix (see :func:`_log_det`).
+    that matrix (see :func:`_log_det`), or of ``I + (rho / Nt) H^T conj(H)``
+    when Nr > Nt: both have the same determinant (Sylvester's identity),
+    and the smaller one is factored.
     """
-    h = np.atleast_2d(channel.entries)
+    h = np.atleast_2d(h)
     num_rx, num_tx = h.shape[-2:]
     # One matrix is a stack of one: every matrix takes the same array
     # arithmetic, so its capacity does not depend on the stack around it.
-    re, im = _gram(h.reshape(-1, num_rx, num_tx))
+    stack = h.reshape(-1, num_rx, num_tx)
+    re, im = _gram(stack.transpose(0, 2, 1) if num_rx > num_tx else stack)
+    size = len(re)
     scale = 10.0 ** (snr_db / 10.0) / num_tx
-    if not channel.compensated:
-        # The normalization scales H H^H by num_rx num_tx over its trace,
-        # the power of H; an all-zero matrix stays as it is.
-        power = sum(re[i, i] for i in range(num_rx))
+    if not compensated:
+        # The normalization scales the Gram matrix by num_rx num_tx over
+        # its trace, the power of H; an all-zero matrix stays as it is.
+        power = sum(re[i, i] for i in range(size))
         power = np.where(power > 0.0, power, num_rx * num_tx)
         scale = scale * (num_rx * num_tx / power)
     re *= scale
     im *= scale
-    re[range(num_rx), range(num_rx)] += 1.0
+    re[range(size), range(size)] += 1.0
     # [()] turns the shape () of one matrix into a scalar.
     capacity = (_log_det(re, im) / np.log(2.0)).reshape(h.shape[:-2])[()]
     finite = np.isfinite(capacity)
@@ -151,13 +147,13 @@ def capacity_bits(channel: ChannelMatrix, snr_db: float):
 
 
 def _gram(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of ``H H^H`` of an (S, Nr, Nt) stack.
+    """Real and imaginary parts of ``H H^H`` of an (S, M, K) stack.
 
-    Both are (Nr, Nr, S): the stack is the last axis of every
-    intermediate here and in :func:`_log_det`, so each operation runs
-    along it.  The sum over the transmit antennas is taken in their order.
+    Both are (M, M, S): the stack is the last axis of every intermediate
+    here and in :func:`_log_det`, so each operation runs along it.  The
+    sum over the K columns is taken in their order.
     """
-    hr = h.real.transpose(1, 2, 0).copy()     # (Nr, Nt, S)
+    hr = h.real.transpose(1, 2, 0).copy()     # (M, K, S)
     hi = h.imag.transpose(1, 2, 0).copy()
     re = np.zeros((h.shape[1], h.shape[1], len(h)))
     im = np.zeros_like(re)
@@ -200,14 +196,13 @@ def rayleigh_distance(scenario: MimoScenario) -> float:
     return 2.0 * aperture ** 2 / scenario.wavelength
 
 
-def subchannel_coherence(channel: ChannelMatrix):
+def subchannel_coherence(h: np.ndarray):
     """Normalized coherence of the first two transmit columns.
 
-    ``|<c1, c2>| / (|c1| |c2|)`` of the channel's entries, of shape
+    ``|<c1, c2>| / (|c1| |c2|)`` of the channel entries ``h``, of shape
     (Nr, Nt) or a stack (..., Nr, Nt); values of the stack's shape, shape
     () for one matrix.  NaN where a column has zero norm.
     """
-    h = channel.entries
     if h.shape[-1] < 2:
         raise ConfigurationError(
             "sub-channel correlation needs at least two transmit columns")

@@ -16,7 +16,7 @@ import dataclasses
 import numpy as np
 
 from .errors import ConfigurationError
-from .raygeometry import Segment2D, chord_lengths
+from .raygeometry import chord_lengths
 
 SPEED_OF_LIGHT = 299_792_458.0   # [m/s]
 
@@ -86,14 +86,16 @@ def mixture_coefficient(params: PhysicsParams) -> float:
 # ============================================================
 
 def block_phases(positions: np.ndarray, contents: np.ndarray, counts,
-                 radius: float, segments: list[Segment2D],
+                 radius: float, segments: np.ndarray,
                  params: PhysicsParams) -> tuple[np.ndarray, np.ndarray]:
     """Accumulate cloud phases of a ray bundle through a block of fields.
 
     ``positions`` (n, 2) holds the cloudlets of ``len(counts)`` fields one
     after another, ``counts[f]`` of them for field f (which may be 0), and
-    ``contents`` (n,) their ice water contents u.  Each segment is traced
-    through all cloudlets at once; a field's phase on a ray is
+    ``contents`` (n,) their ice water contents u.  ``segments`` (rays, 2,
+    2) holds each ray's in-layer start and end.  Each ray is traced
+    through all cloudlets at once, and alone, so its phases do not depend
+    on the other rays; a field's phase on a ray is
     ``P = (2 pi / lambda0 * a) * sum(u * l)`` over its cloudlets' chords
     l, with a the mixture coefficient.  A missed cloudlet adds an exact
     zero, and a field's terms add without wrapping over its own slice

@@ -20,7 +20,7 @@ with neither h is +x.
 """
 from __future__ import annotations
 
-import dataclasses
+import itertools
 import math
 from typing import TYPE_CHECKING
 
@@ -35,26 +35,15 @@ if TYPE_CHECKING:
 _DEGENERATE_LENGTH = 1e-9   # shortest separation or span taken as nonzero [m]
 
 
-@dataclasses.dataclass(frozen=True)
-class Segment2D:
-    """In-layer portion of a ray in cross-section coordinates."""
-
-    start: np.ndarray   # (2,) [m]
-    end: np.ndarray     # (2,) [m]
-
-    @property
-    def length(self) -> float:
-        return float(np.linalg.norm(self.end - self.start))
-
-
 def map_rays_to_field(scenario: MimoScenario, elevation_deg: float,
                       cloud_upper_altitude: float,
-                      cloud: CloudConfig) -> list[Segment2D]:
+                      cloud: CloudConfig) -> np.ndarray:
     """In-layer segments of a broadside link's rays, with one shared anchor.
 
-    One segment per antenna pair, receive index outermost: segment
-    ``i * Nt + j`` belongs to the ray from transmit antenna ``j`` to
-    receive antenna ``i``.  The layer is ``cloud.thickness_d`` thick below
+    A (rays, 2, 2) array: row r holds ray r's segment start and end, each
+    (h, y) in metres.  One ray per antenna pair, receive index outermost:
+    ray ``i * Nt + j`` runs from transmit antenna ``j`` to receive antenna
+    ``i``.  The layer is ``cloud.thickness_d`` thick below
     ``cloud_upper_altitude``.  All in-layer segments are translated by the
     same offset, chosen so the mean segment midpoint lands at W/2.  Sharing
     the anchor preserves the relative geometry between rays, which is what
@@ -84,52 +73,44 @@ def map_rays_to_field(scenario: MimoScenario, elevation_deg: float,
              rx[-1, 0] - rx[0, 0])
     sign = next((math.copysign(1.0, span) for span in spans
                  if abs(span) > _DEGENERATE_LENGTH), 1.0)
-    coords = []
-    mids = []
-    for r in rx:
-        for t in tx:
-            diff = r - t
-            length = float(np.linalg.norm(diff))
-            if length < _DEGENERATE_LENGTH:
-                raise ConfigurationError(
-                    f"transmit and receive antennas coincide at {t}")
-            direction = diff / length
-            # Arc lengths where the ray is inside the altitude band.
-            z0, dz = float(t[1]), float(direction[1])
-            if abs(dz) < 1e-15:
-                s_lo, s_hi = 0.0, length
-                crosses = lower <= z0 <= upper
-            else:
-                s_a = (lower - z0) / dz
-                s_b = (upper - z0) / dz
-                s_lo = max(min(s_a, s_b), 0.0)
-                s_hi = min(max(s_a, s_b), length)
-                crosses = s_hi - s_lo >= _DEGENERATE_LENGTH
-            if not crosses:
-                coords.append(None)
-                continue
-            entry, exit_ = t + s_lo * direction, t + s_hi * direction
-            h0 = sign * (entry[0] - tx_centre)
-            h1 = sign * (exit_[0] - tx_centre)
-            coords.append((h0, entry[1] - lower, h1, exit_[1] - lower))
-            mids.append((h0 + h1) / 2.0)
-    half_w = cloud.width_w / 2.0
-    shift = half_w - float(np.mean(mids)) if mids else 0.0
-    segments = []
-    for entry in coords:
-        if entry is None:
-            segments.append(Segment2D(start=np.array([half_w, 0.0]),
-                                      end=np.array([half_w, 0.0])))
+    segments = np.empty((len(rx) * len(tx), 2, 2))
+    crossed = np.zeros(len(segments), dtype=bool)
+    for ray, (r, t) in enumerate(itertools.product(rx, tx)):
+        diff = r - t
+        length = float(np.linalg.norm(diff))
+        if length < _DEGENERATE_LENGTH:
+            raise ConfigurationError(
+                f"transmit and receive antennas coincide at {t}")
+        direction = diff / length
+        # Arc lengths where the ray is inside the altitude band.
+        z0, dz = float(t[1]), float(direction[1])
+        if abs(dz) < 1e-15:
+            s_lo, s_hi = 0.0, length
+            crosses = lower <= z0 <= upper
+        else:
+            s_a = (lower - z0) / dz
+            s_b = (upper - z0) / dz
+            s_lo = max(min(s_a, s_b), 0.0)
+            s_hi = min(max(s_a, s_b), length)
+            crosses = s_hi - s_lo >= _DEGENERATE_LENGTH
+        if not crosses:
             continue
-        h0, y0, h1, y1 = entry
-        for h in (h0 + shift, h1 + shift):
-            if not (-1e-9 <= h <= cloud.width_w + 1e-9):
-                raise ConfigurationError(
-                    f"mapped ray coordinate {h:.4g} m falls outside the "
-                    f"layer width [0, {cloud.width_w:.4g}] m; increase "
-                    f"width_w or steepen the elevation")
-        segments.append(Segment2D(start=np.array([h0 + shift, y0]),
-                                  end=np.array([h1 + shift, y1])))
+        crossed[ray] = True
+        for end, arc in zip(segments[ray], (s_lo, s_hi)):
+            point = t + arc * direction
+            end[:] = sign * (point[0] - tx_centre), point[1] - lower
+    # The shared anchor: the mean in-layer midpoint lands at W/2.
+    h = segments[crossed, :, 0]
+    if h.size:
+        h += cloud.width_w / 2.0 - float(np.mean(h.mean(axis=1)))
+    outside = h[~((h >= -1e-9) & (h <= cloud.width_w + 1e-9))]
+    if outside.size:
+        raise ConfigurationError(
+            f"mapped ray coordinate {outside[0]:.4g} m falls outside the "
+            f"layer width [0, {cloud.width_w:.4g}] m; increase width_w or "
+            f"steepen the elevation")
+    segments[crossed, :, 0] = h
+    segments[~crossed] = (cloud.width_w / 2.0, 0.0)
     return segments
 
 
@@ -137,14 +118,14 @@ def map_rays_to_field(scenario: MimoScenario, elevation_deg: float,
 # Chord lengths
 # ============================================================
 
-def chord_lengths(segment: Segment2D, centres: np.ndarray,
+def chord_lengths(segment: np.ndarray, centres: np.ndarray,
                   radius: float) -> np.ndarray:
     """Chord length of a segment through each of a set of equal discs.
 
     Parameters
     ----------
-    segment : Segment2D
-        Probe segment.
+    segment : ndarray, shape (2, 2)
+        Probe segment: its start and end points.
     centres : ndarray, shape (n, 2)
         Disc centres.
     radius : float
@@ -159,18 +140,19 @@ def chord_lengths(segment: Segment2D, centres: np.ndarray,
     """
     centres = np.atleast_2d(np.asarray(centres, dtype=float))
     n = centres.shape[0]
-    length = segment.length
+    start, end = segment
+    length = float(np.linalg.norm(end - start))
     if length == 0.0 or n == 0:
         return np.zeros(n)
-    ux, uy = (segment.end - segment.start) / length
+    ux, uy = (end - start) / length
     # Four (n,) rows, not one (4, n) array: the chords returned live in
     # the t row, and the other three are freed on return, where a view
     # into one array would keep all four alive.
     wx, wy, t, tmp = (np.empty(n) for _ in range(4))
     # Written out per element (not ``w @ u``, whose BLAS kernel may fuse
     # the multiply-add) so a disc's chord never depends on the other discs.
-    np.subtract(centres[:, 0], segment.start[0], out=wx)
-    np.subtract(centres[:, 1], segment.start[1], out=wy)
+    np.subtract(centres[:, 0], start[0], out=wx)
+    np.subtract(centres[:, 1], start[1], out=wy)
     np.multiply(wx, ux, out=t)
     t += np.multiply(wy, uy, out=tmp)    # t = w . u
     wx *= wx

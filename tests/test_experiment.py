@@ -89,8 +89,7 @@ def centre_ray_trace(spec: ExperimentSpec):
     centre = dataclasses.replace(spec.scenario, num_tx=1, num_rx=1)
     segments = map_rays_to_field(centre, spec.elevation_deg,
                                  spec.cloud_upper_altitude, spec.cloud)
-    counts, (pierced,), (phases,) = trial_kernel(spec, spec.cloud,
-                                                 [segments])
+    counts, pierced, phases = trial_kernel(spec, spec.cloud, segments)
     return counts, pierced[:, 0], phases[0, :, 0]
 
 
@@ -310,23 +309,24 @@ def test_kernel_rows_equal_single_field_path_phase(monkeypatch):
         monkeypatch.setattr(streams, "_CHUNK_TRIALS", chunk)
         spec = make_spec(trials=40, master_seed=4,
                          cloud=make_cloud(density_lambda_s=lambda_s))
-        points = [map_rays_to_field(scenario, 90.0, 8000.0, spec.cloud)
-                  for scenario in scenarios]
-        counts, pierced, phases = trial_kernel(spec, spec.cloud, points)
+        # Both scenarios' rays, one after another: 4 at 40 km, 4 at 5 km.
+        rays = np.concatenate([
+            map_rays_to_field(scenario, 90.0, 8000.0, spec.cloud)
+            for scenario in scenarios])
+        counts, pierced, phases = trial_kernel(spec, spec.cloud, rays)
         fields = _fields(spec)
         assert np.array_equal(counts, [len(u) for _, u in fields])
-        for segments, hits, rows in zip(points, pierced, phases):
-            assert hits.shape == (40, len(segments))
-            assert rows.shape == (1, 40, len(segments))
-            # The kernel traces the unit contents and scales the phases
-            # by the content bound.
-            for t, field in enumerate(fields):
-                single, single_hits = _field_phases(field, spec, segments)
-                assert np.array_equal(rows[0, t],
-                                      spec.cloud.max_iwc_c * single)
-                assert np.array_equal(hits[t], single_hits)
-        assert np.any(pierced[0] > 0)    # the rays at 40 km pierce cloudlets
-        assert not np.any(pierced[1]) and not np.any(phases[1])
+        assert pierced.shape == (40, 8)
+        assert phases.shape == (1, 40, 8)
+        # The kernel traces the unit contents and scales the phases by the
+        # content bound.
+        for t, field in enumerate(fields):
+            single, single_hits = _field_phases(field, spec, rays)
+            assert np.array_equal(phases[0, t],
+                                  spec.cloud.max_iwc_c * single)
+            assert np.array_equal(pierced[t], single_hits)
+        assert np.any(pierced[:, :4] > 0)   # the rays at 40 km pierce
+        assert not np.any(pierced[:, 4:]) and not np.any(phases[..., 4:])
         if lambda_s < 0.002:
             per_block = min(spec.trials, block // max(
                 lambda_s * spec.cloud.width_w * spec.cloud.thickness_d, 1))
@@ -361,13 +361,13 @@ def test_a_point_whose_rays_miss_the_layer_warns():
 
 
 def test_kernel_without_points_draws_nothing(monkeypatch):
+    # A sweep none of whose points reaches the layer runs no kernel.
     def fail(*args, **kwargs):
-        raise AssertionError("a field was drawn")
+        raise AssertionError("a field was traced")
 
+    monkeypatch.setattr(experiment, "trial_kernel", fail)
     monkeypatch.setattr(experiment, "draw_fields", fail)
     spec = make_spec(mode="correlation", trials=4, distance_grid=(2000.0,))
-    counts, pierced, phases = trial_kernel(spec, spec.cloud, [])
-    assert counts.size == 0 and pierced == [] and phases == []
     report = run_correlation_sweep(spec).report
     assert not report["engaged"][0]
     assert report["with_cloud"][0] == report["without_cloud"][0]
@@ -429,7 +429,8 @@ def test_capacity_cdf_zero_water_matches_clear_sky_exactly():
     # Zero ice water content makes every cloudlet transparent, so each
     # trial must reproduce the deterministic clear-sky capacity bitwise.
     spec = make_spec(trials=5, sweep_rwc=(0.0,))
-    clear = capacity_bits(los_channel(spec.scenario), spec.scenario.snr_db)
+    clear = capacity_bits(los_channel(spec.scenario), spec.scenario.snr_db,
+                          spec.scenario.compensated)
     [(_, _, samples)] = capacity_points(run_capacity_cdf(spec))
     assert np.all(samples == clear)
 
@@ -461,7 +462,7 @@ def test_a_clear_sky_capacity_point_draws_no_field(monkeypatch):
         assert len(caught) == sum(clear_sky)
         assert len(points) == len(clear_sky)
         clear = capacity_bits(los_channel(spec.scenario),
-                              spec.scenario.snr_db)
+                              spec.scenario.snr_db, spec.scenario.compensated)
         for (_, value, samples), is_clear in zip(points, clear_sky):
             assert samples.shape == (5,)
             assert np.all(samples == clear) == is_clear, value
@@ -476,7 +477,8 @@ def test_a_zero_content_bound_draws_no_field(monkeypatch):
 
     monkeypatch.setattr(experiment, "draw_fields", fail)
     spec = make_spec(trials=5, sweep_rwc=(0.0,))
-    clear = capacity_bits(los_channel(spec.scenario), spec.scenario.snr_db)
+    clear = capacity_bits(los_channel(spec.scenario), spec.scenario.snr_db,
+                          spec.scenario.compensated)
     with warnings.catch_warnings():
         warnings.simplefilter("error", ModelValidityWarning)
         [(_, _, samples)] = capacity_points(run_capacity_cdf(spec))
@@ -494,15 +496,16 @@ def test_an_rwc_sweep_traces_only_its_nonzero_bounds(monkeypatch):
     traced = []
     kernel = experiment.trial_kernel
 
-    def record(spec, cloud, points, contents=None):
+    def record(spec, cloud, rays, contents=None):
         traced.append(list(contents))
-        return kernel(spec, cloud, points, contents)
+        return kernel(spec, cloud, rays, contents)
 
     monkeypatch.setattr(experiment, "trial_kernel", record)
     spec = make_spec(trials=5, sweep_rwc=(0.0, 0.4))
     (_, _, dry), (_, _, wet) = capacity_points(run_capacity_cdf(spec))
     assert traced == [[0.4 * REFERENCE_IWC]]
-    clear = capacity_bits(los_channel(spec.scenario), spec.scenario.snr_db)
+    clear = capacity_bits(los_channel(spec.scenario), spec.scenario.snr_db,
+                          spec.scenario.compensated)
     assert dry.tolist() == [clear] * 5
     assert not np.any(wet == clear)
 
@@ -542,7 +545,7 @@ def test_compensated_sweep_forces_unit_gains():
     for i, d in enumerate(report["distances_m"]):
         scen = dataclasses.replace(spec.scenario, link_distance=float(d),
                                    compensated=True)
-        expected = capacity_bits(los_channel(scen), scen.snr_db)
+        expected = capacity_bits(los_channel(scen), scen.snr_db, True)
         assert report["without_cloud"][i] == expected
 
 
@@ -555,6 +558,44 @@ def test_compensated_sweep_reports_median():
         spec.scenario, compensated=True))
     [values] = trial_values(unit_gains, experiment._capacity)
     assert report["with_cloud"][0] == float(np.median(values))
+
+
+@pytest.mark.parametrize("mode,metric", [
+    ("correlation", experiment._coherence),
+    ("compensated", experiment._capacity)])
+def test_each_sweep_distance_equals_that_distance_swept_alone(mode, metric):
+    # One kernel call traces every engaged distance's rays; each distance's
+    # per-trial values must not depend on the other distances of the grid.
+    # The 5 km distance stays below the layer.
+    spec = make_spec(mode=mode, trials=12, master_seed=3,
+                     scenario=make_scenario(compensated=mode == "compensated"),
+                     distance_grid=(40000.0, 5000.0, 12000.0, 30000.0))
+    swept = trial_values(spec, metric)
+    assert swept[1] is None
+    for distance, values in zip(spec.distance_grid, swept):
+        [alone] = trial_values(
+            dataclasses.replace(spec, distance_grid=(distance,)), metric)
+        assert (values is None and alone is None) \
+            or np.array_equal(values, alone), distance
+
+
+def test_a_sweep_traces_each_block_once_whatever_its_points(monkeypatch):
+    calls = []
+    block = experiment.block_phases
+
+    def record(positions, contents, counts, radius, segments, params):
+        calls.append(len(segments))
+        return block(positions, contents, counts, radius, segments, params)
+
+    monkeypatch.setattr(experiment, "block_phases", record)
+    # ~40 cloudlets per field and 100 per block: 2 trials a block, so 9
+    # trials take 5 blocks.
+    monkeypatch.setattr(experiment, "BLOCK_CLOUDLETS", 100)
+    for grid in ((40000.0,), (40000.0, 30000.0, 20000.0, 12000.0)):
+        calls.clear()
+        spec = make_spec(mode="correlation", trials=9, distance_grid=grid)
+        run_correlation_sweep(spec)
+        assert calls == [4 * len(grid)] * 5, grid
 
 
 # ============================================================

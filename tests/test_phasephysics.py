@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from cloudmimo import (ConfigurationError, DEFAULT_ICE_SPHERE_VOLUME,
-                       MimoScenario, PhysicsParams, Segment2D,
-                       mixture_coefficient)
+                       MimoScenario, PhysicsParams, mixture_coefficient)
 from cloudmimo.phasephysics import block_phases
 from cloudmimo.raygeometry import chord_lengths
 
@@ -16,6 +15,11 @@ ICE_SPHERE_VOLUME = 4.188790204786391e-12          # (4/3) pi (1e-4)^3 [m^3]
 MIXTURE_COEF_DEFAULT = 3.2551441952858099e-07      # [m^3/g] at defaults
 EXCESS_EPS_AT_04 = 1.3020576781143239e-07          # coef * 0.4
 PHASE_100M_1E6 = 0.15404460911344861               # 2 pi 100 / lambda0 * 1e-6
+
+
+def vertical_rays(*hs):
+    """Rays straight through a 1000 m layer at each h [m]: (rays, 2, 2)."""
+    return np.array([[[h, 0.0], [h, 1000.0]] for h in hs])
 
 
 def synthetic_field(positions, iwc, radius=5.0):
@@ -35,8 +39,7 @@ def field_phases(field, segments, params):
 def one_cloudlet_phase(chord, iwc):
     """Phase of a ray through the centre of one cloudlet of diameter chord."""
     field = synthetic_field([[10.0, 500.0]], [iwc], radius=chord / 2.0)
-    seg = Segment2D(start=np.array([10.0, 0.0]), end=np.array([10.0, 1000.0]))
-    return field_phases(field, [seg], PhysicsParams())[0][0]
+    return field_phases(field, vertical_rays(10.0), PhysicsParams())[0][0]
 
 
 # ============================================================
@@ -126,8 +129,7 @@ def test_phase_linear_in_chord_and_permittivity():
 def test_path_phase_single_cloudlet_manual():
     params = PhysicsParams()
     field = synthetic_field([[10.0, 500.0]], [0.3])
-    seg = Segment2D(start=np.array([10.0, 0.0]), end=np.array([10.0, 1000.0]))
-    phases, pierced = field_phases(field, [seg], params)
+    phases, pierced = field_phases(field, vertical_rays(10.0), params)
     eps = mixture_coefficient(params) * 0.3
     expected = 2.0 * math.pi * 10.0 / params.wavelength_lambda0 * eps
     assert phases[0] == pytest.approx(expected, rel=1e-12)
@@ -136,51 +138,47 @@ def test_path_phase_single_cloudlet_manual():
 
 def test_path_phase_additive_over_disjoint_cloudlets():
     params = PhysicsParams()
-    seg = Segment2D(start=np.array([10.0, 0.0]), end=np.array([10.0, 1000.0]))
     both = synthetic_field([[10.0, 200.0], [10.0, 800.0]], [0.1, 0.3])
     first = synthetic_field([[10.0, 200.0]], [0.1])
     second = synthetic_field([[10.0, 800.0]], [0.3])
-    (phi_both,), (pierced,) = field_phases(both, [seg], params)
-    phi_sum = field_phases(first, [seg], params)[0][0] \
-        + field_phases(second, [seg], params)[0][0]
+    (phi_both,), (pierced,) = field_phases(both, vertical_rays(10.0), params)
+    phi_sum = field_phases(first, vertical_rays(10.0), params)[0][0] \
+        + field_phases(second, vertical_rays(10.0), params)[0][0]
     assert phi_both == pytest.approx(phi_sum, rel=1e-12)
     assert pierced == 2
 
 
 def test_path_phase_linear_in_iwc_scaling():
     params = PhysicsParams()
-    seg = Segment2D(start=np.array([10.0, 0.0]), end=np.array([10.0, 1000.0]))
     rng = np.random.default_rng(3)
     positions = rng.uniform(0.0, [20.0, 1000.0], (30, 2))
     iwc = rng.uniform(0.0, 0.4, 30)
-    phi = field_phases(synthetic_field(positions, iwc), [seg], params)[0][0]
-    phi2 = field_phases(synthetic_field(positions, 2.0 * iwc), [seg],
-                      params)[0][0]
+    rays = vertical_rays(10.0)
+    phi = field_phases(synthetic_field(positions, iwc), rays, params)[0][0]
+    phi2 = field_phases(synthetic_field(positions, 2.0 * iwc), rays,
+                        params)[0][0]
     assert phi2 == pytest.approx(2.0 * phi, rel=1e-12)
 
 
 def test_path_phase_overlapping_cloudlets_sum_independently():
     params = PhysicsParams()
-    seg = Segment2D(start=np.array([10.0, 0.0]), end=np.array([10.0, 1000.0]))
     # two cloudlets at the same centre act like one with summed content
     stacked = synthetic_field([[10.0, 500.0], [10.0, 500.0]], [0.1, 0.2])
     merged = synthetic_field([[10.0, 500.0]], [0.3])
-    phi_stacked = field_phases(stacked, [seg], params)[0][0]
-    phi_merged = field_phases(merged, [seg], params)[0][0]
+    phi_stacked = field_phases(stacked, vertical_rays(10.0), params)[0][0]
+    phi_merged = field_phases(merged, vertical_rays(10.0), params)[0][0]
     assert phi_stacked == pytest.approx(phi_merged, rel=1e-12)
 
 
 def test_path_phase_zero_segment_and_empty_field():
     params = PhysicsParams()
-    zero_seg = Segment2D(start=np.array([10.0, 0.0]),
-                         end=np.array([10.0, 0.0]))
+    zero_seg = np.array([[[10.0, 0.0], [10.0, 0.0]]])
     field = synthetic_field([[10.0, 500.0]], [0.3])
-    phases, pierced = field_phases(field, [zero_seg], params)
+    phases, pierced = field_phases(field, zero_seg, params)
     assert phases[0] == 0.0
     assert pierced[0] == 0
     empty = synthetic_field(np.empty((0, 2)), np.empty(0))
-    seg = Segment2D(start=np.array([10.0, 0.0]), end=np.array([10.0, 1000.0]))
-    phases, pierced = field_phases(empty, [seg], params)
+    phases, pierced = field_phases(empty, vertical_rays(10.0), params)
     assert phases[0] == 0.0
     assert pierced[0] == 0
 
@@ -188,10 +186,8 @@ def test_path_phase_zero_segment_and_empty_field():
 def test_path_phase_multiple_segments_independent():
     params = PhysicsParams()
     field = synthetic_field([[5.0, 500.0]], [0.4])
-    hit_seg = Segment2D(start=np.array([5.0, 0.0]), end=np.array([5.0, 1000.0]))
-    miss_seg = Segment2D(start=np.array([15.0, 0.0]),
-                         end=np.array([15.0, 1000.0]))
-    phases, pierced = field_phases(field, [hit_seg, miss_seg], params)
+    # the first ray hits the cloudlet, the second misses it
+    phases, pierced = field_phases(field, vertical_rays(5.0, 15.0), params)
     assert phases[0] > 0.0
     assert phases[1] == 0.0
     assert list(pierced) == [1, 0]
@@ -209,8 +205,7 @@ def test_block_phases_match_exact_sums_at_pairwise_block_edges():
     positions = np.column_stack([rng.uniform(9.6, 10.4, n),
                                  rng.uniform(0.0, 1000.0, n)])
     iwc = rng.random((2, n)) * 0.4
-    segments = [Segment2D(start=np.array([x, 0.0]), end=np.array([x, 1000.0]))
-                for x in (9.9, 10.1)]
+    segments = vertical_rays(9.9, 10.1)
     params = PhysicsParams()
     scale = (2.0 * math.pi / params.wavelength_lambda0
              * mixture_coefficient(params))
@@ -232,8 +227,7 @@ def test_block_phases_leave_inputs_unmodified():
     rng = np.random.default_rng(3)
     positions = rng.random((300, 2)) * (20.0, 1000.0)
     iwc = rng.random((2, 300)) * 0.4
-    segments = [Segment2D(start=np.array([x, 0.0]), end=np.array([x, 1000.0]))
-                for x in (9.5, 10.5)]
+    segments = vertical_rays(9.5, 10.5)
     params = PhysicsParams()
     # All but the first layout hold empty fields: first, in the middle,
     # last and throughout.

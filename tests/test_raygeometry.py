@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cloudmimo import (CloudConfig, ConfigurationError, MimoScenario,
-                       Segment2D, pair_distances)
+                       pair_distances)
 from cloudmimo.raygeometry import chord_lengths, map_rays_to_field
 
 # Independently evaluated slant quantities for a 1000 m thick layer.
@@ -17,14 +17,20 @@ HORIZONTAL_EXTENT_85_14 = 85.0270210113  # 1000 / tan(85.14 deg) [m]
 
 def link_segments(distance=40000.0, elevation=90.0, upper=8000.0,
                   thickness=1000.0, width=20.0, **arrays):
-    """Mapped segments of a broadside link, 2x2 at 1 m / 6.0827 m spacing
-    unless ``arrays`` overrides the scenario's array fields."""
+    """Mapped (rays, 2, 2) segments of a broadside link, 2x2 at 1 m /
+    6.0827 m spacing unless ``arrays`` overrides the scenario's array
+    fields."""
     scenario = MimoScenario(**{**dict(num_tx=2, num_rx=2, tx_spacing=1.0,
                                       rx_spacing=6.0827,
                                       link_distance=distance), **arrays})
     cloud = CloudConfig(width_w=width, thickness_d=thickness,
                         max_thickness_dmax=thickness)
     return map_rays_to_field(scenario, elevation, upper, cloud)
+
+
+def length(segment) -> float:
+    """Length of a (2, 2) segment, from its start to its end [m]."""
+    return float(np.linalg.norm(segment[1] - segment[0]))
 
 
 def single_ray(**link):
@@ -45,22 +51,22 @@ def whole_link(**link):
 def test_broadside_vertical_centres():
     [seg] = whole_link(num_tx=1, num_rx=1)
     # ground centre at altitude 0, airborne centre 40 km straight above
-    assert seg.start.tolist() == pytest.approx([10.0, 1000.0], abs=1e-9)
-    assert seg.end.tolist() == pytest.approx([10.0, 41000.0], abs=1e-9)
+    assert seg[0].tolist() == pytest.approx([10.0, 1000.0], abs=1e-9)
+    assert seg[1].tolist() == pytest.approx([10.0, 41000.0], abs=1e-9)
 
 
 def test_broadside_array_spans():
     # A vertical link's arrays are horizontal.
     first, second = whole_link(num_rx=1)
-    assert second.start[0] - first.start[0] == pytest.approx(1.0, rel=1e-12)
+    assert second[0, 0] - first[0, 0] == pytest.approx(1.0, rel=1e-12)
     first, second = whole_link(num_tx=1)
-    assert second.end[0] - first.end[0] == pytest.approx(6.0827, rel=1e-12)
+    assert second[1, 0] - first[1, 0] == pytest.approx(6.0827, rel=1e-12)
 
 
 def test_broadside_slant_centre_altitude():
     [seg] = whole_link(num_tx=1, num_rx=1, distance=20000.0, elevation=30.0,
                        width=40000.0)
-    assert seg.end[1] - seg.start[1] == pytest.approx(10000.0, rel=1e-12)
+    assert seg[1, 1] - seg[0, 1] == pytest.approx(10000.0, rel=1e-12)
 
 
 # ============================================================
@@ -69,21 +75,21 @@ def test_broadside_slant_centre_altitude():
 
 def test_ray_count_and_ordering():
     segments = whole_link(num_rx=3)
-    assert len(segments) == 6
+    assert segments.shape == (6, 2, 2)
     # receive index outermost: segment i*Nt + j starts at transmit antenna
     # j and ends at receive antenna i
     for i in range(3):
         for j in range(2):
-            assert segments[i * 2 + j].start[0] == segments[j].start[0]
-            assert segments[i * 2 + j].end[0] == segments[i * 2].end[0]
-    assert segments[0].start[0] != segments[1].start[0]
-    assert len({seg.end[0] for seg in segments}) == 3
+            assert segments[i * 2 + j][0, 0] == segments[j][0, 0]
+            assert segments[i * 2 + j][1, 0] == segments[i * 2][1, 0]
+    assert segments[0][0, 0] != segments[1][0, 0]
+    assert len({seg[1, 0] for seg in segments}) == 3
 
 
 def test_ray_lengths_match_pair_distances():
     scenario = MimoScenario(num_tx=2, num_rx=3, tx_spacing=1.0,
                             rx_spacing=6.0827, link_distance=40000.0)
-    lengths = [seg.length for seg in whole_link(num_rx=3)]
+    lengths = [length(seg) for seg in whole_link(num_rx=3)]
     np.testing.assert_allclose(lengths, pair_distances(scenario).ravel(),
                                rtol=1e-15)
 
@@ -91,26 +97,26 @@ def test_ray_lengths_match_pair_distances():
 def test_vertical_in_layer_length():
     for seg in link_segments():
         # antenna-pair tilt adds a few parts in 1e9 to the vertical crossing
-        assert 1000.0 <= seg.length <= 1000.0 + 1e-4
+        assert 1000.0 <= length(seg) <= 1000.0 + 1e-4
 
 
 def test_slant_in_layer_length():
     [seg] = single_ray(distance=20000.0, elevation=85.14, width=100.0)
-    assert seg.length == pytest.approx(SLANT_LENGTH_85_14, rel=1e-9)
+    assert length(seg) == pytest.approx(SLANT_LENGTH_85_14, rel=1e-9)
 
 
 def test_link_below_layer_never_crosses():
     for seg in link_segments(distance=2000.0):
-        assert seg.length == 0.0
+        assert length(seg) == 0.0
 
 
 def test_link_ending_inside_layer_crosses_partially():
     for seg in link_segments(distance=7500.0):
         # pair tilt lengthens the crossing by a few tens of micrometres
-        assert 500.0 <= seg.length <= 500.0 + 1e-3
+        assert 500.0 <= length(seg) <= 500.0 + 1e-3
     # At 30 deg the receive centre sits at 15000 sin(30) = 7500 m.
     [seg] = single_ray(distance=15000.0, elevation=30.0, width=2000.0)
-    assert seg.length == pytest.approx(1000.0, rel=1e-12)
+    assert length(seg) == pytest.approx(1000.0, rel=1e-12)
 
 
 def test_horizontal_ray_inside_layer():
@@ -120,10 +126,10 @@ def test_horizontal_ray_inside_layer():
     segments = link_segments(distance=1000.0, elevation=45.0, upper=500.0,
                              width=5000.0, num_tx=1, tx_spacing=0.0,
                              rx_spacing=2000.0)
-    assert segments[0].length == pytest.approx(1000.0 * math.sqrt(2.0),
+    assert length(segments[0]) == pytest.approx(1000.0 * math.sqrt(2.0),
                                               rel=1e-12)
-    assert segments[0].start[1] == pytest.approx(500.0, abs=1e-9)
-    assert segments[1].length == pytest.approx(500.0, rel=1e-9)
+    assert segments[0][0, 1] == pytest.approx(500.0, abs=1e-9)
+    assert length(segments[1]) == pytest.approx(500.0, rel=1e-9)
 
 
 def test_coincident_antennas_raise():
@@ -137,19 +143,19 @@ def test_coincident_antennas_raise():
 
 def test_single_vertical_ray_maps_to_centre():
     [segment] = single_ray()
-    assert segment.start[0] == pytest.approx(10.0, abs=1e-9)
-    assert segment.end[0] == pytest.approx(10.0, abs=1e-9)
-    assert segment.start[1] == pytest.approx(0.0, abs=1e-9)
-    assert segment.end[1] == pytest.approx(1000.0, abs=1e-6)
+    assert segment[0, 0] == pytest.approx(10.0, abs=1e-9)
+    assert segment[1, 0] == pytest.approx(10.0, abs=1e-9)
+    assert segment[0, 1] == pytest.approx(0.0, abs=1e-9)
+    assert segment[1, 1] == pytest.approx(1000.0, abs=1e-6)
 
 
 def test_slant_segment_length_and_extent():
     [segment] = single_ray(distance=20000.0, elevation=85.14, width=100.0)
-    assert segment.length == pytest.approx(SLANT_LENGTH_85_14, rel=1e-9)
-    extent = abs(segment.end[0] - segment.start[0])
+    assert length(segment) == pytest.approx(SLANT_LENGTH_85_14, rel=1e-9)
+    extent = abs(segment[1, 0] - segment[0, 0])
     assert extent == pytest.approx(HORIZONTAL_EXTENT_85_14, rel=1e-9)
     # segment midpoint is anchored at W/2
-    mid = (segment.start[0] + segment.end[0]) / 2.0
+    mid = (segment[0, 0] + segment[1, 0]) / 2.0
     assert mid == pytest.approx(50.0, abs=1e-9)
 
 
@@ -160,24 +166,24 @@ def test_narrow_layer_rejects_wide_slant():
 
 
 def test_bundle_anchor_centres_mean_midpoint():
-    mids = [(seg.start[0] + seg.end[0]) / 2.0 for seg in link_segments()]
+    mids = [(seg[0, 0] + seg[1, 0]) / 2.0 for seg in link_segments()]
     assert np.mean(mids) == pytest.approx(10.0, abs=1e-9)
 
 
 def test_bundle_below_layer_maps_to_zero_segments():
     for seg in link_segments(distance=2000.0):
-        assert seg.start.tolist() == seg.end.tolist() == [10.0, 0.0]
+        assert seg[0].tolist() == seg[1].tolist() == [10.0, 0.0]
 
 
 def test_vertical_link_h_runs_along_the_transmit_array():
     # Transmit element j sits at x = -(j - 1/2) 10 m; h = -x grows with j.
     first, second = link_segments(num_rx=1, tx_spacing=10.0, rx_spacing=0.0)
-    assert first.start[0] < 10.0 < second.start[0]
-    assert second.start[0] - first.start[0] == pytest.approx(
+    assert first[0, 0] < 10.0 < second[0, 0]
+    assert second[0, 0] - first[0, 0] == pytest.approx(
         10.0 * (1.0 - 7000.0 / 40000.0), rel=1e-9)
     # With one transmit element the receive array sets the same direction.
     first, second = link_segments(num_tx=1, tx_spacing=0.0, rx_spacing=10.0)
-    assert first.end[0] < second.end[0]
+    assert first[1, 0] < second[1, 0]
 
 
 def closed_form_crossings(num_tx, num_rx, tx_spacing, rx_spacing, distance,
@@ -250,12 +256,12 @@ def test_bundle_preserves_relative_offsets(
     assert len(segments) == len(crossings)
     for seg, ends in zip(segments, crossings):
         if ends is None:
-            assert seg.start.tolist() == seg.end.tolist() == [width / 2, 0.0]
+            assert seg[0].tolist() == seg[1].tolist() == [width / 2, 0.0]
             continue
         (x0, y0), (x1, y1) = ends
-        np.testing.assert_allclose(seg.start, [x0 + shift, y0], rtol=0,
+        np.testing.assert_allclose(seg[0], [x0 + shift, y0], rtol=0,
                                    atol=1e-9)
-        np.testing.assert_allclose(seg.end, [x1 + shift, y1], rtol=0,
+        np.testing.assert_allclose(seg[1], [x1 + shift, y1], rtol=0,
                                    atol=1e-9)
 
 
@@ -264,49 +270,49 @@ def test_bundle_preserves_relative_offsets(
 # ============================================================
 
 def test_chord_through_centre_is_diameter():
-    seg = Segment2D(start=np.array([-100.0, 0.0]), end=np.array([100.0, 0.0]))
+    seg = np.array([[-100.0, 0.0], [100.0, 0.0]])
     chord = chord_lengths(seg, np.array([[0.0, 0.0]]), 5.0)[0]
     assert chord == pytest.approx(10.0, rel=1e-12)
 
 
 def test_chord_off_centre_analytic():
     # perpendicular distance p gives chord 2 sqrt(r^2 - p^2)
-    seg = Segment2D(start=np.array([-100.0, 3.0]), end=np.array([100.0, 3.0]))
+    seg = np.array([[-100.0, 3.0], [100.0, 3.0]])
     chord = chord_lengths(seg, np.array([[0.0, 0.0]]), 5.0)[0]
     assert chord == pytest.approx(2.0 * math.sqrt(25.0 - 9.0), rel=1e-12)
 
 
 def test_chord_tangent_is_zero():
-    seg = Segment2D(start=np.array([-100.0, 5.0]), end=np.array([100.0, 5.0]))
+    seg = np.array([[-100.0, 5.0], [100.0, 5.0]])
     assert chord_lengths(seg, np.array([[0.0, 0.0]]), 5.0)[0] == 0.0
 
 
 def test_chord_disjoint_is_zero():
-    seg = Segment2D(start=np.array([-100.0, 9.0]), end=np.array([100.0, 9.0]))
+    seg = np.array([[-100.0, 9.0], [100.0, 9.0]])
     assert chord_lengths(seg, np.array([[0.0, 0.0]]), 5.0)[0] == 0.0
 
 
 def test_chord_segment_fully_inside_disc():
-    seg = Segment2D(start=np.array([-1.0, 0.0]), end=np.array([1.0, 0.0]))
+    seg = np.array([[-1.0, 0.0], [1.0, 0.0]])
     chord = chord_lengths(seg, np.array([[0.0, 0.0]]), 5.0)[0]
     assert chord == pytest.approx(2.0, rel=1e-12)
 
 
 def test_chord_clipped_at_segment_end():
     # segment ends at the centre, so only half the diameter is traversed
-    seg = Segment2D(start=np.array([-100.0, 0.0]), end=np.array([0.0, 0.0]))
+    seg = np.array([[-100.0, 0.0], [0.0, 0.0]])
     chord = chord_lengths(seg, np.array([[0.0, 0.0]]), 5.0)[0]
     assert chord == pytest.approx(5.0, rel=1e-12)
 
 
 def test_chord_zero_length_segment():
-    seg = Segment2D(start=np.array([0.0, 0.0]), end=np.array([0.0, 0.0]))
+    seg = np.array([[0.0, 0.0], [0.0, 0.0]])
     assert chord_lengths(seg, np.array([[0.0, 0.0]]), 5.0)[0] == 0.0
 
 
 def test_chord_vectorized_matches_scalar():
     rng = np.random.default_rng(7)
-    seg = Segment2D(start=rng.uniform(-10, 10, 2), end=rng.uniform(-10, 10, 2))
+    seg = rng.uniform(-10, 10, (2, 2))
     centres = rng.uniform(-10, 10, (50, 2))
     vec = chord_lengths(seg, centres, 3.0)
     assert np.count_nonzero(vec) > 5
@@ -319,12 +325,13 @@ def test_chord_vectorized_matches_scalar():
 def masked_chord_lengths(segment, centres, radius):
     """The chord formula with an explicit hit mask, kept as a reference."""
     n = centres.shape[0]
-    length = segment.length
+    start, end = segment
+    length = float(np.linalg.norm(end - start))
     if length == 0.0 or n == 0:
         return np.zeros(n)
-    ux, uy = (segment.end - segment.start) / length
-    wx = centres[:, 0] - segment.start[0]
-    wy = centres[:, 1] - segment.start[1]
+    ux, uy = (end - start) / length
+    wx = centres[:, 0] - start[0]
+    wy = centres[:, 1] - start[1]
     t = wx * ux + wy * uy
     half = radius * radius - (wx * wx + wy * wy - t * t)
     hit = half > 0.0
@@ -340,13 +347,12 @@ def test_chord_lengths_equal_the_masked_reference():
     radius = 2.0
     cases = []
     for _ in range(20):
-        seg = Segment2D(start=rng.uniform(-20.0, 20.0, 2),
-                        end=rng.uniform(-20.0, 20.0, 2))
+        seg = rng.uniform(-20.0, 20.0, (2, 2))
         cases.append((seg, rng.uniform(-30.0, 30.0, (300, 2))))
     # Axis-aligned segment from (0, 0) to (10, 0): exact tangents above and
     # below, discs behind the start and beyond the end (touching, missing
     # and overlapping), centres on the segment.
-    axis = Segment2D(start=np.array([0.0, 0.0]), end=np.array([10.0, 0.0]))
+    axis = np.array([[0.0, 0.0], [10.0, 0.0]])
     edges = np.array([[5.0, 2.0], [5.0, -2.0], [0.0, 2.0], [10.0, -2.0],
                       [-2.0, 0.0], [-3.0, 0.0], [-1.0, 0.0], [-2.5, 1.0],
                       [12.0, 0.0], [13.0, 0.0], [11.0, 0.0], [12.5, -1.0],
@@ -354,15 +360,14 @@ def test_chord_lengths_equal_the_masked_reference():
                       [-50.0, 0.0], [60.0, 1.0]])
     cases.append((axis, edges))
     # Segments whose line the discs touch, slanted and vertical.
-    slant = Segment2D(start=np.array([0.0, 0.0]), end=np.array([3.0, 4.0]))
+    slant = np.array([[0.0, 0.0], [3.0, 4.0]])
     cases.append((slant, np.array([[1.5 + 1.6, 2.0 - 1.2],
                                    [1.5 - 1.6, 2.0 + 1.2], [-1.2, -1.6]])))
-    vertical = Segment2D(start=np.array([1.0, -5.0]),
-                         end=np.array([1.0, 5.0]))
+    vertical = np.array([[1.0, -5.0], [1.0, 5.0]])
     cases.append((vertical, np.array([[3.0, 0.0], [-1.0, 0.0],
                                       [1.0, 7.0], [1.0, -7.0]])))
     # A zero-length segment, with a disc centred on it.
-    point = Segment2D(start=np.array([4.0, 4.0]), end=np.array([4.0, 4.0]))
+    point = np.array([[4.0, 4.0], [4.0, 4.0]])
     cases.append((point, np.array([[4.0, 4.0], [4.5, 4.0], [40.0, 4.0]])))
     for seg, centres in cases:
         chords = chord_lengths(seg, centres, radius)
@@ -377,15 +382,15 @@ def test_chord_lengths_equal_the_masked_reference():
 def test_chord_lengths_leave_centres_unmodified_and_zero_misses():
     rng = np.random.default_rng(11)
     start, end, radius = np.array([0.0, 0.0]), np.array([10.0, 20.0]), 2.0
-    seg = Segment2D(start=start, end=end)
+    seg = np.array([start, end])
     # discs around the segment, beside it and beyond both of its ends
     centres = rng.uniform(-10.0, 30.0, (400, 2))
     before = centres.copy()
     chords = chord_lengths(seg, centres, radius)
     assert np.array_equal(centres, before)
     # distance from each centre to the nearest point of the segment
-    u = (end - start) / seg.length
-    along = np.clip((centres - start) @ u, 0.0, seg.length)
+    u = (end - start) / length(seg)
+    along = np.clip((centres - start) @ u, 0.0, length(seg))
     gap = np.linalg.norm(centres - (start + along[:, None] * u), axis=1)
     miss = gap > radius + 1e-9
     assert miss.sum() > 100 and (gap < radius - 1e-9).sum() > 10
@@ -393,7 +398,7 @@ def test_chord_lengths_leave_centres_unmodified_and_zero_misses():
     assert not np.any(np.signbit(chords[miss]))
     assert np.all(chords[gap < radius - 1e-9] > 0.0)
     # a zero-length segment meets no disc, even one centred on it
-    point = Segment2D(start=np.array([5.0, 5.0]), end=np.array([5.0, 5.0]))
+    point = np.array([[5.0, 5.0], [5.0, 5.0]])
     zeros = chord_lengths(point, np.vstack([centres, [[5.0, 5.0]]]), radius)
     assert zeros.shape == (401,)
     assert np.all(zeros == 0.0) and not np.any(np.signbit(zeros))
@@ -411,18 +416,18 @@ def test_chord_against_point_sampling(data):
     ay = data.draw(st.floats(-30.0, 30.0))
     bx = data.draw(st.floats(-30.0, 30.0))
     by = data.draw(st.floats(-30.0, 30.0))
-    seg = Segment2D(start=np.array([ax, ay]), end=np.array([bx, by]))
+    seg = np.array([[ax, ay], [bx, by]])
     exact = float(chord_lengths(seg, np.array([[cx, cy]]), r)[0])
     ts = np.linspace(0.0, 1.0, 200_001)
     dx = (bx - ax) * ts + (ax - cx)
     dy = (by - ay) * ts + (ay - cy)
-    est = np.count_nonzero(dx * dx + dy * dy <= r * r) / ts.size * seg.length
-    assert abs(exact - est) <= max(2e-3 * r, 2.0 * seg.length / ts.size)
+    est = np.count_nonzero(dx * dx + dy * dy <= r * r) / ts.size * length(seg)
+    assert abs(exact - est) <= max(2e-3 * r, 2.0 * length(seg) / ts.size)
 
 
 def test_path_intersections_order_and_positivity():
     centres = np.array([[10.0, 900.0], [10.0, 100.0], [500.0, 500.0]])
-    seg = Segment2D(start=np.array([10.0, 0.0]), end=np.array([10.0, 1000.0]))
+    seg = np.array([[10.0, 0.0], [10.0, 1000.0]])
     chords = chord_lengths(seg, centres, 5.0)
     assert np.flatnonzero(chords > 0.0).tolist() == [0, 1]
     assert chords[:2] == pytest.approx([10.0, 10.0], rel=1e-12)

@@ -17,9 +17,10 @@ split into:
   metres;
 - ``chord_lengths``: ``phasephysics.chord_lengths``;
 - ``phase_count_sums``: the rest of ``block_phases``;
-- ``scale``: the rest of ``trial_kernel``: its own loop over blocks and
-  points, and the writes ``C * P`` of each content bound C's phases from
-  the unit-content phases P that ``block_phases`` returns;
+- ``scale``: the rest of ``trial_kernel``: its own loop over blocks, and
+  the writes ``C * P`` of each content bound C's phases from the
+  unit-content phases P that ``block_phases`` returns for all the rays
+  of a block at once;
 - ``metric``: the channel metrics, ``experiment._capacity`` and
   ``experiment._coherence``, which the modes apply after the kernel to
   its phases (and to clear sky, which includes every zero content bound).
