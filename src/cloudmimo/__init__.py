@@ -14,7 +14,7 @@ from .errors import (ConfigurationError, DegenerateDistributionError,
 from .cloudfield import (CloudConfig, cloudlet_radius, draw_fields,
                          step_field)
 from .phasephysics import (DEFAULT_ICE_SPHERE_VOLUME, PhysicsParams,
-                           SPEED_OF_LIGHT, mixture_coefficient)
+                           mixture_coefficient)
 from .analyticmodel import (AnalyticParams, PhaseDistribution,
                             chord_moments, closed_form_stationary,
                             count_weight, drift_length_variance,
@@ -22,8 +22,8 @@ from .analyticmodel import (AnalyticParams, PhaseDistribution,
                             permittivity_moments, sample_total_phase,
                             stationary_distribution, stationary_report,
                             time_varying_distribution, total_phase_pdf)
-from .mimochannel import (MimoScenario, capacity_bits, los_channel,
-                          pair_distances, rayleigh_distance)
+from .mimochannel import (SPEED_OF_LIGHT, MimoScenario, capacity_bits,
+                          los_channel, pair_distances, rayleigh_distance)
 from .experiment import (ExperimentSpec, build_manifest, outage_capacity,
                          run_capacity_cdf, run_compensated_sweep,
                          run_correlation_sweep, run_mac_count,

@@ -26,6 +26,7 @@ import numpy as np
 from .cloudfield import CloudConfig, cloudlet_radius
 from .errors import (ConfigurationError, DegenerateDistributionError,
                      ModelValidityWarning, NumericError)
+from .mimochannel import DEFAULT_CARRIER_FREQUENCY, SPEED_OF_LIGHT
 from .phasephysics import PhysicsParams, mixture_coefficient
 
 # Fitted constants shared by both evaluation paths.
@@ -51,15 +52,20 @@ class AnalyticParams:
     """Inputs of the closed-form phase model.
 
     Derived fit quantities (mixture peak, centre, chord rate) follow from
-    the cloud configuration; ``count_weight_kmax`` bounds the truncated
+    the cloud configuration, and the wavenumber from the link's carrier
+    ``carrier_frequency``; ``count_weight_kmax`` bounds the truncated
     mixture sums and defaults to the bell centre plus twelve widths.
     """
 
     cloud: CloudConfig
     physics: PhysicsParams
+    carrier_frequency: float = DEFAULT_CARRIER_FREQUENCY   # [Hz]
     count_weight_kmax: int | None = None
 
     def __post_init__(self) -> None:
+        if self.carrier_frequency <= 0.0:
+            raise ConfigurationError(f"carrier_frequency must be > 0, got "
+                                     f"{self.carrier_frequency}")
         if self.count_weight_kmax is None:
             kmax = int(math.ceil(self.count_weight_centre
                                  + 12.0 * COUNT_WEIGHT_WIDTH))
@@ -67,6 +73,11 @@ class AnalyticParams:
         elif self.count_weight_kmax < 0:
             raise ConfigurationError(
                 f"count_weight_kmax must be >= 0, got {self.count_weight_kmax}")
+
+    @property
+    def wavelength(self) -> float:
+        """Free-space wavelength of the carrier [m]."""
+        return SPEED_OF_LIGHT / self.carrier_frequency
 
     @property
     def thickness_ratio(self) -> float:
@@ -186,7 +197,7 @@ def _phase_slopes(params: AnalyticParams) -> tuple[float, float]:
     NumericError
         If the squared wavenumber overflows float64.
     """
-    k0 = 2.0 * np.pi / params.physics.wavelength_lambda0
+    k0 = 2.0 * np.pi / params.wavelength
     e_l, e_l2 = chord_moments(params)
     e_eps, e_eps2 = permittivity_moments(params)
     mean_slope = k0 * e_l * e_eps
@@ -217,7 +228,6 @@ class PhaseDistribution:
     phi0: float             # stationary location [rad]
     sigma_c2: float         # stationary variance [rad^2]
     delta_sigma_c2: float = 0.0   # drift component variance [rad^2]
-    dt: float = 0.0               # drift interval the Gaussian refers to [s]
 
     @property
     def total_variance(self) -> float:
@@ -244,17 +254,15 @@ def stationary_distribution(params: AnalyticParams) -> PhaseDistribution:
     return PhaseDistribution(phi0=phi0, sigma_c2=sigma_c2)
 
 
-def closed_form_stationary(params: AnalyticParams,
-                           unresolved_chord_scale: float = 0.0
+def closed_form_stationary(params: AnalyticParams
                            ) -> tuple[float, float, list[str]]:
     """Self-contained closed forms for the stationary moments.
 
     This is the second evaluation path, transcribed with its own embedded
     constants.  One term of the variance expression multiplies an
-    un-subscripted length whose meaning the source never fixes; it enters
-    here as ``unresolved_chord_scale`` and defaults to 0, which drops the
-    term.  The returned warnings list records that choice and any other
-    validity caveat.
+    un-subscripted length whose meaning the source never fixes; that term
+    is dropped.  The returned warnings list records that choice and any
+    other validity caveat.
 
     Returns
     -------
@@ -262,7 +270,7 @@ def closed_form_stationary(params: AnalyticParams,
     """
     notes = []
     cloud, phys = params.cloud, params.physics
-    lam0 = phys.wavelength_lambda0
+    lam0 = params.wavelength
     eps = phys.ice_permittivity_real
     n_v = phys.sphere_density_n * math.pi * phys.sphere_volume_vice
     c = cloud.max_iwc_c
@@ -276,10 +284,8 @@ def closed_form_stationary(params: AnalyticParams,
         * math.exp(-((b2 - 34.0) / 14.0) ** 2) \
         * (scale * ((2.0 * kl - 1.0) * math.exp(kl) + 1.0) / kl ** 2)
 
-    if unresolved_chord_scale == 0.0:
-        notes.append(
-            "closed-form variance: the term multiplying the unresolved "
-            "chord length is dropped (unresolved_chord_scale=0)")
+    notes.append("closed-form variance: the term multiplying the "
+                 "unresolved chord length is dropped")
     t = 2.0 * kl * r
     if t > _MAX_EXP_ARG / 2.0:
         raise NumericError(
@@ -287,8 +293,7 @@ def closed_form_stationary(params: AnalyticParams,
     sigma_c2 = (98.0 * n_v * (eps - 1.0) * c * b1
                 / (lam0 * (eps + 1.0))) ** 2 * (scale / kl ** 3) \
         * math.exp(-((b2 - 36.7) / 12.0) ** 2) \
-        * (16.6 * math.exp(t) * (2.0 * kl ** 2 * r ** 2 - 2.0 * kl ** 3 * r
-                                 - 1.5 * unresolved_chord_scale * r)
+        * (16.6 * math.exp(t) * (2.0 * kl ** 2 * r ** 2 - 2.0 * kl ** 3 * r)
            + 6.25 * scale * math.exp(2.0 * t) * (-4.0 * kl * r ** 2
                                                  + 4.0 * r - 1.0 / kl)
            - 16.6 * ((6.25 * scale + kl) / kl))
@@ -329,7 +334,7 @@ def drift_phase_variance(params: AnalyticParams, dt: float) -> float:
     b2 = params.closed_form_centre
     return 2400.0 * math.sqrt(dt * cloud.drift_speed_vb) \
         * (3.0 * math.sqrt(3.0) * n_v * (eps - 1.0) * cloud.max_iwc_c
-           * params.count_weight_peak / (10.0 * phys.wavelength_lambda0
+           * params.count_weight_peak / (10.0 * params.wavelength
                                          * (eps + 1.0))) \
         * _pow_log2(0.9, params.thickness_ratio) \
         * math.exp(-((b2 - 36.7) / 12.0) ** 2)
@@ -339,8 +344,8 @@ def time_varying_distribution(params: AnalyticParams,
                               dt: float) -> PhaseDistribution:
     """Stationary distribution augmented with the drift Gaussian for ``dt``."""
     stat = stationary_distribution(params)
-    return dataclasses.replace(stat, delta_sigma_c2=drift_phase_variance(params, dt),
-                               dt=dt)
+    return dataclasses.replace(
+        stat, delta_sigma_c2=drift_phase_variance(params, dt))
 
 
 # ============================================================
@@ -428,8 +433,7 @@ def sample_total_phase(dist: PhaseDistribution, count: int,
 # Side-by-side report
 # ============================================================
 
-def stationary_report(params: AnalyticParams, dt: float = 0.0,
-                      unresolved_chord_scale: float = 0.0) -> dict:
+def stationary_report(params: AnalyticParams, dt: float = 0.0) -> dict:
     """Both evaluation paths of the stationary moments, side by side.
 
     The truncated-sum path feeds every downstream computation; the closed
@@ -441,8 +445,7 @@ def stationary_report(params: AnalyticParams, dt: float = 0.0,
         warnings.simplefilter("always", ModelValidityWarning)
         stat = time_varying_distribution(params, dt)
         collected.extend(str(w.message) for w in caught)
-    phi0_cf, sigma_cf, notes = closed_form_stationary(
-        params, unresolved_chord_scale)
+    phi0_cf, sigma_cf, notes = closed_form_stationary(params)
     collected.extend(notes)
 
     def rel_divergence(a: float, b: float) -> float | None:

@@ -249,28 +249,32 @@ def _build_parser() -> _Parser:
                      description="Cloud-layer LoS MIMO link simulator")
     parser.add_argument("--version", action="version",
                         version=f"cloudmimo {__version__}")
+    # Every mode takes the same options, declared once.
+    common = _Parser(add_help=False)
+    common.add_argument("--profile", choices=sorted(PROFILES),
+                        help="named parameter profile")
+    common.add_argument("--config", help="config file or manifest.json")
+    common.add_argument("--out", default=None,
+                        help="output directory (default cloudmimo-runs/MODE)")
+    common.add_argument("--seed", type=int, help="master seed")
+    common.add_argument("--trials", type=int, help="Monte Carlo trials")
+    common.add_argument("--distance",
+                        help="link distance, e.g. 40km or 40000")
+    common.add_argument("--rwc",
+                        help="relative water content sweep, e.g. 0,0.4,0.8")
+    common.add_argument("--thickness", help="layer thickness sweep in m")
+    common.add_argument("--grid", help="distance grid in m, comma separated")
+    common.add_argument("--dt", type=float, help="drift interval in s")
+    common.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility; runs are "
+                             "single-threaded and it changes nothing")
+    common.add_argument("--set", action="append", default=[],
+                        metavar="KEY=VALUE", dest="set_overrides",
+                        help="override any config key")
     sub = parser.add_subparsers(dest="mode", metavar="MODE")
     for mode, facts in MODES.items():
-        p = sub.add_parser(mode, help=facts.help_text,
-                           description=facts.help_text)
-        p.add_argument("--profile", choices=sorted(PROFILES),
-                       help="named parameter profile")
-        p.add_argument("--config", help="config file or manifest.json")
-        p.add_argument("--out", default=None,
-                       help="output directory (default cloudmimo-runs/MODE)")
-        p.add_argument("--seed", type=int, help="master seed")
-        p.add_argument("--trials", type=int, help="Monte Carlo trials")
-        p.add_argument("--distance", help="link distance, e.g. 40km or 40000")
-        p.add_argument("--rwc", help="relative water content sweep, e.g. 0,0.4,0.8")
-        p.add_argument("--thickness", help="layer thickness sweep in m")
-        p.add_argument("--grid", help="distance grid in m, comma separated")
-        p.add_argument("--dt", type=float, help="drift interval in s")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; runs are "
-                            "single-threaded and it changes nothing")
-        p.add_argument("--set", action="append", default=[],
-                       metavar="KEY=VALUE", dest="set_overrides",
-                       help="override any config key")
+        sub.add_parser(mode, help=facts.help_text,
+                       description=facts.help_text, parents=[common])
     return parser
 
 

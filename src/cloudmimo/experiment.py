@@ -155,11 +155,6 @@ class ExperimentSpec:
         if not upper > lower:
             problems.append(f"cloud_upper_altitude ({upper}) must exceed "
                             f"cloud_lower_altitude ({lower})")
-        freq_gap = abs(self.scenario.carrier_frequency
-                       - self.physics.carrier_frequency)
-        if freq_gap > 1e-6 * self.physics.carrier_frequency:
-            problems.append(
-                "scenario and physics carrier frequencies disagree")
         if problems:
             raise ConfigurationError("; ".join(problems))
 
@@ -178,10 +173,10 @@ class RunOutput:
 # Flat config schema
 # ============================================================
 
-# Every flat config key, in manifest order: key -> (kind, field, ...).  A
-# field is "scenario.<name>", "cloud.<name>" or "physics.<name>" in that
-# part of the spec, or a bare name in ExperimentSpec itself.  A key fills
-# each of its fields, and a spec is flattened from the first one.
+# Every flat config key, in manifest order: key -> (kind, field), one key
+# per field.  A field is "scenario.<name>", "cloud.<name>" or
+# "physics.<name>" in that part of the spec, or a bare name in
+# ExperimentSpec itself.  The link's carrier keeps its manifests' key name.
 CONFIG_SCHEMA = {
     "cloud.width_w": ("float", "cloud.width_w"),
     "cloud.thickness_d": ("float", "cloud.thickness_d"),
@@ -194,8 +189,7 @@ CONFIG_SCHEMA = {
     "physics.sphere_volume_vice": ("float", "physics.sphere_volume_vice"),
     "physics.ice_permittivity_real": ("float",
                                       "physics.ice_permittivity_real"),
-    "physics.carrier_frequency_hz": ("float", "physics.carrier_frequency",
-                                     "scenario.carrier_frequency"),
+    "physics.carrier_frequency_hz": ("float", "scenario.carrier_frequency"),
     "mimo.num_tx": ("int", "scenario.num_tx"),
     "mimo.num_rx": ("int", "scenario.num_rx"),
     "mimo.tx_spacing_m": ("float", "scenario.tx_spacing"),
@@ -282,7 +276,7 @@ def parse_config_value(key: str, value):
 def spec_to_flat(spec: ExperimentSpec) -> dict:
     """Flatten a spec to the dotted-key config mapping used everywhere."""
     flat = {}
-    for key, (kind, field, *_) in CONFIG_SCHEMA.items():
+    for key, (kind, field) in CONFIG_SCHEMA.items():
         value = operator.attrgetter(field)(spec)
         if kind == "float_list" and value is not None:
             value = list(value)
@@ -293,15 +287,14 @@ def spec_to_flat(spec: ExperimentSpec) -> dict:
 def spec_from_flat(flat: dict, threads: int = 1) -> ExperimentSpec:
     """Build a spec from the dotted-key mapping (inverse of spec_to_flat).
 
-    Every key is parsed as its kind; only the list keys may be absent.
+    Every key is parsed as its kind and fills its one field; only the list
+    keys may be absent.
     ``threads`` is accepted and ignored: runs are single-threaded.
     """
     values = collections.defaultdict(dict)   # part -> {name: value}
-    for key, (_, *fields) in CONFIG_SCHEMA.items():
-        value = parse_config_value(key, flat.get(key))
-        for field in fields:
-            part, _, name = field.rpartition(".")
-            values[part][name] = value
+    for key, (_, field) in CONFIG_SCHEMA.items():
+        part, _, name = field.rpartition(".")
+        values[part][name] = parse_config_value(key, flat.get(key))
     parts = {part: cls(**values[part]) for part, cls in _PARTS.items()}
     return ExperimentSpec(**parts, **values[""])
 
@@ -351,9 +344,10 @@ def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, rays: np.ndarray,
     ``default_rng(trial_seed(master_seed, t))``, the same bits as a
     one-field :func:`draw_fields` call on that generator, centres in
     metres and unit content variates u.  The rays are traced once,
-    through the unit contents: a field's phase P on a ray is linear in its
-    contents, so each bound C of ``contents`` (default: the cloud's own)
-    gets the phases ``C * P``.  Each ray is traced alone, so a ray's
+    through the unit contents, at the phase rate of the link's carrier
+    (see :func:`block_phases`): a field's phase P on a ray is linear in
+    its contents, so each bound C of ``contents`` (default: the cloud's
+    own) gets the phases ``C * P``.  Each ray is traced alone, so a ray's
     values do not depend on the other rays of the call.
     Trials run in blocks of about ``BLOCK_CLOUDLETS`` cloudlets: one
     :func:`draw_fields` call gives the block's rows, and one
@@ -382,6 +376,8 @@ def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, rays: np.ndarray,
         contents = (cloud.max_iwc_c,)
     scale = np.asarray(contents, dtype=float)[:, None, None]
     radius = cloudlet_radius(cloud)
+    rate = (2.0 * np.pi / spec.scenario.wavelength
+            * mixture_coefficient(spec.physics))
     mean_count = cloud.density_lambda_s * cloud.width_w * cloud.thickness_d
     per_block = max(1, int(BLOCK_CLOUDLETS // max(mean_count, 1.0)))
     trials = spec.trials
@@ -394,7 +390,7 @@ def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, rays: np.ndarray,
         block_counts, rows = draw_fields(cloud, streams, block.stop - first)
         counts[block] = block_counts
         unit, pierced[block] = block_phases(
-            rows[:2].T, rows[2], block_counts, radius, rays, spec.physics)
+            rows[:2].T, rows[2], block_counts, radius, rays, rate)
         np.multiply(scale, unit, out=phases[:, block])
     return counts, pierced, phases
 
@@ -481,7 +477,8 @@ def run_phase_dist(spec: ExperimentSpec) -> RunOutput:
     The grid spans 8 standard deviations of the total phase about phi0; a
     point mass (every variance zero) gets a header-only CSV and a warning.
     """
-    params = AnalyticParams(spec.cloud, spec.physics)
+    params = AnalyticParams(spec.cloud, spec.physics,
+                            spec.scenario.carrier_frequency)
     report = stationary_report(params, dt=spec.dt)
     dist = time_varying_distribution(params, spec.dt)
     header = "phi_rad,pdf_stationary,pdf_total"
@@ -681,7 +678,8 @@ def run_phase_compare(spec: ExperimentSpec) -> RunOutput:
     segments, _ = _centre_ray(spec)
     counts, pierced, phases = trial_kernel(spec, spec.cloud, segments)
     samples = phases[0, :, 0]
-    analytic = stationary_distribution(AnalyticParams(spec.cloud, spec.physics))
+    analytic = stationary_distribution(AnalyticParams(
+        spec.cloud, spec.physics, spec.scenario.carrier_frequency))
 
     if analytic.sigma_c2 > 0.0:
         ks = _laplace_ks_distance(samples, analytic.phi0,

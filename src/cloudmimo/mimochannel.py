@@ -15,7 +15,11 @@ import dataclasses
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
-from .phasephysics import DEFAULT_CARRIER_FREQUENCY, SPEED_OF_LIGHT
+
+SPEED_OF_LIGHT = 299_792_458.0   # [m/s]
+
+# Carrier frequency of the measured link [Hz]; it sets the cloud phases too.
+DEFAULT_CARRIER_FREQUENCY = 73.5e9
 
 
 @dataclasses.dataclass(frozen=True)

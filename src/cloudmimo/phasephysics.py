@@ -5,7 +5,8 @@ A Rayleigh mixing rule turns the local ice water content into an excess
 relative permittivity; the excess permittivity shortens the local wavelength
 and therefore advances the carrier phase in proportion to the chord length
 travelled inside the cloudlet.  Per-ray phases are the unwrapped sum of the
-per-chord contributions.
+per-chord contributions.  The carrier is the link's (``MimoScenario``), so
+callers pass in the phase rate it gives; this module holds no carrier.
 
 Units: metres, g/m^3, radians.
 """
@@ -18,13 +19,8 @@ import numpy as np
 from .errors import ConfigurationError
 from .raygeometry import chord_lengths
 
-SPEED_OF_LIGHT = 299_792_458.0   # [m/s]
-
 # Volume of one ice sphere of 0.1 mm radius [m^3].
 DEFAULT_ICE_SPHERE_VOLUME = 4.0 / 3.0 * np.pi * (1e-4) ** 3
-
-# Carrier frequency of the measured link [Hz]; the channel's default too.
-DEFAULT_CARRIER_FREQUENCY = 73.5e9
 
 # Reference ice water content of a fully dense suspension [g/m^3]; the
 # mixing rule scales the sphere volume fraction by iwc relative to this, and
@@ -38,12 +34,11 @@ REFERENCE_IWC = 0.6
 
 @dataclasses.dataclass(frozen=True)
 class PhysicsParams:
-    """Carrier and ice-suspension constants."""
+    """Ice-suspension constants."""
 
     sphere_density_n: float = 30000.0        # ice spheres per m^3
     sphere_volume_vice: float = DEFAULT_ICE_SPHERE_VOLUME   # [m^3]
     ice_permittivity_real: float = 3.15      # real part of ice permittivity
-    carrier_frequency: float = DEFAULT_CARRIER_FREQUENCY   # [Hz]
 
     def __post_init__(self) -> None:
         problems = []
@@ -57,16 +52,8 @@ class PhysicsParams:
             problems.append(
                 f"ice_permittivity_real must exceed 1, got "
                 f"{self.ice_permittivity_real}")
-        if self.carrier_frequency <= 0.0:
-            problems.append(
-                f"carrier_frequency must be > 0, got {self.carrier_frequency}")
         if problems:
             raise ConfigurationError("; ".join(problems))
-
-    @property
-    def wavelength_lambda0(self) -> float:
-        """Free-space wavelength of the carrier [m]."""
-        return SPEED_OF_LIGHT / self.carrier_frequency
 
 
 def mixture_coefficient(params: PhysicsParams) -> float:
@@ -87,7 +74,7 @@ def mixture_coefficient(params: PhysicsParams) -> float:
 
 def block_phases(positions: np.ndarray, contents: np.ndarray, counts,
                  radius: float, segments: np.ndarray,
-                 params: PhysicsParams) -> tuple[np.ndarray, np.ndarray]:
+                 rate: float) -> tuple[np.ndarray, np.ndarray]:
     """Accumulate cloud phases of a ray bundle through a block of fields.
 
     ``positions`` (n, 2) holds the cloudlets of ``len(counts)`` fields one
@@ -95,10 +82,10 @@ def block_phases(positions: np.ndarray, contents: np.ndarray, counts,
     ``contents`` (n,) their ice water contents u.  ``segments`` (rays, 2,
     2) holds each ray's in-layer start and end.  Each ray is traced
     through all cloudlets at once, and alone, so its phases do not depend
-    on the other rays; a field's phase on a ray is
-    ``P = (2 pi / lambda0 * a) * sum(u * l)`` over its cloudlets' chords
-    l, with a the mixture coefficient.  A missed cloudlet adds an exact
-    zero, and a field's terms add without wrapping over its own slice
+    on the other rays; a field's phase on a ray is ``P = rate * sum(u *
+    l)`` over its cloudlets' chords l, with ``rate`` the carrier's ``2 pi
+    / lambda0`` times the mixture coefficient.  A missed cloudlet adds an
+    exact zero, and a field's terms add without wrapping over its own slice
     alone (``np.add.reduceat``: the first term plus numpy's pairwise sum
     of the rest), so its phases do not depend on the other fields of the
     block.  Overlapping cloudlets contribute independently, which matches
@@ -125,6 +112,5 @@ def block_phases(positions: np.ndarray, contents: np.ndarray, counts,
         pierced[full, idx] = np.add.reduceat(chords > 0.0, starts,
                                              dtype=np.intp)
         phases[full, idx] = np.add.reduceat(contents * chords, starts)
-    phases *= (2.0 * np.pi / params.wavelength_lambda0
-               * mixture_coefficient(params))
+    phases *= rate
     return phases, pierced

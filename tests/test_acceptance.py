@@ -30,7 +30,8 @@ from cloudmimo.experiment import (REFERENCE_MAC_PER_ROUND, ExperimentSpec,
                                   run_correlation_sweep, run_mac_count)
 from cloudmimo.mimochannel import (MimoScenario, capacity_bits,
                                    ensemble_mean, rayleigh_distance)
-from cloudmimo.phasephysics import PhysicsParams, block_phases
+from cloudmimo.phasephysics import (PhysicsParams, block_phases,
+                                    mixture_coefficient)
 from cloudmimo.raygeometry import chord_lengths
 
 
@@ -195,7 +196,9 @@ def test_03_density_normalization_and_variance():
 # ------------------------------------------------------------
 
 def test_04_phase_linearity_and_additivity():
-    physics = PhysicsParams()
+    # The trial kernel's phase rate on the default link.
+    rate = (2.0 * math.pi / make_scenario().wavelength
+            * mixture_coefficient(PhysicsParams()))
     ray = np.array([[[10.0, 0.0], [10.0, 1000.0]]])   # (rays, 2, 2)
     positions = [[10.0, 200.0], [10.0, 700.0]]   # disjoint at radius 5
     base = np.array([0.12, 0.31])
@@ -204,7 +207,7 @@ def test_04_phase_linearity_and_additivity():
         # One field: a block of one.
         phases, _ = block_phases(np.asarray(pos, dtype=float),
                                  np.asarray(iwc, dtype=float),
-                                 [len(pos)], 5.0, ray, physics)
+                                 [len(pos)], 5.0, ray, rate)
         return float(phases[0, 0])
 
     combined = phase(base)

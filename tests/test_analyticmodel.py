@@ -74,6 +74,12 @@ def test_kmax_default_covers_the_bell():
         AnalyticParams(CloudConfig(), PhysicsParams(), count_weight_kmax=-1)
 
 
+def test_carrier_frequency_defaults_to_the_link_and_must_be_positive():
+    assert default_params().carrier_frequency == 73.5e9
+    with pytest.raises(ConfigurationError, match="carrier_frequency"):
+        AnalyticParams(CloudConfig(), PhysicsParams(), carrier_frequency=0.0)
+
+
 def test_chord_moments_default_radius():
     first, second = chord_moments(default_params())
     assert first == pytest.approx(CHORD_M1_R5, rel=1e-12)
@@ -138,14 +144,6 @@ def test_closed_form_golden_values():
     assert any("unresolved" in note for note in notes)
 
 
-def test_closed_form_unresolved_term_changes_variance():
-    _, sigma_default, _ = closed_form_stationary(default_params())
-    _, sigma_scaled, notes = closed_form_stationary(default_params(),
-                                                    unresolved_chord_scale=1.0)
-    assert sigma_scaled != sigma_default
-    assert not any("unresolved" in note for note in notes)
-
-
 def test_report_surfaces_divergence_without_reconciling():
     report = stationary_report(default_params(), dt=1.0)
     trunc = report["truncated_sum"]
@@ -193,7 +191,6 @@ def test_time_varying_distribution_combines_components():
     assert dist.delta_sigma_c2 == pytest.approx(DRIFT_PHASE_VAR_1S, rel=1e-12)
     assert dist.total_variance == pytest.approx(
         GOLDEN_SIGMA_C2 + DRIFT_PHASE_VAR_1S, rel=1e-12)
-    assert dist.dt == 1.0
 
 
 # ============================================================

@@ -15,8 +15,8 @@ from cloudmimo.errors import (ConfigurationError, ModelValidityWarning,
                               ResourceLimitError)
 import cloudmimo
 from cloudmimo import experiment, streams
-from cloudmimo.experiment import (ASSUMED_PARAMETER_KEYS, MODES,
-                                  NUMERICS_VERSION, ExperimentSpec,
+from cloudmimo.experiment import (ASSUMED_PARAMETER_KEYS, CONFIG_SCHEMA,
+                                  MODES, NUMERICS_VERSION, ExperimentSpec,
                                   build_manifest, format_csv,
                                   outage_capacity, parse_config_value,
                                   run_capacity_cdf,
@@ -25,7 +25,8 @@ from cloudmimo.experiment import (ASSUMED_PARAMETER_KEYS, MODES,
                                   run_phase_compare, spec_from_flat,
                                   spec_to_flat, trial_kernel)
 from cloudmimo.mimochannel import MimoScenario, capacity_bits, los_channel
-from cloudmimo.phasephysics import REFERENCE_IWC, PhysicsParams, block_phases
+from cloudmimo.phasephysics import (REFERENCE_IWC, PhysicsParams,
+                                    block_phases, mixture_coefficient)
 from cloudmimo.raygeometry import map_rays_to_field
 from cloudmimo.streams import trial_seed
 
@@ -152,11 +153,6 @@ def test_spec_rejects_negative_master_seed():
     make_spec(master_seed=0)  # no raise
 
 
-def test_spec_rejects_frequency_disagreement():
-    with pytest.raises(ConfigurationError, match="disagree"):
-        make_spec(scenario=make_scenario(carrier_frequency=28e9))
-
-
 def test_spec_requires_grid_for_distance_sweeps():
     for mode in ("correlation", "compensated"):
         with pytest.raises(ConfigurationError, match="distance grid"):
@@ -265,12 +261,19 @@ def test_rwc_sweep_shares_one_draw_bit_for_bit():
         assert np.array_equal(samples, alone), value
 
 
+def kernel_rate(spec: ExperimentSpec) -> float:
+    """The phase rate the trial kernel traces a spec's rays at: the link
+    carrier's 2 pi / lambda0 times the mixture coefficient."""
+    return (2.0 * math.pi / spec.scenario.wavelength
+            * mixture_coefficient(spec.physics))
+
+
 def _field_phases(field, spec: ExperimentSpec, segments):
     """(rays,) phases and pierced counts of one field, a block of one."""
     positions, contents = field
     phases, pierced = block_phases(positions, contents, [len(contents)],
                                    cloudlet_radius(spec.cloud), segments,
-                                   spec.physics)
+                                   kernel_rate(spec))
     return phases[0], pierced[0]
 
 
@@ -625,7 +628,8 @@ def test_phase_compare_shapes_and_analytic_reference():
     # bin centre, empirical density and analytic density of 101 bins
     assert csv_columns(run).shape == (101, 3)
     reference = stationary_distribution(
-        AnalyticParams(spec.cloud, spec.physics))
+        AnalyticParams(spec.cloud, spec.physics,
+                       spec.scenario.carrier_frequency))
     assert run.report["analytic"]["phi0_rad"] == reference.phi0
     assert run.report["analytic"]["sigma_c2_rad2"] == reference.sigma_c2
 
@@ -753,14 +757,42 @@ def test_spec_flat_round_trip():
     assert rebuilt == spec
 
 
-def test_flat_key_fills_every_field_it_names():
-    # One key sets both carrier frequencies; the master seed is one field.
-    flat = spec_to_flat(make_spec())
-    flat.update({"physics.carrier_frequency_hz": 60e9, "run.master_seed": 5})
-    spec = spec_from_flat(flat)
-    assert spec.physics.carrier_frequency == 60e9
-    assert spec.scenario.carrier_frequency == 60e9
-    assert spec.master_seed == 5
+def test_config_schema_is_one_key_per_field():
+    # Every row is (kind, field), and the rows cover each leaf field of the
+    # spec and of its three parts exactly once.
+    assert all(len(row) == 2 for row in CONFIG_SCHEMA.values())
+    parts = {"scenario": MimoScenario, "cloud": CloudConfig,
+             "physics": PhysicsParams}
+    leaves = [f.name for f in dataclasses.fields(ExperimentSpec)
+              if f.name not in parts]
+    leaves += [f"{part}.{f.name}" for part, cls in parts.items()
+               for f in dataclasses.fields(cls)]
+    assert sorted(field for _, field in CONFIG_SCHEMA.values()) \
+        == sorted(leaves)
+
+
+def test_carrier_key_moves_traced_phases_and_analytic_phi0():
+    # The one carrier key sets the link's carrier, and with it both the
+    # cloud phases the kernel traces and the analytic model's phi0.
+    base = make_spec(mode="phase-compare", trials=60,
+                     scenario=make_scenario(link_distance=30000.0))
+    flat = spec_to_flat(base)
+    flat["physics.carrier_frequency_hz"] = 28e9
+    moved = spec_from_flat(flat)
+    assert moved.scenario.carrier_frequency == 28e9
+    # The same draws: the phases scale by the ratio of the phase rates.
+    base_phases, moved_phases = (centre_ray_trace(s)[2]
+                                 for s in (base, moved))
+    assert np.any(base_phases != 0.0)
+    ratio = kernel_rate(moved) / kernel_rate(base)
+    assert ratio == pytest.approx(28e9 / 73.5e9, rel=1e-15)
+    np.testing.assert_allclose(moved_phases, ratio * base_phases,
+                               rtol=1e-14)
+    # The analytic phi0 is linear in the wavenumber.
+    base_phi0, moved_phi0 = (run_phase_compare(s).report["analytic"]
+                             ["phi0_rad"] for s in (base, moved))
+    assert moved_phi0 != base_phi0
+    assert moved_phi0 == pytest.approx(ratio * base_phi0, rel=1e-14)
 
 
 def test_spec_from_flat_accepts_thread_hint():

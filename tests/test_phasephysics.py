@@ -28,11 +28,17 @@ def synthetic_field(positions, iwc, radius=5.0):
             radius)
 
 
+def phase_rate(params):
+    """The trial kernel's phase rate on the default 73.5 GHz link."""
+    return (2.0 * math.pi / MimoScenario().wavelength
+            * mixture_coefficient(params))
+
+
 def field_phases(field, segments, params):
     """(rays,) phases and pierced counts of one field, a block of one."""
     positions, iwc, radius = field
     phases, pierced = block_phases(positions, iwc, [len(iwc)], radius,
-                                   segments, params)
+                                   segments, phase_rate(params))
     return phases[0], pierced[0]
 
 
@@ -46,18 +52,6 @@ def one_cloudlet_phase(chord, iwc):
 # Parameters
 # ============================================================
 
-def test_default_wavelength_derived_from_frequency():
-    params = PhysicsParams()
-    assert params.wavelength_lambda0 == pytest.approx(WAVELENGTH_73_5_GHZ,
-                                                      rel=1e-15)
-    # The channel's arithmetic, bit for bit; the wavelength is not settable.
-    for frequency in (73.5e9, 28e9):
-        assert PhysicsParams(carrier_frequency=frequency).wavelength_lambda0 \
-            == MimoScenario(carrier_frequency=frequency).wavelength
-    with pytest.raises(TypeError):
-        PhysicsParams(wavelength_lambda0=WAVELENGTH_73_5_GHZ)
-
-
 def test_default_sphere_volume():
     assert DEFAULT_ICE_SPHERE_VOLUME == pytest.approx(ICE_SPHERE_VOLUME,
                                                       rel=1e-15)
@@ -70,8 +64,9 @@ def test_parameter_validation():
         PhysicsParams(sphere_volume_vice=0.0)
     with pytest.raises(ConfigurationError):
         PhysicsParams(ice_permittivity_real=1.0)
-    with pytest.raises(ConfigurationError):
-        PhysicsParams(carrier_frequency=0.0)
+    # The carrier is the link's (MimoScenario), not a physics constant.
+    with pytest.raises(TypeError):
+        PhysicsParams(carrier_frequency=73.5e9)
 
 
 # ============================================================
@@ -131,7 +126,7 @@ def test_path_phase_single_cloudlet_manual():
     field = synthetic_field([[10.0, 500.0]], [0.3])
     phases, pierced = field_phases(field, vertical_rays(10.0), params)
     eps = mixture_coefficient(params) * 0.3
-    expected = 2.0 * math.pi * 10.0 / params.wavelength_lambda0 * eps
+    expected = 2.0 * math.pi * 10.0 / WAVELENGTH_73_5_GHZ * eps
     assert phases[0] == pytest.approx(expected, rel=1e-12)
     assert pierced[0] == 1
 
@@ -207,12 +202,11 @@ def test_block_phases_match_exact_sums_at_pairwise_block_edges():
     iwc = rng.random((2, n)) * 0.4
     segments = vertical_rays(9.9, 10.1)
     params = PhysicsParams()
-    scale = (2.0 * math.pi / params.wavelength_lambda0
-             * mixture_coefficient(params))
+    scale = phase_rate(params)
     starts = np.cumsum(counts) - counts
     for j in range(2):
         phases, pierced = block_phases(positions, iwc[j], counts, 2.5,
-                                       segments, params)
+                                       segments, scale)
         for f, (start, count) in enumerate(zip(starts, counts)):
             mine = slice(start, start + count)
             assert pierced[f].tolist() == [count, count]
@@ -239,7 +233,8 @@ def test_block_phases_leave_inputs_unmodified():
         for j in range(2):
             inputs = (positions[:n], iwc[j, :n], counts)
             before = [a.copy() for a in inputs]
-            phases, pierced = block_phases(*inputs, 2.5, segments, params)
+            phases, pierced = block_phases(*inputs, 2.5, segments,
+                                           phase_rate(params))
             for array, copy in zip(inputs, before):
                 assert np.array_equal(array, copy)
             assert phases.shape == (len(counts), 2)

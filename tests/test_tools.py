@@ -1,10 +1,13 @@
-"""Guards on the repository's tools: the names they wrap still exist."""
+"""Guards on the repository's tools: the names they wrap still exist, and
+the calls the benchmark makes of the package still work."""
 import importlib
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
-from cloudmimo.experiment import MODES
+from cloudmimo import cli
+from cloudmimo.experiment import MODES, spec_from_flat
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -66,3 +69,26 @@ def test_layertrace_layers_resolve_but_the_retired_ones():
                   if not callable(layertrace._Target(
                       module, attribute.format(mode=mode)).get())}
         assert absent <= RETIRED_LAYERS, (mode, absent - RETIRED_LAYERS)
+
+
+def test_benchmark_calls_what_the_package_provides(monkeypatch):
+    # Read only: each workload's set-up calls as bench/child.py makes
+    # them, and its run and replay command lines as bench/run.py builds
+    # them, parsed without running.  A break here stops every benchmark
+    # run.
+    for name in list(os.environ):
+        if name.startswith(cli.ENV_PREFIX):
+            monkeypatch.delenv(name)
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    workloads = importlib.import_module("workloads")
+    parser = cli._build_parser()
+    out = Path("run")
+    for workload in workloads.WORKLOADS.values():
+        mode, profile, overrides, threads = workload.setup_job(0)
+        flat, _ = cli.assemble_config(mode, profile, None, [], overrides)
+        assert spec_from_flat(flat, threads=threads).mode == mode
+        replay = [mode, "--config", str(out / "manifest.json"),
+                  "--threads", "1", "--out", str(out)]
+        for argv in (workload.argv(0, out, workload.threads), replay):
+            args = parser.parse_args(argv)
+            assert (args.mode, args.out) == (mode, str(out)), argv
