@@ -99,8 +99,8 @@ def _parse_config_text(text: str, source: str, problems: list[str]) -> dict:
             if numerics != NUMERICS_VERSION:
                 print(f"note: {source} was recorded under numerics "
                       f"{numerics}; cloudmimo {__version__} runs numerics "
-                      f"{NUMERICS_VERSION}, so its results may differ in the "
-                      f"last digits", file=sys.stderr)
+                      f"{NUMERICS_VERSION}, so its results may differ from "
+                      f"the recorded ones", file=sys.stderr)
             data = data["config"]
         return dict(data)
     out = {}

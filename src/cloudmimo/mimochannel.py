@@ -6,7 +6,9 @@ antenna-pair distance, plus any cloud-induced excess phase.  Capacity is the
 log-determinant of the usual equal-power allocation, taken from a Cholesky
 factorization that runs over a whole stack of channels at once, and
 sub-channel correlation is the normalized column coherence that cloud
-phase noise is expected to erode.
+phase noise is expected to erode.  Both metrics take every inner product
+from one real-arithmetic Gram matrix, so neither depends on the SIMD
+kernels numpy picks per CPU, except for the capacity's ``np.log``.
 """
 from __future__ import annotations
 
@@ -123,11 +125,8 @@ def capacity_bits(h: np.ndarray, snr_db: float, compensated: bool):
     when Nr > Nt: both have the same determinant (Sylvester's identity),
     and the smaller one is factored.
     """
-    h = np.atleast_2d(h)
-    num_rx, num_tx = h.shape[-2:]
-    # One matrix is a stack of one: every matrix takes the same array
-    # arithmetic, so its capacity does not depend on the stack around it.
-    stack = h.reshape(-1, num_rx, num_tx)
+    stack, shape = _stack(h)
+    num_rx, num_tx = stack.shape[1:]
     re, im = _gram(stack.transpose(0, 2, 1) if num_rx > num_tx else stack)
     size = len(re)
     scale = 10.0 ** (snr_db / 10.0) / num_tx
@@ -140,8 +139,7 @@ def capacity_bits(h: np.ndarray, snr_db: float, compensated: bool):
     re *= scale
     im *= scale
     re[range(size), range(size)] += 1.0
-    # [()] turns the shape () of one matrix into a scalar.
-    capacity = (_log_det(re, im) / np.log(2.0)).reshape(h.shape[:-2])[()]
+    capacity = (_log_det(re, im) / np.log(2.0)).reshape(shape)[()]
     finite = np.isfinite(capacity)
     if not np.all(finite):
         bad = np.size(finite) - np.count_nonzero(finite)
@@ -150,12 +148,23 @@ def capacity_bits(h: np.ndarray, snr_db: float, compensated: bool):
     return capacity
 
 
+def _stack(h: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """The (S, Nr, Nt) stack of channel entries (Nr, Nt) or (..., Nr, Nt),
+    and the shape for its (S,) values: ``values.reshape(shape)[()]`` is a
+    scalar for one matrix.  One matrix is a stack of one, so its metrics
+    do not depend on the stack around it."""
+    h = np.atleast_2d(h)
+    return h.reshape(-1, *h.shape[-2:]), h.shape[:-2]
+
+
 def _gram(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts of ``H H^H`` of an (S, M, K) stack.
 
     Both are (M, M, S): the stack is the last axis of every intermediate
-    here and in :func:`_log_det`, so each operation runs along it.  The
-    sum over the K columns is taken in their order.
+    here and in :func:`_log_det`, so each operation runs along it.  Entry
+    (a, b) is ``sum_k h[a, k] conj(h[b, k])``, summed in column order from
+    correctly rounded multiplies and adds: every inner product either
+    channel metric uses, with bytes that do not depend on the CPU.
     """
     hr = h.real.transpose(1, 2, 0).copy()     # (M, K, S)
     hi = h.imag.transpose(1, 2, 0).copy()
@@ -205,16 +214,20 @@ def subchannel_coherence(h: np.ndarray):
 
     ``|<c1, c2>| / (|c1| |c2|)`` of the channel entries ``h``, of shape
     (Nr, Nt) or a stack (..., Nr, Nt); values of the stack's shape, shape
-    () for one matrix.  NaN where a column has zero norm.
+    () for one matrix.  NaN where a column has zero norm.  It is
+    ``sqrt(re G01^2 + im G01^2) / (sqrt(G00) sqrt(G11))`` of the two
+    columns' Gram matrix ``G`` (:func:`_gram`), all correctly rounded.
     """
-    if h.shape[-1] < 2:
+    stack, shape = _stack(h)
+    if stack.shape[-1] < 2:
         raise ConfigurationError(
             "sub-channel correlation needs at least two transmit columns")
-    c1, c2 = h[..., :, 0], h[..., :, 1]
-    norms = np.linalg.norm(c1, axis=-1) * np.linalg.norm(c2, axis=-1)
-    inner = np.abs(np.sum(np.conj(c1) * c2, axis=-1))
+    re, im = _gram(stack[:, :, :2].transpose(0, 2, 1))
+    inner = np.sqrt(re[0, 1] * re[0, 1] + im[0, 1] * im[0, 1])
+    norms = np.sqrt(re[0, 0]) * np.sqrt(re[1, 1])
     with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(norms > 0.0, inner / norms, np.nan)
+        coherence = np.where(norms > 0.0, inner / norms, np.nan)
+    return coherence.reshape(shape)[()]
 
 
 def ensemble_mean(values) -> float:

@@ -77,7 +77,7 @@ def map_rays_to_field(scenario: MimoScenario, elevation_deg: float,
     crossed = np.zeros(len(segments), dtype=bool)
     for ray, (r, t) in enumerate(itertools.product(rx, tx)):
         diff = r - t
-        length = float(np.linalg.norm(diff))
+        length = _length(*diff.tolist())
         if length < _DEGENERATE_LENGTH:
             raise ConfigurationError(
                 f"transmit and receive antennas coincide at {t}")
@@ -114,6 +114,13 @@ def map_rays_to_field(scenario: MimoScenario, elevation_deg: float,
     return segments
 
 
+def _length(dx: float, dz: float) -> float:
+    """Length of a segment with the given extents [m], on Python floats:
+    numpy's vector norm is a BLAS dot product, whose kernel (fused
+    multiply-add or not) OpenBLAS picks per CPU."""
+    return math.sqrt(dx * dx + dz * dz)
+
+
 # ============================================================
 # Chord lengths
 # ============================================================
@@ -141,7 +148,7 @@ def chord_lengths(segment: np.ndarray, centres: np.ndarray,
     centres = np.atleast_2d(np.asarray(centres, dtype=float))
     n = centres.shape[0]
     start, end = segment
-    length = float(np.linalg.norm(end - start))
+    length = _length(*(end - start).tolist())
     if length == 0.0 or n == 0:
         return np.zeros(n)
     ux, uy = (end - start) / length

@@ -563,6 +563,21 @@ def test_compensated_sweep_reports_median():
     assert report["with_cloud"][0] == float(np.median(values))
 
 
+def test_compensated_median_of_an_even_count_is_the_lower_middle_sample():
+    # The nearest-rank lower convention the manifest records, as for every
+    # capacity quantile: a sample, not the mean of the two middle ones.
+    spec = make_spec(mode="compensated", trials=6,
+                     distance_grid=(30000.0,))
+    report = run_compensated_sweep(spec).report
+    assert report["engaged"][0]
+    unit_gains = dataclasses.replace(spec, scenario=dataclasses.replace(
+        spec.scenario, compensated=True))
+    [values] = trial_values(unit_gains, experiment._capacity)
+    ordered = np.sort(values)
+    assert ordered[2] < ordered[3]
+    assert report["with_cloud"][0] == ordered[2]
+
+
 @pytest.mark.parametrize("mode,metric", [
     ("correlation", experiment._coherence),
     ("compensated", experiment._capacity)])

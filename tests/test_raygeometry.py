@@ -1,11 +1,16 @@
 """Tests for the link's rays, slab crossing, frame mapping and chords."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import cloudmimo
 from cloudmimo import (CloudConfig, ConfigurationError, MimoScenario,
                        pair_distances)
 from cloudmimo.raygeometry import chord_lengths, map_rays_to_field
@@ -265,6 +270,30 @@ def test_bundle_preserves_relative_offsets(
                                    atol=1e-9)
 
 
+# The 2x2 table1 link at 25 km.  While segment lengths were taken by
+# np.linalg.norm, a BLAS dot product, ray 3's end h came out 1.1e-13 m
+# apart under OpenBLAS's AVX-512 (SkylakeX) and Nehalem kernels.
+TABLE1_AT_25_KM = dict(distance=25000.0, elevation=85.14, width=100.0)
+
+
+def test_mapping_does_not_depend_on_the_blas_core():
+    # The child maps the link under OpenBLAS's Nehalem kernels, which the
+    # variable selects for that process alone.
+    tests = Path(__file__).resolve().parent
+    src = Path(cloudmimo.__file__).resolve().parents[1]
+    child = ("import sys\n"
+             "from test_raygeometry import TABLE1_AT_25_KM, link_segments\n"
+             "sys.stdout.write("
+             "link_segments(**TABLE1_AT_25_KM).tobytes().hex())\n")
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Nehalem",
+           "PYTHONPATH": os.pathsep.join([str(src), str(tests)])}
+    mapped = subprocess.run([sys.executable, "-c", child], env=env,
+                            capture_output=True, text=True, check=True)
+    here = link_segments(**TABLE1_AT_25_KM)
+    assert np.array_equal(np.frombuffer(bytes.fromhex(mapped.stdout))
+                          .reshape(here.shape), here)
+
+
 # ============================================================
 # Chord lengths
 # ============================================================
@@ -323,10 +352,15 @@ def test_chord_vectorized_matches_scalar():
 
 
 def masked_chord_lengths(segment, centres, radius):
-    """The chord formula with an explicit hit mask, kept as a reference."""
+    """The chord formula with an explicit hit mask, kept as a reference.
+
+    The segment's length is taken as ``chord_lengths`` takes it, written
+    out on Python floats, so the two agree bit for bit.
+    """
     n = centres.shape[0]
     start, end = segment
-    length = float(np.linalg.norm(end - start))
+    dx, dy = (end - start).tolist()
+    length = math.sqrt(dx * dx + dy * dy)
     if length == 0.0 or n == 0:
         return np.zeros(n)
     ux, uy = (end - start) / length

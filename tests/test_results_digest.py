@@ -11,26 +11,40 @@ unit contents, a bound C's phases written as C times those, and the
 capacity's log-determinant taken from a Cholesky factorization in place of
 LAPACK's LU) re-recorded the six capacity, two compensated and four
 phase-compare results digests: capacities moved by up to ~6e-15 relative,
-phase-compare values by up to ~1e-13.  The correlation, mac-count and
-field results digests are the ones recorded under numerics 2.
+phase-compare values by up to ~1e-13.  Numerics 5 (the coherence from
+the capacity's real Gram matrix, segment lengths without BLAS, and
+compensated's median the nearest-rank lower sample) re-recorded the
+correlation digests at seeds 0 and 31, whose values moved by up to 2.5e-16
+relative, and the compensated digests at seeds 0 and 31, whose cloud
+medians moved by up to 3.1e-6 and 5.9e-6 relative.  The mac-count and
+field results digests are the ones recorded under numerics 2, and the
+capacity and phase-compare ones those of numerics 4.
 
 Each manifest digest hashes ``manifest.json`` without its ``wall_time_s``,
 re-serialized with ``json.dumps(..., indent=2)`` in file order, so a change
-in the config keys' order, value types or defaults fails here.  Numerics 4
+in the config keys' order, value types or defaults fails here.  Numerics 5
 re-recorded all of them: they moved by the ``numerics`` key, and the
-capacity, compensated and phase-compare ones also by the values their
-reports summarize.
+correlation and compensated ones also by the values their reports
+summarize.
+
+The last test replays every case under numpy's baseline SIMD dispatch, the
+kernels an older x86 CPU runs, and must give the same results digests.
 """
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cloudmimo.cli import main
+import cloudmimo
+from cloudmimo.cli import ENV_PREFIX, main
 from cloudmimo.experiment import NUMERICS_VERSION
 
-RECORDED_NUMERICS = 4
+RECORDED_NUMERICS = 5
 RECORDED_NUMPY = "2.4.6"
 
 # (case, CLI arguments before --seed/--out, file whose bytes are hashed)
@@ -69,13 +83,13 @@ DIGESTS = {
     ("capacity-thickness", 31):
         "2de1ccfe9127bd8518301866a7039f3571f047974b0e1f6b33bbb4a2b1387bce",
     ("compensated", 0):
-        "f1b8bdff64d6934a4e06c1edbff7d739ec23f01d1945a0c68a58542b0edca0bc",
+        "8b39b083c7159b3aaeb229ed8df2f0f92c303033a3b88f75c73714eb3b91c6ec",
     ("compensated", 31):
-        "4af02dded7dfd60329a50da9f2a0cc0761ffbe43f4be214819126ea00bc07295",
+        "5a476c2c9e4c4cde092165c5616e466946bd979a423dd2af64b22fc83f0fc024",
     ("correlation", 0):
-        "a55059328ff53488f8fc25c01af98626958a3125c733b90e6c1eab8d6738f4a6",
+        "bde9ee5e02d002cf5eb61e1b5a9ca6a1bcdc5f9ffba334705020b014b37adb60",
     ("correlation", 31):
-        "baa482de80189ef52ee8fb1807b61473226e8e854e252b04b5e2b37518fcb1bc",
+        "7c5532cd4446f30dac464ac709b73937280f1a60582213dabaff4f44c1d5d44f",
     ("field", 0):
         "1e43dc96d6dcad2733658ae84912c051ccfa26c2035b5e93d7ec4cd12a3e925c",
     ("field", 31):
@@ -94,43 +108,45 @@ DIGESTS = {
         "f9b21eff083c274f8035522d531f11dfa1efd236b14adc50474fde0e79ede66f",
 }
 
+SEEDS = (0, 31)
+
 MANIFEST_DIGESTS = {
     ("capacity", 0):
-        "51e4074f5582f947b3b2c924283437856a7259b561787eb83729e2ffd43b97d9",
+        "698886ee871ec96abb242a70b4364a39b8ef61e332c3269106b703e9dd46a7a6",
     ("capacity", 31):
-        "cef1f1072b4169f819f59c28d164a69a90543d152416c8cc38d7f5b46e516ac9",
+        "3b1d5226d1f099278e415ce9a30023204600ebb6e854b4179e14c39619676a50",
     ("capacity-rwc", 0):
-        "8ac5f73f88cdabc4fc5920e975ff3f125ab0c95966861026d20bf57853919e00",
+        "6548174a3aab1443f219d7b79ae2f4211d61839f675439a4b9bfa61d20c5a58c",
     ("capacity-rwc", 31):
-        "a34e42fa1cba71179222d0dfd39d50a9c18142c032ce7ed1c7fc8d24e67e6c9f",
+        "b503eb824a15777fec944c083063edd4e001e1c48acd2abb363ba37f21fe36ae",
     ("capacity-thickness", 0):
-        "5e37750c67d429f9aabb479b7bf4ea2012f09ac527009e0ecec276c528958f4f",
+        "f1c479b46de33cc604eab3a4aaf0753e750b069b271cc34a6addf9f78a05842b",
     ("capacity-thickness", 31):
-        "33796ca5096f10b17ff0bf7fce0beaaa4cb52079d2c58e5488b4c898e8d924d1",
+        "a8e4337c4cce7774fdfff83d6301416b66ca8b620dad622ba8f2e11eade91097",
     ("compensated", 0):
-        "3a95cbcff93e95e8597654032dd5cf4ac2ae34bcd91c412863b9955a945a9002",
+        "b9ae4a5682b726b47b4051d189b94555230763f1b94063f5915ffc577bfa1047",
     ("compensated", 31):
-        "21ad0d8e9bf55aaab31f8d7a4bb11bb95f3c88d58e4a4f50cb76087654c23534",
+        "02019dbfb63ac1cf72dca7bff764fd60744136496c71f3ef035825a4ee78f91d",
     ("correlation", 0):
-        "5bcab4d1f15f2cf43de32abf4fa4dd1a97efa3ec3d505abb3db55a05fb27e8b8",
+        "011bed4ed2afe29f568e272292fe813a845bc258c1d0595f3ec5a452185d3139",
     ("correlation", 31):
-        "d850c299f6a90d71b162e7e69ac6dd73aac2bfcb74006050db464c835dddbf0e",
+        "c83c2e4c4fc9d245ae89ba7f681d6181cbaf5fd6184a28e02a2d2779e184cf02",
     ("field", 0):
-        "c3d8fd5d6f18bb22fc9be895bdac0d0fbc032275f53b797f76dc78ddc0fc7c51",
+        "6dff7db44e71775f143eeab388db3d46c7f08014dcd5f54b46bbae7e6de84d1b",
     ("field", 31):
-        "28ed1f3a932f6fa12d0f7985a39738d12beb795250274c630b9a1751cfcc41a7",
+        "213d1d172b43e9b9a4b2ab0cc78b658b51305579d2d8f2ea1474286a83365029",
     ("mac-count", 0):
-        "e27c49979c03988acf2ceadb6a03967a0d33d8999950cf5c51f2d61bfbdd8853",
+        "56c1c7521687d4470a0c6c019ee1ff66cd6020f745055410491843f498103c66",
     ("mac-count", 31):
-        "c7d57d03ea73afbfff770d4c24e23e39fc242c4a5c17651e6f9d5f00969719d5",
+        "965d378f4ae1af0246a1f952c36976557cde7deaad736f875989fac16d4465c1",
     ("phase-compare-table1", 0):
-        "ecb6fb3db6d1eb78ec1a9c00d0daff05b0c328a364651d68a76facb8dfb597f8",
+        "d33b40d40782042630b806d24239c43b1e954e38e857ead14a9eb6b14f8a6b4d",
     ("phase-compare-table1", 31):
-        "19818c8a983343528d1563539b9415ebac3e2815fba78240e60b03d488c32a11",
+        "881c48f051943b11fb6711333cafae4e18ece7d97e2dc87ec7d340e68e29f00e",
     ("phase-compare-table3", 0):
-        "0df6241985b20d1ddc6d4b97cec9df9c7bb4a9e6f46081f243e9877ba173c5fc",
+        "ac2393e213d6ea0c96a9450ed8970fff2fa34b2c2898ec12b843b11321c56fb4",
     ("phase-compare-table3", 31):
-        "6552f9fc69e31107c2e52ed89355d2217082852f7a5f13e9b60acc15923f4a9e",
+        "a0e1a37daff5dd6bf8cccffe78a85ccb31bbb7dacb0a115e8b3ef8873189b56a",
 }
 
 
@@ -144,7 +160,7 @@ def manifest_digest(path) -> str:
 # phase-compare on table3 warns that the analytic model is out of range;
 # only the bytes are checked here.
 @pytest.mark.filterwarnings("ignore::cloudmimo.ModelValidityWarning")
-@pytest.mark.parametrize("seed", [0, 31])
+@pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_results_bytes_match_recorded_digest(case, seed, tmp_path, capsys):
     argv, name = CASES[case]
@@ -159,3 +175,51 @@ def test_results_bytes_match_recorded_digest(case, seed, tmp_path, capsys):
         == MANIFEST_DIGESTS[case, seed], (
             f"manifest.json of {case} at master seed {seed} differs from "
             f"the recorded digest (wall time aside)")
+
+
+# Runs every case and prints its results digests as [case, seed, digest]
+# rows, after checking that numpy dispatches nothing above its baseline.
+_BASELINE_CHILD = """
+import contextlib, hashlib, io, json, sys
+from pathlib import Path
+import numpy as np
+from cloudmimo.cli import main
+from test_results_digest import CASES, SEEDS
+assert not np.__config__.CONFIG["SIMD Extensions"].get("found")
+rows = []
+for case, (argv, name) in CASES.items():
+    for seed in SEEDS:
+        out = Path(sys.argv[1]) / f"{case}-{seed}"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "--seed", str(seed), "--out", str(out)]) == 0
+        digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        rows.append([case, seed, digest])
+print(json.dumps(rows))
+"""
+
+
+def test_results_replay_under_numpys_baseline_dispatch(tmp_path):
+    # An older x86 CPU runs numpy's baseline SIMD kernels.  The child gets
+    # them by disabling, in its own environment, every group numpy found
+    # above the baseline on this CPU, and must give every recorded digest.
+    found = np.__config__.CONFIG["SIMD Extensions"].get("found")
+    if not found:
+        pytest.skip("numpy dispatches nothing above its baseline here")
+    env = {name: value for name, value in os.environ.items()
+           if not name.startswith(ENV_PREFIX)}
+    env["NPY_DISABLE_CPU_FEATURES"] = " ".join(found)
+    env["PYTHONPATH"] = os.pathsep.join([
+        str(Path(cloudmimo.__file__).resolve().parents[1]),
+        str(Path(__file__).resolve().parent)])
+    child = subprocess.run([sys.executable, "-c", _BASELINE_CHILD,
+                            str(tmp_path)], env=env, capture_output=True,
+                           text=True)
+    assert child.returncode == 0, child.stderr
+    digests = {(case, seed): digest
+               for case, seed, digest in json.loads(child.stdout)}
+    assert digests.keys() == DIGESTS.keys()
+    moved = sorted(key for key, digest in digests.items()
+                   if digest != DIGESTS[key])
+    assert not moved, (f"under the baseline dispatch "
+                       f"(NPY_DISABLE_CPU_FEATURES={' '.join(found)}) these "
+                       f"results differ from their recorded digests: {moved}")

@@ -29,19 +29,25 @@ RETIRED_LAYERS = {"experiment.trial_seed", "cloudfield.generate_field",
                   "experiment.results_csv_text"}
 
 
-def _load_tool(path: str):
+def _load_tool(monkeypatch, path: str):
     """The module of a script under the repository root, e.g.
-    ``tools/stagetime.py``."""
+    ``tools/stagetime.py``.
+
+    It is registered in ``sys.modules`` under its stem while the test
+    runs, as an import would register it, so a dataclass it defines can
+    look its module up.
+    """
     spec = importlib.util.spec_from_file_location(Path(path).stem,
                                                   ROOT / path)
     tool = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tool)
     spec.loader.exec_module(tool)
     return tool
 
 
 def test_stagetime_wraps_only_names_that_exist(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))   # the tool extends it
-    stagetime = _load_tool("tools/stagetime.py")
+    stagetime = _load_tool(monkeypatch, "tools/stagetime.py")
     modules = {name: importlib.import_module(name) for name in STAGETIME_WRAPS}
     before = {name: dict(vars(module)) for name, module in modules.items()}
     for name, attributes in STAGETIME_WRAPS.items():
@@ -60,10 +66,10 @@ def test_stagetime_wraps_only_names_that_exist(monkeypatch):
         assert wrapped == STAGETIME_WRAPS[name], name
 
 
-def test_layertrace_layers_resolve_but_the_retired_ones():
+def test_layertrace_layers_resolve_but_the_retired_ones(monkeypatch):
     # Read only: the tracer's layer table and its own name lookup, with
     # nothing installed.
-    layertrace = _load_tool("bench/layertrace.py")
+    layertrace = _load_tool(monkeypatch, "bench/layertrace.py")
     for mode in MODES:
         absent = {layer for layer, module, attribute in layertrace.LAYERS
                   if not callable(layertrace._Target(
@@ -79,8 +85,7 @@ def test_benchmark_calls_what_the_package_provides(monkeypatch):
     for name in list(os.environ):
         if name.startswith(cli.ENV_PREFIX):
             monkeypatch.delenv(name)
-    monkeypatch.syspath_prepend(str(ROOT / "bench"))
-    workloads = importlib.import_module("workloads")
+    workloads = _load_tool(monkeypatch, "bench/workloads.py")
     parser = cli._build_parser()
     out = Path("run")
     for workload in workloads.WORKLOADS.values():
