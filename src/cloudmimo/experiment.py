@@ -17,19 +17,19 @@ the block size: one generator is reset to each trial's stream by writing
 its state words in place (see :mod:`cloudmimo.streams`, which checks the
 generator's layout first).  Each block's fields come from one call of
 ``draw_fields``, the one field draw, as rows of centres in metres and
-unit contents; no draw outlives its block.  The kernel traces one array
-of ray segments, once through the unit contents, and every content bound
-scales those phases.  It only traces: it returns plain arrays of each
-trial's cloudlet count and each ray's pierced counts and phases.  Each
-mode takes what it needs from them.  capacity-cdf, correlation and
+unit contents; no draw outlives its block.  The kernel only traces: it
+takes one array of ray segments and returns plain arrays of each trial's
+cloudlet count and each ray's pierced counts and phases per unit content.
+Each mode takes what it needs from them.  capacity-cdf, correlation and
 compensated run on one sweep runner, which traces the rays of every sweep
-point that reaches the layer, one after another, with one kernel call and
-applies the mode's channel metric to each point's phases in block-sized
-trial slices.  A sweep point none of whose rays reaches the layer is never
-traced: each of its trials has the metric's clear-sky value exactly.  Nor
-is a content bound of 0, whose trials are clear sky too.
-phase-compare reads the phases of its one ray, and mac-count counts
-operations from the counts.
+point that reaches the layer, one after another, with one kernel call,
+scales each point's unit phases by each content bound, and applies the
+mode's channel metric to them in block-sized trial slices.  The sweep
+runner also computes each point's clear-sky value once and fills with it
+every trial that sees no cloud: all of a point none of whose rays reaches
+the layer, and all of a content bound of 0; neither is traced.
+phase-compare scales the phases of its one ray by the cloud's content
+bound, and mac-count counts operations from the counts.
 
 Runs write two artifacts: ``results.csv`` (``field.csv`` for ``field``)
 with plot-ready columns and ``manifest.json`` with the full configuration,
@@ -340,22 +340,20 @@ def _warn_clear_sky(spec: ExperimentSpec, point: str) -> None:
 # ============================================================
 
 def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, rays: np.ndarray,
-                 contents=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Trace one array of rays through one field draw per trial.
 
     Trial ``t`` draws its field from the stream
     ``default_rng(trial_seed(master_seed, t))``, the same bits as a
     one-field :func:`draw_fields` call on that generator, centres in
-    metres and unit content variates u.  The rays are traced once,
-    through the unit contents, at the phase rate of the link's carrier
-    (see :func:`block_phases`): a field's phase P on a ray is linear in
-    its contents, so each bound C of ``contents`` (default: the cloud's
-    own) gets the phases ``C * P``.  Each ray is traced alone, so a ray's
-    values do not depend on the other rays of the call.
-    Trials run in blocks of about ``BLOCK_CLOUDLETS`` cloudlets: one
-    :func:`draw_fields` call gives the block's rows, and one
-    :func:`block_phases` call traces them against every ray at once; its
-    values are written into the run's output arrays.
+    metres and unit content variates u.  The rays are traced through the
+    unit contents, at the phase rate of the link's carrier (see
+    :func:`block_phases`); the caller scales these phases by a content
+    bound.  Each ray is traced alone, so a ray's values do not depend on
+    the other rays of the call.  Trials run in blocks of about
+    ``BLOCK_CLOUDLETS`` cloudlets: one :func:`draw_fields` call gives the
+    block's rows, and one :func:`block_phases` call traces them against
+    every ray at once.
 
     Parameters
     ----------
@@ -369,15 +367,10 @@ def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, rays: np.ndarray,
     counts : ndarray
         (trials,) cloudlet count of each trial's field.
     pierced : ndarray
-        (trials, rays) count of the cloudlets each ray pierces; the same
-        for every content bound.
+        (trials, rays) count of the cloudlets each ray pierces.
     phases : ndarray
-        (len(contents), trials, rays) unwrapped cloud phases [rad] of
-        every trial.
+        (trials, rays) unwrapped cloud phases [rad] per unit content.
     """
-    if contents is None:
-        contents = (cloud.max_iwc_c,)
-    scale = np.asarray(contents, dtype=float)[:, None, None]
     radius = cloudlet_radius(cloud)
     rate = (2.0 * np.pi / spec.scenario.wavelength
             * mixture_coefficient(spec.physics))
@@ -386,71 +379,65 @@ def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, rays: np.ndarray,
     trials = spec.trials
     counts = np.empty(trials, dtype=np.intp)
     pierced = np.empty((trials, len(rays)), dtype=np.intp)
-    phases = np.empty((len(contents), trials, len(rays)))
+    phases = np.empty((trials, len(rays)))
     streams = trial_streams(spec.master_seed, trials)
     for first in range(0, trials, per_block):
         block = slice(first, min(first + per_block, trials))
         block_counts, rows = draw_fields(cloud, streams, block.stop - first)
         counts[block] = block_counts
-        unit, pierced[block] = block_phases(
+        phases[block], pierced[block] = block_phases(
             rows[:2].T, rows[2], block_counts, radius, rays, rate)
-        np.multiply(scale, unit, out=phases[:, block])
     return counts, pierced, phases
 
 
-def _apply_metric(metric, scenario: MimoScenario,
-                  phases: np.ndarray) -> np.ndarray:
-    """``metric(scenario, phases)`` of a (k, trials, rays) phase stack.
-
-    The stack goes in trial slices of at most ``BLOCK_CLOUDLETS`` phase
-    values, so the metric's temporaries stay the size of a kernel block's
-    at any trial count; the values do not depend on the slicing.
-    Returns the (k, trials) values.
-    """
-    k, trials, rays = phases.shape
-    step = max(1, BLOCK_CLOUDLETS // (k * rays))
-    values = np.empty((k, trials))
-    for first in range(0, trials, step):
-        values[:, first:first + step] = metric(
-            scenario, phases[:, first:first + step])
-    return values
-
-
 def _sweep(spec: ExperimentSpec, metric, scenarios, cloud: CloudConfig,
-           contents=None) -> list:
-    """Per scenario, its (k, trials) metric values, or None for clear sky.
+           contents=None) -> tuple[np.ndarray, list, list]:
+    """Every scenario's metric values at each content bound, with clear sky.
 
     The scenarios some of whose rays reach the layer are traced on the
     same field draws by one kernel call, their rays one after another (all
-    scenarios have the same Nr * Nt rays), at each nonzero one of the k
-    bounds of ``contents`` (default: the cloud's own), and
-    ``metric(scenario, phases)`` runs on each one's phases in block-sized
-    trial slices.  A scenario none of whose rays reaches the layer is not
-    traced: every trial of it is clear sky, ``metric(scenario, None)``.
-    Neither is a bound of 0, whose cloudlets add no phase: each of its
-    trials is the clear-sky value too, so a sweep of zero bounds alone
-    draws no field.
+    scenarios have the same Nr * Nt rays).  Each nonzero one of the k
+    bounds C of ``contents`` (default: the cloud's own) scales a
+    scenario's unit phases P to ``C * P``, and ``metric(scenario, C * P)``
+    runs on them in trial slices of at most ``BLOCK_CLOUDLETS`` phase
+    values, so the metric's temporaries stay the size of a kernel block's
+    at any trial count; the values do not depend on the slicing.  Each
+    scenario's clear-sky value ``metric(scenario, None)`` is computed
+    once, and fills every trial that sees no cloud: all of a scenario none
+    of whose rays reaches the layer, which is not traced, and all of a
+    bound of 0, whose cloudlets add no phase.  So a sweep of zero bounds
+    alone draws no field.
+
+    Returns
+    -------
+    values : ndarray
+        (scenarios, k, trials) metric values.
+    clear : list
+        Each scenario's clear-sky value.
+    engaged : list
+        Whether any of each scenario's rays reaches the layer.
     """
     if contents is None:
         contents = (cloud.max_iwc_c,)
     traced = [j for j, c in enumerate(contents) if c != 0.0]
-    clear = [j for j, c in enumerate(contents) if c == 0.0]
     mapped = [_segments_for(spec, cloud, scen) for scen in scenarios]
-    live = [i for i, (_, engaged) in enumerate(mapped) if engaged]
-    values = [None] * len(scenarios)
-    for i in live:
-        values[i] = np.empty((len(contents), spec.trials))
-        if clear:
-            values[i][clear] = metric(scenarios[i], None)
+    engaged = [e for _, e in mapped]
+    clear = [float(metric(scen, None)) for scen in scenarios]
+    values = np.empty((len(scenarios), len(contents), spec.trials))
+    values[:] = np.reshape(clear, (-1, 1, 1))
+    live = [i for i, e in enumerate(engaged) if e]
     if live and traced:
         _, _, phases = trial_kernel(
-            spec, cloud, np.concatenate([mapped[i][0] for i in live]),
-            [contents[j] for j in traced])
-        phases = phases.reshape(len(traced), spec.trials, len(live), -1)
+            spec, cloud, np.concatenate([mapped[i][0] for i in live]))
+        phases = phases.reshape(spec.trials, len(live), -1)
+        scale = np.array([contents[j] for j in traced])[:, None, None]
+        step = max(1, BLOCK_CLOUDLETS // (len(traced) * phases.shape[2]))
         for point, i in enumerate(live):
-            values[i][traced] = _apply_metric(metric, scenarios[i],
-                                              phases[:, :, point])
-    return values
+            for first in range(0, spec.trials, step):
+                part = slice(first, first + step)
+                values[i, traced, part] = metric(
+                    scenarios[i], scale * phases[part, point])
+    return values, clear, engaged
 
 
 # ============================================================
@@ -532,12 +519,11 @@ def run_capacity_cdf(spec: ExperimentSpec) -> RunOutput:
     all its points share each trial's field draw; a thickness sweep rebuilds
     the layer (and the in-layer geometry) and draws per value.  Without a
     sweep a single point at the configured cloud runs.  A point whose rays
-    all miss the layer is clear sky in every trial: it warns with a
-    :class:`ModelValidityWarning`, and draws no field.  So is a water
-    content of 0, without a warning, since its rays reach the layer; it is
-    not traced either.  The CSV has one row
-    per trial, each point's samples in ascending order; the report gives
-    each point's median and outage capacity.
+    all miss the layer is clear sky in every trial (see :func:`_sweep`),
+    and warns with a :class:`ModelValidityWarning`; a water content of 0 is
+    clear sky too, without a warning, since its rays reach the layer.  The
+    CSV has one row per trial, each point's samples in ascending order; the
+    report gives each point's median and outage capacity.
     """
     if spec.sweep_thickness is not None:
         name = "thickness_m"
@@ -553,16 +539,13 @@ def run_capacity_cdf(spec: ExperimentSpec) -> RunOutput:
     chunks = ["sweep,sweep_value,capacity_bps_hz\n"]
     points, summary = [], []
     for cloud, contents, values in runs:
-        (caps,) = _sweep(spec, _capacity, [spec.scenario], cloud, contents)
-        for j, value in enumerate(values):
-            if caps is None:
+        (caps,), _, (engaged,) = _sweep(spec, _capacity, [spec.scenario],
+                                        cloud, contents)
+        for value, samples in zip(values, np.sort(caps)):
+            if not engaged:
                 label = "(no sweep)" if name == "none" \
                     else f"{name}={value:g}"
                 _warn_clear_sky(spec, f"capacity-cdf point {label}")
-                samples = np.full(spec.trials,
-                                  _capacity(spec.scenario, None))
-            else:
-                samples = np.sort(caps[j])
             # The point's two columns are formatted once, the samples with
             # the shortest round-trip repr of format_csv.
             prefix = f"{name},{float(value)!r},"
@@ -591,21 +574,18 @@ def _distance_sweep(spec: ExperimentSpec, metric, reducer,
     a (..., rays) stack of cloud phases, or under clear sky for None;
     ``reducer`` summarizes the trial values of one distance.  The engaged
     distances are traced on the same field draws (see :func:`_sweep`);
-    a distance where no ray reaches the layer is clear sky, and its
-    summary is the clear-sky value exactly.
+    every trial of a distance where no ray reaches the layer has the
+    clear-sky value, and so does its summary, exactly.
     """
     distances = [float(d) for d in spec.distance_grid]
     scenarios = [dataclasses.replace(spec.scenario, link_distance=d)
                  for d in distances]
-    without = [float(metric(scen, None)) for scen in scenarios]
-    values = _sweep(spec, metric, scenarios, spec.cloud)
-    with_cloud = [clear if v is None else float(reducer(v[0]))
-                  for clear, v in zip(without, values)]
+    values, without, engaged = _sweep(spec, metric, scenarios, spec.cloud)
+    with_cloud = [float(reducer(v)) for (v,) in values]
     return RunOutput(
         format_csv(header, zip(distances, with_cloud, without)),
         {"distances_m": distances, "with_cloud": with_cloud,
-         "without_cloud": without,
-         "engaged": [v is not None for v in values]})
+         "without_cloud": without, "engaged": engaged})
 
 
 def _coherence(scenario: MimoScenario, phases):
@@ -682,7 +662,7 @@ def run_phase_compare(spec: ExperimentSpec) -> RunOutput:
     """
     segments, _ = _centre_ray(spec)
     counts, pierced, phases = trial_kernel(spec, spec.cloud, segments)
-    samples = phases[0, :, 0]
+    samples = spec.cloud.max_iwc_c * phases[:, 0]
     analytic = stationary_distribution(AnalyticParams(
         spec.cloud, spec.physics, spec.scenario.carrier_frequency))
 

@@ -231,7 +231,13 @@ def subchannel_coherence(h: np.ndarray):
 
 
 def ensemble_mean(values) -> float:
-    """Mean of an ensemble; exactly the common value if all samples agree."""
+    """Mean of an ensemble; exactly the common value if all samples agree.
+
+    The sweep runner fills every trial of a distance none of whose rays
+    reaches the layer with its clear-sky coherence, so this branch keeps
+    that distance's mean exactly the clear value, which a pairwise sum
+    divided by the count need not give.
+    """
     arr = np.asarray(values, dtype=float)
     if np.all(arr == arr[0]):
         return float(arr[0])

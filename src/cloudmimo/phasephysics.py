@@ -90,8 +90,8 @@ def block_phases(positions: np.ndarray, contents: np.ndarray, counts,
     of the rest), so its phases do not depend on the other fields of the
     block.  Overlapping cloudlets contribute independently, which matches
     the additive overlap rule of the field model.  The phase is linear in
-    the contents: the trial kernel traces unit contents once and scales P
-    by each content bound.
+    the contents: the trial kernel traces unit contents, and the sweep
+    runner scales P by each content bound.
 
     Returns
     -------

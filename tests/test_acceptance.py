@@ -280,8 +280,10 @@ def test_07_correlation_reduction_across_distances():
     # runner the mode runs on.
     scenarios = [dataclasses.replace(spec.scenario, link_distance=d)
                  for d in spec.distance_grid]
-    trial_values = experiment._sweep(spec, experiment._coherence, scenarios,
-                                     spec.cloud)
+    trial_values, clear, engaged_at = experiment._sweep(
+        spec, experiment._coherence, scenarios, spec.cloud)
+    assert engaged_at == report["engaged"]
+    assert clear == report["without_cloud"]
     worst_z = -math.inf
     engaged = 0
     for i in range(len(report["distances_m"])):

@@ -15,6 +15,7 @@ from cloudmimo.errors import (ConfigurationError, ModelValidityWarning,
                               ResourceLimitError)
 import cloudmimo
 from cloudmimo import experiment, streams
+from cloudmimo.cli import assemble_config
 from cloudmimo.experiment import (ASSUMED_PARAMETER_KEYS, CONFIG_SCHEMA,
                                   MODES, NUMERICS_VERSION, ExperimentSpec,
                                   build_manifest, format_csv,
@@ -76,12 +77,14 @@ def csv_columns(run) -> np.ndarray:
                      for row in run.csv_text.splitlines()[1:]])
 
 
-def trial_values(spec: ExperimentSpec, metric) -> list:
-    """Per grid distance, the (trials,) metric values, or None if clear."""
+def trial_values(spec: ExperimentSpec, metric):
+    """The (distances, trials) metric values of the grid, and whether each
+    distance reaches the layer."""
     scenarios = [dataclasses.replace(spec.scenario, link_distance=d)
                  for d in spec.distance_grid]
-    return [None if v is None else v[0] for v in
-            experiment._sweep(spec, metric, scenarios, spec.cloud)]
+    values, _, engaged = experiment._sweep(spec, metric, scenarios,
+                                           spec.cloud)
+    return values[:, 0], engaged
 
 
 def centre_ray_trace(spec: ExperimentSpec):
@@ -91,7 +94,7 @@ def centre_ray_trace(spec: ExperimentSpec):
     segments = map_rays_to_field(centre, spec.elevation_deg,
                                  spec.cloud_upper_altitude, spec.cloud)
     counts, pierced, phases = trial_kernel(spec, spec.cloud, segments)
-    return counts, pierced[:, 0], phases[0, :, 0]
+    return counts, pierced[:, 0], spec.cloud.max_iwc_c * phases[:, 0]
 
 
 def mac_rounds(run) -> np.ndarray:
@@ -229,7 +232,7 @@ def _per_trial_outputs(spec: ExperimentSpec) -> dict:
     counts, pierced, samples = centre_ray_trace(phase_spec)
     return {"capacity": [points[2] for points in capacity_points(cdf)],
             "correlation": trial_values(corr_spec,
-                                        experiment._coherence)[1:],
+                                        experiment._coherence)[0][1:],
             "phase": [samples, counts, pierced],
             "runs": [run.csv_text + json.dumps(run.report)
                      for run in (cdf, corr, phase)]}
@@ -320,14 +323,17 @@ def test_kernel_rows_equal_single_field_path_phase(monkeypatch):
         fields = _fields(spec)
         assert np.array_equal(counts, [len(u) for _, u in fields])
         assert pierced.shape == (40, 8)
-        assert phases.shape == (1, 40, 8)
-        # The kernel traces the unit contents and scales the phases by the
-        # content bound.
+        assert phases.shape == (40, 8)
+        # The kernel traces the unit contents; the sweep runner scales the
+        # phases by the content bound before the metric sees them.
+        (caps,), _, _ = experiment._sweep(spec, experiment._capacity,
+                                          scenarios[:1], spec.cloud)
         for t, field in enumerate(fields):
             single, single_hits = _field_phases(field, spec, rays)
-            assert np.array_equal(phases[0, t],
-                                  spec.cloud.max_iwc_c * single)
+            assert np.array_equal(phases[t], single)
             assert np.array_equal(pierced[t], single_hits)
+            assert caps[0, t] == experiment._capacity(
+                scenarios[0], spec.cloud.max_iwc_c * single[:4])
         assert np.any(pierced[:, :4] > 0)   # the rays at 40 km pierce
         assert not np.any(pierced[:, 4:]) and not np.any(phases[..., 4:])
         if lambda_s < 0.002:
@@ -336,6 +342,65 @@ def test_kernel_rows_equal_single_field_path_phase(monkeypatch):
             where = set(np.flatnonzero(counts == 0) % per_block)
             assert {0, per_block - 1} <= where, lambda_s
             assert where - {0, per_block - 1}, lambda_s
+
+
+def _per_trial_arrays(monkeypatch, spec: ExperimentSpec) -> list:
+    """Every per-trial array a run of the spec's mode makes, trials first:
+    each trial kernel output, and each sweep runner's metric values."""
+    seen = []
+    kernel, sweep = experiment.trial_kernel, experiment._sweep
+
+    def record_kernel(*args):
+        outputs = kernel(*args)
+        seen.extend(outputs)
+        return outputs
+
+    def record_sweep(*args):
+        values, clear, engaged = sweep(*args)
+        seen.append(np.moveaxis(values, -1, 0))
+        return values, clear, engaged
+
+    monkeypatch.setattr(experiment, "trial_kernel", record_kernel)
+    monkeypatch.setattr(experiment, "_sweep", record_sweep)
+    MODES[spec.mode].runner(spec)
+    monkeypatch.undo()
+    return seen
+
+
+# table1's analytic phase model clamps its slope variance and warns so,
+# which phase-compare reports; this gate compares only per-trial values.
+@pytest.mark.filterwarnings("ignore:conditional phase variance slope")
+@pytest.mark.parametrize("mode,profile,flags", [
+    pytest.param(mode, profile, flags, id=f"{mode}-{profile}")
+    for mode, profile, flags in (
+        ("capacity-cdf", "table3", {"run.sweep_rwc": "0,0.4,0.8"}),
+        ("correlation", "table4", {}),
+        ("compensated", "table3",
+         {"run.distance_grid_m": "2000,8000,20000,40000"}),
+        ("phase-compare", "table1", {}), ("phase-compare", "table3", {}),
+        ("mac-count", "table1", {}), ("mac-count", "table3", {}))])
+def test_a_run_of_n_trials_is_the_first_n_of_a_longer_run(
+        monkeypatch, mode, profile, flags):
+    # 777 trials fill no whole number of kernel blocks (204 trials on
+    # table3 and table4, 40 on table1), and 1554 cross a chunk of streams.
+    def spec(trials):
+        flat, _ = assemble_config(
+            mode, profile, None, [],
+            {"run.trials": trials, "run.master_seed": 7, **flags},
+            environ={})
+        return spec_from_flat(flat)
+
+    short, long = spec(777), spec(1554)
+    cloud = short.cloud
+    mean_count = cloud.density_lambda_s * cloud.width_w * cloud.thickness_d
+    per_block = int(experiment.BLOCK_CLOUDLETS // mean_count)
+    assert per_block in (40, 204) and 777 % per_block
+    assert 777 < streams._CHUNK_TRIALS < 1554
+    first, twice = (_per_trial_arrays(monkeypatch, s) for s in (short, long))
+    assert len(first) == len(twice) >= 3
+    for want, got in zip(first, twice):
+        assert len(want) == 777 and len(got) == 1554
+        assert np.array_equal(want, got[:777])
 
 
 def test_a_point_whose_rays_miss_the_layer_warns():
@@ -383,10 +448,11 @@ def test_kernel_enforces_the_expected_cloudlet_cap():
 
 
 def test_capacity_memory_grows_per_trial_only_by_the_kernel_outputs():
-    # The kernel returns each trial's count, pierced counts and phases, and
-    # the capacity metric runs on them in block-sized trial slices.  So the
-    # peak grows per trial by about what those arrays hold; the channel
-    # stacks of a whole-run metric pass would add ~6x that.
+    # The kernel returns each trial's count, pierced counts and unit phases,
+    # and the sweep runner scales them and runs the capacity metric on them
+    # in block-sized trial slices.  So the peak grows per trial by about
+    # what those arrays hold; the channel stacks of a whole-run metric pass
+    # would add ~6x that.
     def peak(trials):
         spec = make_spec(trials=trials, sweep_rwc=(0.0, 0.4, 0.8))
         tracemalloc.start()
@@ -396,9 +462,9 @@ def test_capacity_memory_grows_per_trial_only_by_the_kernel_outputs():
         finally:
             tracemalloc.stop()
 
-    variants, rays = 3, 4
+    rays = 4
     returned = (np.dtype(np.intp).itemsize * (1 + rays)
-                + np.dtype(float).itemsize * variants * rays)
+                + np.dtype(float).itemsize * rays)
     per_trial = (peak(8000) - peak(2000)) / 6000
     assert per_trial < 2 * returned, (per_trial, returned)
 
@@ -496,21 +562,40 @@ def test_a_zero_content_bound_draws_no_field(monkeypatch):
 
 
 def test_an_rwc_sweep_traces_only_its_nonzero_bounds(monkeypatch):
-    traced = []
-    kernel = experiment.trial_kernel
+    # The capacity sees one stack of phases, the 0.4 bound's alone (k = 1),
+    # and the clear sky once.
+    stacks = []
+    capacity = experiment._capacity
 
-    def record(spec, cloud, rays, contents=None):
-        traced.append(list(contents))
-        return kernel(spec, cloud, rays, contents)
+    def record(scenario, phases):
+        stacks.append(phases)
+        return capacity(scenario, phases)
 
-    monkeypatch.setattr(experiment, "trial_kernel", record)
+    monkeypatch.setattr(experiment, "_capacity", record)
     spec = make_spec(trials=5, sweep_rwc=(0.0, 0.4))
     (_, _, dry), (_, _, wet) = capacity_points(run_capacity_cdf(spec))
-    assert traced == [[0.4 * REFERENCE_IWC]]
+    assert stacks[0] is None and len(stacks) == 2
+    rays = map_rays_to_field(spec.scenario, 90.0, 8000.0, spec.cloud)
+    _, _, unit = trial_kernel(spec, spec.cloud, rays)
+    assert stacks[1].shape == (1, 5, 4)
+    assert np.array_equal(stacks[1][0], 0.4 * REFERENCE_IWC * unit)
     clear = capacity_bits(los_channel(spec.scenario), spec.scenario.snr_db,
                           spec.scenario.compensated)
     assert dry.tolist() == [clear] * 5
     assert not np.any(wet == clear)
+
+    # A sweep of zero bounds alone makes no kernel call.
+    def fail(*args, **kwargs):
+        raise AssertionError("the kernel was called")
+
+    monkeypatch.setattr(experiment, "trial_kernel", fail)
+    stacks.clear()
+    run = run_capacity_cdf(make_spec(trials=5, sweep_rwc=(0.0, 0.0)))
+    assert stacks == [None]
+    assert [p["median_bps_hz"] for p in run.report["points"]] == [clear] * 2
+    # The two equal points' rows form one group of 10.
+    [(_, _, samples)] = capacity_points(run)
+    assert samples.tolist() == [clear] * 10
 
 
 def test_thickness_sweep_rebuilds_layer():
@@ -532,8 +617,9 @@ def test_correlation_sweep_skips_disengaged_distances():
     report = run_correlation_sweep(spec).report
     assert report["engaged"] == [False, True]
     assert report["with_cloud"][0] == report["without_cloud"][0]
-    values = trial_values(spec, experiment._coherence)
-    assert values[0] is None
+    values, engaged = trial_values(spec, experiment._coherence)
+    assert engaged == [False, True]
+    assert values[0].tolist() == [report["without_cloud"][0]] * 4
     assert values[1].shape == (4,)
 
 
@@ -559,7 +645,7 @@ def test_compensated_sweep_reports_median():
     assert report["engaged"][0]
     unit_gains = dataclasses.replace(spec, scenario=dataclasses.replace(
         spec.scenario, compensated=True))
-    [values] = trial_values(unit_gains, experiment._capacity)
+    [values], _ = trial_values(unit_gains, experiment._capacity)
     assert report["with_cloud"][0] == float(np.median(values))
 
 
@@ -572,7 +658,7 @@ def test_compensated_median_of_an_even_count_is_the_lower_middle_sample():
     assert report["engaged"][0]
     unit_gains = dataclasses.replace(spec, scenario=dataclasses.replace(
         spec.scenario, compensated=True))
-    [values] = trial_values(unit_gains, experiment._capacity)
+    [values], _ = trial_values(unit_gains, experiment._capacity)
     ordered = np.sort(values)
     assert ordered[2] < ordered[3]
     assert report["with_cloud"][0] == ordered[2]
@@ -588,13 +674,13 @@ def test_each_sweep_distance_equals_that_distance_swept_alone(mode, metric):
     spec = make_spec(mode=mode, trials=12, master_seed=3,
                      scenario=make_scenario(compensated=mode == "compensated"),
                      distance_grid=(40000.0, 5000.0, 12000.0, 30000.0))
-    swept = trial_values(spec, metric)
-    assert swept[1] is None
-    for distance, values in zip(spec.distance_grid, swept):
-        [alone] = trial_values(
+    swept, engaged = trial_values(spec, metric)
+    assert engaged == [True, False, True, True]
+    for distance, values, reaches in zip(spec.distance_grid, swept, engaged):
+        [alone], [alone_reaches] = trial_values(
             dataclasses.replace(spec, distance_grid=(distance,)), metric)
-        assert (values is None and alone is None) \
-            or np.array_equal(values, alone), distance
+        assert alone_reaches == reaches, distance
+        assert np.array_equal(values, alone), distance
 
 
 def test_a_sweep_traces_each_block_once_whatever_its_points(monkeypatch):
@@ -829,14 +915,14 @@ def test_capacity_csv_equals_format_csv_of_its_rows():
         spec = make_spec(trials=5, **sweep)
         if "sweep_rwc" in sweep:
             name, values = "rwc", spec.sweep_rwc
-            [caps] = experiment._sweep(
+            [caps], _, _ = experiment._sweep(
                 spec, experiment._capacity, [spec.scenario], spec.cloud,
                 [v * REFERENCE_IWC for v in values])
         else:
             name, values = "thickness_m", spec.sweep_thickness
             caps = [experiment._sweep(
                 spec, experiment._capacity, [spec.scenario],
-                dataclasses.replace(spec.cloud, thickness_d=v))[0][0]
+                dataclasses.replace(spec.cloud, thickness_d=v))[0][0, 0]
                 for v in values]
         rows = [(name, float(value), float(c))
                 for value, samples in zip(values, caps)

@@ -7,8 +7,8 @@ from ``DIR`` (default: ``src/`` of this checkout) and makes ``N + 1`` calls
 of the workload's command line at master seed 31; the first call is a
 warm-up.  Functions are wrapped from outside the package, at the names the
 kernel and the modes look them up under.  Each call's time in
-``trial_kernel``, and in the metrics the modes apply to its phases, is
-split into:
+``trial_kernel``, and in the metrics the sweep runner applies to its
+phases, is split into:
 
 - ``stream_reset``: taking each trial's generator from ``trial_streams``,
   the per-chunk seed arithmetic included;
@@ -17,21 +17,23 @@ split into:
   metres;
 - ``chord_lengths``: ``phasephysics.chord_lengths``;
 - ``phase_count_sums``: the rest of ``block_phases``;
-- ``scale``: the rest of ``trial_kernel``: its own loop over blocks, and
-  the writes ``C * P`` of each content bound C's phases from the
-  unit-content phases P that ``block_phases`` returns for all the rays
-  of a block at once;
+- ``scale``: the rest of ``trial_kernel``, its own loop over blocks,
+  which writes each block's unit-content phases into the run's arrays;
 - ``metric``: the channel metrics, ``experiment._capacity`` and
-  ``experiment._coherence``, which the modes apply after the kernel to
-  its phases (and to clear sky, which includes every zero content bound).
+  ``experiment._coherence``, which the sweep runner applies after the
+  kernel (and once per sweep point to clear sky).
+
+The products ``C * P`` of a content bound C and the kernel's unit-content
+phases P, which the sweep runner forms between ``kernel`` and ``metric``
+(and phase-compare after ``kernel``), fall in no stage.
 
 Prints one JSON line per workload with the median over the timed calls of
 each stage, in ms per call, and of ``kernel``, the traced
 ``trial_kernel``, which does not contain ``metric``.  ``untraced_kernel``
 is the median of as many calls of the same command line (made first) with
 only ``trial_kernel`` itself timed, so the difference is the other
-wrappers' own cost within the kernel.  The workloads
-and their command lines are those of ``bench/workloads.py``.
+wrappers' own cost within the kernel.  The workloads and their command
+lines are those of ``bench/workloads.py``.
 """
 from __future__ import annotations
 
@@ -107,6 +109,7 @@ def _split(spent: dict) -> dict:
     out["field_draw"] = ms.get("draw_fields", 0.0) - out["stream_reset"]
     out["phase_count_sums"] = (ms.get("block_phases", 0.0)
                                - out["chord_lengths"])
+    # The kernel's own block loop; the content scaling is outside it.
     out["scale"] = ms.get("kernel", 0.0) - sum(
         out[stage] for stage in STAGES if stage not in ("scale", "metric"))
     out["kernel"] = ms.get("kernel", 0.0)
