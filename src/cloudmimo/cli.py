@@ -4,8 +4,10 @@ Runs are configured by the flat dotted keys of
 :data:`cloudmimo.experiment.CONFIG_SCHEMA` (for example ``cloud.lambda_s``)
 coming from, in order of increasing precedence: a named profile, a config
 file, ``CLOUDMIMO_``-prefixed environment variables, repeated ``--set``
-overrides, and dedicated flags.  A run's ``manifest.json`` is itself a valid
-config file, so any run can be reproduced from its manifest alone.
+overrides, and dedicated flags, each read exactly as its ``--set KEY=TEXT``
+form: ``parse_config_value`` is the one parser every source reaches.  A
+run's ``manifest.json`` is itself a valid config file, so any run can be
+reproduced from its manifest alone.
 
 Every mode runs the same way: the CLI builds its subcommands from
 :data:`cloudmimo.experiment.MODES`, times the mode's runner, writes the
@@ -61,6 +63,19 @@ PROFILES = {
 }
 
 
+# Each dedicated flag: the config key it sets and its help text.  The text
+# is passed on unconverted, so a flag reads exactly like its --set form.
+_FLAGS = {
+    "seed": ("run.master_seed", "master seed"),
+    "trials": ("run.trials", "Monte Carlo trials"),
+    "distance": ("link.distance_m", "link distance, e.g. 40km or 40000"),
+    "rwc": ("run.sweep_rwc", "relative water content sweep, e.g. 0,0.4,0.8"),
+    "thickness": ("run.sweep_thickness_m", "layer thickness sweep in m"),
+    "grid": ("run.distance_grid_m", "distance grid in m, comma separated"),
+    "dt": ("run.dt_s", "drift interval in s"),
+}
+
+
 class _CliUsageError(Exception):
     pass
 
@@ -75,14 +90,6 @@ class _Parser(argparse.ArgumentParser):
 # ============================================================
 # Config assembly
 # ============================================================
-
-def _coerce(key: str, value, problems: list[str]):
-    try:
-        return parse_config_value(key, value)
-    except (TypeError, ValueError) as exc:
-        problems.append(f"{key}: {exc}")
-        return None
-
 
 def _parse_config_text(text: str, source: str, problems: list[str]) -> dict:
     """Flat ``key = value`` lines, or a manifest/config JSON object."""
@@ -117,29 +124,15 @@ def _parse_config_text(text: str, source: str, problems: list[str]) -> dict:
     return out
 
 
-def _env_overrides(environ) -> dict:
-    out = {}
-    for name, value in environ.items():
-        if not name.startswith(ENV_PREFIX):
-            continue
-        key = name[len(ENV_PREFIX):].lower().replace("__", ".")
-        out[key] = value
-    return out
-
-
-def parse_distance(text: str) -> float:
-    """Distance in metres from a plain number or a km-suffixed string."""
-    text = str(text).strip().lower()
-    if text.endswith("km"):
-        return float(text[:-2]) * 1000.0
-    if text.endswith("m"):
-        return float(text[:-1])
-    return float(text)
+def _env_overrides() -> dict:
+    return {name[len(ENV_PREFIX):].lower().replace("__", "."): value
+            for name, value in os.environ.items()
+            if name.startswith(ENV_PREFIX)}
 
 
 def assemble_config(mode: str, profile: str | None, config_path: str | None,
-                    set_overrides: list[str], flag_overrides: dict,
-                    environ=None) -> tuple[dict, set]:
+                    set_overrides: list[str],
+                    flag_overrides: dict) -> tuple[dict, set]:
     """Merge all config sources and validate every key.
 
     Returns the fully validated flat mapping plus the set of keys that the
@@ -176,8 +169,7 @@ def assemble_config(mode: str, profile: str | None, config_path: str | None,
             raise ConfigurationError(f"config file not found: {path}")
         apply(str(path), _parse_config_text(path.read_text(), str(path),
                                             problems))
-    apply("environment", _env_overrides(
-        environ if environ is not None else os.environ))
+    apply("environment", _env_overrides())
     for item in set_overrides:
         if "=" not in item:
             problems.append(f"--set needs key=value, got {item!r}")
@@ -201,7 +193,10 @@ def assemble_config(mode: str, profile: str | None, config_path: str | None,
             + ", ".join(sorted(missing)))
     out = {}
     for key, value in merged.items():
-        out[key] = _coerce(key, value, problems)
+        try:
+            out[key] = parse_config_value(key, value)
+        except (TypeError, ValueError) as exc:
+            problems.append(f"{key}: {exc}")
     if problems:
         raise ConfigurationError("; ".join(problems))
     return out, explicit
@@ -256,15 +251,8 @@ def _build_parser() -> _Parser:
     common.add_argument("--config", help="config file or manifest.json")
     common.add_argument("--out", default=None,
                         help="output directory (default cloudmimo-runs/MODE)")
-    common.add_argument("--seed", type=int, help="master seed")
-    common.add_argument("--trials", type=int, help="Monte Carlo trials")
-    common.add_argument("--distance",
-                        help="link distance, e.g. 40km or 40000")
-    common.add_argument("--rwc",
-                        help="relative water content sweep, e.g. 0,0.4,0.8")
-    common.add_argument("--thickness", help="layer thickness sweep in m")
-    common.add_argument("--grid", help="distance grid in m, comma separated")
-    common.add_argument("--dt", type=float, help="drift interval in s")
+    for flag, (_, help_text) in _FLAGS.items():
+        common.add_argument(f"--{flag}", help=help_text)
     common.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility; runs are "
                              "single-threaded and it changes nothing")
@@ -278,24 +266,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-# Each dedicated flag and the config key it sets.
-_FLAG_KEYS = {"seed": "run.master_seed", "trials": "run.trials",
-              "distance": "link.distance_m", "rwc": "run.sweep_rwc",
-              "thickness": "run.sweep_thickness_m",
-              "grid": "run.distance_grid_m", "dt": "run.dt_s"}
-
-
 def _flag_overrides(args) -> dict:
-    out = {key: getattr(args, flag) for flag, key in _FLAG_KEYS.items()
-           if getattr(args, flag) is not None}
-    if "link.distance_m" in out:
-        try:
-            out["link.distance_m"] = parse_distance(out["link.distance_m"])
-        except ValueError:
-            raise ConfigurationError(
-                f"--distance: {args.distance!r} is not a distance, e.g. "
-                f"40km or 40000") from None
-    return out
+    return {key: getattr(args, flag) for flag, (key, _) in _FLAGS.items()
+            if getattr(args, flag) is not None}
 
 
 def _one_line(message, category, filename, lineno, line=None) -> str:

@@ -180,6 +180,8 @@ class RunOutput:
 # per field.  A field is "scenario.<name>", "cloud.<name>" or
 # "physics.<name>" in that part of the spec, or a bare name in
 # ExperimentSpec itself.  The link's carrier keeps its manifests' key name.
+# Each kind names its parser in _PARSERS, the only one any source reaches:
+# profile, config file, environment, --set and the dedicated flags alike.
 CONFIG_SCHEMA = {
     "cloud.width_w": ("float", "cloud.width_w"),
     "cloud.thickness_d": ("float", "cloud.thickness_d"),
@@ -199,7 +201,7 @@ CONFIG_SCHEMA = {
     "mimo.rx_spacing_m": ("float", "scenario.rx_spacing"),
     "mimo.snr_db": ("float", "scenario.snr_db"),
     "mimo.compensated": ("bool", "scenario.compensated"),
-    "link.distance_m": ("float", "scenario.link_distance"),
+    "link.distance_m": ("distance", "scenario.link_distance"),
     "link.elevation_deg": ("float", "elevation_deg"),
     "link.cloud_upper_altitude_m": ("float", "cloud_upper_altitude"),
     "run.mode": ("str", "mode"),
@@ -223,9 +225,27 @@ def _finite(value) -> float:
     return number
 
 
+def _distance(value) -> float:
+    """Metres, from a number or a text with a km or m suffix."""
+    if not isinstance(value, str):
+        return _finite(value)
+    text = value.strip().lower()
+    km = text.endswith("km")
+    try:
+        number = float(text[:-2] if km else text.removesuffix("m"))
+    except ValueError:
+        raise ValueError(f"{value!r} is not a distance, e.g. 40km or "
+                         f"40000") from None
+    return _finite(number * 1000.0 if km else number)
+
+
 def _integer(value) -> int:
     if isinstance(value, str):
-        return int(value, 0)
+        # Base 0 reads 0x10; plain int() reads 007, which base 0 rejects.
+        try:
+            return int(value, 0)
+        except ValueError:
+            return int(value)
     try:
         whole = int(value)
         if float(value) != whole:
@@ -254,8 +274,8 @@ def _finite_list(value) -> list | None:
     return [_finite(v) for v in value]
 
 
-_PARSERS = {"float": _finite, "int": _integer, "bool": _boolean,
-            "str": str, "float_list": _finite_list}
+_PARSERS = {"float": _finite, "distance": _distance, "int": _integer,
+            "bool": _boolean, "str": str, "float_list": _finite_list}
 
 
 def parse_config_value(key: str, value):
@@ -291,14 +311,21 @@ def spec_from_flat(flat: dict, threads: int = 1) -> ExperimentSpec:
     """Build a spec from the dotted-key mapping (inverse of spec_to_flat).
 
     Every key is parsed as its kind and fills its one field; only the list
-    keys may be absent.
+    keys may be absent.  The three parts' problems are raised together.
     ``threads`` is accepted and ignored: runs are single-threaded.
     """
     values = collections.defaultdict(dict)   # part -> {name: value}
     for key, (_, field) in CONFIG_SCHEMA.items():
         part, _, name = field.rpartition(".")
         values[part][name] = parse_config_value(key, flat.get(key))
-    parts = {part: cls(**values[part]) for part, cls in _PARTS.items()}
+    parts, problems = {}, []
+    for part, cls in _PARTS.items():
+        try:
+            parts[part] = cls(**values[part])
+        except ConfigurationError as exc:
+            problems.append(str(exc))
+    if problems:
+        raise ConfigurationError("; ".join(problems))
     return ExperimentSpec(**parts, **values[""])
 
 
@@ -486,10 +513,8 @@ def run_phase_dist(spec: ExperimentSpec) -> RunOutput:
             "all variances are zero: the phase is a point mass at phi0 "
             "and no density grid is written"]
         csv_text = format_csv(header, [])
-    phi0 = report["truncated_sum"]["phi0_rad"]
-    sig2 = report["truncated_sum"]["sigma_c2_rad2"]
     return RunOutput(csv_text, report, (
-        f"phi0 = {phi0:.6e} rad, sigma_c2 = {sig2:.6e} rad^2 "
+        f"phi0 = {dist.phi0:.6e} rad, sigma_c2 = {dist.sigma_c2:.6e} rad^2 "
         f"(truncated sum)",))
 
 
@@ -666,16 +691,6 @@ def run_phase_compare(spec: ExperimentSpec) -> RunOutput:
     analytic = stationary_distribution(AnalyticParams(
         spec.cloud, spec.physics, spec.scenario.carrier_frequency))
 
-    if analytic.sigma_c2 > 0.0:
-        ks = _laplace_ks_distance(samples, analytic.phi0,
-                                  math.sqrt(analytic.sigma_c2 / 2.0))
-    else:
-        # Point-mass reference: the KS distance is the worst-case gap
-        # between the empirical CDF and a unit step at phi0.
-        below = float(np.mean(samples < analytic.phi0))
-        at_or_below = float(np.mean(samples <= analytic.phi0))
-        ks = max(below, 1.0 - at_or_below)
-
     lo, hi = float(samples.min()), float(samples.max())
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
@@ -683,8 +698,15 @@ def run_phase_compare(spec: ExperimentSpec) -> RunOutput:
                                   density=True)
     centres = (edges[:-1] + edges[1:]) / 2.0
     if analytic.sigma_c2 > 0.0:
+        ks = _laplace_ks_distance(samples, analytic.phi0,
+                                  math.sqrt(analytic.sigma_c2 / 2.0))
         analytic_density = laplace_pdf(centres, analytic)
     else:
+        # Point-mass reference, with no density: the KS distance is the
+        # worst-case gap between the empirical CDF and a unit step at phi0.
+        below = float(np.mean(samples < analytic.phi0))
+        at_or_below = float(np.mean(samples <= analytic.phi0))
+        ks = max(below, 1.0 - at_or_below)
         analytic_density = np.zeros_like(centres)
     kurtosis = _excess_kurtosis(samples)
     report = {

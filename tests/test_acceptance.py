@@ -9,7 +9,6 @@ the stated limit.
 import dataclasses
 import json
 import math
-import os
 import time
 
 import numpy as np
@@ -38,14 +37,6 @@ from cloudmimo.raygeometry import chord_lengths
 def announce(number: int, passed: bool, detail: str) -> None:
     status = "PASS" if passed else "FAIL"
     print(f"\nACCEPTANCE {number:2d}: {status} - {detail}")
-
-
-@pytest.fixture(autouse=True)
-def scrub_environment(monkeypatch):
-    # Stray CLOUDMIMO_ variables would override run configs mid-suite.
-    for name in list(os.environ):
-        if name.startswith("CLOUDMIMO_"):
-            monkeypatch.delenv(name)
 
 
 def make_cloud(**overrides) -> CloudConfig:

@@ -13,19 +13,12 @@ import pytest
 import cloudmimo
 from cloudmimo import cli
 from cloudmimo.cli import (PROFILES, REQUIRED_KEYS, _write_run,
-                           assemble_config, main, parse_distance)
+                           assemble_config, main)
 from cloudmimo.cloudfield import cloudlet_radius, draw_fields
 from cloudmimo.errors import ConfigurationError, ModelValidityWarning
 from cloudmimo.experiment import (CONFIG_SCHEMA, MODES, NUMERICS_VERSION,
-                                  RunOutput, spec_from_flat)
-
-
-@pytest.fixture(autouse=True)
-def scrub_environment(monkeypatch):
-    # Stray CLOUDMIMO_ variables would silently override test configs.
-    for name in list(os.environ):
-        if name.startswith("CLOUDMIMO_"):
-            monkeypatch.delenv(name)
+                                  RunOutput, parse_config_value,
+                                  spec_from_flat)
 
 
 # ============================================================
@@ -33,6 +26,9 @@ def scrub_environment(monkeypatch):
 # ============================================================
 
 def test_parse_distance_accepts_suffixes():
+    def parse_distance(text):
+        return parse_config_value("link.distance_m", text)
+
     assert parse_distance("40km") == 40000.0
     assert parse_distance("1.5km") == 1500.0
     assert parse_distance("300m") == 300.0
@@ -42,8 +38,7 @@ def test_parse_distance_accepts_suffixes():
 
 def test_profiles_cover_every_required_key():
     for name in PROFILES:
-        flat, _ = assemble_config("capacity-cdf", name, None, [], {},
-                                  environ={})
+        flat, _ = assemble_config("capacity-cdf", name, None, [], {})
         assert list(flat) == list(CONFIG_SCHEMA), name
         unknown = [key for key in PROFILES[name] if key not in CONFIG_SCHEMA]
         assert not unknown, f"profile {name} has unknown keys {unknown}"
@@ -57,9 +52,8 @@ def test_profiles_cover_every_required_key():
 # ============================================================
 
 def assemble(mode="capacity-cdf", profile="table3", config=None,
-             sets=(), flags=None, environ=None):
-    return assemble_config(mode, profile, config, list(sets), flags or {},
-                           environ=environ if environ is not None else {})
+             sets=(), flags=None):
+    return assemble_config(mode, profile, config, list(sets), flags or {})
 
 
 def test_profile_values_flow_through():
@@ -71,26 +65,58 @@ def test_profile_values_flow_through():
     assert explicit == set()
 
 
-def test_precedence_file_env_set_flags(tmp_path):
+def test_precedence_file_env_set_flags(tmp_path, monkeypatch):
     config = tmp_path / "run.cfg"
     config.write_text("cloud.lambda_s = 0.005\n")
-    environ = {"CLOUDMIMO_CLOUD__LAMBDA_S": "0.007"}
 
     by_file, _ = assemble(config=str(config))
     assert by_file["cloud.lambda_s"] == 0.005
 
-    by_env, _ = assemble(config=str(config), environ=environ)
+    monkeypatch.setenv("CLOUDMIMO_CLOUD__LAMBDA_S", "0.007")
+    by_env, _ = assemble(config=str(config))
     assert by_env["cloud.lambda_s"] == 0.007
 
-    by_set, _ = assemble(config=str(config), environ=environ,
-                         sets=["cloud.lambda_s=0.009"])
+    by_set, _ = assemble(config=str(config), sets=["cloud.lambda_s=0.009"])
     assert by_set["cloud.lambda_s"] == 0.009
 
-    by_flag, explicit = assemble(config=str(config), environ=environ,
+    by_flag, explicit = assemble(config=str(config),
                                  sets=["cloud.lambda_s=0.009"],
                                  flags={"cloud.lambda_s": 0.011})
     assert by_flag["cloud.lambda_s"] == 0.011
     assert "cloud.lambda_s" in explicit
+
+
+# (mode, flag, text, the value its key takes); every dedicated flag appears.
+_FLAG_TEXTS = [
+    ("capacity-cdf", "--seed", "7", 7),
+    ("capacity-cdf", "--seed", "007", 7),
+    ("capacity-cdf", "--seed", "0x10", 16),
+    ("capacity-cdf", "--trials", "+3", 3),
+    ("capacity-cdf", "--distance", " 2KM ", 2000.0),
+    ("capacity-cdf", "--distance", "40km", 40000.0),
+    ("capacity-cdf", "--rwc", "0,0.4,0.8", [0.0, 0.4, 0.8]),
+    ("capacity-cdf", "--thickness", "250,500", [250.0, 500.0]),
+    ("correlation", "--grid", "2000,8000", [2000.0, 8000.0]),
+    ("phase-dist", "--dt", "1.0", 1.0)]
+
+
+@pytest.mark.parametrize("mode,flag,text,value", _FLAG_TEXTS)
+def test_a_flag_reads_like_its_set_form(mode, flag, text, value):
+    # One parser reads every source: a flag's text means what the same
+    # text means after --set KEY=.
+    key, _ = cli._FLAGS[flag[2:]]
+    args = cli._build_parser().parse_args([mode, flag, text])
+    by_flag = assemble_config(mode, "table3", None, [],
+                              cli._flag_overrides(args))
+    by_set = assemble_config(mode, "table3", None, [f"{key}={text}"], {})
+    assert by_flag == by_set
+    assert by_flag[0][key] == value
+    assert by_flag[1] == {key}
+
+
+def test_every_flag_has_a_text_case():
+    assert {flag for _, flag, _, _ in _FLAG_TEXTS} == {
+        f"--{flag}" for flag in cli._FLAGS}
 
 
 def test_unknown_and_malformed_keys_reported_together():
@@ -104,7 +130,7 @@ def test_unknown_and_malformed_keys_reported_together():
 
 def test_missing_keys_all_listed():
     with pytest.raises(ConfigurationError) as err:
-        assemble_config("capacity-cdf", None, None, [], {}, environ={})
+        assemble_config("capacity-cdf", None, None, [], {})
     message = str(err.value)
     assert "missing required keys" in message
     for key in ("cloud.width_w", "link.distance_m", "run.trials",
@@ -317,8 +343,25 @@ def test_main_unparsable_distance_is_configuration_error(tmp_path, capsys,
                     "--distance", distance, "--out", str(tmp_path / "x")])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("configuration error: --distance: ")
+    assert err.startswith("configuration error: link.distance_m: ")
     assert repr(distance) in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_main_lists_every_part_problem_together(tmp_path, capsys):
+    # The cloud, the arrays and the ice constants are checked apart; a
+    # problem in one must not hide those in the others.
+    code = run_cli(["capacity-cdf", "--profile", "table3",
+                    "--set", "cloud.width_w=-1", "--set", "mimo.num_tx=0",
+                    "--set", "physics.ice_permittivity_real=0.5",
+                    "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    for message in ("array sizes must be >= 1, got 0x2",
+                    "width_w must be > 0, got -1.0",
+                    "ice_permittivity_real must exceed 1, got 0.5"):
+        assert message in err
     assert not (tmp_path / "x").exists()
 
 

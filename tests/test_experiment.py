@@ -386,8 +386,7 @@ def test_a_run_of_n_trials_is_the_first_n_of_a_longer_run(
     def spec(trials):
         flat, _ = assemble_config(
             mode, profile, None, [],
-            {"run.trials": trials, "run.master_seed": 7, **flags},
-            environ={})
+            {"run.trials": trials, "run.master_seed": 7, **flags})
         return spec_from_flat(flat)
 
     short, long = spec(777), spec(1554)
