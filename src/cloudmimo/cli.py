@@ -32,7 +32,7 @@ from .cloudfield import CloudConfig
 from .errors import ConfigurationError
 from .experiment import (CONFIG_SCHEMA, MODES, NUMERICS_VERSION,
                          ExperimentSpec, RunOutput, build_manifest,
-                         parse_config_value, spec_from_flat, spec_to_flat)
+                         parse_config, spec_from_flat, spec_to_flat)
 from .mimochannel import MimoScenario
 from .phasephysics import PhysicsParams
 
@@ -191,15 +191,7 @@ def assemble_config(mode: str, profile: str | None, config_path: str | None,
         problems.append(
             "missing required keys (supply a --profile or a config file): "
             + ", ".join(sorted(missing)))
-    out = {}
-    for key, value in merged.items():
-        try:
-            out[key] = parse_config_value(key, value)
-        except (TypeError, ValueError) as exc:
-            problems.append(f"{key}: {exc}")
-    if problems:
-        raise ConfigurationError("; ".join(problems))
-    return out, explicit
+    return parse_config(merged, problems), explicit
 
 
 # ============================================================

@@ -36,10 +36,11 @@ DEFAULT_CLOUDLET_CAP = 10_000_000
 
 @dataclasses.dataclass(frozen=True)
 class CloudConfig:
-    """Geometry and statistics of one cloud layer realization."""
+    """Geometry, altitude and statistics of one cloud layer realization."""
 
     width_w: float = 20.0              # layer cross-section width W [m]
     thickness_d: float = 1000.0        # layer thickness D [m]
+    upper_altitude: float = 8000.0     # layer top, above its bottom [m]
     max_thickness_dmax: float = 1000.0  # reference thickness D_max [m]
     density_lambda_s: float = 0.002    # Poisson intensity of centres [1/m^2]
     smoothness_alpha: float = 0.5      # radius fraction alpha in (0, 1]
@@ -50,8 +51,12 @@ class CloudConfig:
         problems = []
         if not (self.width_w > 0.0):
             problems.append(f"width_w must be > 0, got {self.width_w}")
+        lower = self.upper_altitude - self.thickness_d
         if not (self.thickness_d > 0.0):
             problems.append(f"thickness_d must be > 0, got {self.thickness_d}")
+        elif not self.upper_altitude > lower:
+            problems.append(f"cloud_upper_altitude ({self.upper_altitude}) "
+                            f"must exceed cloud_lower_altitude ({lower})")
         if not (self.max_thickness_dmax > 0.0):
             problems.append(
                 f"max_thickness_dmax must be > 0, got {self.max_thickness_dmax}")

@@ -97,8 +97,6 @@ class ExperimentSpec:
     scenario: MimoScenario
     cloud: CloudConfig
     physics: PhysicsParams
-    elevation_deg: float = 90.0            # link elevation [deg]
-    cloud_upper_altitude: float = 8000.0   # layer top altitude [m]
     mode: str = "capacity-cdf"
     trials: int = 10000
     master_seed: int = 0
@@ -118,9 +116,6 @@ class ExperimentSpec:
         if self.master_seed < 0:
             problems.append(
                 f"master_seed must be >= 0, got {self.master_seed}")
-        if not (0.0 < self.elevation_deg <= 90.0):
-            problems.append(
-                f"elevation_deg must be in (0, 90], got {self.elevation_deg}")
         if not (0.0 < self.outage_probability <= 1.0):
             problems.append(
                 f"outage_probability must be in (0, 1], got "
@@ -131,33 +126,22 @@ class ExperimentSpec:
             problems.append("sweep_rwc and sweep_thickness are exclusive")
         for name in ("sweep_rwc", "sweep_thickness", "distance_grid"):
             values = getattr(self, name)
-            if values is not None and len(values) == 0:
-                problems.append(f"{name} must not be empty")
-        if self.sweep_rwc is not None:
-            if any(v < 0.0 for v in self.sweep_rwc):
-                problems.append("relative water content values must be >= 0")
-            object.__setattr__(self, "sweep_rwc", tuple(self.sweep_rwc))
-        if self.sweep_thickness is not None:
-            if any(v <= 0.0 for v in self.sweep_thickness):
-                problems.append("thickness sweep values must be > 0")
-            object.__setattr__(self, "sweep_thickness",
-                               tuple(self.sweep_thickness))
-        if self.distance_grid is not None:
-            if any(v <= 0.0 for v in self.distance_grid):
-                problems.append("distance grid values must be > 0")
-            object.__setattr__(self, "distance_grid",
-                               tuple(self.distance_grid))
+            if values is not None:
+                object.__setattr__(self, name, tuple(values))
+                if len(values) == 0:
+                    problems.append(f"{name} must not be empty")
+        if any(v < 0.0 for v in self.sweep_rwc or ()):
+            problems.append("relative water content values must be >= 0")
+        for value in self.sweep_thickness or ():   # each layer it traces
+            try:
+                dataclasses.replace(self.cloud, thickness_d=value)
+            except ConfigurationError as exc:
+                problems.append(str(exc))
+        if any(v <= 0.0 for v in self.distance_grid or ()):
+            problems.append("distance grid values must be > 0")
         if self.mode in MODES and MODES[self.mode].grid is not None \
                 and self.distance_grid is None:
             problems.append(f"mode {self.mode!r} needs a distance grid")
-        # Every layer a run traces must have a top above its bottom: the
-        # thinnest one has the highest bottom, as rounding is monotone.
-        upper = self.cloud_upper_altitude
-        lower = upper - min((self.cloud.thickness_d,
-                             *(self.sweep_thickness or ())))
-        if not upper > lower:
-            problems.append(f"cloud_upper_altitude ({upper}) must exceed "
-                            f"cloud_lower_altitude ({lower})")
         if problems:
             raise ConfigurationError("; ".join(problems))
 
@@ -179,7 +163,8 @@ class RunOutput:
 # Every flat config key, in manifest order: key -> (kind, field), one key
 # per field.  A field is "scenario.<name>", "cloud.<name>" or
 # "physics.<name>" in that part of the spec, or a bare name in
-# ExperimentSpec itself.  The link's carrier keeps its manifests' key name.
+# ExperimentSpec itself.  The link's carrier and elevation fill the
+# scenario, and the layer top the cloud, under their manifests' key names.
 # Each kind names its parser in _PARSERS, the only one any source reaches:
 # profile, config file, environment, --set and the dedicated flags alike.
 CONFIG_SCHEMA = {
@@ -202,8 +187,8 @@ CONFIG_SCHEMA = {
     "mimo.snr_db": ("float", "scenario.snr_db"),
     "mimo.compensated": ("bool", "scenario.compensated"),
     "link.distance_m": ("distance", "scenario.link_distance"),
-    "link.elevation_deg": ("float", "elevation_deg"),
-    "link.cloud_upper_altitude_m": ("float", "cloud_upper_altitude"),
+    "link.elevation_deg": ("float", "scenario.elevation_deg"),
+    "link.cloud_upper_altitude_m": ("float", "cloud.upper_altitude"),
     "run.mode": ("str", "mode"),
     "run.trials": ("int", "trials"),
     "run.master_seed": ("int", "master_seed"),
@@ -219,6 +204,8 @@ _PARTS = {"scenario": MimoScenario, "cloud": CloudConfig,
 
 
 def _finite(value) -> float:
+    if isinstance(value, (bool, np.bool_)):   # JSON's true is no number
+        raise ValueError(f"{value!r} is not a number")
     number = float(value)
     if not math.isfinite(number):
         raise ValueError(f"{number} is not finite")
@@ -248,7 +235,7 @@ def _integer(value) -> int:
             return int(value)
     try:
         whole = int(value)
-        if float(value) != whole:
+        if _finite(value) != whole:     # a boolean is no integer either
             raise ValueError(f"{value} is not an integer")
     except OverflowError:   # an infinite float, or an int no float holds
         raise ValueError(f"{value} is out of range") from None
@@ -296,6 +283,21 @@ def parse_config_value(key: str, value):
     return _PARSERS[kind](value)
 
 
+def parse_config(flat: dict, problems=()) -> dict:
+    """Every value of a flat mapping, parsed as its key's kind; raises one
+    :class:`ConfigurationError` listing ``problems`` (the caller's), then
+    ``key: message`` for each value that does not parse."""
+    problems, values = list(problems), {}
+    for key, value in flat.items():
+        try:
+            values[key] = parse_config_value(key, value)
+        except (TypeError, ValueError) as exc:
+            problems.append(f"{key}: {exc}")
+    if problems:
+        raise ConfigurationError("; ".join(problems))
+    return values
+
+
 def spec_to_flat(spec: ExperimentSpec) -> dict:
     """Flatten a spec to the dotted-key config mapping used everywhere."""
     flat = {}
@@ -311,13 +313,15 @@ def spec_from_flat(flat: dict, threads: int = 1) -> ExperimentSpec:
     """Build a spec from the dotted-key mapping (inverse of spec_to_flat).
 
     Every key is parsed as its kind and fills its one field; only the list
-    keys may be absent.  The three parts' problems are raised together.
+    keys may be absent.  Every missing or unreadable key is raised first,
+    by :func:`parse_config`, and then the three parts' problems together.
     ``threads`` is accepted and ignored: runs are single-threaded.
     """
+    parsed = parse_config({key: flat.get(key) for key in CONFIG_SCHEMA})
     values = collections.defaultdict(dict)   # part -> {name: value}
     for key, (_, field) in CONFIG_SCHEMA.items():
         part, _, name = field.rpartition(".")
-        values[part][name] = parse_config_value(key, flat.get(key))
+        values[part][name] = parsed[key]
     parts, problems = {}, []
     for part, cls in _PARTS.items():
         try:
@@ -329,17 +333,13 @@ def spec_from_flat(flat: dict, threads: int = 1) -> ExperimentSpec:
     return ExperimentSpec(**parts, **values[""])
 
 
-def _segments_for(spec: ExperimentSpec, cloud: CloudConfig,
-                  scenario: MimoScenario):
-    """A scenario's (rays, 2, 2) in-layer ray segments, and whether any ray
-    is in the layer.
+def _segments_for(cloud: CloudConfig, scenario: MimoScenario):
+    """A scenario's (rays, 2, 2) in-layer ray segments through the cloud's
+    layer, and whether any ray is in the layer.
 
-    The scenario's broadside arrays sit at the spec's elevation, and the
-    layer has the cloud's thickness.  A ray that misses the layer has a
-    segment whose start is its end.
+    A ray that misses the layer has a segment whose start is its end.
     """
-    segments = map_rays_to_field(scenario, spec.elevation_deg,
-                                 spec.cloud_upper_altitude, cloud)
+    segments = map_rays_to_field(scenario, cloud)
     return segments, bool(np.any(segments[:, 0] != segments[:, 1]))
 
 
@@ -347,18 +347,18 @@ def _centre_ray(spec: ExperimentSpec):
     """The (1, 2, 2) segment of the 1x1 link phase-compare and mac-count
     trace, and whether it is in the layer."""
     centre = dataclasses.replace(spec.scenario, num_tx=1, num_rx=1)
-    segments, engaged = _segments_for(spec, spec.cloud, centre)
+    segments, engaged = _segments_for(spec.cloud, centre)
     if not engaged:
-        _warn_clear_sky(spec, spec.mode)
+        _warn_clear_sky(centre, spec.mode)
     return segments, engaged
 
 
-def _warn_clear_sky(spec: ExperimentSpec, point: str) -> None:
-    """Say that no ray of a point reaches the layer, so it sees clear sky."""
+def _warn_clear_sky(scenario: MimoScenario, point: str) -> None:
+    """Say that no ray of a point's link reaches the layer: clear sky."""
     warnings.warn(
         f"{point}: no ray reaches the cloud layer at link distance "
-        f"{spec.scenario.link_distance:g} m and elevation "
-        f"{spec.elevation_deg:g} deg, so every trial is clear sky",
+        f"{scenario.link_distance:g} m and elevation "
+        f"{scenario.elevation_deg:g} deg, so every trial is clear sky",
         ModelValidityWarning, stacklevel=3)
 
 
@@ -447,7 +447,7 @@ def _sweep(spec: ExperimentSpec, metric, scenarios, cloud: CloudConfig,
     if contents is None:
         contents = (cloud.max_iwc_c,)
     traced = [j for j, c in enumerate(contents) if c != 0.0]
-    mapped = [_segments_for(spec, cloud, scen) for scen in scenarios]
+    mapped = [_segments_for(cloud, scen) for scen in scenarios]
     engaged = [e for _, e in mapped]
     clear = [float(metric(scen, None)) for scen in scenarios]
     values = np.empty((len(scenarios), len(contents), spec.trials))
@@ -570,7 +570,7 @@ def run_capacity_cdf(spec: ExperimentSpec) -> RunOutput:
             if not engaged:
                 label = "(no sweep)" if name == "none" \
                     else f"{name}={value:g}"
-                _warn_clear_sky(spec, f"capacity-cdf point {label}")
+                _warn_clear_sky(spec.scenario, f"capacity-cdf point {label}")
             # The point's two columns are formatted once, the samples with
             # the shortest round-trip repr of format_csv.
             prefix = f"{name},{float(value)!r},"

@@ -26,7 +26,7 @@ DEFAULT_CARRIER_FREQUENCY = 73.5e9
 
 @dataclasses.dataclass(frozen=True)
 class MimoScenario:
-    """Array layout and link budget of one LoS MIMO link."""
+    """Array layout, link budget and elevation of one LoS MIMO link."""
 
     num_tx: int = 2
     num_rx: int = 2
@@ -35,6 +35,7 @@ class MimoScenario:
     carrier_frequency: float = DEFAULT_CARRIER_FREQUENCY   # [Hz]
     snr_db: float = 20.0           # per-receive-antenna SNR [dB]
     link_distance: float = 40000.0  # distance between array centres [m]
+    elevation_deg: float = 90.0    # link elevation in (0, 90] [deg]
     compensated: bool = False      # True: unit gains; False: 1/d gains
 
     def __post_init__(self) -> None:
@@ -50,6 +51,9 @@ class MimoScenario:
         if self.link_distance <= 0.0:
             problems.append(
                 f"link_distance must be > 0, got {self.link_distance}")
+        if not (0.0 < self.elevation_deg <= 90.0):
+            problems.append(
+                f"elevation_deg must be in (0, 90], got {self.elevation_deg}")
         with np.errstate(over="ignore"):
             linear_snr = np.power(10.0, self.snr_db / 10.0)
         if not np.isfinite(linear_snr):

@@ -2,14 +2,17 @@
 
 The link lies in one vertical plane with coordinates (x, z): x horizontal,
 z altitude.  The ground array is centred at the origin and the airborne
-array's centre lies ``link_distance`` metres along the elevation ray.  Both
-arrays are broadside: their elements sit along the perpendicular
-``(-sin, cos)`` of the link axis, at the offsets of
-:meth:`cloudmimo.mimochannel.MimoScenario.element_offsets`.  Each
-transmit/receive antenna pair defines one straight ray; the portion of a
-ray inside the cloud altitude band is mapped into the 2-D cross-section
-frame of :mod:`cloudmimo.cloudfield` as (h, height above the layer bottom),
-where chord lengths through individual cloudlets are computed exactly.
+array's centre lies ``link_distance`` metres along the ray at the
+scenario's ``elevation_deg``.  Both arrays are broadside: their elements
+sit along the perpendicular ``(-sin, cos)`` of the link axis, at the
+offsets of :meth:`cloudmimo.mimochannel.MimoScenario.element_offsets`.
+Each transmit/receive antenna pair defines one straight ray; the portion
+of a ray inside the cloud's altitude band, ``thickness_d`` below its
+``upper_altitude``, is mapped into the 2-D cross-section frame of
+:mod:`cloudmimo.cloudfield` as (h, height above the layer bottom), where
+chord lengths through individual cloudlets are computed exactly.  Both
+parts check their own geometry, so every input the tracer takes is one
+it can trace.
 
 h is x measured from the transmit array centre, pointing towards the
 receive array centre.  For a vertical link, whose centres lie within 1e-9 m
@@ -35,24 +38,21 @@ if TYPE_CHECKING:
 _DEGENERATE_LENGTH = 1e-9   # shortest separation or span taken as nonzero [m]
 
 
-def map_rays_to_field(scenario: MimoScenario, elevation_deg: float,
-                      cloud_upper_altitude: float,
+def map_rays_to_field(scenario: MimoScenario,
                       cloud: CloudConfig) -> np.ndarray:
     """In-layer segments of a broadside link's rays, with one shared anchor.
 
     A (rays, 2, 2) array: row r holds ray r's segment start and end, each
     (h, y) in metres.  One ray per antenna pair, receive index outermost:
     ray ``i * Nt + j`` runs from transmit antenna ``j`` to receive antenna
-    ``i``.  The layer is ``cloud.thickness_d`` thick below
-    ``cloud_upper_altitude``.  All in-layer segments are translated by the
-    same offset, chosen so the mean segment midpoint lands at W/2.  Sharing
-    the anchor preserves the relative geometry between rays, which is what
-    lets nearby paths pierce the same cloudlets.  Rays that never reach the
-    layer, or whose in-layer piece is shorter than ``_DEGENERATE_LENGTH``,
-    map to zero-length segments at (W/2, 0) and take no part in the
-    anchor.  ``elevation_deg`` must lie in (0, 90], and the layer's top
-    must exceed its bottom in floating point;
-    :class:`cloudmimo.experiment.ExperimentSpec` checks both.
+    ``i``.  The link rises at ``scenario.elevation_deg``, and the layer is
+    ``cloud.thickness_d`` thick below ``cloud.upper_altitude``.  All
+    in-layer segments are translated by the same offset, chosen so the
+    mean segment midpoint lands at W/2.  Sharing the anchor preserves the
+    relative geometry between rays, which is what lets nearby paths pierce
+    the same cloudlets.  Rays that never reach the layer, or whose
+    in-layer piece is shorter than ``_DEGENERATE_LENGTH``, map to
+    zero-length segments at (W/2, 0) and take no part in the anchor.
 
     Raises
     ------
@@ -60,9 +60,9 @@ def map_rays_to_field(scenario: MimoScenario, elevation_deg: float,
         If a transmit and a receive antenna coincide, or a segment falls
         outside the layer width.
     """
-    upper = cloud_upper_altitude
+    upper = cloud.upper_altitude
     lower = upper - cloud.thickness_d
-    theta = math.radians(elevation_deg)
+    theta = math.radians(scenario.elevation_deg)
     axis = np.array([math.cos(theta), math.sin(theta)])
     perp = np.array([-math.sin(theta), math.cos(theta)])
     tx_off, rx_off = scenario.element_offsets()

@@ -221,6 +221,17 @@ def test_boolean_and_integer_coercion():
         assemble(sets=["mimo.compensated=maybe"])
 
 
+@pytest.mark.parametrize("value", [True, False, np.True_])
+@pytest.mark.parametrize("key", ["mimo.snr_db", "run.trials",
+                                 "link.distance_m", "run.sweep_rwc"])
+def test_a_boolean_is_not_a_number(key, value):
+    # float(True) is 1.0 and int(False) is 0; a list entry is read alike.
+    if CONFIG_SCHEMA[key][0] == "float_list":
+        value = [0.4, value]
+    with pytest.raises(ValueError, match="is not a number"):
+        parse_config_value(key, value)
+
+
 # ============================================================
 # Entry point
 # ============================================================
@@ -455,6 +466,45 @@ def test_every_mode_checks_the_layer_order(tmp_path, capsys, mode, args):
     err = capsys.readouterr().err
     assert "configuration error: cloud_upper_altitude (" in err
     assert ") must exceed cloud_lower_altitude (" in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("args, messages", [
+    # The link's elevation and the cloud are checked apart.
+    (["--set", "link.elevation_deg=0", "--set", "cloud.width_w=-1"],
+     ["elevation_deg must be in (0, 90], got 0.0",
+      "width_w must be > 0, got -1.0"]),
+    # Each layer a thickness sweep traces is checked with the run.
+    (["--thickness", "2000", "--trials", "0"],
+     ["trials must be >= 1, got 0",
+      "thickness_d (2000.0) must not exceed max_thickness_dmax (1000.0)"]),
+], ids=["elevation-and-cloud", "swept-layer-and-trials"])
+def test_main_lists_geometry_problems_with_the_others(tmp_path, capsys, args,
+                                                       messages):
+    code = run_cli(["capacity-cdf", "--profile", "table3", *args,
+                    "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    for message in messages:
+        assert message in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_main_rejects_json_booleans_as_numbers(tmp_path, capsys):
+    # Not 1 trial on a 1 m link at 0 dB: each key is named, in one message.
+    path = tmp_path / "run.json"
+    path.write_text('{"run.trials": true, "link.distance_m": true, '
+                    '"mimo.snr_db": false}')
+    code = run_cli(["capacity-cdf", "--profile", "table3", "--config",
+                    str(path), "--out", str(tmp_path / "x")])
+    assert code == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("configuration error: ")
+    for message in ("mimo.snr_db: False is not a number",
+                    "link.distance_m: True is not a number",
+                    "run.trials: True is not a number"):
+        assert message in line
     assert not (tmp_path / "x").exists()
 
 

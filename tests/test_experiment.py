@@ -91,8 +91,7 @@ def centre_ray_trace(spec: ExperimentSpec):
     """Each trial's cloudlet count, and the 1x1 link's pierced count and
     phase: what phase-compare and mac-count summarize."""
     centre = dataclasses.replace(spec.scenario, num_tx=1, num_rx=1)
-    segments = map_rays_to_field(centre, spec.elevation_deg,
-                                 spec.cloud_upper_altitude, spec.cloud)
+    segments = map_rays_to_field(centre, spec.cloud)
     counts, pierced, phases = trial_kernel(spec, spec.cloud, segments)
     return counts, pierced[:, 0], spec.cloud.max_iwc_c * phases[:, 0]
 
@@ -133,12 +132,34 @@ def test_trial_seed_fits_in_64_bits():
 def test_spec_collects_all_problems():
     with pytest.raises(ConfigurationError) as err:
         make_spec(mode="bogus", trials=0, dt=-1.0, outage_probability=0.0,
-                  sweep_rwc=(0.5,), sweep_thickness=(100.0,),
-                  elevation_deg=120.0)
+                  sweep_rwc=(0.5,), sweep_thickness=(100.0,))
     message = str(err.value)
     for fragment in ("unknown mode", "trials", "dt", "outage_probability",
-                     "exclusive", "elevation_deg must be in (0, 90]"):
+                     "exclusive"):
         assert fragment in message
+
+
+def test_spec_checks_each_layer_a_thickness_sweep_traces():
+    # A layer thicker than D_max is reported with the spec's own problems,
+    # before any run builds it.
+    with pytest.raises(ConfigurationError) as err:
+        make_spec(trials=0, sweep_thickness=(100.0, 2000.0))
+    message = str(err.value)
+    assert "trials must be >= 1, got 0" in message
+    assert ("thickness_d (2000.0) must not exceed max_thickness_dmax "
+            "(1000.0)") in message
+
+
+def test_spec_from_flat_names_each_key_it_cannot_read():
+    flat = spec_to_flat(make_spec())
+    del flat["cloud.width_w"]
+    flat["run.trials"] = "abc"
+    with pytest.raises(ConfigurationError) as err:
+        spec_from_flat(flat)
+    # Worded as assemble_config words them, in schema order.
+    assert str(err.value) == ("cloud.width_w: missing value; run.trials: "
+                              "invalid literal for int() with base 10: "
+                              "'abc'")
 
 
 def test_blank_or_none_list_means_no_sweep():
@@ -176,17 +197,19 @@ def test_layer_top_must_exceed_its_bottom():
     # 1e300 - 1000 rounds back to 1e300, in every mode.
     for mode in ("field", "phase-dist", "capacity-cdf"):
         with pytest.raises(ConfigurationError, match="cloud_upper_altitude"):
-            make_spec(mode=mode, cloud_upper_altitude=1e300)
+            make_spec(mode=mode, cloud=make_cloud(upper_altitude=1e300))
     # Each layer a thickness sweep traces is checked too: 1e18 - 1000 is
     # below 1e18, but 1e18 - 1 rounds back to it.
-    make_spec(cloud_upper_altitude=1e18, sweep_thickness=(1000.0,))
+    make_spec(cloud=make_cloud(upper_altitude=1e18),
+              sweep_thickness=(1000.0,))
     with pytest.raises(ConfigurationError, match=(
             r"cloud_upper_altitude \(1e\+18\) must exceed "
             r"cloud_lower_altitude \(1e\+18\)")):
-        make_spec(cloud_upper_altitude=1e18, sweep_thickness=(1.0, 1000.0))
+        make_spec(cloud=make_cloud(upper_altitude=1e18),
+                  sweep_thickness=(1.0, 1000.0))
     with pytest.raises(ConfigurationError, match="cloud_upper_altitude"):
-        make_spec(cloud_upper_altitude=1e18,
-                  cloud=make_cloud(thickness_d=1.0, max_thickness_dmax=1.0),
+        make_spec(cloud=make_cloud(thickness_d=1.0, max_thickness_dmax=1.0,
+                                   upper_altitude=1e18),
                   sweep_thickness=(1000.0,))
 
 
@@ -317,7 +340,7 @@ def test_kernel_rows_equal_single_field_path_phase(monkeypatch):
                          cloud=make_cloud(density_lambda_s=lambda_s))
         # Both scenarios' rays, one after another: 4 at 40 km, 4 at 5 km.
         rays = np.concatenate([
-            map_rays_to_field(scenario, 90.0, 8000.0, spec.cloud)
+            map_rays_to_field(scenario, spec.cloud)
             for scenario in scenarios])
         counts, pierced, phases = trial_kernel(spec, spec.cloud, rays)
         fields = _fields(spec)
@@ -574,7 +597,7 @@ def test_an_rwc_sweep_traces_only_its_nonzero_bounds(monkeypatch):
     spec = make_spec(trials=5, sweep_rwc=(0.0, 0.4))
     (_, _, dry), (_, _, wet) = capacity_points(run_capacity_cdf(spec))
     assert stacks[0] is None and len(stacks) == 2
-    rays = map_rays_to_field(spec.scenario, 90.0, 8000.0, spec.cloud)
+    rays = map_rays_to_field(spec.scenario, spec.cloud)
     _, _, unit = trial_kernel(spec, spec.cloud, rays)
     assert stacks[1].shape == (1, 5, 4)
     assert np.array_equal(stacks[1][0], 0.4 * REFERENCE_IWC * unit)
@@ -714,7 +737,7 @@ def test_phase_compare_shapes_and_analytic_reference():
     # The field's cloudlet count and the ray's pierced count, each trial's
     # own; the report gives the mean of each under its own key.
     centre = make_scenario(num_tx=1, num_rx=1, link_distance=30000.0)
-    segments = map_rays_to_field(centre, 90.0, 8000.0, spec.cloud)
+    segments = map_rays_to_field(centre, spec.cloud)
     fields = _fields(spec)
     assert counts.tolist() == [len(u) for _, u in fields]
     assert pierced.tolist() == [
@@ -825,7 +848,7 @@ def test_mac_count_terms():
     # An engaged ray adds 5 per cloudlet and 3 per pierced one.
     spec = make_spec(mode="mac-count", trials=20, master_seed=31)
     centre = make_scenario(num_tx=1, num_rx=1, link_distance=40000.0)
-    segments = map_rays_to_field(centre, 90.0, 8000.0, spec.cloud)
+    segments = map_rays_to_field(centre, spec.cloud)
     expected = []
     for field in _fields(spec):
         n = len(field[1])

@@ -27,10 +27,11 @@ def link_segments(distance=40000.0, elevation=90.0, upper=8000.0,
     fields."""
     scenario = MimoScenario(**{**dict(num_tx=2, num_rx=2, tx_spacing=1.0,
                                       rx_spacing=6.0827,
-                                      link_distance=distance), **arrays})
+                                      link_distance=distance,
+                                      elevation_deg=elevation), **arrays})
     cloud = CloudConfig(width_w=width, thickness_d=thickness,
-                        max_thickness_dmax=thickness)
-    return map_rays_to_field(scenario, elevation, upper, cloud)
+                        max_thickness_dmax=thickness, upper_altitude=upper)
+    return map_rays_to_field(scenario, cloud)
 
 
 def length(segment) -> float:
@@ -41,6 +42,23 @@ def length(segment) -> float:
 def single_ray(**link):
     return link_segments(num_tx=1, num_rx=1, tx_spacing=0.0,
                          rx_spacing=0.0, **link)
+
+
+# The parts check the geometry they describe: the tracer would map every
+# ray of these to a zero-length segment, so the link would see clear sky.
+@pytest.mark.parametrize("elevation", [0.0, -30.0, 120.0, math.nan])
+def test_scenario_refuses_an_elevation_outside_0_90(elevation):
+    with pytest.raises(ConfigurationError,
+                       match=r"elevation_deg must be in \(0, 90\]"):
+        MimoScenario(elevation_deg=elevation)
+
+
+@pytest.mark.parametrize("upper", [1e300, math.nan])
+def test_cloud_refuses_a_top_not_above_its_bottom(upper):
+    with pytest.raises(ConfigurationError, match=(
+            r"cloud_upper_altitude \(.+\) must exceed "
+            r"cloud_lower_altitude \(.+\)")):
+        CloudConfig(upper_altitude=upper)
 
 
 # ============================================================
