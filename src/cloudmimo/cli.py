@@ -2,17 +2,18 @@
 
 Runs are configured by the flat dotted keys of
 :data:`cloudmimo.experiment.CONFIG_SCHEMA` (for example ``cloud.lambda_s``)
-coming from, in order of increasing precedence: a named profile, a config
-file, ``CLOUDMIMO_``-prefixed environment variables, repeated ``--set``
-overrides, and dedicated flags, each read exactly as its ``--set KEY=TEXT``
-form: ``parse_config_value`` is the one parser every source reaches.  A
-run's ``manifest.json`` is itself a valid config file, so any run can be
-reproduced from its manifest alone.
+coming from, in order of increasing precedence: the profile base, the
+mode's defaults, a named profile, a config file, ``CLOUDMIMO_``-prefixed
+environment variables, repeated ``--set`` overrides, and dedicated flags,
+each read exactly as its ``--set KEY=TEXT`` form: ``parse_config_value`` is
+the one parser every source reaches.  A run's ``manifest.json`` is itself a
+valid config file, so any run can be reproduced from its manifest alone.
 
 Every mode runs the same way: the CLI builds its subcommands from
-:data:`cloudmimo.experiment.MODES`, times the mode's runner, writes the
-CSV and ``manifest.json`` the runner's output describes, and prints where
-they went followed by the runner's summary lines.
+:data:`cloudmimo.experiment.MODES`, each with the shared options plus the
+dedicated flags its row lists, times the mode's runner, writes the CSV and
+``manifest.json`` the runner's output describes, and prints where they
+went followed by the runner's summary lines.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime error.
 """
@@ -59,7 +60,7 @@ PROFILES = {
     # Correlation sweep: closer receive spacing, distance grid to 30 km.
     "table4": {"mimo.rx_spacing_m": 5.0,
                "link.distance_m": 30000.0,
-               "run.distance_grid_m": MODES["correlation"].grid},
+               **MODES["correlation"].defaults},
 }
 
 
@@ -91,15 +92,16 @@ class _Parser(argparse.ArgumentParser):
 # Config assembly
 # ============================================================
 
-def _parse_config_text(text: str, source: str, problems: list[str]) -> dict:
-    """Flat ``key = value`` lines, or a manifest/config JSON object."""
-    stripped = text.lstrip()
+def _parse_config_text(text: str, source: str, problems: list) -> tuple:
+    """Flat ``key = value`` lines, or a manifest/config JSON object, and
+    the keys a manifest records as assumed defaults."""
+    stripped, assumed = text.lstrip(), ()
     if stripped.startswith("{"):
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             problems.append(f"{source}: invalid JSON ({exc})")
-            return {}
+            return {}, ()
         if "config" in data and isinstance(data["config"], dict):
             # Manifests from before numerics was recorded are version 1.
             numerics = data.get("numerics", 1)
@@ -108,8 +110,8 @@ def _parse_config_text(text: str, source: str, problems: list[str]) -> dict:
                       f"{numerics}; cloudmimo {__version__} runs numerics "
                       f"{NUMERICS_VERSION}, so its results may differ from "
                       f"the recorded ones", file=sys.stderr)
-            data = data["config"]
-        return dict(data)
+            data, assumed = data["config"], data.get("assumed_defaults", ())
+        return dict(data), tuple(assumed)
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -121,7 +123,7 @@ def _parse_config_text(text: str, source: str, problems: list[str]) -> dict:
             continue
         key, _, value = line.partition("=")
         out[key.strip()] = value.strip()
-    return out
+    return out, ()
 
 
 def _env_overrides() -> dict:
@@ -135,8 +137,12 @@ def assemble_config(mode: str, profile: str | None, config_path: str | None,
                     flag_overrides: dict) -> tuple[dict, set]:
     """Merge all config sources and validate every key.
 
+    The layers, each over the one before: the profile base, the mode's
+    defaults, the profile, the config file, the environment, ``--set`` and
+    the flags; without a profile the merge starts from the mode's defaults.
     Returns the fully validated flat mapping plus the set of keys that the
-    user pinned explicitly (everything beyond the profile defaults).
+    user pinned explicitly: those a source above the profile sets, but the
+    assumed defaults of a replayed manifest that no later source sets.
 
     Raises
     ------
@@ -144,13 +150,13 @@ def assemble_config(mode: str, profile: str | None, config_path: str | None,
         Listing every problem found, not just the first.
     """
     problems: list[str] = []
-    merged: dict = {}
+    merged = dict(MODES[mode].defaults)
     if profile is not None:
         if profile not in PROFILES:
             raise ConfigurationError(
                 f"unknown profile {profile!r}; available: "
                 f"{', '.join(sorted(PROFILES))}")
-        merged.update({**_PROFILE_BASE, **PROFILES[profile]})
+        merged = {**_PROFILE_BASE, **merged, **PROFILES[profile]}
     explicit: set = set()
 
     def apply(source: str, mapping: dict) -> None:
@@ -167,8 +173,10 @@ def assemble_config(mode: str, profile: str | None, config_path: str | None,
         path = Path(config_path)
         if not path.exists():
             raise ConfigurationError(f"config file not found: {path}")
-        apply(str(path), _parse_config_text(path.read_text(), str(path),
-                                            problems))
+        values, assumed = _parse_config_text(path.read_text(), str(path),
+                                             problems)
+        apply(str(path), values)
+        explicit.difference_update(assumed)
     apply("environment", _env_overrides())
     for item in set_overrides:
         if "=" not in item:
@@ -179,13 +187,6 @@ def assemble_config(mode: str, profile: str | None, config_path: str | None,
     apply("flags", flag_overrides)
 
     merged["run.mode"] = mode
-    defaults = MODES[mode]
-    if "run.trials" not in explicit and defaults.trials is not None:
-        merged["run.trials"] = defaults.trials
-    if defaults.grid is not None and merged.get("run.distance_grid_m") \
-            is None:
-        merged["run.distance_grid_m"] = defaults.grid
-
     missing = [key for key in REQUIRED_KEYS if key not in merged]
     if missing:
         problems.append(
@@ -236,7 +237,7 @@ def _build_parser() -> _Parser:
                      description="Cloud-layer LoS MIMO link simulator")
     parser.add_argument("--version", action="version",
                         version=f"cloudmimo {__version__}")
-    # Every mode takes the same options, declared once.
+    # The options every mode takes, declared once; each mode adds its own.
     common = _Parser(add_help=False)
     common.add_argument("--profile", choices=sorted(PROFILES),
                         help="named parameter profile")
@@ -244,7 +245,8 @@ def _build_parser() -> _Parser:
     common.add_argument("--out", default=None,
                         help="output directory (default cloudmimo-runs/MODE)")
     for flag, (_, help_text) in _FLAGS.items():
-        common.add_argument(f"--{flag}", help=help_text)
+        if not any(flag in facts.flags for facts in MODES.values()):
+            common.add_argument(f"--{flag}", help=help_text)
     common.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility; runs are "
                              "single-threaded and it changes nothing")
@@ -253,14 +255,17 @@ def _build_parser() -> _Parser:
                         help="override any config key")
     sub = parser.add_subparsers(dest="mode", metavar="MODE")
     for mode, facts in MODES.items():
-        sub.add_parser(mode, help=facts.help_text,
-                       description=facts.help_text, parents=[common])
+        own = sub.add_parser(mode, help=facts.help_text,
+                             description=facts.help_text, parents=[common])
+        for flag in facts.flags:
+            own.add_argument(f"--{flag}", help=_FLAGS[flag][1])
     return parser
 
 
 def _flag_overrides(args) -> dict:
+    # A subcommand's namespace holds only the flags it offers.
     return {key: getattr(args, flag) for flag, (key, _) in _FLAGS.items()
-            if getattr(args, flag) is not None}
+            if getattr(args, flag, None) is not None}
 
 
 def _one_line(message, category, filename, lineno, line=None) -> str:

@@ -2,9 +2,9 @@
 
 Each mode is one function ``spec -> RunOutput`` that returns the mode's
 CSV text, manifest report and summary lines; :data:`MODES` lists every
-mode once, with its help text, runner and default trials or distance
-grid.  ``field`` draws one cloud field and ``phase-dist`` evaluates the
-analytic phase model.  The other modes
+mode once, with its help text, runner, config defaults and the flags
+only it reads.  ``field`` draws one cloud field and ``phase-dist``
+evaluates the analytic phase model.  The other modes
 draw a fresh static cloud field per trial (capacity and correlation
 studies are snapshot studies), trace the antenna-pair rays of the
 configured link through it, and feed the accumulated cloud phases into the
@@ -42,6 +42,7 @@ import dataclasses
 import itertools
 import math
 import operator
+import types
 import typing
 import warnings
 
@@ -139,9 +140,12 @@ class ExperimentSpec:
                 problems.append(str(exc))
         if any(v <= 0.0 for v in self.distance_grid or ()):
             problems.append("distance grid values must be > 0")
-        if self.mode in MODES and MODES[self.mode].grid is not None \
+        if self.mode in MODES and "grid" in MODES[self.mode].flags \
                 and self.distance_grid is None:
             problems.append(f"mode {self.mode!r} needs a distance grid")
+        if self.mode == "correlation" and self.scenario.num_tx < 2:
+            problems.append("sub-channel correlation needs at least two "
+                            "transmit columns")
         if problems:
             raise ConfigurationError("; ".join(problems))
 
@@ -691,11 +695,7 @@ def run_phase_compare(spec: ExperimentSpec) -> RunOutput:
     analytic = stationary_distribution(AnalyticParams(
         spec.cloud, spec.physics, spec.scenario.carrier_frequency))
 
-    lo, hi = float(samples.min()), float(samples.max())
-    if lo == hi:
-        lo, hi = lo - 0.5, hi + 0.5
-    density, edges = np.histogram(samples, bins=101, range=(lo, hi),
-                                  density=True)
+    density, edges = np.histogram(samples, bins=101, density=True)
     centres = (edges[:-1] + edges[1:]) / 2.0
     if analytic.sigma_c2 > 0.0:
         ks = _laplace_ks_distance(samples, analytic.phi0,
@@ -791,40 +791,39 @@ def run_mac_count(spec: ExperimentSpec) -> RunOutput:
 # ============================================================
 
 class Mode(typing.NamedTuple):
-    """A mode's help text and runner, and the defaults it puts on a run.
-
-    ``trials`` fills ``run.trials`` unless that is set explicitly.  ``grid``
-    fills ``run.distance_grid_m`` unless that is set, and a mode with a
-    default grid needs a distance grid.
+    """What a mode takes: its help text and runner, the config defaults
+    that are its layer of the merge, just below the profile's, and the
+    dedicated flags only its subcommand offers and its runs read.
     """
 
     help_text: str
     runner: typing.Callable[[ExperimentSpec], RunOutput]
-    trials: int | None = None
-    grid: tuple | None = None
+    defaults: typing.Mapping = types.MappingProxyType({})
+    flags: tuple = ()
 
 
-def _distances(first: int, last: int) -> tuple:
-    """A distance grid [m] from ``first`` to ``last`` in 2 km steps."""
-    return tuple(float(d) for d in range(first, last + 1, 2000))
+def _grid(first: int, last: int) -> typing.Mapping:
+    """The defaults of a distance grid [m], first to last in 2 km steps."""
+    return types.MappingProxyType({"run.distance_grid_m": tuple(
+        float(d) for d in range(first, last + 1, 2000))})
 
 
 # Every mode once, in the order the command line lists them.
 MODES = {
     "field": Mode("generate one cloud field realization", run_field),
     "phase-dist": Mode("analytic phase distribution report and density grid",
-                       run_phase_dist),
+                       run_phase_dist, flags=("dt",)),
     "capacity-cdf": Mode("per-trial capacity CDF, optionally swept",
-                         run_capacity_cdf),
+                         run_capacity_cdf, flags=("rwc", "thickness")),
     "correlation": Mode("sub-channel correlation over a distance grid",
-                        run_correlation_sweep, grid=_distances(2000, 30000)),
+                        run_correlation_sweep, _grid(2000, 30000), ("grid",)),
     "compensated": Mode("median compensated capacity over a distance grid",
-                        run_compensated_sweep,
-                        grid=_distances(20000, 40000)),
+                        run_compensated_sweep, _grid(20000, 40000), ("grid",)),
     "phase-compare": Mode("Monte Carlo vs analytic single-ray phase",
-                          run_phase_compare, trials=100000),
+                          run_phase_compare,
+                          types.MappingProxyType({"run.trials": 100000})),
     "mac-count": Mode("average per-round operation count", run_mac_count,
-                      trials=1000),
+                      types.MappingProxyType({"run.trials": 1000})),
 }
 
 

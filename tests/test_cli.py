@@ -188,7 +188,7 @@ def test_threads_key_ignored_in_config_sources(tmp_path):
     assert "run.threads" not in explicit
 
 
-def test_mode_specific_trial_defaults():
+def test_mode_specific_trial_defaults(tmp_path):
     flat, _ = assemble(mode="phase-compare")
     assert flat["run.trials"] == 100000
     flat, _ = assemble(mode="mac-count")
@@ -197,6 +197,21 @@ def test_mode_specific_trial_defaults():
     assert flat["run.trials"] == 50
     flat, _ = assemble(mode="capacity-cdf")
     assert flat["run.trials"] == 10000
+    # The mode's defaults are one layer of the merge: a flag or a config
+    # file wins over them, and without a profile the merge starts there.
+    flat, explicit = assemble(mode="phase-compare", flags={"run.trials": "7"})
+    assert (flat["run.trials"], explicit) == (7, {"run.trials"})
+    config = tmp_path / "run.cfg"
+    config.write_text("run.trials = 9\n")
+    flat, _ = assemble(mode="phase-compare", config=str(config))
+    assert flat["run.trials"] == 9
+    base, _ = assemble()
+    del base["run.trials"]
+    config.write_text(json.dumps(base))
+    flat, explicit = assemble(mode="phase-compare", profile=None,
+                              config=str(config))
+    assert flat["run.trials"] == 100000
+    assert "run.trials" not in explicit
 
 
 def test_mode_specific_grid_defaults():
@@ -211,6 +226,10 @@ def test_mode_specific_grid_defaults():
     assert flat["run.distance_grid_m"] == [5000.0, 10000.0]
     flat, _ = assemble(mode="capacity-cdf")
     assert flat["run.distance_grid_m"] is None
+    # A profile's own grid wins over the mode's.
+    flat, _ = assemble(mode="compensated", profile="table4")
+    assert flat["run.distance_grid_m"] == [float(d)
+                                           for d in range(2000, 30001, 2000)]
 
 
 def test_boolean_and_integer_coercion():
@@ -255,6 +274,44 @@ def test_main_small_run_succeeds(tmp_path, capsys):
 def test_main_bad_flag_exits_one(capsys):
     assert run_cli(["capacity-cdf", "--bogus"]) == 1
     assert "usage" in capsys.readouterr().err
+
+
+# Every flag one mode's row owns, with a text its key reads.
+_OWNED_FLAGS = {"rwc": "0.4", "thickness": "500", "grid": "30000",
+                "dt": "1.0"}
+
+
+def test_every_owned_flag_has_a_text():
+    assert set(_OWNED_FLAGS) == {flag for facts in MODES.values()
+                                 for flag in facts.flags}
+
+
+@pytest.mark.parametrize("flag", sorted(_OWNED_FLAGS))
+@pytest.mark.parametrize("mode", list(MODES))
+def test_a_subcommand_takes_only_its_rows_flags(tmp_path, capsys, mode,
+                                                 flag):
+    argv = [mode, "--profile", "table4", "--trials", "1",
+            f"--{flag}", _OWNED_FLAGS[flag], "--out", str(tmp_path / "x")]
+    if flag in MODES[mode].flags:
+        args = cli._build_parser().parse_args(argv)
+        assert getattr(args, flag) == _OWNED_FLAGS[flag]
+        return
+    assert run_cli(argv) == 1
+    assert (f"unrecognized arguments: --{flag} {_OWNED_FLAGS[flag]}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "x").exists()
+
+
+def test_each_help_lists_the_shared_flags_and_its_rows(capsys):
+    shared = {flag for flag in cli._FLAGS if flag not in _OWNED_FLAGS}
+    assert shared == {"seed", "trials", "distance"}
+    pairs = 0
+    for mode, facts in MODES.items():
+        text = _help_text([mode], capsys)
+        listed = {flag for flag in cli._FLAGS if f"--{flag} " in text}
+        assert listed == shared | set(facts.flags), mode
+        pairs += len(listed)
+    assert pairs == 26
 
 
 def test_main_requires_mode(capsys):
@@ -357,6 +414,39 @@ def test_main_unparsable_distance_is_configuration_error(tmp_path, capsys,
     assert err.startswith("configuration error: link.distance_m: ")
     assert repr(distance) in err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("args, config", [
+    (["--grid", "none"], None),
+    ([], '{"run.distance_grid_m": null}'),
+], ids=["text-none", "json-null"])
+def test_a_null_grid_is_no_grid(tmp_path, capsys, args, config):
+    # null and none read alike: neither falls back to the mode's grid.
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(config)
+        args = [*args, "--config", str(path)]
+    code = run_cli(["correlation", "--profile", "table4", "--trials", "2",
+                    *args, "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert ("configuration error: mode 'correlation' needs a distance grid"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "x").exists()
+
+
+def test_correlation_checks_its_transmit_columns_with_the_run(tmp_path,
+                                                              capsys):
+    code = run_cli(["correlation", "--profile", "table4", "--trials", "0",
+                    "--set", "mimo.num_tx=1", "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "configuration error: trials must be >= 1, got 0; sub-channel "
+        "correlation needs at least two transmit columns\n")
+    assert not (tmp_path / "x").exists()
+    # Capacity needs no second column.
+    assert run_cli(["compensated", "--profile", "table4", "--trials", "2",
+                    "--set", "mimo.num_tx=1",
+                    "--out", str(tmp_path / "y")]) == 0
 
 
 def test_main_lists_every_part_problem_together(tmp_path, capsys):
@@ -734,3 +824,25 @@ def test_assumed_defaults_track_explicit_overrides(tmp_path):
     assert set(assumed) == {"physics.sphere_density_n",
                             "physics.sphere_volume_vice",
                             "physics.ice_permittivity_real"}
+
+
+@pytest.mark.parametrize("sets", [[], ["--set", "cloud.alpha=0.5"]],
+                         ids=["table3", "alpha-set"])
+def test_a_replay_keeps_the_assumed_defaults_of_its_run(tmp_path, sets):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run_cli(["capacity-cdf", "--profile", "table3", "--trials", "20",
+                    *sets, "--out", str(first)]) == 0
+    assert run_cli(["capacity-cdf", "--config", str(first / "manifest.json"),
+                    "--out", str(second)]) == 0
+    original, replay = (json.loads((out / "manifest.json").read_text())
+                        for out in (first, second))
+    del original["wall_time_s"], replay["wall_time_s"]
+    assert replay == original
+    assert ("cloud.alpha" in replay["assumed_defaults"]) == (not sets)
+    # A later source pins an assumed key again.
+    third = tmp_path / "third"
+    assert run_cli(["capacity-cdf", "--config", str(first / "manifest.json"),
+                    "--set", "physics.sphere_density_n=30000",
+                    "--out", str(third)]) == 0
+    pinned = json.loads((third / "manifest.json").read_text())
+    assert "physics.sphere_density_n" not in pinned["assumed_defaults"]

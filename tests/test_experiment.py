@@ -184,6 +184,16 @@ def test_spec_requires_grid_for_distance_sweeps():
         make_spec(mode=mode, distance_grid=(20000.0, 40000.0))  # no raise
 
 
+def test_spec_checks_correlations_transmit_columns():
+    single = make_scenario(num_tx=1, tx_spacing=0.0)
+    with pytest.raises(ConfigurationError,
+                       match="correlation needs at least two transmit"):
+        make_spec(mode="correlation", scenario=single,
+                  distance_grid=(20000.0,))
+    make_spec(mode="compensated", scenario=single,
+              distance_grid=(20000.0,))   # no raise
+
+
 def test_spec_rejects_negative_sweep_values():
     with pytest.raises(ConfigurationError, match="water content"):
         make_spec(sweep_rwc=(-0.1,))
