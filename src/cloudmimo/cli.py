@@ -248,12 +248,14 @@ def _build_parser() -> _Parser:
         if not any(flag in facts.flags for facts in MODES.values()):
             common.add_argument(f"--{flag}", help=help_text)
     common.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; runs are "
-                             "single-threaded and it changes nothing")
+                        help="accepted for compatibility and changes "
+                             "nothing; a long run splits its trials "
+                             "across the CPUs it may use either way")
     common.add_argument("--set", action="append", default=[],
                         metavar="KEY=VALUE", dest="set_overrides",
                         help="override any config key")
     sub = parser.add_subparsers(dest="mode", metavar="MODE")
+    parser.modes = sub.choices      # each mode's parser, for its errors
     for mode, facts in MODES.items():
         own = sub.add_parser(mode, help=facts.help_text,
                              description=facts.help_text, parents=[common])
@@ -289,7 +291,10 @@ def main(argv=None) -> int:
 def _main(argv) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            parser.modes.get(args.mode, parser).error(
+                f"unrecognized arguments: {' '.join(extra)}")
     except _CliUsageError as exc:
         print(exc, file=sys.stderr)
         return 1

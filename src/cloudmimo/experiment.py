@@ -1,35 +1,25 @@
 """Monte Carlo experiment runner, aggregation, and run artifacts.
 
-Each mode is one function ``spec -> RunOutput`` that returns the mode's
-CSV text, manifest report and summary lines; :data:`MODES` lists every
-mode once, with its help text, runner, config defaults and the flags
-only it reads.  ``field`` draws one cloud field and ``phase-dist``
-evaluates the analytic phase model.  The other modes
-draw a fresh static cloud field per trial (capacity and correlation
-studies are snapshot studies), trace the antenna-pair rays of the
-configured link through it, and feed the accumulated cloud phases into the
-LoS MIMO channel.  One trial kernel serves them all: it draws each trial's
-field once per run, evaluates every sweep point whose field does not
-depend on the sweep value on that draw, and works on blocks of trials as
-arrays.  Per-trial random streams derive deterministically from the master
-seed and the trial index, so results are reproducible and independent of
-the block size: one generator is reset to each trial's stream by writing
-its state words in place (see :mod:`cloudmimo.streams`, which checks the
-generator's layout first).  Each block's fields come from one call of
-``draw_fields``, the one field draw, as rows of centres in metres and
-unit contents; no draw outlives its block.  The kernel only traces: it
-takes one array of ray segments and returns plain arrays of each trial's
-cloudlet count and each ray's pierced counts and phases per unit content.
-Each mode takes what it needs from them.  capacity-cdf, correlation and
-compensated run on one sweep runner, which traces the rays of every sweep
-point that reaches the layer, one after another, with one kernel call,
-scales each point's unit phases by each content bound, and applies the
-mode's channel metric to them in block-sized trial slices.  The sweep
-runner also computes each point's clear-sky value once and fills with it
-every trial that sees no cloud: all of a point none of whose rays reaches
-the layer, and all of a content bound of 0; neither is traced.
-phase-compare scales the phases of its one ray by the cloud's content
-bound, and mac-count counts operations from the counts.
+Each mode is one function ``spec -> RunOutput`` that returns the mode's CSV
+text, manifest report and summary lines; :data:`MODES` lists every mode
+once, with its help text, runner, config defaults and the flags only it
+reads.  ``field`` draws one cloud field and ``phase-dist`` evaluates the
+analytic phase model.  The other modes draw a fresh static cloud field per
+trial (capacity and correlation studies are snapshot studies), trace the
+antenna-pair rays of the configured link through it, and feed the
+accumulated cloud phases into the LoS MIMO channel.  One trial kernel,
+:func:`trial_kernel`, serves them all: it draws each trial's field once per
+run, in blocks of trials, from a stream keyed by the master seed and the
+trial index (see :mod:`cloudmimo.streams`), so results are reproducible and
+do not depend on the block size, nor on how a long run splits its blocks
+across forked workers.  It only traces, and returns plain arrays of each
+trial's cloudlet count and each ray's pierced counts and phases per unit
+content.  capacity-cdf, correlation and compensated run on one sweep
+runner, :func:`_sweep`, which traces the rays of every sweep point that
+reaches the layer with one kernel call, scales their unit phases by each
+content bound, applies the mode's metric, and fills every trial that sees
+no cloud with the point's clear-sky value.  phase-compare scales its ray's
+phases by the content bound; mac-count counts operations.
 
 Runs write two artifacts: ``results.csv`` (``field.csv`` for ``field``)
 with plot-ready columns and ``manifest.json`` with the full configuration,
@@ -41,7 +31,12 @@ import collections
 import dataclasses
 import itertools
 import math
+import mmap
 import operator
+import os
+import signal
+import sys
+import threading
 import types
 import typing
 import warnings
@@ -65,6 +60,11 @@ from .streams import trial_streams
 # as fit this count on average, which bounds the kernel's working memory;
 # results never depend on it.
 BLOCK_CLOUDLETS = 8192
+
+# Kernel work (cloudlet draws plus chord evaluations) per forked worker.  On
+# 2 vCPUs, forced splits slowed first calls of capacity_table3 (0.40 M units)
+# and correlation_table4 (0.78 M) by 2.5-3.8 ms; table1's 6.4 M: 135 -> 104 ms.
+WORK_PER_WORKER = 2 ** 20
 
 # Floating-point evaluation order behind results.csv, recorded in the
 # manifest.  1: one field, one ray and one channel at a time.  2: per-ray
@@ -319,7 +319,7 @@ def spec_from_flat(flat: dict, threads: int = 1) -> ExperimentSpec:
     Every key is parsed as its kind and fills its one field; only the list
     keys may be absent.  Every missing or unreadable key is raised first,
     by :func:`parse_config`, and then the three parts' problems together.
-    ``threads`` is accepted and ignored: runs are single-threaded.
+    ``threads`` is accepted and ignored (see :func:`trial_kernel`).
     """
     parsed = parse_config({key: flat.get(key) for key in CONFIG_SCHEMA})
     values = collections.defaultdict(dict)   # part -> {name: value}
@@ -386,6 +386,10 @@ def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, rays: np.ndarray,
     block's rows, and one :func:`block_phases` call traces them against
     every ray at once.
 
+    Where it can fork (Linux, one thread), a run splits into one contiguous
+    trial range per CPU and per ``WORK_PER_WORKER`` of work; forked workers
+    write theirs into a shared mmap, bit for bit as a serial run.
+
     Parameters
     ----------
     rays : ndarray, shape (rays, 2, 2)
@@ -407,18 +411,61 @@ def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, rays: np.ndarray,
             * mixture_coefficient(spec.physics))
     mean_count = cloud.density_lambda_s * cloud.width_w * cloud.thickness_d
     per_block = max(1, int(BLOCK_CLOUDLETS // max(mean_count, 1.0)))
-    trials = spec.trials
-    counts = np.empty(trials, dtype=np.intp)
-    pierced = np.empty((trials, len(rays)), dtype=np.intp)
-    phases = np.empty((trials, len(rays)))
-    streams = trial_streams(spec.master_seed, trials)
-    for first in range(0, trials, per_block):
-        block = slice(first, min(first + per_block, trials))
-        block_counts, rows = draw_fields(cloud, streams, block.stop - first)
-        counts[block] = block_counts
-        phases[block], pierced[block] = block_phases(
-            rows[:2].T, rows[2], block_counts, radius, rays, rate)
+    trials, n = spec.trials, len(rays)
+    blocks, work = -(-trials // per_block), trials * mean_count * (1 + n)
+    cpus = len(os.sched_getaffinity(0)) if sys.platform == "linux" \
+        and threading.active_count() == 1 else 1      # Linux has os.fork
+    workers = max(1, min(blocks, cpus, int(
+        work // WORK_PER_WORKER if WORK_PER_WORKER else blocks)))
+    memory = mmap.mmap(-1, 8 * trials * (2 * n + 1)) if workers > 1 else None
+    phases = np.ndarray((trials, n), float, memory)
+    pierced = np.ndarray((trials, n), np.intp, memory, phases.nbytes)
+    counts = np.ndarray(trials, np.intp, memory, 2 * phases.nbytes)
+
+    def trace(start: int, stop: int) -> None:
+        streams = trial_streams(spec.master_seed, stop, start)
+        for at in range(start, stop, per_block):
+            block = slice(at, min(at + per_block, stop))
+            block_counts, rows = draw_fields(cloud, streams, block.stop - at)
+            counts[block] = block_counts
+            phases[block], pierced[block] = block_phases(
+                rows[:2].T, rows[2], block_counts, radius, rays, rate)
+
+    edges = [min(trials, per_block * (blocks * i // workers))
+             for i in range(workers + 1)]
+    _split(trace, list(zip(edges, edges[1:])))
     return counts, pierced, phases
+
+
+def _split(trace, ranges: list) -> None:
+    """``trace`` each range: the first here, each other in a forked worker,
+    reaped (killed first on an exception) and re-run here if it failed."""
+    workers, failed = [], []
+    try:
+        for start, stop in ranges[1:]:
+            try:
+                pid = os.fork()
+            except OSError:     # no worker: the range runs here
+                failed.append((start, stop))
+                continue
+            if pid == 0:        # a worker never returns into the caller
+                try:
+                    trace(start, stop)
+                    os._exit(0)
+                finally:        # any exception, KeyboardInterrupt too
+                    os._exit(1)
+            workers.append((pid, start, stop))
+        trace(*ranges[0])
+        while workers:
+            if os.waitpid(workers[0][0], 0)[1]:
+                failed.append(workers[0][1:])
+            del workers[0]
+    finally:
+        for pid, _, _ in workers:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for start, stop in sorted(failed):
+        trace(start, stop)
 
 
 def _sweep(spec: ExperimentSpec, metric, scenarios, cloud: CloudConfig,
@@ -576,10 +623,11 @@ def run_capacity_cdf(spec: ExperimentSpec) -> RunOutput:
                     else f"{name}={value:g}"
                 _warn_clear_sky(spec.scenario, f"capacity-cdf point {label}")
             # The point's two columns are formatted once, the samples with
-            # the shortest round-trip repr of format_csv.
-            prefix = f"{name},{float(value)!r},"
-            chunks.append(prefix + f"\n{prefix}".join(
-                map(repr, samples.tolist())) + "\n")
+            # format_csv's repr: once, if their bits are one value.
+            prefix, bits = f"{name},{float(value)!r},", samples.view(np.int64)
+            texts = map(repr, samples.tolist()) if np.any(bits != bits[0]) \
+                else [repr(float(samples[0]))] * samples.size
+            chunks.append(prefix + f"\n{prefix}".join(texts) + "\n")
             median = outage_capacity(samples, 0.5)
             points.append({
                 "parameter": name, "value": value, "median_bps_hz": median,

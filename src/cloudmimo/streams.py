@@ -133,9 +133,9 @@ def trial_seed(master_seed: int, trial):
     return seeds if np.ndim(trial) else int(seeds[0])
 
 
-def trial_streams(master_seed: int,
-                  trials: int) -> Iterator[np.random.Generator]:
-    """Yield ``default_rng(trial_seed(master_seed, t))`` for t < ``trials``.
+def trial_streams(master_seed: int, trials: int,
+                  first: int = 0) -> Iterator[np.random.Generator]:
+    """Yield ``default_rng(trial_seed(master_seed, t))``, first <= t < trials.
 
     The seeds and initial states are derived for ``_CHUNK_TRIALS`` trials
     at a time.  One generator is reset for each trial in turn, so a yielded
@@ -145,9 +145,9 @@ def trial_streams(master_seed: int,
     bit_generator = np.random.PCG64(0)
     generator = np.random.Generator(bit_generator)
     words, cached = _state_struct(bit_generator)
-    for first in range(0, trials, _CHUNK_TRIALS):
+    for start in range(first, trials, _CHUNK_TRIALS):
         seeds = trial_seed(master_seed, np.arange(
-            first, min(first + _CHUNK_TRIALS, trials)))
+            start, min(start + _CHUNK_TRIALS, trials)))
         for state in _initial_states(seeds).tolist():
             words[:] = state
             cached.value = 0

@@ -302,6 +302,21 @@ def test_a_subcommand_takes_only_its_rows_flags(tmp_path, capsys, mode,
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("extra", [["--thickness", "500"], ["--bogus"]])
+def test_an_unknown_argument_is_reported_under_its_subcommand(
+        tmp_path, capsys, extra):
+    out = tmp_path / "x"
+    assert run_cli(["correlation", "--profile", "table4", "--trials", "3",
+                    *extra, "--out", str(out)]) == 1
+    usage, *_, error = capsys.readouterr().err.splitlines()
+    assert usage.startswith("usage: cloudmimo correlation [-h]")
+    assert error == f"error: unrecognized arguments: {' '.join(extra)}"
+    assert not out.exists()
+    # Without a mode, the top-level usage line.
+    assert run_cli(["--bogus"]) == 1
+    assert capsys.readouterr().err.startswith("usage: cloudmimo [-h]")
+
+
 def test_each_help_lists_the_shared_flags_and_its_rows(capsys):
     shared = {flag for flag in cli._FLAGS if flag not in _OWNED_FLAGS}
     assert shared == {"seed", "trials", "distance"}
@@ -846,3 +861,54 @@ def test_a_replay_keeps_the_assumed_defaults_of_its_run(tmp_path, sets):
                     "--out", str(third)]) == 0
     pinned = json.loads((third / "manifest.json").read_text())
     assert "physics.sphere_density_n" not in pinned["assumed_defaults"]
+
+
+# ============================================================
+# Runs split across forked workers
+# ============================================================
+
+_TABLE1_RUN = ["phase-compare", "--profile", "table1", "--trials", "777"]
+
+
+@pytest.mark.filterwarnings("ignore::cloudmimo.ModelValidityWarning")
+def test_a_split_run_writes_the_serial_bytes(tmp_path, forced_split):
+    outputs = []
+    for cpus in (1, 2, 3):
+        forks = forced_split(cpus)
+        out = tmp_path / str(cpus)
+        assert run_cli([*_TABLE1_RUN, "--seed", "7", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        del manifest["wall_time_s"]
+        outputs.append(((out / "results.csv").read_bytes(), manifest))
+    assert len(forks) == 1 + 2
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.filterwarnings("ignore::cloudmimo.ModelValidityWarning")
+def test_a_cap_hit_in_a_workers_range_fails_as_the_serial_run(
+        tmp_path, capsys, monkeypatch, forced_split):
+    # Split in two, the caller traces table1's first 400 trials (ten
+    # blocks of 40) and the worker the rest.  At master seed 6 a later
+    # count exceeds the largest of the first 400, so a cap at that largest
+    # one is hit in the worker's range alone.
+    from cloudmimo import cloudfield, experiment
+    flat, _ = assemble_config("phase-compare", "table1", None, [],
+                              {"run.trials": 777, "run.master_seed": 6})
+    spec = spec_from_flat(flat)
+    forks = forced_split(1)
+    counts, _, _ = experiment.trial_kernel(
+        spec, spec.cloud, experiment._centre_ray(spec)[0])
+    cap = int(counts[:400].max())
+    assert counts[400:].max() > cap
+    monkeypatch.setattr(cloudfield, "DEFAULT_CLOUDLET_CAP", cap)
+    errors = []
+    for cpus in (1, 2):
+        forced_split(cpus)
+        out = tmp_path / str(cpus)
+        assert run_cli([*_TABLE1_RUN, "--seed", "6", "--out", str(out)]) == 2
+        errors.append(capsys.readouterr().err)
+        assert not out.exists()
+    assert len(forks) == 1
+    assert errors[0] == errors[1]
+    assert "runtime error: realized cloudlet count" in errors[0]
+    assert f"exceeds the cap {cap}" in errors[0]

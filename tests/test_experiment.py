@@ -1,8 +1,12 @@
 """Tests for the Monte Carlo experiment runner and run artifacts."""
 import dataclasses
+import errno
 import itertools
 import json
 import math
+import os
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -377,7 +381,7 @@ def test_kernel_rows_equal_single_field_path_phase(monkeypatch):
             assert where - {0, per_block - 1}, lambda_s
 
 
-def _per_trial_arrays(monkeypatch, spec: ExperimentSpec) -> list:
+def _per_trial_arrays(spec: ExperimentSpec) -> list:
     """Every per-trial array a run of the spec's mode makes, trials first:
     each trial kernel output, and each sweep runner's metric values."""
     seen = []
@@ -393,17 +397,15 @@ def _per_trial_arrays(monkeypatch, spec: ExperimentSpec) -> list:
         seen.append(np.moveaxis(values, -1, 0))
         return values, clear, engaged
 
-    monkeypatch.setattr(experiment, "trial_kernel", record_kernel)
-    monkeypatch.setattr(experiment, "_sweep", record_sweep)
-    MODES[spec.mode].runner(spec)
-    monkeypatch.undo()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiment, "trial_kernel", record_kernel)
+        patch.setattr(experiment, "_sweep", record_sweep)
+        MODES[spec.mode].runner(spec)
     return seen
 
 
-# table1's analytic phase model clamps its slope variance and warns so,
-# which phase-compare reports; this gate compares only per-trial values.
-@pytest.mark.filterwarnings("ignore:conditional phase variance slope")
-@pytest.mark.parametrize("mode,profile,flags", [
+# The runs of each mode the prefix gates compare.
+_PREFIX_RUNS = [
     pytest.param(mode, profile, flags, id=f"{mode}-{profile}")
     for mode, profile, flags in (
         ("capacity-cdf", "table3", {"run.sweep_rwc": "0,0.4,0.8"}),
@@ -411,9 +413,29 @@ def _per_trial_arrays(monkeypatch, spec: ExperimentSpec) -> list:
         ("compensated", "table3",
          {"run.distance_grid_m": "2000,8000,20000,40000"}),
         ("phase-compare", "table1", {}), ("phase-compare", "table3", {}),
-        ("mac-count", "table1", {}), ("mac-count", "table3", {}))])
+        ("mac-count", "table1", {}), ("mac-count", "table3", {}))]
+
+
+# table1's analytic phase model clamps its slope variance and warns so,
+# which phase-compare reports; this gate compares only per-trial values.
+@pytest.mark.filterwarnings("ignore:conditional phase variance slope")
+@pytest.mark.parametrize("mode,profile,flags", _PREFIX_RUNS)
 def test_a_run_of_n_trials_is_the_first_n_of_a_longer_run(
-        monkeypatch, mode, profile, flags):
+        mode, profile, flags):
+    _check_prefix(mode, profile, flags)
+
+
+@pytest.mark.filterwarnings("ignore:conditional phase variance slope")
+@pytest.mark.parametrize("mode,profile,flags", _PREFIX_RUNS)
+def test_a_run_of_n_trials_is_the_first_n_of_a_longer_split_run(
+        forced_split, mode, profile, flags):
+    # Each run splits its blocks across a caller and two workers.
+    forks = forced_split(3)
+    _check_prefix(mode, profile, flags)
+    assert len(forks) >= 4
+
+
+def _check_prefix(mode: str, profile: str, flags: dict) -> None:
     # 777 trials fill no whole number of kernel blocks (204 trials on
     # table3 and table4, 40 on table1), and 1554 cross a chunk of streams.
     def spec(trials):
@@ -428,7 +450,7 @@ def test_a_run_of_n_trials_is_the_first_n_of_a_longer_run(
     per_block = int(experiment.BLOCK_CLOUDLETS // mean_count)
     assert per_block in (40, 204) and 777 % per_block
     assert 777 < streams._CHUNK_TRIALS < 1554
-    first, twice = (_per_trial_arrays(monkeypatch, s) for s in (short, long))
+    first, twice = (_per_trial_arrays(s) for s in (short, long))
     assert len(first) == len(twice) >= 3
     for want, got in zip(first, twice):
         assert len(want) == 777 and len(got) == 1554
@@ -499,6 +521,129 @@ def test_capacity_memory_grows_per_trial_only_by_the_kernel_outputs():
                 + np.dtype(float).itemsize * rays)
     per_trial = (peak(8000) - peak(2000)) / 6000
     assert per_trial < 2 * returned, (per_trial, returned)
+
+
+# ============================================================
+# Trial kernel split across forked workers
+# ============================================================
+
+def _benchmark_rays(profile: str):
+    """A 777-trial spec at master seed 7, and the rays its benchmark mode
+    traces: phase-compare's centre ray on table1, correlation's 12 engaged
+    distances of 4 rays each on table4."""
+    mode = "phase-compare" if profile == "table1" else "correlation"
+    flat, _ = assemble_config(mode, profile, None, [],
+                              {"run.trials": 777, "run.master_seed": 7})
+    spec = spec_from_flat(flat)
+    if mode == "phase-compare":
+        return spec, experiment._centre_ray(spec)[0]
+    mapped = [experiment._segments_for(spec.cloud, dataclasses.replace(
+        spec.scenario, link_distance=d)) for d in spec.distance_grid]
+    rays = np.concatenate([segments for segments, engaged in mapped
+                           if engaged])
+    assert rays.shape == (48, 2, 2)
+    return spec, rays
+
+
+def _assert_same_arrays(want, got) -> None:
+    for w, g in zip(want, got, strict=True):
+        assert w.dtype == g.dtype and w.shape == g.shape
+        assert np.array_equal(w, g)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("profile", ["table1", "table4"])
+def test_a_split_kernel_returns_the_serial_arrays(forced_split, profile,
+                                                   cpus):
+    # 777 trials are no multiple of the worker count, nor of the blocks
+    # (40 trials on table1, 204 on table4).
+    spec, rays = _benchmark_rays(profile)
+    forks = forced_split(1)
+    serial = trial_kernel(spec, spec.cloud, rays)
+    assert not forks
+    forced_split(cpus)
+    _assert_same_arrays(serial, trial_kernel(spec, spec.cloud, rays))
+    assert len(forks) == cpus - 1
+
+
+def test_the_serial_kernel_allocates_plain_arrays(forced_split):
+    # Only a split run puts its outputs in shared pages.
+    spec, rays = _benchmark_rays("table1")
+    forced_split(1)
+    assert all(a.base is None for a in trial_kernel(spec, spec.cloud, rays))
+    forced_split(2)
+    assert all(a.base is not None
+               for a in trial_kernel(spec, spec.cloud, rays))
+
+
+def test_a_failed_workers_range_is_rerun_by_the_caller(forced_split,
+                                                      monkeypatch):
+    spec, rays = _benchmark_rays("table1")
+    forks = forced_split(1)
+    serial = trial_kernel(spec, spec.cloud, rays)
+    caller, draw = os.getpid(), experiment.draw_fields
+
+    def draw_in_the_caller_only(*args):
+        if os.getpid() != caller:
+            raise RuntimeError("a worker failed")
+        return draw(*args)
+
+    monkeypatch.setattr(experiment, "draw_fields", draw_in_the_caller_only)
+    forced_split(3)
+    _assert_same_arrays(serial, trial_kernel(spec, spec.cloud, rays))
+    assert len(forks) == 2
+
+
+def test_a_range_without_a_worker_runs_in_the_caller(forced_split,
+                                                    monkeypatch):
+    # A fork that fails (here as at a process limit) leaves its range to
+    # the caller.
+    spec, rays = _benchmark_rays("table1")
+    forced_split(1)
+    serial = trial_kernel(spec, spec.cloud, rays)
+
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily "
+                                            "unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    forced_split(2)
+    _assert_same_arrays(serial, trial_kernel(spec, spec.cloud, rays))
+
+
+def test_an_interrupt_kills_and_reaps_the_workers(forced_split, monkeypatch):
+    # The caller is interrupted while its worker still sleeps; the
+    # fixture then checks that no child is left.
+    spec, rays = _benchmark_rays("table1")
+    forks = forced_split(2)
+    caller = os.getpid()
+
+    def interrupted(*args):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        time.sleep(30)
+
+    monkeypatch.setattr(experiment, "draw_fields", interrupted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        trial_kernel(spec, spec.cloud, rays)
+    assert len(forks) == 1 and time.monotonic() - start < 10
+
+
+def test_a_process_with_threads_does_not_fork(forced_split):
+    spec, rays = _benchmark_rays("table1")
+    forks = forced_split(2)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        trial_kernel(spec, spec.cloud, rays)
+    finally:
+        done.set()
+        thread.join()
+    assert not forks
+    trial_kernel(spec, spec.cloud, rays)
+    assert len(forks) == 1
 
 
 # ============================================================
@@ -942,7 +1087,8 @@ def test_format_csv_uses_shortest_round_trip_floats():
 def test_capacity_csv_equals_format_csv_of_its_rows():
     # One row per trial of each point, its samples in ascending order, as
     # format_csv would write them; the samples come from the sweep runner.
-    for sweep in (dict(sweep_rwc=(0.4, 1.0 / 7.0)),
+    # The point at rwc 0 is clear sky: all its samples are one value.
+    for sweep in (dict(sweep_rwc=(0.4, 0.0, 1.0 / 7.0)),
                   dict(sweep_thickness=(500.0, 1000.0 / 3.0))):
         spec = make_spec(trials=5, **sweep)
         if "sweep_rwc" in sweep:

@@ -66,6 +66,18 @@ def test_trial_streams_replay_default_rng_across_chunks(master, monkeypatch):
     assert count == 8
 
 
+@pytest.mark.parametrize("first", [0, 2, 3, 7, 8])
+def test_trial_streams_from_a_first_trial_are_that_trials_on(first,
+                                                             monkeypatch):
+    # Chunks of 3 start at the first trial: trial t's stream is the same
+    # whichever range it is taken in.
+    monkeypatch.setattr(streams, "_CHUNK_TRIALS", 3)
+    whole = [rng.random(4) for rng in trial_streams(5, 8)]
+    part = [rng.random(4) for rng in trial_streams(5, 8, first)]
+    assert len(part) == 8 - first
+    assert all(np.array_equal(a, b) for a, b in zip(whole[first:], part))
+
+
 def test_trial_streams_reset_a_used_generator():
     # A stream taken after a draw of odd length (PCG64 caches half of a
     # 64-bit word for 32-bit draws) still starts clean.

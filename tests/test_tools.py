@@ -2,6 +2,7 @@
 the calls the benchmark makes of the package still work."""
 import importlib
 import importlib.util
+import math
 import os
 import sys
 from pathlib import Path
@@ -49,6 +50,13 @@ def test_stagetime_wraps_only_names_that_exist(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))   # the tool extends it
     stagetime = _load_tool(monkeypatch, "tools/stagetime.py")
     modules = {name: importlib.import_module(name) for name in STAGETIME_WRAPS}
+    # The tool pins the kernel serial, so that every trial reaches its
+    # clock.  Raises if the constant is gone; restores it afterwards.
+    experiment = modules["cloudmimo.experiment"]
+    monkeypatch.setattr(experiment, "WORK_PER_WORKER",
+                        experiment.WORK_PER_WORKER)
+    stagetime._pin_serial()
+    assert experiment.WORK_PER_WORKER == math.inf
     before = {name: dict(vars(module)) for name, module in modules.items()}
     for name, attributes in STAGETIME_WRAPS.items():
         for attribute in attributes:
@@ -97,3 +105,23 @@ def test_benchmark_calls_what_the_package_provides(monkeypatch):
         for argv in (workload.argv(0, out, workload.threads), replay):
             args = parser.parse_args(argv)
             assert (args.mode, args.out) == (mode, str(out)), argv
+
+
+def test_only_the_long_benchmark_workload_forks(monkeypatch, tmp_path,
+                                                capsys):
+    # With three CPUs to split across and a fork that fails the run,
+    # capacity_table3 and correlation_table4 still succeed: their kernels
+    # stay serial.  phase_compare_table1's splits.
+    workloads = _load_tool(monkeypatch, "bench/workloads.py")
+
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    for name, code in (("capacity_table3", 0), ("correlation_table4", 0),
+                       ("phase_compare_table1", 2)):
+        workload = workloads.WORKLOADS[name]
+        argv = workload.argv(0, tmp_path / name, workload.threads)
+        assert cli.main(argv) == code, name
+    assert "runtime error: forked" in capsys.readouterr().err

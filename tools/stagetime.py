@@ -34,6 +34,12 @@ is the median of as many calls of the same command line (made first) with
 only ``trial_kernel`` itself timed, so the difference is the other
 wrappers' own cost within the kernel.  The workloads and their command
 lines are those of ``bench/workloads.py``.
+
+The wrappers count time in the interpreter that runs them, so a trial
+traced in a forked worker would fall in no stage.  So the kernel is pinned
+serial for every call, timed or not: ``experiment.WORK_PER_WORKER`` is set
+to infinity from outside, as the functions are wrapped, and each call
+traces all its trials in one process.
 """
 from __future__ import annotations
 
@@ -41,6 +47,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -102,6 +109,12 @@ def _install(clock: _Clock) -> None:
         "chord_lengths", phasephysics.chord_lengths)
 
 
+def _pin_serial() -> None:
+    """Keep every trial in this interpreter, where the clock counts it."""
+    from cloudmimo import experiment
+    experiment.WORK_PER_WORKER = math.inf
+
+
 def _split(spent: dict) -> dict:
     ms = {stage: ns / 1e6 for stage, ns in spent.items()}
     out = {stage: ms.get(stage, 0.0) for stage in STAGES}
@@ -119,6 +132,7 @@ def _split(spent: dict) -> dict:
 def _measure(src: str, name: str, calls: int) -> dict:
     sys.path.insert(0, src)
     from cloudmimo import cli, experiment
+    _pin_serial()
     workload = WORKLOADS[name]
     untraced, splits = [], []
     clock = _Clock()
