@@ -12,14 +12,14 @@ accumulated cloud phases into the LoS MIMO channel.  One trial kernel,
 run, in blocks of trials, from a stream keyed by the master seed and the
 trial index (see :mod:`cloudmimo.streams`), so results are reproducible and
 do not depend on the block size, nor on how a long run splits its blocks
-across forked workers.  It only traces, and returns plain arrays of each
-trial's cloudlet count and each ray's pierced counts and phases per unit
-content.  capacity-cdf, correlation and compensated run on one sweep
-runner, :func:`_sweep`, which traces the rays of every sweep point that
-reaches the layer with one kernel call, scales their unit phases by each
-content bound, applies the mode's metric, and fills every trial that sees
-no cloud with the point's clear-sky value.  phase-compare scales its ray's
-phases by the content bound; mac-count counts operations.
+across forked workers.  The caller's reducer turns each traced block into
+that block's rows of the kernel's one output array.  capacity-cdf,
+correlation and compensated run on one sweep runner, :func:`_sweep`, whose
+one kernel call traces the rays of every sweep point that reaches the
+layer, and whose reducer scales their unit phases by each content bound and
+applies the mode's metric; it fills every trial that sees no cloud with the
+point's clear-sky value.  phase-compare scales its ray's phases by the
+content bound; mac-count counts operations.
 
 Runs write two artifacts: ``results.csv`` (``field.csv`` for ``field``)
 with plot-ready columns and ``manifest.json`` with the full configuration,
@@ -57,8 +57,8 @@ from .raygeometry import map_rays_to_field
 from .streams import trial_streams
 
 # Cloudlets the trial kernel traces at once.  A block holds as many trials
-# as fit this count on average, which bounds the kernel's working memory;
-# results never depend on it.
+# as fit this count on average, which bounds the working memory of the
+# kernel and of its reducer; results never depend on it.
 BLOCK_CLOUDLETS = 8192
 
 # Kernel work (cloudlet draws plus chord evaluations) per forked worker.  On
@@ -348,13 +348,16 @@ def _segments_for(cloud: CloudConfig, scenario: MimoScenario):
 
 
 def _centre_ray(spec: ExperimentSpec):
-    """The (1, 2, 2) segment of the 1x1 link phase-compare and mac-count
-    trace, and whether it is in the layer."""
+    """Each trial's cloudlet count, and the pierced count and unit phase of
+    the 1x1 link's one ray, as (trials,) floats (the counts exact); and
+    whether that ray is in the layer."""
     centre = dataclasses.replace(spec.scenario, num_tx=1, num_rx=1)
     segments, engaged = _segments_for(spec.cloud, centre)
     if not engaged:
         _warn_clear_sky(centre, spec.mode)
-    return segments, engaged
+    columns = trial_kernel(spec, spec.cloud, segments,
+                           lambda *block: np.column_stack(block), 3)
+    return (*columns.T, engaged)
 
 
 def _warn_clear_sky(scenario: MimoScenario, point: str) -> None:
@@ -371,8 +374,9 @@ def _warn_clear_sky(scenario: MimoScenario, point: str) -> None:
 # ============================================================
 
 def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, rays: np.ndarray,
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Trace one array of rays through one field draw per trial.
+                 reduce, width: int) -> np.ndarray:
+    """Trace one array of rays through one field draw per trial, and reduce
+    each block of trials to ``width`` values per trial.
 
     Trial ``t`` draws its field from the stream
     ``default_rng(trial_seed(master_seed, t))``, the same bits as a
@@ -383,12 +387,13 @@ def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, rays: np.ndarray,
     bound.  Each ray is traced alone, so a ray's values do not depend on
     the other rays of the call.  Trials run in blocks of about
     ``BLOCK_CLOUDLETS`` cloudlets: one :func:`draw_fields` call gives the
-    block's rows, and one :func:`block_phases` call traces them against
-    every ray at once.
+    block's rows, one :func:`block_phases` call traces them against every
+    ray at once, and ``reduce`` gives the block's rows of the output.
 
     Where it can fork (Linux, one thread), a run splits into one contiguous
     trial range per CPU and per ``WORK_PER_WORKER`` of work; forked workers
-    write theirs into a shared mmap, bit for bit as a serial run.
+    write theirs into a shared mmap, bit for bit as a serial run; ``reduce``
+    must not warn, since a worker's warning would be lost.
 
     Parameters
     ----------
@@ -396,15 +401,15 @@ def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, rays: np.ndarray,
         Each ray's in-layer segment start and end, as
         :func:`map_rays_to_field` gives them; a sweep passes the rays of
         its points one after another.
+    reduce : callable
+        ``reduce(counts, pierced, phases)``: a block's (fields,) cloudlet
+        counts, (fields, rays) pierced counts and (fields, rays) unwrapped
+        phases [rad] per unit content, to its (fields, width) rows.
 
     Returns
     -------
-    counts : ndarray
-        (trials,) cloudlet count of each trial's field.
-    pierced : ndarray
-        (trials, rays) count of the cloudlets each ray pierces.
-    phases : ndarray
-        (trials, rays) unwrapped cloud phases [rad] per unit content.
+    ndarray
+        (trials, width) float64 rows, each trial's from its block.
     """
     radius = cloudlet_radius(cloud)
     rate = (2.0 * np.pi / spec.scenario.wavelength
@@ -417,24 +422,22 @@ def trial_kernel(spec: ExperimentSpec, cloud: CloudConfig, rays: np.ndarray,
         and threading.active_count() == 1 else 1      # Linux has os.fork
     workers = max(1, min(blocks, cpus, int(
         work // WORK_PER_WORKER if WORK_PER_WORKER else blocks)))
-    memory = mmap.mmap(-1, 8 * trials * (2 * n + 1)) if workers > 1 else None
-    phases = np.ndarray((trials, n), float, memory)
-    pierced = np.ndarray((trials, n), np.intp, memory, phases.nbytes)
-    counts = np.ndarray(trials, np.intp, memory, 2 * phases.nbytes)
+    memory = mmap.mmap(-1, 8 * trials * width) if workers > 1 else None
+    out = np.ndarray((trials, width), float, memory)
 
     def trace(start: int, stop: int) -> None:
         streams = trial_streams(spec.master_seed, stop, start)
         for at in range(start, stop, per_block):
             block = slice(at, min(at + per_block, stop))
             block_counts, rows = draw_fields(cloud, streams, block.stop - at)
-            counts[block] = block_counts
-            phases[block], pierced[block] = block_phases(
-                rows[:2].T, rows[2], block_counts, radius, rays, rate)
+            phases, pierced = block_phases(rows[:2].T, rows[2], block_counts,
+                                           radius, rays, rate)
+            out[block] = reduce(block_counts, pierced, phases)
 
     edges = [min(trials, per_block * (blocks * i // workers))
              for i in range(workers + 1)]
     _split(trace, list(zip(edges, edges[1:])))
-    return counts, pierced, phases
+    return out
 
 
 def _split(trace, ranges: list) -> None:
@@ -474,12 +477,12 @@ def _sweep(spec: ExperimentSpec, metric, scenarios, cloud: CloudConfig,
 
     The scenarios some of whose rays reach the layer are traced on the
     same field draws by one kernel call, their rays one after another (all
-    scenarios have the same Nr * Nt rays).  Each nonzero one of the k
-    bounds C of ``contents`` (default: the cloud's own) scales a
-    scenario's unit phases P to ``C * P``, and ``metric(scenario, C * P)``
-    runs on them in trial slices of at most ``BLOCK_CLOUDLETS`` phase
-    values, so the metric's temporaries stay the size of a kernel block's
-    at any trial count; the values do not depend on the slicing.  Each
+    scenarios have the same Nr * Nt rays).  Its reducer runs on each
+    kernel block: each nonzero one of the k bounds C of ``contents``
+    (default: the cloud's own) scales a scenario's unit phases P to ``C *
+    P``, and ``metric(scenario, C * P)`` gives the block's values, so the
+    metric's temporaries stay the size of a block's at any trial count;
+    the values do not depend on the block size.  Each
     scenario's clear-sky value ``metric(scenario, None)`` is computed
     once, and fills every trial that sees no cloud: all of a scenario none
     of whose rays reaches the layer, which is not traced, and all of a
@@ -505,16 +508,17 @@ def _sweep(spec: ExperimentSpec, metric, scenarios, cloud: CloudConfig,
     values[:] = np.reshape(clear, (-1, 1, 1))
     live = [i for i, e in enumerate(engaged) if e]
     if live and traced:
-        _, _, phases = trial_kernel(
-            spec, cloud, np.concatenate([mapped[i][0] for i in live]))
-        phases = phases.reshape(spec.trials, len(live), -1)
         scale = np.array([contents[j] for j in traced])[:, None, None]
-        step = max(1, BLOCK_CLOUDLETS // (len(traced) * phases.shape[2]))
-        for point, i in enumerate(live):
-            for first in range(0, spec.trials, step):
-                part = slice(first, first + step)
-                values[i, traced, part] = metric(
-                    scenarios[i], scale * phases[part, point])
+
+        def reduce(counts, pierced, phases):    # (block, live * k) values
+            phases = phases.reshape(len(counts), len(live), -1)
+            return np.concatenate([metric(scenarios[i], scale * phases[:, p])
+                                   for p, i in enumerate(live)]).T
+
+        out = trial_kernel(spec, cloud, np.concatenate(
+            [mapped[i][0] for i in live]), reduce, len(live) * len(traced))
+        values[np.ix_(live, traced)] = out.T.reshape(
+            len(live), len(traced), -1)
     return values, clear, engaged
 
 
@@ -737,9 +741,8 @@ def run_phase_compare(spec: ExperimentSpec) -> RunOutput:
     pure comparison: the analytic constants were fitted elsewhere, so no
     agreement is enforced, only measured.
     """
-    segments, _ = _centre_ray(spec)
-    counts, pierced, phases = trial_kernel(spec, spec.cloud, segments)
-    samples = spec.cloud.max_iwc_c * phases[:, 0]
+    counts, pierced, phases, _ = _centre_ray(spec)
+    samples = spec.cloud.max_iwc_c * phases
     analytic = stationary_distribution(AnalyticParams(
         spec.cloud, spec.physics, spec.scenario.carrier_frequency))
 
@@ -764,7 +767,7 @@ def run_phase_compare(spec: ExperimentSpec) -> RunOutput:
             # null where it is undefined (NaN): strict JSON has no NaN
             "excess_kurtosis": None if math.isnan(kurtosis) else kurtosis,
             "mean_cloudlet_count": float(counts.mean()),
-            "mean_pierced_count": float(pierced[:, 0].mean()),
+            "mean_pierced_count": float(pierced.mean()),
         },
         "analytic": {
             "phi0_rad": analytic.phi0,
@@ -812,9 +815,8 @@ def run_mac_count(spec: ExperimentSpec) -> RunOutput:
     Warns with a :class:`ModelValidityWarning` if the ray misses the layer.
     The CSV gives each round's count.
     """
-    segments, traced = _centre_ray(spec)
-    n, h, _ = trial_kernel(spec, spec.cloud, segments)
-    per_round = 17 + 6 * n + traced * (2 + 5 * n + 3 * h[:, 0])
+    n, h, _, traced = _centre_ray(spec)
+    per_round = (17 + 6 * n + traced * (2 + 5 * n + 3 * h)).astype(np.intp)
     average = float(per_round.mean())
     report = {
         "average_mac_per_round": average,

@@ -896,8 +896,7 @@ def test_a_cap_hit_in_a_workers_range_fails_as_the_serial_run(
                               {"run.trials": 777, "run.master_seed": 6})
     spec = spec_from_flat(flat)
     forks = forced_split(1)
-    counts, _, _ = experiment.trial_kernel(
-        spec, spec.cloud, experiment._centre_ray(spec)[0])
+    counts, _, _, _ = experiment._centre_ray(spec)
     cap = int(counts[:400].max())
     assert counts[400:].max() > cap
     monkeypatch.setattr(cloudfield, "DEFAULT_CLOUDLET_CAP", cap)

@@ -91,12 +91,35 @@ def trial_values(spec: ExperimentSpec, metric):
     return values[:, 0], engaged
 
 
+def raw_columns(counts, pierced, phases):
+    """A pass-through reducer: each trial's cloudlet count, then each ray's
+    pierced count, then each ray's unit phase, as one row."""
+    return np.column_stack([counts, pierced, phases])
+
+
+def raw_kernel(spec: ExperimentSpec, rays) -> np.ndarray:
+    """The trial kernel's one output under the pass-through reducer."""
+    return trial_kernel(spec, spec.cloud, rays, raw_columns,
+                        1 + 2 * len(rays))
+
+
+def raw_trace(spec: ExperimentSpec, rays):
+    """Each trial's cloudlet count, and its (trials, rays) pierced counts
+    and unit phases, as the kernel traced them."""
+    out, n = raw_kernel(spec, rays), len(rays)
+    return out[:, 0], out[:, 1:1 + n], out[:, 1 + n:]
+
+
+def centre_ray(spec: ExperimentSpec) -> np.ndarray:
+    """The (1, 2, 2) segment of the 1x1 link's one ray."""
+    centre = dataclasses.replace(spec.scenario, num_tx=1, num_rx=1)
+    return map_rays_to_field(centre, spec.cloud)
+
+
 def centre_ray_trace(spec: ExperimentSpec):
     """Each trial's cloudlet count, and the 1x1 link's pierced count and
     phase: what phase-compare and mac-count summarize."""
-    centre = dataclasses.replace(spec.scenario, num_tx=1, num_rx=1)
-    segments = map_rays_to_field(centre, spec.cloud)
-    counts, pierced, phases = trial_kernel(spec, spec.cloud, segments)
+    counts, pierced, phases = raw_trace(spec, centre_ray(spec))
     return counts, pierced[:, 0], spec.cloud.max_iwc_c * phases[:, 0]
 
 
@@ -356,7 +379,7 @@ def test_kernel_rows_equal_single_field_path_phase(monkeypatch):
         rays = np.concatenate([
             map_rays_to_field(scenario, spec.cloud)
             for scenario in scenarios])
-        counts, pierced, phases = trial_kernel(spec, spec.cloud, rays)
+        counts, pierced, phases = raw_trace(spec, rays)
         fields = _fields(spec)
         assert np.array_equal(counts, [len(u) for _, u in fields])
         assert pierced.shape == (40, 8)
@@ -383,14 +406,15 @@ def test_kernel_rows_equal_single_field_path_phase(monkeypatch):
 
 def _per_trial_arrays(spec: ExperimentSpec) -> list:
     """Every per-trial array a run of the spec's mode makes, trials first:
-    each trial kernel output, and each sweep runner's metric values."""
+    each trial kernel call's one output, and each sweep runner's metric
+    values."""
     seen = []
     kernel, sweep = experiment.trial_kernel, experiment._sweep
 
     def record_kernel(*args):
-        outputs = kernel(*args)
-        seen.extend(outputs)
-        return outputs
+        out = kernel(*args)
+        seen.append(out)
+        return out
 
     def record_sweep(*args):
         values, clear, engaged = sweep(*args)
@@ -451,7 +475,7 @@ def _check_prefix(mode: str, profile: str, flags: dict) -> None:
     assert per_block in (40, 204) and 777 % per_block
     assert 777 < streams._CHUNK_TRIALS < 1554
     first, twice = (_per_trial_arrays(s) for s in (short, long))
-    assert len(first) == len(twice) >= 3
+    assert len(first) == len(twice) >= 1
     for want, got in zip(first, twice):
         assert len(want) == 777 and len(got) == 1554
         assert np.array_equal(want, got[:777])
@@ -501,26 +525,49 @@ def test_kernel_enforces_the_expected_cloudlet_cap():
         run_capacity_cdf(spec)
 
 
-def test_capacity_memory_grows_per_trial_only_by_the_kernel_outputs():
-    # The kernel returns each trial's count, pierced counts and unit phases,
-    # and the sweep runner scales them and runs the capacity metric on them
-    # in block-sized trial slices.  So the peak grows per trial by about
-    # what those arrays hold; the channel stacks of a whole-run metric pass
-    # would add ~6x that.
-    def peak(trials):
-        spec = make_spec(trials=trials, sweep_rwc=(0.0, 0.4, 0.8))
-        tracemalloc.start()
-        try:
-            run_capacity_cdf(spec)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+def _peak_bytes(run, spec: ExperimentSpec) -> int:
+    """The traced peak of one run.  Pinned serial by the caller: a split
+    run's shared mmap is invisible to tracemalloc."""
+    tracemalloc.start()
+    try:
+        run(spec)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
+
+def test_capacity_memory_grows_per_trial_only_by_the_kernel_outputs(
+        monkeypatch):
+    # The kernel reduces each block to its capacities, so the peak grows
+    # per trial by about those values and the CSV text of the samples.
+    # The bound is twice what a trial's count and its 4 rays' pierced
+    # counts and phases would hold; the channel stacks of a whole-run
+    # metric pass would add ~6x that.
+    monkeypatch.setattr(experiment, "WORK_PER_WORKER", math.inf)
+    peak = [_peak_bytes(run_capacity_cdf, make_spec(
+        trials=trials, sweep_rwc=(0.0, 0.4, 0.8))) for trials in (2000, 8000)]
     rays = 4
     returned = (np.dtype(np.intp).itemsize * (1 + rays)
                 + np.dtype(float).itemsize * rays)
-    per_trial = (peak(8000) - peak(2000)) / 6000
+    per_trial = (peak[1] - peak[0]) / 6000
     assert per_trial < 2 * returned, (per_trial, returned)
+
+
+def test_correlation_memory_grows_per_trial_only_by_the_values(monkeypatch):
+    # table4 traces 48 rays of 12 engaged distances, but a trial keeps only
+    # one coherence per distance and bound: in the kernel's output and in
+    # the sweep's values, so twice 8 B per point and bound.  Keeping its
+    # rays' phases and pierced counts would add 768 B.
+    monkeypatch.setattr(experiment, "WORK_PER_WORKER", math.inf)
+    peak = []
+    for trials in (2000, 8000):
+        flat, _ = assemble_config("correlation", "table4", None, [],
+                                  {"run.trials": trials})
+        spec = spec_from_flat(flat)
+        peak.append(_peak_bytes(run_correlation_sweep, spec))
+    points, bounds = len(spec.distance_grid), 1
+    per_trial = (peak[1] - peak[0]) / 6000
+    assert per_trial < 2 * 8 * points * bounds, per_trial
 
 
 # ============================================================
@@ -536,7 +583,7 @@ def _benchmark_rays(profile: str):
                               {"run.trials": 777, "run.master_seed": 7})
     spec = spec_from_flat(flat)
     if mode == "phase-compare":
-        return spec, experiment._centre_ray(spec)[0]
+        return spec, centre_ray(spec)
     mapped = [experiment._segments_for(spec.cloud, dataclasses.replace(
         spec.scenario, link_distance=d)) for d in spec.distance_grid]
     rays = np.concatenate([segments for segments, engaged in mapped
@@ -545,10 +592,9 @@ def _benchmark_rays(profile: str):
     return spec, rays
 
 
-def _assert_same_arrays(want, got) -> None:
-    for w, g in zip(want, got, strict=True):
-        assert w.dtype == g.dtype and w.shape == g.shape
-        assert np.array_equal(w, g)
+def _assert_same_array(want, got) -> None:
+    assert want.dtype == got.dtype and want.shape == got.shape
+    assert np.array_equal(want, got)
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
@@ -559,10 +605,10 @@ def test_a_split_kernel_returns_the_serial_arrays(forced_split, profile,
     # (40 trials on table1, 204 on table4).
     spec, rays = _benchmark_rays(profile)
     forks = forced_split(1)
-    serial = trial_kernel(spec, spec.cloud, rays)
+    serial = raw_kernel(spec, rays)
     assert not forks
     forced_split(cpus)
-    _assert_same_arrays(serial, trial_kernel(spec, spec.cloud, rays))
+    _assert_same_array(serial, raw_kernel(spec, rays))
     assert len(forks) == cpus - 1
 
 
@@ -570,17 +616,16 @@ def test_the_serial_kernel_allocates_plain_arrays(forced_split):
     # Only a split run puts its outputs in shared pages.
     spec, rays = _benchmark_rays("table1")
     forced_split(1)
-    assert all(a.base is None for a in trial_kernel(spec, spec.cloud, rays))
+    assert raw_kernel(spec, rays).base is None
     forced_split(2)
-    assert all(a.base is not None
-               for a in trial_kernel(spec, spec.cloud, rays))
+    assert raw_kernel(spec, rays).base is not None
 
 
 def test_a_failed_workers_range_is_rerun_by_the_caller(forced_split,
                                                       monkeypatch):
     spec, rays = _benchmark_rays("table1")
     forks = forced_split(1)
-    serial = trial_kernel(spec, spec.cloud, rays)
+    serial = raw_kernel(spec, rays)
     caller, draw = os.getpid(), experiment.draw_fields
 
     def draw_in_the_caller_only(*args):
@@ -590,7 +635,7 @@ def test_a_failed_workers_range_is_rerun_by_the_caller(forced_split,
 
     monkeypatch.setattr(experiment, "draw_fields", draw_in_the_caller_only)
     forced_split(3)
-    _assert_same_arrays(serial, trial_kernel(spec, spec.cloud, rays))
+    _assert_same_array(serial, raw_kernel(spec, rays))
     assert len(forks) == 2
 
 
@@ -600,7 +645,7 @@ def test_a_range_without_a_worker_runs_in_the_caller(forced_split,
     # the caller.
     spec, rays = _benchmark_rays("table1")
     forced_split(1)
-    serial = trial_kernel(spec, spec.cloud, rays)
+    serial = raw_kernel(spec, rays)
 
     def no_fork():
         raise BlockingIOError(errno.EAGAIN, "Resource temporarily "
@@ -608,7 +653,7 @@ def test_a_range_without_a_worker_runs_in_the_caller(forced_split,
 
     monkeypatch.setattr(os, "fork", no_fork)
     forced_split(2)
-    _assert_same_arrays(serial, trial_kernel(spec, spec.cloud, rays))
+    _assert_same_array(serial, raw_kernel(spec, rays))
 
 
 def test_an_interrupt_kills_and_reaps_the_workers(forced_split, monkeypatch):
@@ -626,8 +671,53 @@ def test_an_interrupt_kills_and_reaps_the_workers(forced_split, monkeypatch):
     monkeypatch.setattr(experiment, "draw_fields", interrupted)
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        trial_kernel(spec, spec.cloud, rays)
+        raw_kernel(spec, rays)
     assert len(forks) == 1 and time.monotonic() - start < 10
+
+
+def test_a_metric_that_raises_in_a_workers_block_fails_as_the_serial_run(
+        forced_split, monkeypatch):
+    # 777 trials split in three: the caller traces trials 0-203, the
+    # workers 204-407 and 408-776.  The last worker's second block is the
+    # run's one short block, of 165 trials, and there the metric raises.
+    spec, _ = _benchmark_rays("table4")
+    coherence = experiment._coherence
+
+    def raises_on_the_short_block(scenario, phases):
+        if phases is not None and phases.shape[1] != 204:
+            raise FloatingPointError(f"a block of {phases.shape[1]} trials")
+        return coherence(scenario, phases)
+
+    monkeypatch.setattr(experiment, "_coherence", raises_on_the_short_block)
+    errors = []
+    for cpus in (1, 3):
+        forks = forced_split(cpus)
+        with pytest.raises(FloatingPointError) as caught:
+            run_correlation_sweep(spec)
+        errors.append(str(caught.value))
+    assert errors == ["a block of 165 trials"] * 2
+    assert len(forks) == 2
+
+
+@pytest.mark.parametrize("mode,profile,flags", [
+    ("capacity-cdf", "table3", {"run.sweep_rwc": "0,0.4,0.8"}),
+    ("correlation", "table4", {})])
+def test_no_reducer_warns_so_a_split_run_gives_the_serial_bytes(
+        forced_split, mode, profile, flags):
+    # A warning in a worker would be lost.  As an error, it would fail
+    # the worker and then the caller's re-run of its range.
+    flat, _ = assemble_config(mode, profile, None, [], {
+        "run.trials": 777, "run.master_seed": 7, **flags})
+    spec = spec_from_flat(flat)
+    runs = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cpus in (1, 3):
+            forks = forced_split(cpus)
+            run = MODES[mode].runner(spec)
+            runs.append(run.csv_text + json.dumps(run.report))
+    assert runs[0] == runs[1]
+    assert len(forks) == 2
 
 
 def test_a_process_with_threads_does_not_fork(forced_split):
@@ -637,12 +727,12 @@ def test_a_process_with_threads_does_not_fork(forced_split):
     thread = threading.Thread(target=done.wait)
     thread.start()
     try:
-        trial_kernel(spec, spec.cloud, rays)
+        raw_kernel(spec, rays)
     finally:
         done.set()
         thread.join()
     assert not forks
-    trial_kernel(spec, spec.cloud, rays)
+    raw_kernel(spec, rays)
     assert len(forks) == 1
 
 
@@ -753,7 +843,7 @@ def test_an_rwc_sweep_traces_only_its_nonzero_bounds(monkeypatch):
     (_, _, dry), (_, _, wet) = capacity_points(run_capacity_cdf(spec))
     assert stacks[0] is None and len(stacks) == 2
     rays = map_rays_to_field(spec.scenario, spec.cloud)
-    _, _, unit = trial_kernel(spec, spec.cloud, rays)
+    _, _, unit = raw_trace(spec, rays)
     assert stacks[1].shape == (1, 5, 4)
     assert np.array_equal(stacks[1][0], 0.4 * REFERENCE_IWC * unit)
     clear = capacity_bits(los_channel(spec.scenario), spec.scenario.snr_db,

@@ -74,6 +74,26 @@ def test_stagetime_wraps_only_names_that_exist(monkeypatch):
         assert wrapped == STAGETIME_WRAPS[name], name
 
 
+def test_stagetime_stages_sum_to_the_kernel(monkeypatch):
+    # The metric runs inside the kernel, on each block it traces, so the
+    # six stages split the kernel's time without a remainder.
+    monkeypatch.setattr(sys, "path", list(sys.path))   # the tool extends it
+    stagetime = _load_tool(monkeypatch, "tools/stagetime.py")
+    ms = {"kernel": 100, "draw_fields": 30, "stream_reset": 10,
+          "block_phases": 40, "chord_lengths": 25, "metric": 20}
+    split = stagetime._split({stage: t * 10 ** 6 for stage, t in ms.items()})
+    assert split["kernel"] == 100.0
+    assert sum(split[stage] for stage in stagetime.STAGES) == 100.0
+    assert split["scale"] == 10.0
+    # The clear-sky calls, which run outside the kernel, are not timed.
+    clock = stagetime._Clock()
+    metric = stagetime._traced_metric(clock, lambda scenario, phases: 0.0)
+    metric(None, None)
+    assert not clock.take()
+    metric(None, [0.0])
+    assert set(clock.take()) == {"metric"}
+
+
 def test_layertrace_layers_resolve_but_the_retired_ones(monkeypatch):
     # Read only: the tracer's layer table and its own name lookup, with
     # nothing installed.

@@ -7,8 +7,8 @@ from ``DIR`` (default: ``src/`` of this checkout) and makes ``N + 1`` calls
 of the workload's command line at master seed 31; the first call is a
 warm-up.  Functions are wrapped from outside the package, at the names the
 kernel and the modes look them up under.  Each call's time in
-``trial_kernel``, and in the metrics the sweep runner applies to its
-phases, is split into:
+``trial_kernel``, which runs the sweep runner's metric on each block it
+traces, is split into:
 
 - ``stream_reset``: taking each trial's generator from ``trial_streams``,
   the per-chunk seed arithmetic included;
@@ -17,19 +17,21 @@ phases, is split into:
   metres;
 - ``chord_lengths``: ``phasephysics.chord_lengths``;
 - ``phase_count_sums``: the rest of ``block_phases``;
-- ``scale``: the rest of ``trial_kernel``, its own loop over blocks,
-  which writes each block's unit-content phases into the run's arrays;
 - ``metric``: the channel metrics, ``experiment._capacity`` and
-  ``experiment._coherence``, which the sweep runner applies after the
-  kernel (and once per sweep point to clear sky).
+  ``experiment._coherence``, as the sweep runner's reducer applies them
+  to each block;
+- ``scale``: the rest of ``trial_kernel``: its own loop over blocks, and
+  the rest of each block's reducer, which forms the products ``C * P`` of
+  a content bound C and the block's unit-content phases P and writes the
+  block's rows of the kernel's output.
 
-The products ``C * P`` of a content bound C and the kernel's unit-content
-phases P, which the sweep runner forms between ``kernel`` and ``metric``
-(and phase-compare after ``kernel``), fall in no stage.
+So the six stages sum to ``kernel``.  The metric's clear-sky calls, once
+per sweep point outside the kernel, and phase-compare's products ``C *
+P`` after it, fall in no stage.
 
 Prints one JSON line per workload with the median over the timed calls of
 each stage, in ms per call, and of ``kernel``, the traced
-``trial_kernel``, which does not contain ``metric``.  ``untraced_kernel``
+``trial_kernel``.  ``untraced_kernel``
 is the median of as many calls of the same command line (made first) with
 only ``trial_kernel`` itself timed, so the difference is the other
 wrappers' own cost within the kernel.  The workloads and their command
@@ -93,12 +95,20 @@ class _Clock:
         return spent
 
 
+def _traced_metric(clock: _Clock, metric):
+    """``metric``, timed as the ``metric`` stage on cloud phases only: its
+    clear-sky calls (phases None) run outside the kernel."""
+    timed = clock.timed("metric", metric)
+    return lambda scenario, phases: (metric if phases is None else timed)(
+        scenario, phases)
+
+
 def _install(clock: _Clock) -> None:
     from cloudmimo import experiment, phasephysics
     streams = experiment.trial_streams
     experiment.trial_kernel = clock.timed("kernel", experiment.trial_kernel)
-    experiment._capacity = clock.timed("metric", experiment._capacity)
-    experiment._coherence = clock.timed("metric", experiment._coherence)
+    experiment._capacity = _traced_metric(clock, experiment._capacity)
+    experiment._coherence = _traced_metric(clock, experiment._coherence)
     experiment.trial_streams = lambda *args: clock.timed_iter(
         "stream_reset", streams(*args))
     experiment.draw_fields = clock.timed("draw_fields",
@@ -122,9 +132,9 @@ def _split(spent: dict) -> dict:
     out["field_draw"] = ms.get("draw_fields", 0.0) - out["stream_reset"]
     out["phase_count_sums"] = (ms.get("block_phases", 0.0)
                                - out["chord_lengths"])
-    # The kernel's own block loop; the content scaling is outside it.
+    # The kernel's own block loop and the rest of its reducer.
     out["scale"] = ms.get("kernel", 0.0) - sum(
-        out[stage] for stage in STAGES if stage not in ("scale", "metric"))
+        out[stage] for stage in STAGES if stage != "scale")
     out["kernel"] = ms.get("kernel", 0.0)
     return out
 
